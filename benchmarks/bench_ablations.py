@@ -31,7 +31,7 @@ def bench_event_logger_scaling(benchmark):
         for n_el in (1, 2, 4):
             res = run_job(
                 nas.cg.program, 16, device="v2", params={"klass": "A"},
-                n_event_loggers=n_el, limit=1e6,
+                cfg=DEFAULT_TESTBED.with_(el_servers=n_el), limit=1e6,
             )
             rows.append([n_el, res.elapsed])
             out[n_el] = res.elapsed

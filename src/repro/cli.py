@@ -55,6 +55,7 @@ from .obs import (
     recovery_timeline,
     trace_records,
 )
+from .runtime.config import DEFAULT_TESTBED
 from .runtime.mpirun import run_job
 from .workloads import nas
 from .workloads.pingpong import measure as pingpong_measure
@@ -280,36 +281,86 @@ def _cmd_burst(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
-    from .runtime.config import DEFAULT_TESTBED
+def _kill_plan(
+    args: argparse.Namespace, churn: bool = False,
+    interval: Optional[float] = None,
+):
+    """The rank-kill plan a verb's flags describe (None: no kills):
+    ``--kill-at`` is explicit; otherwise ``--faults`` kills, drawn from
+    Weibull ``churn`` or evenly ``interval`` (default
+    ``--fault-interval``) apart."""
+    from .ft.failure import ChurnFaults, ExplicitFaults, RandomFaults
 
-    mod = nas.KERNELS[args.name]
-    spec = mod.spec(args.klass)
+    if getattr(args, "kill_at", None):
+        return ExplicitFaults(
+            [(float(t), int(r)) for t, r in
+             (part.split(":") for part in args.kill_at.split(","))]
+        )
+    if not args.faults:
+        return None
+    if churn:
+        return ChurnFaults(
+            mean_lifetime=args.mean_lifetime, shape=args.shape,
+            max_faults=args.faults, seed=args.seed,
+        )
+    return RandomFaults(
+        interval=args.fault_interval if interval is None else interval,
+        count=args.faults, seed=args.seed,
+    )
+
+
+def _run_kernel(
+    args: argparse.Namespace, faults: Any = None, churn_ckpt: bool = False,
+    **job_kw: Any,
+) -> tuple[str, Any]:
+    """The one way a verb runs its kernel: the verb's device, the cfg its
+    ``--ckpt-*``/``--el-*`` flags describe, its fault plan, and — with
+    ``churn_ckpt`` — the continuous random checkpoints every faulty v2
+    run uses.  Returns ``(label, JobResult)``; the verb prints its table.
+    """
+    if churn_ckpt:
+        job_kw = dict(checkpointing=True, ckpt_policy="random",
+                      ckpt_continuous=True, **job_kw)
+    job_kw.setdefault("trace", bool(getattr(args, "trace_out", None)))
+    job_kw.setdefault("audit", getattr(args, "audit", False))
+    res = run_job(
+        nas.KERNELS[args.name].program, args.nprocs,
+        device=getattr(args, "device", "v2"),
+        cfg=_store_cfg(args, DEFAULT_TESTBED),
+        params={"klass": args.klass}, limit=1e8, faults=faults, **job_kw,
+    )
+    return f"{args.name}-{args.klass}", res
+
+
+def _finish(args: argparse.Namespace, label: str, res: Any) -> int:
+    """Print ``--audit`` verdicts, write ``--trace-out``/``--metrics-out``;
+    the exit code of a verb that fails on violations."""
+    _print_audits(args, [(label, res)])
+    _write_obs(args, [(label, res)])
+    unclean = args.audit and res.audit is not None and not res.audit.clean
+    return 1 if unclean else 0
+
+
+def _cmd_kernel(args: argparse.Namespace) -> int:
     ckpt_kw = {}
     if args.ckpt_interval is not None:
         if args.device != "v2":
             print("--ckpt-interval requires --device v2", file=sys.stderr)
             return 2
         ckpt_kw = dict(checkpointing=True, ckpt_interval=args.ckpt_interval)
-    res = run_job(
-        mod.program, args.nprocs, device=args.device,
-        cfg=_store_cfg(args, DEFAULT_TESTBED),
-        params={"klass": args.klass}, limit=1e8,
-        trace=bool(args.trace_out), audit=args.audit,
-        **ckpt_kw,
-    )
+    label, res = _run_kernel(args, **ckpt_kw)
     b = breakdown(res)
+    spec = nas.KERNELS[args.name].spec(args.klass)
     print(
         format_table(
             ["kernel", "device", "procs", "elapsed s", "compute s",
              "comm s", "Mop/s"],
-            [[f"{args.name.upper()}-{args.klass}", args.device, args.nprocs,
+            [[label.upper(), args.device, args.nprocs,
               b["elapsed"], b["compute"], b["comm"],
               mops(spec.total_flops, res)]],
         )
     )
-    _print_audits(args, [(f"{args.name}-{args.klass}", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}", res)])
+    _finish(args, label, res)
     return 0
 
 
@@ -344,12 +395,7 @@ def _parse_service_faults(spec: str) -> list[tuple[float, str, float]]:
 
 
 def _cmd_faulty(args: argparse.Namespace) -> int:
-    from .ft.failure import (
-        ChurnFaults,
-        PartitionFaults,
-        RandomFaults,
-        ServiceFaults,
-    )
+    from .ft.failure import PartitionFaults, ServiceFaults
 
     if args.device not in ("v1", "v2"):
         print(
@@ -377,96 +423,67 @@ def _cmd_faulty(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro: bad fault spec: {exc}", file=sys.stderr)
         return 2
-    from .runtime.config import DEFAULT_TESTBED
-
-    cfg = _store_cfg(args, DEFAULT_TESTBED)
-    mod = nas.KERNELS[args.name]
-    base = run_job(
-        mod.program, args.nprocs, device=args.device, cfg=cfg,
-        params={"klass": args.klass}, limit=1e8,
+    _, base = _run_kernel(args, trace=False, audit=False)
+    kills = _kill_plan(
+        args, churn=args.plan == "churn",
+        interval=base.elapsed / max(1, args.faults + 1),
     )
-    plans: list[Any] = []
-    if args.faults:
-        if args.plan == "churn":
-            plans.append(
-                ChurnFaults(
-                    mean_lifetime=args.mean_lifetime, shape=args.shape,
-                    max_faults=args.faults, seed=args.seed,
-                )
-            )
-        else:
-            interval = base.elapsed / max(1, args.faults + 1)
-            plans.append(
-                RandomFaults(interval=interval, count=args.faults,
-                             seed=args.seed)
-            )
+    plans: list[Any] = [kills] if kills is not None else []
     if partition_sched:
         plans.append(PartitionFaults(partition_sched))
     if service_sched:
         plans.append(ServiceFaults(service_sched))
     # V1's recovery is its own (restart-from-scratch + CM replay):
-    # checkpointing kwargs belong to the v2 launcher only
-    ckpt_kw = (
-        dict(checkpointing=True, ckpt_policy="random", ckpt_continuous=True)
-        if args.device == "v2"
-        else {}
-    )
-    res = run_job(
-        mod.program, args.nprocs, device=args.device, cfg=cfg,
-        params={"klass": args.klass},
-        faults=plans or None,
-        limit=1e8,
-        trace=bool(args.trace_out), audit=args.audit,
-        **ckpt_kw,
+    # checkpointing belongs to v2 only
+    label, res = _run_kernel(
+        args, faults=plans or None, churn_ckpt=args.device == "v2"
     )
     print(
         format_table(
             ["kernel", "faults", "reference s", "elapsed s", "slowdown",
              "restarts", "checkpoints", "replayed", "ckpt MB"],
-            [[f"{args.name.upper()}-{args.klass}", args.faults, base.elapsed,
+            [[label.upper(), args.faults, base.elapsed,
               res.elapsed, res.elapsed / base.elapsed, res.restarts,
               res.checkpoints, int(res.stat("deliveries.replayed")),
               res.stat("ckpt.bytes") / 1e6]],
         )
     )
-    if (partition_sched or service_sched) and res.metrics is not None:
+    total = res.metrics.total
+    if partition_sched or service_sched:
         print(
-            f"outages: retries={int(res.metrics.total('outage.retries'))} "
-            f"reconnects={int(res.metrics.total('outage.reconnects'))} "
-            f"backoff={res.metrics.total('outage.backoff_s'):.3f}s "
-            f"el_down={res.metrics.total('outage.el_down_s'):.3f}s "
-            f"ckpt_aborted={int(res.metrics.total('ckpt.aborted'))}"
+            f"outages: retries={int(total('outage.retries'))} "
+            f"reconnects={int(total('outage.reconnects'))} "
+            f"backoff={total('outage.backoff_s'):.3f}s "
+            f"el_down={total('outage.el_down_s'):.3f}s "
+            f"ckpt_aborted={int(total('ckpt.aborted'))}"
         )
-    if res.metrics is not None and res.metrics.total("store.push_bytes"):
+    if total("store.push_bytes"):
         print(
-            f"store: pushed={res.metrics.total('store.push_bytes') / 1e6:.2f}MB "
-            f"deduped={res.metrics.total('store.dedup_bytes') / 1e6:.2f}MB "
-            f"fetched={res.metrics.total('store.fetch_bytes') / 1e6:.2f}MB "
-            f"failovers={int(res.metrics.total('store.failover'))} "
-            f"gc_reclaimed={res.metrics.total('store.gc_reclaimed_bytes') / 1e6:.2f}MB"
+            f"store: pushed={total('store.push_bytes') / 1e6:.2f}MB "
+            f"deduped={total('store.dedup_bytes') / 1e6:.2f}MB "
+            f"fetched={total('store.fetch_bytes') / 1e6:.2f}MB "
+            f"failovers={int(total('store.failover'))} "
+            f"gc_reclaimed={total('store.gc_reclaimed_bytes') / 1e6:.2f}MB"
         )
-    if args.device == "v1" and service_sched and res.metrics is not None:
+    if args.device == "v1" and service_sched:
         print(
-            f"cm: crashes={int(res.metrics.total('svc.crashes'))} "
-            f"relaunches={int(res.metrics.total('svc.restarts'))} "
-            f"client_reconnects={int(res.metrics.total('v1.cm_reconnects'))}"
+            f"cm: crashes={int(total('svc.crashes'))} "
+            f"relaunches={int(total('svc.restarts'))} "
+            f"client_reconnects={int(total('v1.cm_reconnects'))}"
         )
-    if res.metrics is not None and (cfg.el_servers > 1 or cfg.el_replicas > 1):
+    cfg = _store_cfg(args, DEFAULT_TESTBED)
+    if cfg.el_servers > 1 or cfg.el_replicas > 1:
         print(
             f"el: shards={cfg.el_servers} replicas={cfg.el_replicas} "
             f"quorum={cfg.el_quorum} "
-            f"failovers={int(res.metrics.total('el.failovers'))} "
-            f"resyncs={int(res.metrics.total('el.resyncs'))} "
+            f"failovers={int(total('el.failovers'))} "
+            f"resyncs={int(total('el.resyncs'))} "
             f"quorum_wait_p95="
             f"{res.metrics.quantile('el.quorum_wait_s', 0.95) * 1e6:.0f}us"
         )
     if res.restarts:
         _print_detect_latency(res)
-    _print_audits(args, [(f"{args.name}-{args.klass}-faulty", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}-faulty", res)])
-    if args.audit and res.audit is not None and not res.audit.clean:
-        return 1
-    return 0
+    return _finish(args, f"{label}-faulty", res)
 
 
 def _cmd_sched(args: argparse.Namespace) -> int:
@@ -486,34 +503,22 @@ def _cmd_sched(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    mod = nas.KERNELS[args.name]
-    res = run_job(
-        mod.program, args.nprocs, device=args.device,
-        params={"klass": args.klass}, limit=1e8,
-        trace=bool(args.trace_out), audit=args.audit,
-    )
+    label, res = _run_kernel(args)
     print(format_stats(res.metrics, prefix=args.prefix, top=args.top))
     if args.prefix in (None, "disp."):
         _print_detect_latency(res)
-    _print_audits(args, [(f"{args.name}-{args.klass}", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}", res)])
+    _finish(args, label, res)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs.profile import critical_path
 
-    mod = nas.KERNELS[args.name]
     use_hb = args.device == "v2" and not args.no_critical
-    hb_kw = {"audit_hb": True} if use_hb else {}  # v2-only keyword
-    res = run_job(
-        mod.program, args.nprocs, device=args.device,
-        params={"klass": args.klass}, limit=1e8, seed=args.seed,
-        profile=True, audit=use_hb, **hb_kw,
+    _, res = _run_kernel(
+        args, seed=args.seed, profile=True, audit=use_hb, audit_hb=use_hb
     )
-    critical = None
-    if use_hb and res.audit is not None:
-        critical = critical_path(res.audit.hb)
+    critical = critical_path(res.audit.hb) if use_hb else None
     print(
         format_profile(
             res.profile, critical=critical, elapsed=res.elapsed, top=args.top
@@ -530,28 +535,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_mttr(args: argparse.Namespace) -> int:
-    from .ft.failure import ChurnFaults, ExplicitFaults
-    from .runtime.config import DEFAULT_TESTBED
-
-    mod = nas.KERNELS[args.name]
-    cfg = _store_cfg(args, DEFAULT_TESTBED)
-    if args.kill_at:
-        faults: Any = ExplicitFaults(
-            [(float(t), int(r)) for t, r in
-             (part.split(":") for part in args.kill_at.split(","))]
-        )
-    else:
-        faults = ChurnFaults(
-            mean_lifetime=args.mean_lifetime, shape=args.shape,
-            max_faults=args.faults, seed=args.seed,
-        )
-    res = run_job(
-        mod.program, args.nprocs, device="v2", cfg=cfg,
-        params={"klass": args.klass}, limit=1e8, seed=args.seed,
-        trace=True, audit=args.audit,
-        checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
-        ckpt_interval=args.ckpt_interval,
-        faults=faults,
+    label, res = _run_kernel(
+        args, faults=_kill_plan(args, churn=True), churn_ckpt=True,
+        ckpt_interval=args.ckpt_interval, seed=args.seed, trace=True,
         timeseries=args.sample_interval,
     )
     att = RecoveryAttribution.from_trace(res.tracer)
@@ -563,7 +549,7 @@ def _cmd_mttr(args: argparse.Namespace) -> int:
     print(format_mttr(att))
     if args.json_out:
         doc = {
-            "kernel": f"{args.name}-{args.klass}",
+            "kernel": label,
             "nprocs": args.nprocs,
             "seed": args.seed,
             "elapsed": res.elapsed,
@@ -576,37 +562,18 @@ def _cmd_mttr(args: argparse.Namespace) -> int:
     if args.timeseries_out:
         n = res.timeseries.write_jsonl(args.timeseries_out)
         print(f"wrote {n} time-series samples to {args.timeseries_out}")
-    _print_audits(args, [(f"{args.name}-{args.klass}-mttr", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}-mttr", res)])
-    if args.audit and res.audit is not None and not res.audit.clean:
-        return 1
-    return 0
+    return _finish(args, f"{label}-mttr", res)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .ft.failure import RandomFaults
-
-    mod = nas.KERNELS[args.name]
-    job_kw: dict[str, Any] = {}
-    if args.faults:
-        if args.device != "v2":
-            print(
-                "repro: fault injection requires --device v2",
-                file=sys.stderr,
-            )
-            return 2
-        job_kw.update(
-            checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
-            faults=RandomFaults(interval=args.fault_interval,
-                                count=args.faults, seed=args.seed),
-        )
-    res = run_job(
-        mod.program, args.nprocs, device=args.device,
-        params={"klass": args.klass}, limit=1e8, trace=True, **job_kw,
-    )
+    if args.faults and args.device != "v2":
+        print("repro: fault injection requires --device v2", file=sys.stderr)
+        return 2
     args.trace_out = args.out  # reuse the shared writer
-    args.metrics_out = getattr(args, "metrics_out", None)
-    _write_obs(args, [(f"{args.name}-{args.klass}", res)])
+    label, res = _run_kernel(
+        args, faults=_kill_plan(args), churn_ckpt=bool(args.faults)
+    )
+    _write_obs(args, [(label, res)])
     print(f"wrote {len(res.tracer)} trace records to {args.out}")
     if args.timeline:
         print(format_timeline(recovery_timeline(res.tracer)))
@@ -614,20 +581,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .ft.failure import RandomFaults
-
-    mod = nas.KERNELS[args.name]
-    job_kw: dict[str, Any] = {}
-    if args.faults:
-        job_kw.update(
-            checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
-            faults=RandomFaults(interval=args.fault_interval,
-                                count=args.faults, seed=args.seed),
-        )
-    res = run_job(
-        mod.program, args.nprocs, device="v2",
-        params={"klass": args.klass}, limit=1e8, seed=args.seed,
-        audit=True, audit_hb=bool(args.hb_out), **job_kw,
+    _, res = _run_kernel(
+        args, faults=_kill_plan(args), churn_ckpt=bool(args.faults),
+        seed=args.seed, audit=True, audit_hb=bool(args.hb_out),
     )
     print(format_audit(res.audit))
     if args.json_out:

@@ -1,12 +1,11 @@
 """Channel devices: the MPICH-P4 baseline and the MPICH-V1
 Channel-Memory logger.  (The MPICH-V2 device lives in ``repro.core``.)
 
-``V1Device``/``ChannelMemory`` are exposed lazily: the V1 module also
-hosts its job launcher, which pulls in the runtime.
+``P4Device``/``V1Device``/``ChannelMemory`` are exposed lazily: each
+device module also hosts its ``launch``, which pulls in the runtime.
 """
 
 from .base import ChannelDevice, DeviceStats, segment_sizes
-from .p4 import P4Device
 
 __all__ = [
     "ChannelDevice",
@@ -19,6 +18,10 @@ __all__ = [
 
 
 def __getattr__(name):
+    if name == "P4Device":
+        from .p4 import P4Device
+
+        return P4Device
     if name in ("ChannelMemory", "V1Device"):
         from . import v1
 

@@ -15,7 +15,8 @@ behaviours matter for the paper's results and are modelled explicitly:
   (the select() fallback of the real implementation).
 
 P4 has no fault tolerance: a broken stream surfaces as an exception in
-the MPI process.
+the MPI process.  :func:`launch` is the device's whole deployment: a
+static all-to-all mesh and one MPI process per computing node.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from ..mpi.protocol import Packet, PacketKind
+from ..runtime.mpirun import Deployment, RankSet
 from ..simnet.kernel import Future, any_of
 from ..simnet.streams import StreamEnd
 from .base import ChannelDevice, segment_sizes
 
-__all__ = ["P4Device"]
+__all__ = ["P4Device", "P4Ranks", "launch"]
 
 
 class P4Device(ChannelDevice):
@@ -98,3 +100,40 @@ class P4Device(ChannelDevice):
         if not waits:
             raise RuntimeError("P4 device has no peers wired")
         yield any_of(self.sim, waits)
+
+
+class P4Ranks(RankSet):
+    """P4's ranks: nothing restarts, but the nodes ran half-duplex."""
+
+    def stop(self, cause: Any) -> None:
+        for host in self.dep.cn_hosts:
+            host.full_duplex = True  # hand shared machines back as found
+
+
+def launch(
+    dep: Deployment, program: Any, params: dict[str, Any], nprocs: int
+) -> P4Ranks:
+    """Wire the all-to-all mesh over ``dep``'s nodes and start the ranks."""
+    sim = dep.cluster.sim
+    ranks = P4Ranks(dep, program, params, nprocs)
+    devices = []
+    for st, host in zip(ranks.states, dep.cn_hosts):
+        # the P4 driver's process cannot service receptions while pushing
+        host.full_duplex = False
+        st.begin(host, sim.now)
+        devices.append(
+            P4Device(sim, dep.cluster.cfg, st.rank, nprocs, host,
+                     tracer=dep.tracer)
+        )
+    ends: list[dict[int, StreamEnd]] = [dict() for _ in range(nprocs)]
+    for i in range(nprocs):
+        for j in range(i + 1, nprocs):
+            hi, hj = dep.cn_hosts[i], dep.cn_hosts[j]
+            s = dep.cluster.connect(hi, hj)
+            ends[i][j] = s.end_for(hi)
+            ends[j][i] = s.end_for(hj)
+    for st, dev in zip(ranks.states, devices):
+        dev.wire(ends[st.rank])
+        # unsupervised: with no recovery, a rank's error is the job's
+        ranks.spawn_app(st, dev, supervised=False)
+    return ranks

@@ -13,32 +13,29 @@ CNs, versus 1 for MPICH-V2).
 Recovery is trivially uncoordinated: the CM keeps the full ordered
 reception log, so a restarted process simply replays its receive stream
 from the CM (no sender cooperation needed).  This module implements the
-CM server, the V1 channel device, and a V1 job launcher with optional
-fault injection.
+CM server, the V1 channel device, and :func:`launch`, V1's contribution
+to the one launch path (:func:`repro.runtime.mpirun.start`): the
+supervised Channel Memories and the restart-from-scratch rank slots.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..mpi.api import MPI
 from ..mpi.protocol import Packet
-from ..obs.collect import finalize_job
 from ..obs.registry import Metrics
-from ..runtime.cluster import Cluster
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import ConnectionRefused, Fabric
-from ..runtime.mpirun import rank_main
-from ..runtime.results import JobResult
+from ..runtime.mpirun import Deployment, RankSet, RankState
 from ..runtime.retry import RetryPolicy
 from ..runtime.session import ServiceBase, Session
-from ..simnet.kernel import Future, Killed, Simulator
+from ..simnet.kernel import Future, Simulator
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
 from .base import ChannelDevice, segment_sizes
 
-__all__ = ["ChannelMemory", "V1Device", "run_v1_job"]
+__all__ = ["ChannelMemory", "V1Device", "V1Ranks", "launch"]
 
 
 class ChannelMemory(ServiceBase):
@@ -366,206 +363,94 @@ class V1Device(ChannelDevice):
             pass  # link broke while we slept; the recv path reconnects
 
 
-def run_v1_job(
-    program,
-    nprocs: int,
-    cfg: TestbedConfig,
-    params: dict[str, Any],
-    trace: bool,
-    seed: int,
-    limit: Optional[float],
-    *,
-    cns_per_cm: int = 4,
-    faults: Optional[Any] = None,
-    audit: bool = False,
-    profile: bool = False,
-    timeseries: Any = False,
-) -> JobResult:
-    """Run a job on MPICH-V1: one reliable CM per ``cns_per_cm`` nodes.
-
-    Fault tolerance is V1's own: a crashed rank restarts from the
-    beginning and replays its reception stream from its Channel Memory,
-    with no cooperation from any other process (uncoordinated restart).
+class V1Ranks(RankSet):
+    """V1's rank slots: a crashed rank restarts from the beginning and
+    replays its reception stream from its Channel Memory, with no
+    cooperation from any other process (uncoordinated restart).
     Checkpoint images are not modelled for V1 (restart is always from
-    scratch, the paper's Figure 10-style configuration).
-    """
-    cluster = Cluster(cfg, seed=seed, trace=trace)
-    sim = cluster.sim
-    fabric = Fabric(cluster)
-    profiler = None
-    if profile:
-        from ..obs.profile import KernelProfiler
+    scratch, the paper's Figure 10-style configuration)."""
 
-        profiler = KernelProfiler()
-        profiler.install(sim)
-    sampler = None
-    if timeseries:
-        from ..obs.timeseries import TimeseriesSampler
+    def __init__(
+        self, dep: Deployment, program: Any, params: dict[str, Any],
+        nprocs: int, cms: list[ChannelMemory], cns_per_cm: int,
+    ) -> None:
+        super().__init__(dep, program, params, nprocs)
+        self.cms = cms
+        # fault-driver helpers live on the first CM's (reliable) host
+        self.host = cms[0].host
+        self.cm_of = {r: f"cm:{r // cns_per_cm}" for r in range(nprocs)}
 
-        sampler = TimeseriesSampler.from_flag(cluster.metrics, timeseries)
-        sampler.install(sim)
-    auditor = None
-    if audit:
-        from ..obs.audit import ProtocolAuditor
+    def start(self) -> None:
+        """Launch every rank on its computing node."""
+        for st, host in zip(self.states, self.dep.cn_hosts):
+            self._spawn_rank(st, host)
 
-        auditor = ProtocolAuditor().attach(cluster.tracer)
+    def _spawn_rank(self, st: RankState, host: Host) -> None:
+        inc = st.begin(host, self.sim.now)
+        dev = V1Device(
+            self.sim, self.cfg, st.rank, self.nprocs, host,
+            tracer=self.tracer, cm_of=self.cm_of, incarnation=inc,
+            metrics=self.metrics,
+        )
+        dev.wire(self.dep.fabric)
+        self.spawn_app(st, dev)
+        host.on_crash.append(lambda h: self._on_host_crash(st, inc))
 
+    def _on_host_crash(self, st: RankState, inc: int) -> None:
+        if st.incarnation == inc and not self.done.done:
+            self.sim.spawn(self._restart(st, inc), name=f"v1.restart{st.rank}")
+
+    def _restart(self, st: RankState, inc: int):
+        yield self.sim.pause(
+            self.cfg.restart_detect_delay + self.cfg.restart_spawn_delay
+        )
+        if self.done.done or st.incarnation != inc:
+            return
+        if st.host.failed:
+            st.host.restart()
+        st.restarts += 1
+        self.total_restarts += 1
+        self._spawn_rank(st, st.host)
+
+    def fold_stats(self, metrics: Metrics) -> None:
+        for cm in self.cms:
+            if cm.stores:
+                metrics.counter("v1.cm_stores", cm=cm.name).inc(cm.stores)
+            if cm.serves:
+                metrics.counter("v1.cm_serves", cm=cm.name).inc(cm.serves)
+        reconnects = sum(
+            st.mpi.device.cm_reconnects for st in self.states
+            if st.mpi is not None
+        )
+        if reconnects:
+            metrics.counter("v1.cm_reconnects").inc(reconnects)
+
+    def components(self) -> dict[str, Any]:
+        return {"channel_memories": self.cms}
+
+
+def launch(
+    dep: Deployment, program: Any, params: dict[str, Any], nprocs: int,
+    *, cns_per_cm: int = 4,
+) -> V1Ranks:
+    """Start an MPICH-V1 job on ``dep``: one supervised Channel Memory
+    (on a reliable machine of its own) per ``cns_per_cm`` nodes, then
+    every rank."""
     from ..ft.services import ServiceSupervisor
 
-    supervisor = ServiceSupervisor(
-        sim, cfg, tracer=cluster.tracer, metrics=cluster.metrics
+    cluster = dep.cluster
+    dep.supervisor = ServiceSupervisor(
+        cluster.sim, cluster.cfg, tracer=dep.tracer, metrics=dep.metrics
     )
-    n_cm = max(1, (nprocs + cns_per_cm - 1) // cns_per_cm)
     cms = []
-    cm_of: dict[int, str] = {}
-    for i in range(n_cm):
-        host = cluster.add_aux(f"cm{i}")
+    for i in range(max(1, (nprocs + cns_per_cm - 1) // cns_per_cm)):
         cm = ChannelMemory(
-            sim, host, fabric, cfg, name=f"cm:{i}",
-            tracer=cluster.tracer, metrics=cluster.metrics,
+            cluster.sim, cluster.add_aux(f"cm{i}"), dep.fabric, cluster.cfg,
+            name=f"cm:{i}", tracer=dep.tracer, metrics=dep.metrics,
         )
         cm.start()
-        supervisor.register(cm.name, cm)
+        dep.supervisor.register(cm.name, cm)
         cms.append(cm)
-    for r in range(nprocs):
-        cm_of[r] = f"cm:{r // cns_per_cm}"
-
-    hosts = [cluster.add_cn(f"cn{r}") for r in range(nprocs)]
-
-    class RankSlot:
-        def __init__(self, rank: int) -> None:
-            self.rank = rank
-            self.incarnation = -1
-            self.device: Optional[V1Device] = None
-            self.mpi: Optional[MPI] = None
-            self.finished = False
-            self.result: Any = None
-            self.finish_time = 0.0
-            self.restarts = 0
-
-    slots = [RankSlot(r) for r in range(nprocs)]
-    done = sim.future("v1.job.done")
-    total_restarts = [0]
-
-    def spawn_rank(rank: int) -> None:
-        slot = slots[rank]
-        slot.incarnation += 1
-        inc = slot.incarnation
-        host = hosts[rank]
-        dev = V1Device(
-            sim, cfg, rank, nprocs, host, tracer=cluster.tracer,
-            cm_of=cm_of, incarnation=inc, metrics=cluster.metrics,
-        )
-        dev.wire(fabric)
-        mpi = MPI(sim, rank, nprocs, dev, tracer=cluster.tracer)
-        slot.device, slot.mpi = dev, mpi
-        p = sim.spawn(
-            rank_main(mpi, program, params), name=f"rank{rank}.i{inc}",
-            supervised=True,
-        )
-        host.register(p)
-
-        def finished(fut, r=rank, i=inc):
-            slot2 = slots[r]
-            if slot2.incarnation != i:
-                return
-            exc = fut.exception
-            if exc is None:
-                slot2.finish_time, slot2.result = fut.value
-                slot2.finished = True
-                if all(sl.finished for sl in slots):
-                    done.resolve_if_pending([sl.result for sl in slots])
-                return
-            if isinstance(exc, Killed):
-                return  # host crash: restart below
-            done.fail_if_pending(exc)
-
-        p.done.add_done_callback(finished)
-
-        def crashed(h, r=rank, i=inc):
-            slot2 = slots[r]
-            if slot2.incarnation != i or done.done:
-                return
-
-            def restart():
-                yield sim.pause(
-                    cfg.restart_detect_delay + cfg.restart_spawn_delay
-                )
-                if done.done or slots[r].incarnation != i:
-                    return
-                if hosts[r].failed:
-                    hosts[r].restart()
-                slots[r].restarts += 1
-                total_restarts[0] += 1
-                spawn_rank(r)
-
-            sim.spawn(restart(), name=f"v1.restart{r}")
-
-        host.on_crash.append(crashed)
-
-    for r in range(nprocs):
-        spawn_rank(r)
-
-    if faults is not None:
-        from ..ft.failure import ComposedFaults, FaultContext
-
-        if isinstance(faults, (list, tuple)):
-            faults = ComposedFaults(tuple(faults))
-
-        def spawn_proc(gen, label: str):
-            p = sim.spawn(gen, name=label)
-            # fault-driver helpers live on the first CM's (reliable) host
-            cms[0].host.register(p)
-            return p
-
-        ctx = FaultContext(
-            sim=sim,
-            alive_unfinished=lambda: [
-                s_.rank for s_ in slots
-                if not s_.finished and not hosts[s_.rank].failed
-            ],
-            kill=lambda r: (
-                False if hosts[r].failed or done.done or slots[r].finished
-                else (hosts[r].crash() or True)
-            ),
-            job_running=lambda: not done.done,
-            crash_service=supervisor.crash,
-            restart_service=supervisor.restart,
-            spawn=spawn_proc,
-            service_names=tuple(sorted(supervisor.services)),
-        )
-        sim.spawn(faults.driver(ctx), name="v1.fault-injector")
-
-    results = sim.run_until(done, limit=limit)
-    if sampler is not None:
-        sampler.sample(sim.now)
-    for cm in cms:
-        if cm.stores:
-            cluster.metrics.counter("v1.cm_stores", cm=cm.name).inc(cm.stores)
-        if cm.serves:
-            cluster.metrics.counter("v1.cm_serves", cm=cm.name).inc(cm.serves)
-    reconnects = sum(
-        s_.device.cm_reconnects for s_ in slots if s_.device is not None
-    )
-    if reconnects:
-        cluster.metrics.counter("v1.cm_reconnects").inc(reconnects)
-    stats = finalize_job(
-        cluster, {r: slots[r].device.stats for r in range(nprocs)}, "v1"
-    )
-    report = auditor.finish() if auditor is not None else None
-    prof = profiler.finish() if profiler is not None else None
-    return JobResult(
-        nprocs=nprocs,
-        device="v1",
-        elapsed=max(s_.finish_time for s_ in slots),
-        results=results,
-        timers={r: slots[r].mpi.timer for r in range(nprocs)},
-        tracer=cluster.tracer,
-        stats=stats,
-        restarts=total_restarts[0],
-        metrics=cluster.metrics,
-        audit=report,
-        profile=prof,
-        timeseries=sampler,
-        extras={"channel_memories": cms},
-    )
+    ranks = V1Ranks(dep, program, params, nprocs, cms, cns_per_cm)
+    ranks.start()
+    return ranks

@@ -1,9 +1,8 @@
-"""The fault-tolerance runtime: dispatcher, checkpoint server and
-scheduler, failure injection, service supervision."""
+"""The fault-tolerance runtime: dispatcher, checkpoint scheduler,
+service deployment, failure injection, service supervision."""
 
 from .ckpt_scheduler import POLICIES, CheckpointScheduler
-from .ckpt_server import CheckpointServer
-from .dispatcher import Dispatcher, run_v2_job
+from .dispatcher import Dispatcher
 from .failure import (
     ChurnFaults,
     ComposedFaults,
@@ -19,9 +18,7 @@ from .services import ServiceSupervisor
 __all__ = [
     "POLICIES",
     "CheckpointScheduler",
-    "CheckpointServer",
     "Dispatcher",
-    "run_v2_job",
     "ChurnFaults",
     "ComposedFaults",
     "ExplicitFaults",

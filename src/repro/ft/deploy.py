@@ -1,11 +1,12 @@
-"""Shared service deployment: EL replication groups and store replicas.
+"""Service deployment: EL replication groups, store replicas, placement.
 
-:func:`run_v2_job` deploys these once per job on a private cluster; the
-control plane (``repro.serve``) deploys them once per *cluster* and
-shares them between every job it admits.  Both call the same helpers so
-there is exactly one encoding of the paper's service topology — shard
-names (``el:<s>`` / ``el:<s>.<r>``), replica placement on independent
-hosts, supervisor registration.
+:func:`private_deployment` deploys these once per job on a private
+cluster (what ``run_job`` does for a v2 job); the control plane
+(``repro.serve``) deploys them once per *cluster* and shares them
+between every job it admits.  Both call the same helpers so there is
+exactly one encoding of the paper's service topology — shard names
+(``el:<s>`` / ``el:<s>.<r>``), replica placement on independent hosts,
+supervisor registration.
 
 ``ns`` prefixes both the service names and the names of any hosts the
 helpers create, so two concurrent deployments on one shared cluster can
@@ -20,9 +21,13 @@ from typing import Any, Optional
 from ..core.event_logger import EventLoggerServer
 from ..runtime.cluster import Cluster
 from ..runtime.config import TestbedConfig
-from .ckpt_server import CheckpointServer
+from ..runtime.fabric import Fabric
+from ..runtime.mpirun import Deployment
+from ..runtime.progfile import DeploymentPlan
+from ..store.replica import StoreReplica
+from .services import ServiceSupervisor
 
-__all__ = ["deploy_el_groups", "deploy_store"]
+__all__ = ["deploy_el_groups", "deploy_store", "private_deployment"]
 
 
 def deploy_el_groups(
@@ -93,14 +98,14 @@ def deploy_store(
     mutations: Optional[frozenset] = None,
     tracer: Optional[Any] = None,
     metrics: Optional[Any] = None,
-) -> tuple[list[str], list[CheckpointServer]]:
+) -> tuple[list[str], list[StoreReplica]]:
     """Deploy the checkpoint-store replica set, one replica per host."""
     sim = cluster.sim
     tracer = tracer if tracer is not None else cluster.tracer
     metrics = metrics if metrics is not None else cluster.metrics
-    servers: list[CheckpointServer] = []
+    servers: list[StoreReplica] = []
     for i, host in enumerate(cs_hosts):
-        cs = CheckpointServer(
+        cs = StoreReplica(
             sim, host, fabric, cfg, name=f"{ns}cs:{i}",
             tracer=tracer, metrics=metrics,
             mutations=mutations,
@@ -110,3 +115,81 @@ def deploy_store(
         if supervisor is not None:
             supervisor.register(cs.name, cs)
     return [s.name for s in servers], servers
+
+
+def private_deployment(
+    cluster: Cluster,
+    nprocs: int,
+    plan: Optional[DeploymentPlan] = None,
+    spares: int = 0,
+    mutations: Optional[frozenset] = None,
+) -> Deployment:
+    """One MPICH-V2 job's own machines and services on ``cluster``.
+
+    Without a ``plan``, the paper's typical setup: one reliable machine
+    hosting the dispatcher, the event logger(s) and the checkpoint
+    scheduler, one reliable machine per checkpoint-store replica, plus
+    the volatile computing nodes (and ``spares`` replacements).  A
+    :class:`~repro.runtime.progfile.DeploymentPlan` (e.g. parsed from a
+    §4.7 program file) overrides machine placement; its computing-node
+    count must match ``nprocs`` and its EL lines set the shard count
+    (otherwise ``cfg.el_servers``).
+    """
+    cfg = cluster.cfg
+    if plan is not None and plan.nprocs != nprocs:
+        raise ValueError(
+            f"program file declares {plan.nprocs} computing nodes, "
+            f"job asked for {nprocs}"
+        )
+    n_cs = max(1, cfg.ckpt_servers)
+    if plan is None:
+        service = cluster.add_aux("service")  # dispatcher + EL(s) + scheduler
+        cs_hosts = [
+            cluster.add_aux("cs-host" if i == 0 else f"cs-host{i}")
+            for i in range(n_cs)
+        ]
+        cn_hosts = [cluster.add_cn(f"cn{r}") for r in range(nprocs)]
+        spare_hosts = [cluster.add_cn(f"spare{i}") for i in range(spares)]
+        el_hosts = [service] * max(1, cfg.el_servers)
+        sched_host = service
+    else:
+        aux_names = set(plan.els) | {plan.cs, plan.scheduler, plan.dispatcher}
+        machines = {
+            name: cluster.add_aux(
+                name, site=plan.options.get(name, {}).get("site", "site0")
+            )
+            for name in sorted(aux_names)
+        }
+        for name in plan.cns + plan.spares:
+            machines[name] = cluster.add_cn(
+                name, site=plan.options.get(name, {}).get("site", "site0")
+            )
+        cn_hosts = [machines[n] for n in plan.cns]
+        spare_hosts = [machines[n] for n in plan.spares]
+        el_hosts = [machines[n] for n in plan.els]
+        # the §4.7 program-file grammar names a single CS machine; extra
+        # replicas colocate there (they still fail independently as
+        # *services* under the supervisor)
+        cs_hosts = [machines[plan.cs]] * n_cs
+        sched_host = machines[plan.scheduler]
+        service = machines[plan.dispatcher]
+
+    fabric = Fabric(cluster)
+    supervisor = ServiceSupervisor(
+        cluster.sim, cfg, tracer=cluster.tracer, metrics=cluster.metrics
+    )
+    el_groups, loggers = deploy_el_groups(
+        cluster, fabric, cfg, el_hosts,
+        n_shards=len(el_hosts), supervisor=supervisor,
+    )
+    cs_names, servers = deploy_store(
+        cluster, fabric, cfg, cs_hosts,
+        supervisor=supervisor, mutations=mutations,
+    )
+    return Deployment(
+        cluster, fabric, cn_hosts,
+        service=service, sched_host=sched_host, spare_hosts=spare_hosts,
+        el_groups=el_groups, loggers=loggers,
+        cs_names=cs_names, servers=servers, cs_hosts=cs_hosts,
+        supervisor=supervisor,
+    )

@@ -5,12 +5,13 @@ programs (CS, EL, SC, CN), and then monitors the execution potentially
 re-launching the crashed programs. ... a socket disconnection is
 considered as a trusty fault detector."
 
-:func:`run_v2_job` is the MPICH-V2 entry point used by ``run_job``:
-it assembles the paper's typical deployment — volatile computing nodes,
-one reliable node hosting dispatcher + event logger(s) + checkpoint
-scheduler, one reliable node for the checkpoint server — wires the fault
-injector, and runs to completion, restarting every crashed rank through
-the recovery protocol.
+:func:`launch` is MPICH-V2's contribution to the one launch path
+(:func:`repro.runtime.mpirun.start`): on a deployment that already has
+its event loggers and checkpoint store — the paper's typical private
+setup from :func:`repro.ft.deploy.private_deployment`, or a control
+plane's shared services — it adds the checkpoint scheduler and the
+:class:`Dispatcher`, which starts every rank and restarts every crashed
+one through the recovery protocol.
 """
 
 from __future__ import annotations
@@ -18,41 +19,14 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..core.v2_device import V2Daemon, V2Device
-from ..mpi.api import MPI
-from ..obs.collect import finalize_job
-from ..runtime.cluster import Cluster
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import Fabric
-from ..runtime.mpirun import rank_main
-from ..runtime.progfile import DeploymentPlan
-from ..runtime.results import JobResult
+from ..runtime.mpirun import Deployment, RankSet
 from ..runtime.session import ServiceBase
-from ..simnet.kernel import Future, Killed
 from ..simnet.node import Host
 from ..simnet.streams import Disconnected, StreamEnd
 from .ckpt_scheduler import CheckpointScheduler
-from .deploy import deploy_el_groups, deploy_store
-from .failure import ComposedFaults, FaultContext
-from .services import ServiceSupervisor
+from .failure import FaultContext
 
-__all__ = ["Dispatcher", "run_v2_job"]
-
-
-class RankState:
-    """Dispatcher-side view of one MPI rank."""
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.host: Optional[Host] = None
-        self.incarnation = -1
-        self.daemon: Optional[V2Daemon] = None
-        self.mpi: Optional[MPI] = None
-        self.app_done: Optional[Future] = None
-        self.finished = False
-        self.result: Any = None
-        self.finish_time = 0.0
-        self.spawn_time = 0.0  # when this incarnation was launched
-        self.restarts = 0
+__all__ = ["Dispatcher", "launch"]
 
 
 class _ControlListener(ServiceBase):
@@ -103,61 +77,28 @@ class _ControlListener(ServiceBase):
             # through the app process future (same information, no race)
 
 
-class Dispatcher:
+class Dispatcher(RankSet):
     """Launches rank processes and restarts them on failure."""
 
     def __init__(
         self,
-        cluster: Cluster,
-        fabric: Fabric,
-        host: Host,
+        dep: Deployment,
         program: Callable,
         params: dict[str, Any],
         nprocs: int,
-        cn_hosts: list[Host],
-        spare_hosts: list[Host],
-        el_groups: list[list[str]],
-        sched_name: Optional[str],
-        cs_names: Optional[list[str]],
-        wipe_logs: Optional[Callable[[], None]] = None,
+        scheduler: Optional[CheckpointScheduler] = None,
         mutations: Optional[frozenset] = None,
-        supervisor: Optional[Any] = None,
-        tracer: Optional[Any] = None,
-        metrics: Optional[Any] = None,
-        job_key: Optional[Callable[[int], Any]] = None,
-        rng_ns: str = "",
     ) -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cfg = cluster.cfg
-        self.fabric = fabric
-        # per-job observability: the control plane hands each dispatcher
-        # its job's own tracer/metrics so concurrent jobs never share a
-        # registry; a single-job deployment keeps the cluster's
-        self.tracer = tracer if tracer is not None else cluster.tracer
-        self.metrics = metrics if metrics is not None else cluster.metrics
-        #: rank -> identity on shared EL/store services (None = bare rank)
-        self.job_key = job_key
-        #: disambiguates named RNG streams when jobs share one registry
-        self.rng_ns = rng_ns
-        self.host = host
-        self.program = program
-        self.params = params
-        self.nprocs = nprocs
-        self.cn_hosts = cn_hosts
-        self.spare_hosts = list(spare_hosts)
-        # one name list per EL shard (all replicas of the rank's shard);
-        # ranks shard by rank % len(el_groups)
-        self.el_groups = [list(g) for g in el_groups]
-        self.sched_name = sched_name
-        self.cs_names = tuple(cs_names) if cs_names else ()
-        self.wipe_logs = wipe_logs
+        # per-job observability comes with the deployment: the control
+        # plane hands each dispatcher its job's own tracer/metrics so
+        # concurrent jobs never share a registry; a single-job
+        # deployment keeps the cluster's
+        super().__init__(dep, program, params, nprocs)
+        self.cluster = dep.cluster
+        self.fabric = dep.fabric
+        self.spare_hosts = list(dep.spare_hosts)
+        self.scheduler = scheduler
         self.mutations = frozenset(mutations or ())  # test-only fault seeds
-        self.supervisor = supervisor  # ServiceSupervisor for EL/CS crashes
-        self.states = [RankState(r) for r in range(nprocs)]
-        self.done = Future(self.sim, name="dispatcher.done")
-        self.total_restarts = 0
-        self.global_restarts = 0
         self._global_restarting = False
         m = self.metrics
         self._m_faults = m.counter("ft.faults")
@@ -184,7 +125,7 @@ class Dispatcher:
         self.last_hb: dict[int, float] = {}
         self.suspects: set[int] = set()
         self.listener = _ControlListener(
-            self, self.sim, host, fabric, "dispatcher",
+            self, self.sim, self.host, self.fabric, "dispatcher",
             tracer=self.tracer, metrics=self.metrics,
         )
 
@@ -192,8 +133,8 @@ class Dispatcher:
     def start(self) -> None:
         """Listen for daemon control links and launch every rank."""
         self.listener.start()
-        for r in range(self.nprocs):
-            self._spawn_rank(r, self.cn_hosts[r])
+        for r, host in enumerate(self.dep.cn_hosts):
+            self._spawn_rank(r, host)
         if self.cfg.hb_interval > 0 and self.cfg.hb_timeout > 0:
             p = self.sim.spawn(self._hb_monitor(), name="disp.hb-monitor")
             self.host.register(p)
@@ -238,9 +179,34 @@ class Dispatcher:
             self.recovering.discard(rank)
             self._m_recovering.set(float(len(self.recovering)), time)
 
-    def stop(self, cause: Any = "disp-crash") -> None:
-        """Withdraw the control listener and drop every daemon link."""
+    def stop(self, cause: Any) -> None:
+        """Withdraw the control listener (dropping every daemon link) and
+        the job's checkpoint scheduler."""
         self.listener.stop(cause)
+        if self.scheduler is not None:
+            self.scheduler.stop(cause)
+
+    def wipe_logs(self) -> None:
+        """Forget the job's logged events, images and GC floors: after a
+        global restart they describe a dead history.  On shared services
+        only this job's keys go."""
+        dep = self.dep
+        keys = (
+            [dep.job_key(r) for r in range(self.nprocs)]
+            if dep.job_key is not None else None
+        )
+        for el in dep.loggers:
+            if keys is None:
+                el.events.clear()
+            else:
+                el.evict(keys)
+        for srv in dep.servers:
+            if keys is None:
+                srv.wipe()
+            else:
+                srv.evict(keys)
+        if self.scheduler is not None:
+            self.scheduler.reset_store_state()
 
     def _trigger_global_restart(self) -> None:
         if self._global_restarting or self.done.done:
@@ -267,9 +233,7 @@ class Dispatcher:
         )
         if self.done.done:
             return
-        # the previous execution's logs describe a dead history: wipe them
-        if self.wipe_logs is not None:
-            self.wipe_logs()
+        self.wipe_logs()
         for st in self.states:
             if st.host is not None and st.host.failed:
                 st.host.restart()
@@ -283,10 +247,8 @@ class Dispatcher:
 
     def _spawn_rank(self, rank: int, host: Host) -> None:
         st = self.states[rank]
-        st.host = host
-        st.spawn_time = self.sim.now
-        st.incarnation += 1
-        incarnation = st.incarnation
+        incarnation = st.begin(host, self.sim.now)
+        dep = self.dep
         daemon = V2Daemon(
             self.sim,
             self.cfg,
@@ -295,61 +257,35 @@ class Dispatcher:
             self.nprocs,
             host,
             incarnation=incarnation,
-            el_names=self.el_groups[rank % len(self.el_groups)],
-            cs_names=self.cs_names,
-            sched_name=self.sched_name,
+            # ranks shard over the EL groups; a rank's group is every
+            # replica of its shard
+            el_names=dep.el_groups[rank % len(dep.el_groups)],
+            cs_names=tuple(dep.cs_names),
+            sched_name=(
+                self.scheduler.name if self.scheduler is not None else None
+            ),
             dispatcher_name="dispatcher",
             tracer=self.tracer,
             metrics=self.metrics,
             mutations=self.mutations,
-            rng=self.cluster.rng.stream(f"{self.rng_ns}reconnect:d{rank}"),
-            job_key=self.job_key(rank) if self.job_key is not None else None,
+            rng=self.cluster.rng.stream(f"{dep.ns}reconnect:d{rank}"),
+            job_key=dep.job_key(rank) if dep.job_key is not None else None,
         )
         device = V2Device(
             self.sim, self.cfg, rank, self.nprocs, host, daemon,
             tracer=self.tracer,
         )
-        mpi = MPI(self.sim, rank, self.nprocs, device, tracer=self.tracer)
         st.daemon = daemon
-        st.mpi = mpi
-
         dproc = self.sim.spawn(
             daemon.start(), name=f"daemon{rank}.i{incarnation}"
         )
         host.register(dproc)
-        aproc = self.sim.spawn(
-            rank_main(mpi, self.program, self.params),
-            name=f"rank{rank}.i{incarnation}",
-            supervised=True,
-        )
-        host.register(aproc)
-        st.app_done = aproc.done
-        aproc.done.add_done_callback(
-            lambda fut, r=rank, inc=incarnation: self._app_finished(r, inc, fut)
-        )
+        self.spawn_app(st, device)
         host.on_crash.append(
             lambda h, r=rank, inc=incarnation: self._on_host_crash(r, inc)
         )
 
     # -- monitoring / recovery ---------------------------------------------------
-    def _app_finished(self, rank: int, incarnation: int, fut: Future) -> None:
-        st = self.states[rank]
-        if st.incarnation != incarnation:
-            return
-        exc = fut.exception
-        if exc is None:
-            finish_time, result = fut.value
-            st.finished = True
-            st.result = result
-            st.finish_time = finish_time
-            if all(s.finished for s in self.states) and not self.done.done:
-                self.done.resolve([s.result for s in self.states])
-            return
-        if isinstance(exc, Killed):
-            return  # the host crashed; _on_host_crash drives the restart
-        # a genuine program/runtime error: abort the job loudly
-        self.done.fail_if_pending(exc)
-
     def _on_host_crash(self, rank: int, incarnation: int) -> None:
         st = self.states[rank]
         if st.incarnation != incarnation or self.done.done:
@@ -399,24 +335,19 @@ class Dispatcher:
         self._spawn_rank(rank, host)
 
     # -- fault-injection context ---------------------------------------------------
+    def kill(self, rank: int) -> bool:
+        """Crash ``rank``'s machine (a finished rank too: it is re-executed
+        to serve its peers)."""
+        st = self.states[rank]
+        if st.host is None or st.host.failed or self.done.done:
+            return False
+        self.tracer.emit(self.sim.now, "ft.fault", rank=rank)
+        self._m_faults.inc()
+        st.host.crash()
+        return True
+
     def fault_context(self) -> FaultContext:
-        """The kill/inspect interface handed to fault injectors."""
-        def alive_unfinished() -> list[int]:
-            return [
-                s.rank
-                for s in self.states
-                if not s.finished and s.host is not None and not s.host.failed
-            ]
-
-        def kill(rank: int) -> bool:
-            st = self.states[rank]
-            if st.host is None or st.host.failed or self.done.done:
-                return False
-            self.tracer.emit(self.sim.now, "ft.fault", rank=rank)
-            self._m_faults.inc()
-            st.host.crash()
-            return True
-
+        """The common kill/inspect interface plus V2's network hooks."""
         def partition(ranks, duration: float):
             """Cut the hosts of ``ranks`` off from everything else."""
             net = self.cluster.net
@@ -435,262 +366,52 @@ class Dispatcher:
                 return 0
             return self.cluster.net.break_links(ha, hb, cause="link-flap")
 
-        def crash_service(name: str, downtime: float = 0.0) -> None:
-            assert self.supervisor is not None
-            self.supervisor.crash(name, downtime)
+        ctx = super().fault_context()
+        ctx.partition = partition
+        ctx.flap_link = flap_link
+        return ctx
 
-        def restart_service(name: str) -> None:
-            assert self.supervisor is not None
-            self.supervisor.restart(name)
-
-        def spawn(gen, label: str):
-            p = self.sim.spawn(gen, name=label)
-            self.host.register(p)
-            return p
-
-        supervised = (
-            tuple(sorted(self.supervisor.services))
-            if self.supervisor is not None
-            else ()
-        )
-        return FaultContext(
-            sim=self.sim,
-            alive_unfinished=alive_unfinished,
-            kill=kill,
-            job_running=lambda: not self.done.done,
-            partition=partition,
-            crash_service=crash_service if self.supervisor else None,
-            restart_service=restart_service if self.supervisor else None,
-            flap_link=flap_link,
-            spawn=spawn,
-            service_names=supervised,
-        )
+    def components(self) -> dict[str, Any]:
+        return {"scheduler": self.scheduler, "dispatcher": self}
 
 
-def run_v2_job(
+def launch(
+    dep: Deployment,
     program: Callable,
-    nprocs: int,
-    cfg: TestbedConfig,
     params: dict[str, Any],
-    trace: bool,
-    seed: int,
-    limit: Optional[float],
+    nprocs: int,
     *,
     checkpointing: bool = False,
     ckpt_policy: str = "round_robin",
     ckpt_interval: float = 30.0,
     ckpt_continuous: bool = False,
-    faults: Optional[Any] = None,
-    n_event_loggers: int = 1,
-    spares: int = 0,
-    on_ready: Optional[Callable[[dict], None]] = None,
-    plan: Optional["DeploymentPlan"] = None,
-    audit: bool = False,
-    audit_hb: bool = False,
     mutations: Optional[frozenset] = None,
-    profile: bool = False,
-    timeseries: Any = False,
-) -> JobResult:
-    """Deploy and run an MPICH-V2 job.
+) -> Dispatcher:
+    """Start an MPICH-V2 job on ``dep``: scheduler (if checkpointing),
+    then the dispatcher and through it every rank.
 
-    Without a ``plan``, the paper's typical setup is used: one reliable
-    machine hosting the dispatcher, the event logger(s) and the
-    checkpoint scheduler, one reliable machine for the checkpoint
-    server, plus the volatile computing nodes.  A
-    :class:`~repro.runtime.progfile.DeploymentPlan` (e.g. parsed from a
-    §4.7 program file) overrides machine placement; its computing-node
-    count must match ``nprocs``.
-
-    ``audit=True`` attaches the online protocol auditor to the live
-    trace stream (``audit_hb`` additionally collects the happens-before
-    graph); the verdict lands in ``JobResult.audit``.  ``mutations`` is
-    a test-only set of deliberate protocol violations to seed (see
-    :class:`~repro.core.v2_device.V2Daemon`) so the auditor's detectors
-    can be exercised.
+    ``mutations`` is a test-only set of deliberate protocol violations
+    to seed (see :class:`~repro.core.v2_device.V2Daemon`) so the
+    auditor's detectors can be exercised.
     """
-    cluster = Cluster(cfg, seed=seed, trace=trace)
-    sim = cluster.sim
-    fabric = Fabric(cluster)
-    profiler = None
-    if profile:
-        from ..obs.profile import KernelProfiler
-
-        profiler = KernelProfiler()
-        profiler.install(sim)
-    sampler = None
-    if timeseries:
-        from ..obs.timeseries import TimeseriesSampler
-
-        sampler = TimeseriesSampler.from_flag(cluster.metrics, timeseries)
-        sampler.install(sim)
-    auditor = None
-    if audit:
-        from ..obs.audit import ProtocolAuditor
-
-        auditor = ProtocolAuditor(hb_graph=audit_hb).attach(cluster.tracer)
-
-    if plan is not None and plan.nprocs != nprocs:
-        raise ValueError(
-            f"program file declares {plan.nprocs} computing nodes, "
-            f"job asked for {nprocs}"
-        )
-
-    n_cs = max(1, cfg.ckpt_servers)
-    n_event_loggers = max(n_event_loggers, cfg.el_servers)
-    if plan is None:
-        service = cluster.add_aux("service")  # dispatcher + EL(s) + scheduler
-        cs_hosts = [
-            cluster.add_aux("cs-host" if i == 0 else f"cs-host{i}")
-            for i in range(n_cs)
-        ]
-        cn_hosts = [cluster.add_cn(f"cn{r}") for r in range(nprocs)]
-        spare_hosts = [cluster.add_cn(f"spare{i}") for i in range(spares)]
-        el_hosts = [service] * n_event_loggers
-        sched_host = service
-    else:
-        aux_names = set(plan.els) | {plan.cs, plan.scheduler, plan.dispatcher}
-        machines = {
-            name: cluster.add_aux(
-                name, site=plan.options.get(name, {}).get("site", "site0")
-            )
-            for name in sorted(aux_names)
-        }
-        for name in plan.cns + plan.spares:
-            machines[name] = cluster.add_cn(
-                name, site=plan.options.get(name, {}).get("site", "site0")
-            )
-        cn_hosts = [machines[n] for n in plan.cns]
-        spare_hosts = [machines[n] for n in plan.spares]
-        el_hosts = [machines[n] for n in plan.els]
-        # the §4.7 program-file grammar names a single CS machine; extra
-        # replicas colocate there (they still fail independently as
-        # *services* under the supervisor)
-        cs_hosts = [machines[plan.cs]] * n_cs
-        sched_host = machines[plan.scheduler]
-        service = machines[plan.dispatcher]
-        n_event_loggers = len(plan.els)
-
-    supervisor = ServiceSupervisor(
-        sim, cfg, tracer=cluster.tracer, metrics=cluster.metrics
-    )
-
-    # the EL replication group and the store replica set come from the
-    # shared deploy helpers, so the control plane (repro.serve) builds
-    # the exact same topology when it shares one deployment between
-    # many concurrent jobs
-    el_groups, loggers = deploy_el_groups(
-        cluster, fabric, cfg, el_hosts,
-        n_shards=n_event_loggers, supervisor=supervisor,
-    )
-    cs_names, servers = deploy_store(
-        cluster, fabric, cfg, cs_hosts,
-        supervisor=supervisor, mutations=mutations,
-    )
-
-    sched_name = None
     scheduler = None
     if checkpointing:
         scheduler = CheckpointScheduler(
-            sim,
-            sched_host,
-            fabric,
-            cfg,
+            dep.cluster.sim,
+            dep.sched_host or dep.service,
+            dep.fabric,
+            dep.cluster.cfg,
             nprocs,
             policy=ckpt_policy,
             interval=ckpt_interval,
             continuous=ckpt_continuous,
-            rng=cluster.rng.stream("ckpt-sched"),
-            tracer=cluster.tracer,
-            cs_names=tuple(cs_names),
-            metrics=cluster.metrics,
+            rng=dep.cluster.rng.stream(f"{dep.ns}ckpt-sched"),
+            tracer=dep.tracer,
+            cs_names=tuple(dep.cs_names),
+            metrics=dep.metrics,
+            key_of=dep.job_key,
         )
         scheduler.start()
-        sched_name = scheduler.name
-
-    def wipe_logs() -> None:
-        for el in loggers:
-            el.events.clear()
-        for s in servers:
-            s.wipe()
-        if scheduler is not None:
-            scheduler.reset_store_state()
-
-    dispatcher = Dispatcher(
-        cluster,
-        fabric,
-        service,
-        program,
-        params,
-        nprocs,
-        cn_hosts,
-        spare_hosts,
-        el_groups,
-        sched_name,
-        cs_names,
-        wipe_logs=wipe_logs,
-        mutations=mutations,
-        supervisor=supervisor,
-    )
+    dispatcher = Dispatcher(dep, program, params, nprocs, scheduler, mutations)
     dispatcher.start()
-
-    if faults is not None:
-        if isinstance(faults, (list, tuple)):
-            faults = ComposedFaults(tuple(faults))
-        ctx = dispatcher.fault_context()
-        service.register(sim.spawn(faults.driver(ctx), name="fault-injector"))
-
-    if on_ready is not None:
-        # test/chaos hook: lets callers schedule failures of auxiliary
-        # components (checkpoint server, ...) before the run starts
-        on_ready(
-            {
-                "sim": sim,
-                "cluster": cluster,
-                "dispatcher": dispatcher,
-                "cs_host": cs_hosts[0],
-                "cs_hosts": cs_hosts,
-                "service_host": service,
-                "checkpoint_server": servers[0],
-                "checkpoint_servers": servers,
-                "event_loggers": loggers,
-                "supervisor": supervisor,
-                "network": cluster.net,
-            }
-        )
-
-    results = sim.run_until(dispatcher.done, limit=limit)
-    if sampler is not None:
-        sampler.sample(sim.now)  # close the series at job end
-    elapsed = max(s.finish_time for s in dispatcher.states)
-    stats = finalize_job(
-        cluster,
-        {r: dispatcher.states[r].mpi.device.stats for r in range(nprocs)},
-        "v2",
-    )
-    report = auditor.finish() if auditor is not None else None
-    prof = profiler.finish() if profiler is not None else None
-    return JobResult(
-        nprocs=nprocs,
-        device="v2",
-        elapsed=elapsed,
-        results=results,
-        timers={r: dispatcher.states[r].mpi.timer for r in range(nprocs)},
-        tracer=cluster.tracer,
-        stats=stats,
-        restarts=dispatcher.total_restarts,
-        checkpoints=int(cluster.metrics.total("ckpt.images")),
-        metrics=cluster.metrics,
-        audit=report,
-        profile=prof,
-        timeseries=sampler,
-        extras={
-            "global_restarts": dispatcher.global_restarts,
-            "event_loggers": loggers,
-            "checkpoint_server": servers[0],
-            "checkpoint_servers": servers,
-            "scheduler": scheduler,
-            "dispatcher": dispatcher,
-            "faults": faults,
-            "supervisor": supervisor,
-        },
-    )
+    return dispatcher

@@ -23,7 +23,7 @@ and this package measures exactly those mechanisms:
   critical-path extraction over the auditor's happens-before graph.
 """
 
-from .collect import finalize_job
+from .collect import fold_cluster, fold_device_stats
 from .profile import (
     KernelProfile,
     KernelProfiler,
@@ -59,7 +59,8 @@ __all__ = [
     "trace_records",
     "write_chrome_trace",
     "write_trace_jsonl",
-    "finalize_job",
+    "fold_cluster",
+    "fold_device_stats",
     "KernelProfile",
     "KernelProfiler",
     "classify_service",

@@ -3,16 +3,16 @@
 Hot-path components that move millions of segments (the network, the
 NICs, the stream flow control) keep plain float attributes instead of
 live metric handles — an attribute add is the cheapest accounting
-possible.  :func:`finalize_job` runs once when a job completes and folds
-those floats, plus the per-rank device counters, into the cluster's
-:class:`~repro.obs.registry.Metrics`, then returns the per-rank stats
-dicts that :class:`~repro.runtime.results.JobResult` exposes.
+possible.  :func:`repro.runtime.mpirun.collect` runs once when a job
+completes and folds those floats, plus the per-rank device counters,
+into the job's :class:`~repro.obs.registry.Metrics`, then exposes the
+per-rank stats dicts in :class:`~repro.runtime.results.JobResult`.
 
-The two halves are separable because the control plane needs them
+The two halves are separate because a shared cluster needs them
 separately: :func:`fold_cluster` folds the *shared* accounting (network,
-NICs, streams) exactly once per cluster, while :func:`fold_device_stats`
-folds one job's device counters into that job's own registry — called
-once per job over a shared cluster.
+NICs, streams) exactly once per cluster — at job end on a private one,
+at shutdown on a control plane's — while :func:`fold_device_stats` folds
+one job's device counters into that job's own registry.
 
 The returned dicts are backward compatible: the device-stat keys
 (``bytes_sent``, ...) stay at top level, and the per-rank registry
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["finalize_job", "fold_cluster", "fold_device_stats"]
+__all__ = ["fold_cluster", "fold_device_stats"]
 
 
 def fold_cluster(cluster: Any) -> None:
@@ -92,13 +92,3 @@ def fold_device_stats(
             for name, value in totals.items():
                 stats[rank].setdefault(name, value)
     return stats
-
-
-def finalize_job(
-    cluster: Any,
-    device_stats: dict[int, Any],
-    device: str,
-) -> dict[int, dict[str, Any]]:
-    """Fold residual accounting into ``cluster.metrics``; build rank stats."""
-    fold_cluster(cluster)
-    return fold_device_stats(cluster.metrics, device_stats, device)

@@ -41,16 +41,15 @@ class Cluster:
         self.rng = RngRegistry(seed)
 
     # -- hosts -------------------------------------------------------------
-    def add_cn(self, name: str, full_duplex: bool = True,
-               site: str = "site0", namespace: str = "") -> Host:
+    def add_cn(self, name: str, site: str = "site0",
+               namespace: str = "") -> Host:
         """A computing node (volatile).
 
-        ``full_duplex=False`` models the P4 driver, whose process does not
-        service receptions while pushing a message.  ``site`` places the
-        machine in a Grid deployment: traffic between sites runs over the
-        link's wide-area parameters.  ``namespace`` prefixes the host
-        name, so two concurrent deployments on one cluster cannot claim
-        the same machine name (the network rejects duplicates).
+        ``site`` places the machine in a Grid deployment: traffic
+        between sites runs over the link's wide-area parameters.
+        ``namespace`` prefixes the host name, so two concurrent
+        deployments on one cluster cannot claim the same machine name
+        (the network rejects duplicates).
         """
         host = Host(
             self.sim,
@@ -59,7 +58,7 @@ class Cluster:
             ram_bytes=self.cfg.cn_ram,
             swap_bytes=self.cfg.cn_swap,
             disk_bw=self.cfg.disk_bw,
-            full_duplex=full_duplex,
+            full_duplex=True,
             reliable=False,
             site=site,
         )

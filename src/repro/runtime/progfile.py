@@ -8,8 +8,8 @@ Node, Event Logger, Checkpoint Server, Checkpoint Scheduler) and 2) the
 list of options for that role."
 
 This module parses that description and turns it into a deployment plan
-for :func:`repro.ft.dispatcher.run_v2_job`.  Grammar (one machine per
-line, ``#`` comments)::
+for :func:`repro.ft.deploy.private_deployment` (``run_job(plan=...)``).
+Grammar (one machine per line, ``#`` comments)::
 
     <hostname>  <ROLE>  [key=value ...]
 

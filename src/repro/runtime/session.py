@@ -301,6 +301,8 @@ class Session:
         Heartbeat PONGs are absorbed here (RTT histogram), never
         returned to the caller."""
         src = end if end is not None else self.end
+        if src is None:
+            raise Disconnected(self.target, "session down")
         self._note_io(src)
         while True:
             _, msg = yield src.read()

@@ -18,11 +18,14 @@ MPI jobs over it concurrently:
   prefixed per job, and EL/store keys (including GC floors) carry the
   job tag, so checkpoints, logged events and garbage collection never
   cross job boundaries.  A finished job's keys are evicted.
-* **isolated supervision** — each v2 job gets its own
-  :class:`~repro.ft.dispatcher.Dispatcher` with its own tracer, metrics
-  registry and online auditor, so a rank kill in one job is detected,
-  restarted and audited entirely inside that job while co-resident jobs
-  keep running.
+* **isolated supervision** — each job is launched through the same
+  :func:`~repro.runtime.mpirun.start` / :func:`~repro.runtime.mpirun.collect`
+  pair as a dedicated ``run_job``, on the slice of the cluster it was
+  admitted onto, with its own tracer, metrics registry and online
+  auditor (and, for v2, its own
+  :class:`~repro.ft.dispatcher.Dispatcher`), so a rank kill in one job
+  is detected, restarted and audited entirely inside that job while
+  co-resident jobs keep running.
 
 The plane itself is reachable over the wire: a
 :class:`~repro.runtime.session.ServiceBase` listener on ``plane:0``
@@ -35,17 +38,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from ..ft.ckpt_scheduler import CheckpointScheduler
 from ..ft.deploy import deploy_el_groups, deploy_store
-from ..ft.dispatcher import Dispatcher
-from ..ft.failure import ComposedFaults
 from ..ft.services import ServiceSupervisor
-from ..mpi.api import MPI
-from ..obs.collect import fold_cluster, fold_device_stats
+from ..obs.collect import fold_cluster
 from ..obs.registry import Metrics
+from ..obs.timeline import RecoveryAttribution
 from ..runtime.cluster import Cluster
 from ..runtime.config import DEFAULT_TESTBED, TestbedConfig
 from ..runtime.fabric import Fabric
+from ..runtime.mpirun import Deployment, collect, start
 from ..runtime.results import JobResult
 from ..runtime.session import ServiceBase
 from ..simnet.kernel import Future, all_of, any_of
@@ -169,7 +170,7 @@ class ControlPlane:
         ]
 
         # shared services, deployed once (same topology helpers as a
-        # dedicated run_v2_job deployment)
+        # dedicated deployment)
         self.supervisor = ServiceSupervisor(
             self.sim, cfg,
             tracer=self.cluster.tracer, metrics=self.cluster.metrics,
@@ -313,228 +314,79 @@ class ControlPlane:
             job=handle.job_id, tenant=tenant.name, nranks=spec.nranks,
             wait_s=handle.wait_s,
         )
-        driver = (
-            self._run_v2(handle, cn_hosts, svc_host)
-            if spec.device == "v2"
-            else self._run_p4(handle, cn_hosts)
+        proc = self.sim.spawn(
+            self._run(handle, cn_hosts, svc_host),
+            name=f"serve.job{handle.job_id}",
         )
-        proc = self.sim.spawn(driver, name=f"serve.job{handle.job_id}")
         self.plane_host.register(proc)
 
-    # -- job drivers ---------------------------------------------------------
-    def _run_v2(self, handle: JobHandle, cn_hosts: list, svc_host):
+    # -- the job driver ------------------------------------------------------
+    def _run(self, handle: JobHandle, cn_hosts: list, svc_host):
+        """Start the job on its slice, wait, reclaim the slice, collect."""
         sim = self.sim
         spec = handle.spec
         ns = JobNamespace(handle.job_id)
         program, params = resolve_program(spec)
-        job_tracer = Tracer(enabled=spec.trace)
-        job_metrics = Metrics()
-        auditor = None
-        if spec.audit:
-            from ..obs.audit import ProtocolAuditor
+        dep = Deployment(
+            self.cluster,
+            ns.fabric_view(self.fabric, self.shared_names),
+            cn_hosts,
+            service=svc_host,
+            el_groups=self.el_groups, loggers=self.loggers,
+            cs_names=self.cs_names, servers=self.servers,
+            tracer=Tracer(enabled=spec.trace), metrics=Metrics(),
+            job_key=ns.key, ns=ns.prefix,
+        )
+        v2 = spec.device == "v2"  # the device that uses the shared services
+        if v2:
+            self.router.register(ns.tag, dep.tracer)
+        job = start(
+            program, spec.nranks, spec.device, dep, params=params,
+            audit=spec.audit, faults=resolve_fault(spec),
+            **(
+                dict(checkpointing=spec.checkpointing,
+                     ckpt_interval=spec.ckpt_interval)
+                if v2 else {}
+            ),
+        )
 
-            auditor = ProtocolAuditor().attach(job_tracer)
-        self.router.register(ns.tag, job_tracer)
-        fabric = ns.fabric_view(self.fabric, self.shared_names)
+        limit = spec.limit if spec.limit is not None else self.cfg.serve_job_limit
+        yield any_of(sim, [job.done, sim.timeout(limit)])
+        timed_out = not job.done.done
 
-        scheduler = None
-        sched_name = None
-        if spec.checkpointing:
-            scheduler = CheckpointScheduler(
-                sim, svc_host, fabric, self.cfg, spec.nranks,
-                interval=spec.ckpt_interval,
-                rng=self.cluster.rng.stream(f"{ns.prefix}ckpt-sched"),
-                tracer=job_tracer, metrics=job_metrics,
-                cs_names=tuple(self.cs_names),
-                key_of=ns.key,
-            )
-            scheduler.start()
-            sched_name = "sched:0"  # scoped per job by the fabric view
-
-        keys = [ns.key(r) for r in range(spec.nranks)]
-
-        def wipe_logs() -> None:
-            # a global restart wipes *this job's* logged history only
+        # teardown, in dependency order: resolve `done` first so every
+        # crash callback / monitor loop guard sees a finished job, then
+        # withdraw the job's own services, then reclaim the machines
+        job.done.resolve_if_pending(None)
+        job.ranks.stop("job-complete")
+        for host in cn_hosts:
+            host.crash()  # kills straggler processes, breaks the job's streams
+            host.on_crash.clear()  # stale launcher callbacks
+            host.restart()
+        if v2:
+            # stop routing before evicting: the reclaim's store.gc sweep
+            # is end-of-job bookkeeping, not part of the job's audited
+            # history
+            self.router.unregister(ns.tag)
+            keys = [ns.key(r) for r in range(spec.nranks)]
             for el in self.loggers:
                 el.evict(keys)
             for srv in self.servers:
                 srv.evict(keys)
-            if scheduler is not None:
-                scheduler.reset_store_state()
 
-        dispatcher = Dispatcher(
-            self.cluster, fabric, svc_host, program, params, spec.nranks,
-            cn_hosts, [], self.el_groups, sched_name, list(self.cs_names),
-            wipe_logs=wipe_logs,
-            tracer=job_tracer, metrics=job_metrics,
-            job_key=ns.key, rng_ns=ns.prefix,
-        )
-        dispatcher.start()
-
-        fault = resolve_fault(spec)
-        if fault is not None:
-            if isinstance(fault, (list, tuple)):
-                fault = ComposedFaults(tuple(fault))
-            proc = sim.spawn(
-                fault.driver(dispatcher.fault_context()),
-                name=f"{ns.tag}.faults",
-            )
-            svc_host.register(proc)
-
-        limit = spec.limit if spec.limit is not None else self.cfg.serve_job_limit
-        yield any_of(sim, [dispatcher.done, sim.timeout(limit)])
-        timed_out = not dispatcher.done.done
-
-        # teardown, in dependency order: resolve `done` first so every
-        # crash callback / monitor loop guard sees a finished job, then
-        # withdraw the control listener, then reclaim the machines
-        dispatcher.done.resolve_if_pending(None)
-        dispatcher.stop("job-complete")
-        if scheduler is not None:
-            scheduler.stop("job-complete")
-        for host in cn_hosts:
-            host.crash()  # kills any leftover daemon processes
-            host.on_crash.clear()  # stale dispatcher callbacks
-            host.restart()
-        # stop routing before evicting: the reclaim's store.gc sweep is
-        # end-of-job bookkeeping, not part of the job's audited history
-        self.router.unregister(ns.tag)
-        for el in self.loggers:
-            el.evict(keys)
-        for srv in self.servers:
-            srv.evict(keys)
-
-        device_stats = {
-            st.rank: st.mpi.device.stats
-            for st in dispatcher.states
-            if st.mpi is not None
-        }
-        stats = fold_device_stats(job_metrics, device_stats, "v2")
-        report = auditor.finish() if auditor is not None else None
-        results = dispatcher.done.value if not timed_out else []
-        start_t = handle.start_t or 0.0
-        elapsed = (
-            max(st.finish_time for st in dispatcher.states) - start_t
-            if not timed_out
-            else sim.now - start_t
-        )
-        result = JobResult(
-            nprocs=spec.nranks,
-            device="v2",
-            elapsed=elapsed,
-            results=results or [],
-            timers={
-                st.rank: st.mpi.timer
-                for st in dispatcher.states
-                if st.mpi is not None
-            },
-            tracer=job_tracer,
-            stats=stats,
-            restarts=dispatcher.total_restarts,
-            checkpoints=int(job_metrics.total("ckpt.images")),
-            metrics=job_metrics,
-            audit=report,
-            extras={
-                "job_id": handle.job_id,
-                "tenant": spec.tenant,
-                "namespace": ns.tag,
-                "timed_out": timed_out,
-                "wait_s": handle.wait_s,
-                "global_restarts": dispatcher.global_restarts,
-                "mttr": self._mttr(job_tracer, spec),
-                "faults": fault,
-            },
+        result = collect(job, since=handle.start_t or 0.0, timed_out=timed_out)
+        result.extras.update(
+            job_id=handle.job_id,
+            tenant=spec.tenant,
+            namespace=ns.tag,
+            timed_out=timed_out,
+            wait_s=handle.wait_s,
+            mttr=(
+                RecoveryAttribution.from_trace(dep.tracer)
+                if spec.trace else None
+            ),
         )
         self._release(handle, result, cn_hosts, svc_host)
-
-    def _run_p4(self, handle: JobHandle, cn_hosts: list):
-        from ..devices.p4 import P4Device
-        from ..runtime.mpirun import rank_main
-
-        sim = self.sim
-        spec = handle.spec
-        ns = JobNamespace(handle.job_id)
-        program, params = resolve_program(spec)
-        job_tracer = Tracer(enabled=spec.trace)
-        job_metrics = Metrics()
-        auditor = None
-        if spec.audit:
-            from ..obs.audit import ProtocolAuditor
-
-            auditor = ProtocolAuditor().attach(job_tracer)
-
-        # the P4 driver's process cannot service receptions while pushing
-        for host in cn_hosts:
-            host.full_duplex = False
-        n = spec.nranks
-        devices = [
-            P4Device(sim, self.cfg, r, n, cn_hosts[r], tracer=job_tracer)
-            for r in range(n)
-        ]
-        ends: list[dict[int, Any]] = [dict() for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = self.cluster.connect(cn_hosts[i], cn_hosts[j])
-                ends[i][j] = s.end_for(cn_hosts[i])
-                ends[j][i] = s.end_for(cn_hosts[j])
-        for r in range(n):
-            devices[r].wire(ends[r])
-        mpis = [
-            MPI(sim, r, n, devices[r], tracer=job_tracer) for r in range(n)
-        ]
-        procs = []
-        for r in range(n):
-            p = sim.spawn(
-                rank_main(mpis[r], program, params), name=f"{ns.tag}.rank{r}"
-            )
-            cn_hosts[r].register(p)
-            procs.append(p)
-
-        done = all_of(sim, [p.done for p in procs])
-        limit = spec.limit if spec.limit is not None else self.cfg.serve_job_limit
-        yield any_of(sim, [done, sim.timeout(limit)])
-        timed_out = not done.done
-
-        # reclaim: crash kills straggler processes and breaks the job's
-        # streams; restart hands the machine back clean
-        for host in cn_hosts:
-            host.crash()
-            host.on_crash.clear()
-            host.restart()
-            host.full_duplex = True
-
-        stats = fold_device_stats(
-            job_metrics, {r: devices[r].stats for r in range(n)}, "p4"
-        )
-        report = auditor.finish() if auditor is not None else None
-        outcome = done.value if not timed_out else [(sim.now, None)] * n
-        result = JobResult(
-            nprocs=n,
-            device="p4",
-            elapsed=max(t for t, _ in outcome) - (handle.start_t or 0.0),
-            results=[res for _, res in outcome],
-            timers={r: mpis[r].timer for r in range(n)},
-            tracer=job_tracer,
-            stats=stats,
-            metrics=job_metrics,
-            audit=report,
-            extras={
-                "job_id": handle.job_id,
-                "tenant": spec.tenant,
-                "namespace": ns.tag,
-                "timed_out": timed_out,
-                "wait_s": handle.wait_s,
-            },
-        )
-        self._release(handle, result, cn_hosts, None)
-
-    @staticmethod
-    def _mttr(job_tracer: Tracer, spec: JobSpec) -> Optional[Any]:
-        if not spec.trace:
-            return None
-        from ..obs.timeline import RecoveryAttribution
-
-        return RecoveryAttribution.from_trace(job_tracer)
 
     # -- completion ----------------------------------------------------------
     def _release(

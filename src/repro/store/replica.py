@@ -267,8 +267,8 @@ class StoreReplica(ServiceBase):
     def images(self) -> dict[int, CheckpointImage]:
         """Each rank's latest complete image, assembled on demand.
 
-        The pre-store :class:`CheckpointServer` kept this dict directly;
-        tests and diagnostics still read it.
+        The paper's checkpoint server kept this dict directly; tests and
+        diagnostics still read it.
         """
         out: dict[int, CheckpointImage] = {}
         for rank in self.manifests:

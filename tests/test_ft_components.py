@@ -131,7 +131,10 @@ def test_spares_exhausted_falls_back_to_reboot():
 
 
 def test_multiple_event_loggers():
-    res = run_job(ring, 4, device="v2", n_event_loggers=2)
+    from repro.runtime.config import DEFAULT_TESTBED
+
+    res = run_job(ring, 4, device="v2",
+                  cfg=DEFAULT_TESTBED.with_(el_servers=2))
     els = res.extras["event_loggers"]
     assert len(els) == 2
     # ranks are partitioned round-robin across loggers
@@ -157,7 +160,7 @@ def test_checkpoint_server_keeps_latest_image():
         ring, 3, device="v2", params={"rounds": 12, "work": 0.1},
         checkpointing=True, ckpt_interval=0.15,
     )
-    cs = res.extras["checkpoint_server"]
+    cs = res.extras["checkpoint_servers"][0]
     assert cs.stores >= 2
     img = cs.latest(0) or cs.latest(1) or cs.latest(2)
     assert img is not None
@@ -181,7 +184,7 @@ def test_round_robin_scheduler_orders_in_cycle():
         checkpointing=True, ckpt_policy="round_robin", ckpt_interval=0.15,
     )
     assert res.checkpoints >= 2
-    cs = res.extras["checkpoint_server"]
+    cs = res.extras["checkpoint_servers"][0]
     assert len({img.rank for img in cs.images.values()}) >= 2
 
 
@@ -205,7 +208,7 @@ def test_checkpoint_server_crash_degrades_to_restart_from_scratch():
                      cfg=cfg).results
 
     def chaos(env):
-        env["sim"].after(0.35, env["cs_host"].crash)
+        env["sim"].after(0.35, env["cs_hosts"][0].crash)
 
     res = run_job(
         ring, 3, device="v2", params={"rounds": 10, "work": 0.1}, cfg=cfg,

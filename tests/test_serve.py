@@ -36,6 +36,45 @@ def _v2(nranks=4, tenant="default", **kw):
     )
 
 
+# -- one launch path ---------------------------------------------------------
+
+
+def _data_ring(mpi, rounds=3):
+    """A token ring whose result is what travelled, not when."""
+    token = mpi.rank
+    for _ in range(rounds):
+        msg = yield from mpi.sendrecv(
+            (mpi.rank + 1) % mpi.size, nbytes=256, data=token,
+            source=(mpi.rank - 1) % mpi.size,
+        )
+        token = msg.data + 1
+    return token
+
+
+@pytest.mark.parametrize("device, through_plane", [
+    ("p4", False), ("v1", False), ("v2", False), ("p4", True), ("v2", True),
+])
+def test_launch_parity(device, through_plane):
+    """Every way in — three devices on a private cluster, two as plane
+    tenants — goes through one start/collect pair and must hand back the
+    same shape of result and the same program results."""
+    plane = ControlPlane(capacity=4) if through_plane else None
+    res = run_job(_data_ring, 3, device=device, plane=plane, audit=True)
+    assert isinstance(res, JobResult)
+    assert (res.nprocs, res.device, res.restarts) == (3, device, 0)
+    # after k rounds rank r holds the token of rank r-k, incremented k times
+    assert res.results == [3, 4, 5]
+    assert sorted(res.timers) == sorted(res.stats) == [0, 1, 2]
+    assert all(res.timers[r].comm_total() > 0 for r in range(3))
+    assert all(res.stats[r]["msgs_sent"] >= 3 for r in range(3))
+    assert res.elapsed > 0 and res.metrics.snapshot()
+    assert res.audit is not None and res.audit.clean
+    assert res.extras["global_restarts"] == 0
+    unasked = run_job(_data_ring, 3, device=device,
+                      plane=ControlPlane(capacity=4) if through_plane else None)
+    assert unasked.audit is None and unasked.results == res.results
+
+
 # -- namespaces --------------------------------------------------------------
 
 

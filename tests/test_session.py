@@ -156,6 +156,10 @@ def test_stale_epoch_and_stale_drop_are_rejected():
         got["up_after_stale_drop"] = sess.up()
         got["drop_new"] = sess.drop(end2)
         got["up_after_real_drop"] = sess.up()
+        try:  # reading a dropped session is a Disconnected, as writing is
+            yield from sess.read_record()
+        except Disconnected as exc:
+            got["read_when_down"] = exc
         yield cluster.sim.timeout(0.0)
 
     cluster.sim.spawn(run())
@@ -163,6 +167,7 @@ def test_stale_epoch_and_stale_drop_are_rejected():
     assert got["stale_old"] is True and got["stale_new"] is False
     assert got["drop_old"] is False and got["up_after_stale_drop"] is True
     assert got["drop_new"] is True and got["up_after_real_drop"] is False
+    assert isinstance(got["read_when_down"], Disconnected)
 
 
 # -- backoff -----------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.clocks import ClockState
 from repro.core.replay import CheckpointImage
-from repro.ft.ckpt_server import CheckpointServer
 from repro.mpi.datatypes import CTX_PT2PT, Envelope
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import DEFAULT_TESTBED
@@ -347,13 +346,12 @@ def test_malformed_records_are_rejected_and_logged():
     assert not replicas[0].chunks  # nothing malformed was stored
 
 
-def test_checkpoint_server_is_a_store_replica():
-    """The paper-facing CheckpointServer is the store replica, unchanged
-    in constructor shape — existing deployments keep working."""
-    assert issubclass(CheckpointServer, StoreReplica)
+def test_store_replica_default_name_and_empty_images():
+    """A replica built with the paper-era constructor shape is ``cs:0``
+    with no images."""
     cluster = Cluster(DEFAULT_TESTBED, seed=0)
     fabric = Fabric(cluster)
     host = cluster.add_aux("svc")
-    cs = CheckpointServer(cluster.sim, host, fabric, cluster.cfg)
+    cs = StoreReplica(cluster.sim, host, fabric, cluster.cfg)
     assert cs.name == "cs:0"
     assert cs.images == {}

@@ -299,7 +299,7 @@ def test_crash_during_image_push_keeps_previous_image():
     expect = run_job(ring_prog, 4, device="v2",
                      params={"rounds": 14, "work": 0.2}).results
     assert res.results == expect
-    cs = res.extras["checkpoint_server"]
+    cs = res.extras["checkpoint_servers"][0]
     # stored images are internally consistent (sequence monotone per rank)
     for rank, img in cs.images.items():
         assert img.rank == rank

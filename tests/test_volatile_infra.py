@@ -23,7 +23,6 @@ from repro.ft import (
     ServiceFaults,
     ServiceSupervisor,
 )
-from repro.ft.ckpt_server import CheckpointServer
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.fabric import ConnectionRefused, Fabric
@@ -32,7 +31,7 @@ from repro.runtime.retry import RetryPolicy
 from repro.simnet import Host, Network, Simulator
 from repro.simnet.rng import RngRegistry
 from repro.simnet.streams import Disconnected
-from repro.store import assemble_image, chunk_image
+from repro.store import StoreReplica, assemble_image, chunk_image
 
 
 def ring(mpi, rounds=6, work=0.05):
@@ -280,7 +279,7 @@ def test_ckpt_server_mid_push_crash_keeps_previous_image():
     fabric = Fabric(cluster)
     svc = cluster.add_aux("svc")
     cn = cluster.add_cn("cn0")
-    cs = CheckpointServer(sim, svc, fabric, cluster.cfg)
+    cs = StoreReplica(sim, svc, fabric, cluster.cfg)
     cs.start()
     cfg = cluster.cfg
     got = {}
@@ -344,7 +343,7 @@ def test_ckpt_push_aborts_cleanly_and_is_retried():
     assert res.metrics.total("ckpt.aborted") >= 1
     assert sched.ckpt_retries >= 1
     assert res.checkpoints >= 1  # the retried push landed
-    assert res.extras["checkpoint_server"].images  # durable store intact
+    assert res.extras["checkpoint_servers"][0].images  # durable store intact
 
 
 def test_cs_replica_crash_mid_restart_fails_over():
