@@ -184,8 +184,8 @@ def measure_class_b64(nprocs: int = 64, el_servers: int = 4) -> dict:
     what let the event loggers garbage-collect acknowledged logs, and
     without that a ~16M-event run holds every delivery record in logger
     memory (multi-GB).  The CI smoke step runs the same configuration
-    through ``repro kernel cg --class B -n 64 --el-servers 4
-    --ckpt-interval 5 --audit``.
+    through ``repro run cg --class B -n 64 --el-servers 4
+    --ckpt-interval 5 --observe audit``.
     """
     cfg = dataclasses.replace(DEFAULT_TESTBED, el_servers=el_servers)
     t0 = time.perf_counter()

@@ -1,34 +1,34 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Commands mirror the workflows of the paper's evaluation:
+Five commands:
 
 * ``pingpong`` — latency/bandwidth across devices (Figures 5/6);
 * ``burst`` — the Figure 9 nonblocking burst pattern;
-* ``kernel`` — run one NPB proxy on one device;
-* ``faulty`` — run a kernel under random faults with checkpointing
-  (the Figure 11 setup);
+* ``run`` — one NPB kernel on one device: the paper's evaluation is one
+  cross product (kernel × device × fault schedule × what you measure)
+  and ``run`` spells it as one verb.  A workload block (``KERNEL
+  --class -n --device --seed``), the ``--ckpt-*``/``--el-*`` deployment
+  flags, a fault plan (``--faults``/``--plan``/``--kill-at``/
+  ``--partitions``/``--service-faults``; given one, the fault-free
+  reference run and the Figure-11 slowdown row come with it, and v2
+  checkpoints continuously) and ``--observe stats,audit,profile,mttr,
+  timeline``, which attaches the named observers to the *one*
+  simulation and prints their sections (``audit`` and ``profile``
+  together add the critical path over the happens-before graph);
 * ``sched`` — the §4.6.2 checkpoint-scheduling policy comparison;
-* ``stats`` — run one kernel and print the mechanism-level metrics
-  (``--prefix``/``--top`` filter the totals table);
-* ``trace`` — run one kernel with tracing and export a Chrome trace;
-* ``audit`` — run one kernel under the online protocol auditor and
-  report the V2 safety verdict (exit 1 on violations);
-* ``profile`` — run one kernel under the event-kernel profiler and
-  print the overhead decomposition ("where does the time go"): per-
-  service CPU, hottest event kinds, and — on v2 — the critical path
-  over the happens-before graph;
-* ``mttr`` — run one kernel under churn faults and print the
-  phase-decomposed recovery attribution ("where does recovery time
-  go"): per-fault detect/respawn/fetch/el-download/resync/replay
-  durations, per-phase p50/p95, detection latency by source;
 * ``serve`` — run a whole plan of jobs concurrently over one shared
   cluster through the gang-scheduling control plane, with fair-share
-  tenancy and per-job audits (exit 1 on any violation).
+  tenancy and per-job audits.
 
-``kernel``, ``faulty``, ``pingpong``, ``burst`` and ``stats`` also take
-``--trace-out`` (Chrome trace-event JSON, or JSON lines when the path
-ends in ``.jsonl``) and ``--metrics-out`` (the full metrics registry as
-JSON).  All table output is plain text; everything runs on simulated
+``run`` writes ``--trace-out`` (Chrome trace-event JSON, or JSON lines
+when the path ends in ``.jsonl``; ``pingpong`` and ``burst`` take it
+too) and ``--report-out``: one JSON document, ``{"run": ...}`` plus one
+key per attached observer holding that observer's own export.
+
+One exit rule everywhere: 2 on a usage error, 1 when an auditor was
+attached (``run --observe audit``, ``pingpong``/``burst`` ``--audit``,
+a ``serve`` plan's per-job audits) and its verdict is not ``clean``,
+else 0.  All table output is plain text; everything runs on simulated
 time.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .analysis.metrics import breakdown, mops
 from .analysis.report import (
@@ -64,6 +64,23 @@ from .workloads.synthetic import measure as burst_measure
 __all__ = ["main"]
 
 DEVICES = ("p4", "v1", "v2")
+KLASSES = ("T", "S", "A", "B", "C")
+OBSERVERS = ("stats", "audit", "profile", "mttr", "timeline")
+
+
+def _usage(msg: str) -> int:
+    """Report a usage error argparse could not catch; the exit code."""
+    print(f"repro: {msg}", file=sys.stderr)
+    return 2
+
+
+def _exit_code(results: Iterable[Any]) -> int:
+    """The one exit rule: 1 when an attached auditor's verdict is not
+    ``clean``, else 0."""
+    unclean = any(
+        res.audit is not None and not res.audit.clean for res in results
+    )
+    return 1 if unclean else 0
 
 
 def _parse_devices(spec: str) -> Optional[list[str]]:
@@ -72,30 +89,9 @@ def _parse_devices(spec: str) -> Optional[list[str]]:
     unknown = [d for d in devices if d not in DEVICES]
     if not devices or unknown:
         what = ", ".join(unknown) if unknown else "(empty list)"
-        print(
-            f"repro: unknown device(s): {what}; "
-            f"choose from {', '.join(DEVICES)}",
-            file=sys.stderr,
-        )
+        _usage(f"unknown device(s): {what}; choose from {', '.join(DEVICES)}")
         return None
     return devices
-
-
-KLASSES = ("T", "S", "A", "B", "C")
-
-
-def _workload_parent(
-    klass: str = "A", nprocs: int = 4, device: Optional[str] = "v2"
-) -> argparse.ArgumentParser:
-    """Parent parser: the shared kernel/--class/-n/--device block
-    (``device=None`` omits ``--device`` for commands pinned to v2)."""
-    sp = argparse.ArgumentParser(add_help=False)
-    sp.add_argument("name", choices=sorted(nas.KERNELS))
-    sp.add_argument("--class", dest="klass", default=klass, choices=KLASSES)
-    sp.add_argument("-n", "--nprocs", type=int, default=nprocs)
-    if device is not None:
-        sp.add_argument("--device", default=device, choices=DEVICES)
-    return sp
 
 
 def _store_parent() -> argparse.ArgumentParser:
@@ -133,33 +129,24 @@ def _store_parent() -> argparse.ArgumentParser:
 
 def _store_cfg(args: argparse.Namespace, cfg):
     """Apply the ``--ckpt-*`` / ``--el-*`` store flags to a TestbedConfig."""
-    changes: dict[str, Any] = {}
-    if getattr(args, "ckpt_servers", None) is not None:
-        changes["ckpt_servers"] = max(1, args.ckpt_servers)
-    if getattr(args, "ckpt_replicas", None) is not None:
-        changes["ckpt_replicas"] = max(1, args.ckpt_replicas)
-    if getattr(args, "ckpt_incremental", False):
+    changes: dict[str, Any] = {
+        name: max(1, value)
+        for name in ("ckpt_servers", "ckpt_replicas", "ckpt_chunk_kib",
+                     "el_servers", "el_replicas")
+        if (value := getattr(args, name)) is not None
+    }
+    if args.ckpt_incremental:
         changes["ckpt_incremental"] = True
-    if getattr(args, "ckpt_chunk_kib", None) is not None:
-        changes["ckpt_chunk_kib"] = max(1, args.ckpt_chunk_kib)
-    if getattr(args, "el_servers", None) is not None:
-        changes["el_servers"] = max(1, args.el_servers)
-    if getattr(args, "el_replicas", None) is not None:
-        changes["el_replicas"] = max(1, args.el_replicas)
     return cfg.with_(**changes) if changes else cfg
 
 
 def _obs_parent() -> argparse.ArgumentParser:
-    """Parent parser: the trace/metrics export and audit flags."""
+    """Parent parser: ``pingpong``/``burst`` trace export and audit."""
     sp = argparse.ArgumentParser(add_help=False)
     sp.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write the run's trace (Chrome trace-event JSON; "
              "*.jsonl writes JSON lines)",
-    )
-    sp.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the full metrics registry as JSON",
     )
     sp.add_argument(
         "--audit", action="store_true",
@@ -168,69 +155,44 @@ def _obs_parent() -> argparse.ArgumentParser:
     return sp
 
 
-def _write_obs(args: argparse.Namespace, runs: list[tuple[str, Any]]) -> None:
-    """Honour ``--trace-out`` / ``--metrics-out`` for one or more runs."""
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if trace_out:
-        if trace_out.endswith(".jsonl"):
-            with open(trace_out, "w") as fh:
-                for label, res in runs:
-                    for rec in trace_records(res.tracer):
-                        if len(runs) > 1:
-                            rec = {"run": label, **rec}
-                        fh.write(json.dumps(rec) + "\n")
+def _write_trace(path: Optional[str], runs: list[tuple[str, Any]]) -> None:
+    """Honour ``--trace-out`` for one or more labelled runs."""
+    if not path:
+        return
+    with open(path, "w") as fh:
+        if path.endswith(".jsonl"):
+            for label, res in runs:
+                for rec in trace_records(res.tracer):
+                    if len(runs) > 1:
+                        rec = {"run": label, **rec}
+                    fh.write(json.dumps(rec) + "\n")
+        elif len(runs) == 1:
+            res = runs[0][1]
+            # a sampled run renders its time-series as counter tracks
+            counters = (
+                res.timeseries.counter_tracks()
+                if res.timeseries is not None else None
+            )
+            json.dump(chrome_trace(res.tracer, counters=counters), fh)
         else:
-            if len(runs) == 1:
-                res = runs[0][1]
-                # a sampled run renders its time-series as counter tracks
-                counters = (
-                    res.timeseries.counter_tracks()
-                    if getattr(res, "timeseries", None) is not None
-                    else None
-                )
-                doc = chrome_trace(res.tracer, counters=counters)
-            else:
-                doc = merge_chrome_traces(
+            json.dump(
+                merge_chrome_traces(
                     [(label, res.tracer) for label, res in runs]
-                )
-            with open(trace_out, "w") as fh:
-                json.dump(doc, fh)
-    if metrics_out:
-        payload: Any = {
-            label: res.metrics.export() if res.metrics is not None else []
-            for label, res in runs
-        }
-        if len(runs) == 1:
-            payload = next(iter(payload.values()))
-        with open(metrics_out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+                ),
+                fh,
+            )
+    print(f"wrote trace to {path}")
 
 
-def _print_detect_latency(res: Any) -> None:
-    """Print the fault→detection latency histogram split by source."""
-    if res.metrics is None:
-        return
-    rows = []
-    for m in res.metrics:
-        if m.name != "disp.detect_latency_s" or not m.count:
-            continue
-        rows.append(
-            [m.labels.get("source", "?"), m.count, m.mean(), m.max]
-        )
-    if rows:
-        print("\ndetection latency by source:")
-        print(format_table(["source", "n", "mean s", "max s"], sorted(rows)))
-
-
-def _print_audits(args: argparse.Namespace, runs: list[tuple[str, Any]]) -> None:
-    """Honour ``--audit`` by printing each run's verdict."""
-    if not getattr(args, "audit", False):
-        return
-    for label, res in runs:
-        if len(runs) > 1:
+def _finish_runs(args: argparse.Namespace, runs: list[tuple[str, Any]]) -> int:
+    """``pingpong``/``burst`` epilogue: per-run ``--audit`` verdicts,
+    ``--trace-out``, the exit code."""
+    if args.audit:
+        for label, res in runs:
             print(f"\n[{label}]")
-        print(format_audit(res.audit))
+            print(format_audit(res.audit))
+    _write_trace(args.trace_out, runs)
+    return _exit_code(res for _, res in runs)
 
 
 def _cmd_pingpong(args: argparse.Namespace) -> int:
@@ -238,9 +200,7 @@ def _cmd_pingpong(args: argparse.Namespace) -> int:
     if devices is None:
         return 2
     sizes = [int(s) for s in args.sizes.split(",")]
-    job_kw: dict[str, Any] = {"trace": True} if args.trace_out else {}
-    if args.audit:
-        job_kw["audit"] = True
+    job_kw = {"trace": bool(args.trace_out), "audit": args.audit}
     runs: list[tuple[str, Any]] = []
     rows = []
     for nbytes in sizes:
@@ -255,16 +215,12 @@ def _cmd_pingpong(args: argparse.Namespace) -> int:
     for dev in devices:
         headers += [f"{dev} us", f"{dev} MB/s"]
     print(format_table(headers, rows))
-    _print_audits(args, runs)
-    _write_obs(args, runs)
-    return 0
+    return _finish_runs(args, runs)
 
 
 def _cmd_burst(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    job_kw: dict[str, Any] = {"trace": True} if args.trace_out else {}
-    if args.audit:
-        job_kw["audit"] = True
+    job_kw = {"trace": bool(args.trace_out), "audit": args.audit}
     runs: list[tuple[str, Any]] = []
     rows = []
     for nbytes in sizes:
@@ -276,92 +232,19 @@ def _cmd_burst(args: argparse.Namespace) -> int:
         v2 = mv2["bandwidth_MBps"]
         rows.append([nbytes, p4, v2, v2 / p4])
     print(format_table(["bytes", "P4 MB/s", "V2 MB/s", "V2/P4"], rows))
-    _print_audits(args, runs)
-    _write_obs(args, runs)
-    return 0
+    return _finish_runs(args, runs)
 
 
-def _kill_plan(
-    args: argparse.Namespace, churn: bool = False,
-    interval: Optional[float] = None,
-):
-    """The rank-kill plan a verb's flags describe (None: no kills):
-    ``--kill-at`` is explicit; otherwise ``--faults`` kills, drawn from
-    Weibull ``churn`` or evenly ``interval`` (default
-    ``--fault-interval``) apart."""
-    from .ft.failure import ChurnFaults, ExplicitFaults, RandomFaults
-
-    if getattr(args, "kill_at", None):
-        return ExplicitFaults(
-            [(float(t), int(r)) for t, r in
-             (part.split(":") for part in args.kill_at.split(","))]
-        )
-    if not args.faults:
-        return None
-    if churn:
-        return ChurnFaults(
-            mean_lifetime=args.mean_lifetime, shape=args.shape,
-            max_faults=args.faults, seed=args.seed,
-        )
-    return RandomFaults(
-        interval=args.fault_interval if interval is None else interval,
-        count=args.faults, seed=args.seed,
-    )
-
-
-def _run_kernel(
-    args: argparse.Namespace, faults: Any = None, churn_ckpt: bool = False,
-    **job_kw: Any,
-) -> tuple[str, Any]:
-    """The one way a verb runs its kernel: the verb's device, the cfg its
-    ``--ckpt-*``/``--el-*`` flags describe, its fault plan, and — with
-    ``churn_ckpt`` — the continuous random checkpoints every faulty v2
-    run uses.  Returns ``(label, JobResult)``; the verb prints its table.
-    """
-    if churn_ckpt:
-        job_kw = dict(checkpointing=True, ckpt_policy="random",
-                      ckpt_continuous=True, **job_kw)
-    job_kw.setdefault("trace", bool(getattr(args, "trace_out", None)))
-    job_kw.setdefault("audit", getattr(args, "audit", False))
-    res = run_job(
-        nas.KERNELS[args.name].program, args.nprocs,
-        device=getattr(args, "device", "v2"),
-        cfg=_store_cfg(args, DEFAULT_TESTBED),
-        params={"klass": args.klass}, limit=1e8, faults=faults, **job_kw,
-    )
-    return f"{args.name}-{args.klass}", res
-
-
-def _finish(args: argparse.Namespace, label: str, res: Any) -> int:
-    """Print ``--audit`` verdicts, write ``--trace-out``/``--metrics-out``;
-    the exit code of a verb that fails on violations."""
-    _print_audits(args, [(label, res)])
-    _write_obs(args, [(label, res)])
-    unclean = args.audit and res.audit is not None and not res.audit.clean
-    return 1 if unclean else 0
-
-
-def _cmd_kernel(args: argparse.Namespace) -> int:
-    ckpt_kw = {}
-    if args.ckpt_interval is not None:
-        if args.device != "v2":
-            print("--ckpt-interval requires --device v2", file=sys.stderr)
-            return 2
-        ckpt_kw = dict(checkpointing=True, ckpt_interval=args.ckpt_interval)
-    label, res = _run_kernel(args, **ckpt_kw)
-    b = breakdown(res)
-    spec = nas.KERNELS[args.name].spec(args.klass)
-    print(
-        format_table(
-            ["kernel", "device", "procs", "elapsed s", "compute s",
-             "comm s", "Mop/s"],
-            [[label.upper(), args.device, args.nprocs,
-              b["elapsed"], b["compute"], b["comm"],
-              mops(spec.total_flops, res)]],
-        )
-    )
-    _finish(args, label, res)
-    return 0
+def _parse_kills(spec: str) -> list[tuple[float, int]]:
+    """Parse ``AT:RANK[,...]`` into an ExplicitFaults schedule."""
+    out = []
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        at_s, rank_s = part.split(":")
+        out.append((float(at_s), int(rank_s)))
+    return out
 
 
 def _parse_partitions(spec: str) -> list[tuple[float, tuple[int, ...], float]]:
@@ -394,62 +277,46 @@ def _parse_service_faults(spec: str) -> list[tuple[float, str, float]]:
     return out
 
 
-def _cmd_faulty(args: argparse.Namespace) -> int:
-    from .ft.failure import PartitionFaults, ServiceFaults
+def _run_kernel(args: argparse.Namespace, **job_kw: Any) -> Any:
+    """One simulation of the ``run`` workload block on the deployment its
+    ``--ckpt-*``/``--el-*`` flags describe."""
+    return run_job(
+        nas.KERNELS[args.name].program, args.nprocs, device=args.device,
+        cfg=_store_cfg(args, DEFAULT_TESTBED), params={"klass": args.klass},
+        seed=args.seed, limit=1e8, **job_kw,
+    )
 
-    if args.device not in ("v1", "v2"):
-        print(
-            f"repro: faulty requires a fault-tolerant device "
-            f"(--device v2 or v1), not {args.device!r}",
-            file=sys.stderr,
+
+def _print_detect_latency(res: Any) -> None:
+    """Print the fault→detection latency histogram split by source."""
+    rows = []
+    for m in res.metrics:
+        if m.name != "disp.detect_latency_s" or not m.count:
+            continue
+        rows.append(
+            [m.labels.get("source", "?"), m.count, m.mean(), m.max]
         )
-        return 2
-    if args.device == "v1" and args.partitions:
-        print(
-            "repro: --partitions requires --device v2 "
-            "(V1 has no partition hook)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        partition_sched = (
-            _parse_partitions(args.partitions) if args.partitions else []
-        )
-        service_sched = (
-            _parse_service_faults(args.service_faults)
-            if args.service_faults
-            else []
-        )
-    except ValueError as exc:
-        print(f"repro: bad fault spec: {exc}", file=sys.stderr)
-        return 2
-    _, base = _run_kernel(args, trace=False, audit=False)
-    kills = _kill_plan(
-        args, churn=args.plan == "churn",
-        interval=base.elapsed / max(1, args.faults + 1),
-    )
-    plans: list[Any] = [kills] if kills is not None else []
-    if partition_sched:
-        plans.append(PartitionFaults(partition_sched))
-    if service_sched:
-        plans.append(ServiceFaults(service_sched))
-    # V1's recovery is its own (restart-from-scratch + CM replay):
-    # checkpointing belongs to v2 only
-    label, res = _run_kernel(
-        args, faults=plans or None, churn_ckpt=args.device == "v2"
-    )
+    if rows:
+        print("\ndetection latency by source:")
+        print(format_table(["source", "n", "mean s", "max s"], sorted(rows)))
+
+
+def _print_faulty(args: argparse.Namespace, label: str, base: Any, res: Any,
+                  outages: bool) -> None:
+    """The Figure-11 row against the fault-free reference ``base``, plus
+    one line per mechanism the fault plan exercised."""
     print(
-        format_table(
+        "\n" + format_table(
             ["kernel", "faults", "reference s", "elapsed s", "slowdown",
              "restarts", "checkpoints", "replayed", "ckpt MB"],
-            [[label.upper(), args.faults, base.elapsed,
+            [[label, args.faults, base.elapsed,
               res.elapsed, res.elapsed / base.elapsed, res.restarts,
               res.checkpoints, int(res.stat("deliveries.replayed")),
               res.stat("ckpt.bytes") / 1e6]],
         )
     )
     total = res.metrics.total
-    if partition_sched or service_sched:
+    if outages:
         print(
             f"outages: retries={int(total('outage.retries'))} "
             f"reconnects={int(total('outage.reconnects'))} "
@@ -465,7 +332,7 @@ def _cmd_faulty(args: argparse.Namespace) -> int:
             f"failovers={int(total('store.failover'))} "
             f"gc_reclaimed={total('store.gc_reclaimed_bytes') / 1e6:.2f}MB"
         )
-    if args.device == "v1" and service_sched:
+    if args.device == "v1" and args.service_faults:
         print(
             f"cm: crashes={int(total('svc.crashes'))} "
             f"relaunches={int(total('svc.restarts'))} "
@@ -483,7 +350,127 @@ def _cmd_faulty(args: argparse.Namespace) -> int:
         )
     if res.restarts:
         _print_detect_latency(res)
-    return _finish(args, f"{label}-faulty", res)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .ft.failure import (
+        ChurnFaults,
+        ExplicitFaults,
+        PartitionFaults,
+        RandomFaults,
+        ServiceFaults,
+    )
+    from .obs.profile import critical_path
+
+    observe = args.observe
+    v2 = args.device == "v2"
+    try:
+        kills = _parse_kills(args.kill_at or "")
+        partitions = _parse_partitions(args.partitions or "")
+        outages = _parse_service_faults(args.service_faults or "")
+    except ValueError as exc:
+        return _usage(f"bad fault spec: {exc}")
+    if args.faults < 0:
+        return _usage("--faults must be >= 0")
+    planned =bool(args.faults or kills or partitions or outages)
+    if planned and args.device == "p4":
+        return _usage("a fault plan requires a fault-tolerant device "
+                      "(--device v2 or v1), not 'p4'")
+    if partitions and not v2:
+        return _usage("--partitions requires --device v2 "
+                      "(V1 has no partition hook)")
+    if args.ckpt_interval is not None and not v2:
+        return _usage("--ckpt-interval requires --device v2")
+
+    job_kw: dict[str, Any] = {}
+    if args.ckpt_interval is not None:
+        job_kw.update(checkpointing=True, ckpt_interval=args.ckpt_interval)
+    base = None
+    if planned:
+        base = _run_kernel(args)  # the fault-free reference
+        plans: list[Any] = []
+        if kills:
+            plans.append(ExplicitFaults(kills))
+        elif args.faults and args.plan == "churn":
+            plans.append(ChurnFaults(
+                mean_lifetime=args.mean_lifetime, shape=args.shape,
+                max_faults=args.faults, seed=args.seed,
+            ))
+        elif args.faults:
+            interval = args.fault_interval
+            if interval is None:  # spread the kills over the reference run
+                interval = base.elapsed / (args.faults + 1)
+            plans.append(RandomFaults(
+                interval=interval, count=args.faults, seed=args.seed
+            ))
+        if partitions:
+            plans.append(PartitionFaults(partitions))
+        if outages:
+            plans.append(ServiceFaults(outages))
+        job_kw["faults"] = plans[0] if len(plans) == 1 else plans
+        if v2:
+            # V1's recovery is its own (restart-from-scratch + CM
+            # replay): checkpointing belongs to v2 only
+            job_kw.update(checkpointing=True, ckpt_policy="random",
+                          ckpt_continuous=True)
+    audited = "audit" in observe
+    res = _run_kernel(
+        args,
+        trace=bool(args.trace_out or {"mttr", "timeline"} & observe),
+        audit=audited,
+        audit_hb=audited and bool(args.report_out or "profile" in observe),
+        profile="profile" in observe,
+        timeseries="mttr" in observe,
+        **job_kw,
+    )
+
+    label = f"{args.name}-{args.klass}".upper()
+    b = breakdown(res)
+    spec = nas.KERNELS[args.name].spec(args.klass)
+    print(
+        format_table(
+            ["kernel", "device", "procs", "elapsed s", "compute s",
+             "comm s", "Mop/s"],
+            [[label, args.device, args.nprocs,
+              b["elapsed"], b["compute"], b["comm"],
+              mops(spec.total_flops, res)]],
+        )
+    )
+    report: dict[str, Any] = {"run": {
+        "kernel": args.name, "class": args.klass, "nprocs": args.nprocs,
+        "device": args.device, "seed": args.seed, "elapsed": res.elapsed,
+        "restarts": res.restarts, "checkpoints": res.checkpoints,
+    }}
+    if base is not None:
+        report["run"]["reference_elapsed"] = base.elapsed
+        _print_faulty(args, label, base, res, bool(partitions or outages))
+    if "stats" in observe:
+        print("\n" + format_stats(res.metrics, prefix=args.prefix,
+                                  top=args.top))
+        report["stats"] = res.metrics.export()
+    if audited:
+        print("\n" + format_audit(res.audit))
+        report["audit"] = res.audit.to_dict()
+    if "profile" in observe:
+        critical = critical_path(res.audit.hb) if audited and v2 else None
+        print("\n" + format_profile(res.profile, critical=critical,
+                                    elapsed=res.elapsed))
+        report["profile"] = res.profile.to_dict()
+        if critical is not None:
+            report["critical_path"] = critical
+    if "mttr" in observe:
+        att = RecoveryAttribution.from_trace(res.tracer)
+        print("\n" + format_mttr(att))
+        report["mttr"] = {**att.as_dict(),
+                          "timeseries": res.timeseries.as_dict()}
+    if "timeline" in observe:
+        print("\n" + format_timeline(recovery_timeline(res.tracer)))
+    _write_trace(args.trace_out, [(label, res)])
+    if args.report_out:
+        with open(args.report_out, "w") as fh:
+            json.dump(report, fh, indent=2)
+        print(f"wrote report ({', '.join(report)}) to {args.report_out}")
+    return _exit_code([res])
 
 
 def _cmd_sched(args: argparse.Namespace) -> int:
@@ -502,107 +489,21 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    label, res = _run_kernel(args)
-    print(format_stats(res.metrics, prefix=args.prefix, top=args.top))
-    if args.prefix in (None, "disp."):
-        _print_detect_latency(res)
-    _finish(args, label, res)
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .obs.profile import critical_path
-
-    use_hb = args.device == "v2" and not args.no_critical
-    _, res = _run_kernel(
-        args, seed=args.seed, profile=True, audit=use_hb, audit_hb=use_hb
-    )
-    critical = critical_path(res.audit.hb) if use_hb else None
-    print(
-        format_profile(
-            res.profile, critical=critical, elapsed=res.elapsed, top=args.top
-        )
-    )
-    if args.json_out:
-        doc = res.profile.to_dict()
-        if critical is not None:
-            doc["critical_path"] = critical
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote profile to {args.json_out}")
-    return 0
-
-
-def _cmd_mttr(args: argparse.Namespace) -> int:
-    label, res = _run_kernel(
-        args, faults=_kill_plan(args, churn=True), churn_ckpt=True,
-        ckpt_interval=args.ckpt_interval, seed=args.seed, trace=True,
-        timeseries=args.sample_interval,
-    )
-    att = RecoveryAttribution.from_trace(res.tracer)
-    print(
-        f"{args.name.upper()}-{args.klass} x{args.nprocs} under churn: "
-        f"elapsed {res.elapsed:.2f}s, {res.restarts} restarts, "
-        f"{res.checkpoints} checkpoints"
-    )
-    print(format_mttr(att))
-    if args.json_out:
-        doc = {
-            "kernel": label,
-            "nprocs": args.nprocs,
-            "seed": args.seed,
-            "elapsed": res.elapsed,
-            "restarts": res.restarts,
-            "attribution": att.as_dict(),
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote attribution to {args.json_out}")
-    if args.timeseries_out:
-        n = res.timeseries.write_jsonl(args.timeseries_out)
-        print(f"wrote {n} time-series samples to {args.timeseries_out}")
-    return _finish(args, f"{label}-mttr", res)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.faults and args.device != "v2":
-        print("repro: fault injection requires --device v2", file=sys.stderr)
-        return 2
-    args.trace_out = args.out  # reuse the shared writer
-    label, res = _run_kernel(
-        args, faults=_kill_plan(args), churn_ckpt=bool(args.faults)
-    )
-    _write_obs(args, [(label, res)])
-    print(f"wrote {len(res.tracer)} trace records to {args.out}")
-    if args.timeline:
-        print(format_timeline(recovery_timeline(res.tracer)))
-    return 0
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    _, res = _run_kernel(
-        args, faults=_kill_plan(args), churn_ckpt=bool(args.faults),
-        seed=args.seed, audit=True, audit_hb=bool(args.hb_out),
-    )
-    print(format_audit(res.audit))
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(res.audit.to_dict(), fh, indent=2)
-    if args.hb_out:
-        with open(args.hb_out, "w") as fh:
-            json.dump(res.audit.hb, fh)
-        print(
-            f"wrote happens-before graph "
-            f"({len(res.audit.hb['nodes'])} nodes, "
-            f"{len(res.audit.hb['edges'])} edges) to {args.hb_out}"
-        )
-    return 1 if res.audit.violations else 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.cli import cmd_serve
-    return cmd_serve(args, _store_cfg, format_table)
+    return _exit_code(cmd_serve(args, _store_cfg, format_table))
+
+
+def _observers(spec: str) -> frozenset[str]:
+    """argparse type for ``--observe``: a comma list of OBSERVERS."""
+    names = frozenset(s.strip() for s in spec.split(",") if s.strip())
+    unknown = sorted(names - set(OBSERVERS))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown observer(s): {', '.join(unknown)}; "
+            f"choose from {', '.join(OBSERVERS)}"
+        )
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -628,27 +529,38 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=4)
     sp.set_defaults(fn=_cmd_burst)
 
-    sp = sub.add_parser("kernel", parents=[_workload_parent(), store, obs],
-                        help="run one NPB proxy")
+    sp = sub.add_parser(
+        "run", parents=[store],
+        help="one NPB kernel x device x fault plan x observers "
+             "(Figures 7-11, Table 1)",
+    )
+    sp.add_argument("name", metavar="KERNEL", choices=sorted(nas.KERNELS))
+    sp.add_argument("--class", dest="klass", default="A", choices=KLASSES)
+    sp.add_argument("-n", "--nprocs", type=int, default=4)
+    sp.add_argument("--device", default="v2", choices=DEVICES)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seeds the simulation and the fault plan")
     sp.add_argument("--ckpt-interval", type=float, default=None,
                     metavar="SECS",
-                    help="checkpoint every SECS simulated seconds (v2 "
-                         "only); checkpoints let the event loggers "
-                         "garbage-collect acknowledged logs, which bounds "
-                         "logger memory on long runs")
-    sp.set_defaults(fn=_cmd_kernel)
-
-    sp = sub.add_parser("faulty", parents=[_workload_parent(), store, obs],
-                        help="kernel under faults (Figure 11 setup)")
-    sp.add_argument("--faults", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
+                    help="checkpoint, with the scheduler ticking every SECS "
+                         "simulated seconds (v2 only); checkpoints let the "
+                         "event loggers garbage-collect acknowledged logs, "
+                         "which bounds logger memory on long runs")
+    sp.add_argument("--faults", type=int, default=0,
+                    help="rank kills to inject (churn: at most this many)")
     sp.add_argument("--plan", default="random", choices=["random", "churn"],
                     help="rank-kill schedule: evenly-spaced random kills, "
                          "or Weibull desktop-grid churn")
+    sp.add_argument("--fault-interval", type=float, default=None,
+                    metavar="SECS",
+                    help="random: seconds between kills (default: the "
+                         "reference run's length / (faults + 1))")
     sp.add_argument("--mean-lifetime", type=float, default=10.0,
                     help="churn: mean node lifetime in simulated seconds")
     sp.add_argument("--shape", type=float, default=0.7,
                     help="churn: Weibull shape (<1 is heavy-tailed)")
+    sp.add_argument("--kill-at", default=None, metavar="AT:RANK[,..]",
+                    help="explicit kill schedule instead of --faults")
     sp.add_argument("--partitions", default=None, metavar="AT:DUR:R0+R1[,..]",
                     help="cut the listed ranks off the network at time AT "
                          "for DUR seconds (repeatable, comma separated)")
@@ -656,84 +568,26 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="NAME@AT:DOWN[,..]",
                     help="crash service NAME (el:0, cs:0) at time AT for "
                          "DOWN seconds; durable state survives")
-    sp.set_defaults(fn=_cmd_faulty)
+    sp.add_argument("--observe", type=_observers, default=frozenset(),
+                    metavar="OBS[,..]",
+                    help=f"observers to attach: {', '.join(OBSERVERS)} "
+                         "(audit + profile adds the critical path)")
+    sp.add_argument("--prefix", default=None, metavar="NS",
+                    help="stats: only metrics under this namespace prefix "
+                         "(e.g. el. / session. / store.)")
+    sp.add_argument("--top", type=int, default=None, metavar="N",
+                    help="stats: only the N largest totals (default: all)")
+    sp.add_argument("--trace-out", default=None, metavar="PATH",
+                    help="write the run's trace (Chrome trace-event JSON; "
+                         "*.jsonl writes JSON lines)")
+    sp.add_argument("--report-out", default=None, metavar="PATH",
+                    help="write one JSON report: the run plus each "
+                         "attached observer's own document")
+    sp.set_defaults(fn=_cmd_run)
 
     sp = sub.add_parser("sched", help="checkpoint-scheduling policies (§4.6.2)")
     sp.add_argument("--nodes", type=int, default=16)
     sp.set_defaults(fn=_cmd_sched)
-
-    sp = sub.add_parser("stats", parents=[_workload_parent(), obs],
-                        help="mechanism-level metrics for one run")
-    sp.add_argument("--prefix", default=None, metavar="NS",
-                    help="only metrics under this namespace prefix "
-                         "(e.g. el. / session. / store.)")
-    sp.add_argument("--top", type=int, default=None, metavar="N",
-                    help="only the N largest totals (default: all)")
-    sp.set_defaults(fn=_cmd_stats)
-
-    sp = sub.add_parser(
-        "profile", parents=[_workload_parent()],
-        help="kernel-profiler overhead decomposition (where the time goes)",
-    )
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--top", type=int, default=10,
-                    help="event kinds shown in the hot-kind table")
-    sp.add_argument("--no-critical", action="store_true",
-                    help="skip the happens-before critical path "
-                         "(v2 only; avoids the audit overhead)")
-    sp.add_argument("--json-out", default=None, metavar="PATH",
-                    help="write the profile (and critical path) as JSON")
-    sp.set_defaults(fn=_cmd_profile)
-
-    sp = sub.add_parser(
-        "mttr", parents=[_workload_parent(nprocs=8, device=None), store, obs],
-        help="recovery attribution under churn (where recovery time goes)",
-    )
-    sp.add_argument("--faults", type=int, default=4,
-                    help="churn: maximum number of rank kills")
-    sp.add_argument("--mean-lifetime", type=float, default=10.0,
-                    help="churn: mean node lifetime in simulated seconds")
-    sp.add_argument("--shape", type=float, default=0.7,
-                    help="churn: Weibull shape (<1 is heavy-tailed)")
-    sp.add_argument("--kill-at", default=None, metavar="AT:RANK[,..]",
-                    help="explicit kill schedule instead of churn")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--ckpt-interval", type=float, default=5.0,
-                    help="checkpoint scheduler interval (simulated s)")
-    sp.add_argument("--sample-interval", type=float, default=0.5,
-                    help="time-series sampling cadence (simulated s)")
-    sp.add_argument("--json-out", default=None, metavar="PATH",
-                    help="write the full attribution as JSON")
-    sp.add_argument("--timeseries-out", default=None, metavar="PATH",
-                    help="write the sampled time-series as JSON lines")
-    sp.set_defaults(fn=_cmd_mttr)
-
-    sp = sub.add_parser(
-        "trace", parents=[_workload_parent()],
-        help="run one kernel with tracing; export Chrome trace",
-    )
-    sp.add_argument("--out", default="trace.json",
-                    help="output path (*.jsonl writes JSON lines)")
-    sp.add_argument("--faults", type=int, default=0)
-    sp.add_argument("--fault-interval", type=float, default=5.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--timeline", action="store_true",
-                    help="print the recovery timeline (fault → caught-up)")
-    sp.set_defaults(fn=_cmd_trace)
-
-    sp = sub.add_parser(
-        "audit", parents=[_workload_parent(klass="S", device=None)],
-        help="check the V2 safety invariants live (exit 1 on violations)",
-    )
-    sp.add_argument("--faults", type=int, default=0,
-                    help="inject this many random faults (with checkpointing)")
-    sp.add_argument("--fault-interval", type=float, default=5.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json-out", default=None, metavar="PATH",
-                    help="write the full audit report as JSON")
-    sp.add_argument("--hb-out", default=None, metavar="PATH",
-                    help="write the happens-before graph as JSON")
-    sp.set_defaults(fn=_cmd_audit)
 
     sp = sub.add_parser(
         "serve", parents=[store],

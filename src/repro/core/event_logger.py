@@ -19,8 +19,7 @@ shard and
   messages while events lack a quorum of acks (the pessimistic gate).
   Acks are *cumulative* by batch id: a burst of queued batches is
   stored under one CPU charge and answered with a single frame, and a
-  DOWNLOAD queued behind the burst carries the ack on its own reply
-  (``cfg.el_piggyback_acks``);
+  DOWNLOAD queued behind the burst carries the ack on its own reply;
 * on restart, downloads every event with receiver-clock greater than
   its checkpoint clock (``DownloadEL`` of Appendix A) from the live
   replicas, unioned so any quorum member can serve it;
@@ -293,7 +292,6 @@ class EventLoggerServer(ServiceBase):
         yield from end.write(nbytes, ("EVENTS", records, piggy_bid))
 
     def _serve(self, end: StreamEnd, hello: Any):
-        piggyback = self.cfg.el_piggyback_acks
         pending: Any = None
         while True:
             if pending is not None:
@@ -307,7 +305,7 @@ class EventLoggerServer(ServiceBase):
             if kind == "EVENT":
                 _, rank, bid, records = msg
                 batches = [(rank, bid, records)]
-                if piggyback and end.readable:
+                if end.readable:
                     # coalesce the burst already queued behind this batch
                     try:
                         pending = yield from self._drain_queued(end, batches)

@@ -77,7 +77,7 @@ class Violation:
     context: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        """A JSON-friendly view (for ``repro audit --json-out``)."""
+        """A JSON-friendly view of one violation."""
         return {
             "time": self.time,
             "rule": self.rule,

@@ -14,7 +14,7 @@ is paid.  This module decomposes a run three ways:
 * per-service CPU attribution — sampled process-resume timing classified
   by process name (app ranks, daemons, event loggers, store replicas,
   scheduler, dispatcher), rolled into the paper-style overhead
-  decomposition table of ``repro profile``;
+  decomposition table of ``repro run --observe profile``;
 * :func:`critical_path` — the binding-dependency walk over the
   happens-before graph the protocol auditor reconstructs
   (``run_job(..., audit=True, audit_hb=True)``), so a run can answer
@@ -114,7 +114,7 @@ class KernelProfile:
         return None
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-friendly view (``repro profile --json-out``)."""
+        """A JSON-friendly view (``profile`` in ``repro run --report-out``)."""
         return {
             "wall_s": self.wall_s,
             "sim_s": self.sim_s,

@@ -52,7 +52,7 @@ class Counter:
         return self.value
 
     def export(self) -> dict[str, Any]:
-        """Full state for ``--metrics-out`` JSON."""
+        """Full state, JSON-friendly (one entry of :meth:`Metrics.export`)."""
         return {"value": self.value}
 
 
@@ -285,7 +285,7 @@ class Metrics:
         return out
 
     def export(self) -> list[dict[str, Any]]:
-        """Full per-label-set dump (for ``--metrics-out`` JSON)."""
+        """Full per-label-set dump (``stats`` in ``repro run --report-out``)."""
         return [
             {"name": m.name, "kind": m.kind, "labels": m.labels, **m.export()}
             for m in self._metrics.values()

@@ -171,7 +171,7 @@ class RestartSpan:
         return self.resync_t - self.respawn_t
 
     def as_dict(self) -> dict[str, Any]:
-        """A JSON-friendly view (for ``repro trace --timeline``)."""
+        """A JSON-friendly view of one restart arc."""
         return {
             "rank": self.rank,
             "fault_t": self.fault_t,
@@ -417,7 +417,7 @@ class RecoveryAttribution:
         }
 
     def as_dict(self) -> dict[str, Any]:
-        """A JSON-friendly dump (``repro mttr --json-out``)."""
+        """A JSON-friendly dump (``mttr`` in ``repro run --report-out``)."""
         return {
             "spans": [s.as_dict() for s in self.spans],
             "completed": len(self.completed),

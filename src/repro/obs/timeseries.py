@@ -11,12 +11,13 @@ sets), cheap enough to leave on for a whole sweep.
 
 The series export two ways:
 
-* :meth:`write_jsonl` / :meth:`to_records` — one record per (time,
-  name, value) for offline plotting;
+* :meth:`as_dict` — the whole sample set as one JSON-friendly document
+  (the ``timeseries`` entry of ``repro run --observe mttr
+  --report-out``);
 * :meth:`counter_tracks` — the input for
   :func:`repro.obs.trace_export.counter_events`, which renders each
-  series as a Chrome-trace counter track so ``repro trace`` output shows
-  a live dashboard (queue depth, suspected ranks, outstanding
+  series as a Chrome-trace counter track so ``repro run --trace-out``
+  shows a live dashboard (queue depth, suspected ranks, outstanding
   recoveries) alongside the event slices.
 
 The sampler's clock is *simulated* time: :meth:`install` spawns a
@@ -28,9 +29,8 @@ job future resolves, so the sampler never holds a run open.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .registry import Metrics
 
@@ -125,30 +125,12 @@ class TimeseriesSampler:
         sim.spawn(_loop(), name="obs.timeseries")
 
     # -- export --------------------------------------------------------
-    def names(self) -> list[str]:
-        return sorted(self.series)
-
     def counter_tracks(self) -> dict[str, list[tuple[float, float]]]:
         """``{name: [(t, value), ...]}`` for Chrome counter export."""
         return {name: list(ring) for name, ring in sorted(self.series.items())}
 
-    def to_records(self) -> Iterable[dict[str, Any]]:
-        """One flat record per sample, for JSONL export."""
-        for name in self.names():
-            for t, v in self.series[name]:
-                yield {"t": t, "name": name, "value": v}
-
-    def write_jsonl(self, path: str) -> int:
-        """Write the series as JSON Lines; returns the record count."""
-        n = 0
-        with open(path, "w") as fh:
-            for rec in self.to_records():
-                fh.write(json.dumps(rec) + "\n")
-                n += 1
-        return n
-
     def as_dict(self) -> dict[str, Any]:
-        """A JSON-friendly dump (``repro mttr --json-out`` sidecar)."""
+        """A JSON-friendly dump of every series."""
         return {
             "interval": self.interval,
             "dropped": self.dropped,

@@ -107,10 +107,6 @@ class TestbedConfig:
     # replica crash costs a failover rather than a stalled job.
     el_servers: int = 1  # N: shards (logger groups) in the cluster
     el_replicas: int = 1  # K: replicas per shard (1 = the classic single EL)
-    # Coalesce the acks for a burst of queued EVENT batches into one
-    # cumulative frame, and piggyback them on DOWNLOAD replies — fewer
-    # dedicated ack round trips on the WAITLOGGED critical path.
-    el_piggyback_acks: bool = True
 
     # -- multi-job control plane (repro.serve) -------------------------------------
     serve_capacity: int = 16  # computing-node slots in the shared pool

@@ -20,8 +20,9 @@ def cmd_serve(
     args: argparse.Namespace,
     store_cfg: Callable,
     format_table: Callable,
-) -> int:
-    """Run the plan; exit 1 if any job's audit reported violations."""
+) -> list[Any]:
+    """Run the plan and print its tables; returns every job's result
+    (the caller's exit rule looks at their audits)."""
     from ..runtime.config import DEFAULT_TESTBED
 
     cfg = store_cfg(args, DEFAULT_TESTBED)
@@ -76,4 +77,4 @@ def cmd_serve(
         with open(args.json_out, "w") as fh:
             json.dump({"summary": summary, "jobs": job_docs}, fh, indent=2)
         print(f"wrote summary to {args.json_out}")
-    return 1 if violations else 0
+    return [h.result for h in handles]

@@ -262,17 +262,3 @@ class StoreReplica(ServiceBase):
             return assemble_image(per[max(per)], self.chunks)
         except KeyError:  # pragma: no cover - commits verify completeness
             return None
-
-    @property
-    def images(self) -> dict[int, CheckpointImage]:
-        """Each rank's latest complete image, assembled on demand.
-
-        The paper's checkpoint server kept this dict directly; tests and
-        diagnostics still read it.
-        """
-        out: dict[int, CheckpointImage] = {}
-        for rank in self.manifests:
-            image = self.latest(rank)
-            if image is not None:
-                out[rank] = image
-        return out

@@ -26,19 +26,20 @@ def test_burst_command(capsys):
     assert "V2/P4" in out
 
 
-def test_kernel_command(capsys):
-    rc = main(["kernel", "cg", "--class", "T", "-n", "4", "--device", "v2"])
+def test_run_command(capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "4", "--device", "v2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "CG-T" in out
     assert "Mop/s" in out
 
 
-def test_faulty_command(capsys):
-    rc = main(["faulty", "cg", "--class", "S", "-n", "4", "--faults", "1"])
+def test_run_with_faults_prints_reference_and_mechanism_stats(capsys):
+    rc = main(["run", "cg", "--class", "S", "-n", "4", "--faults", "1"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "restarts" in out
+    assert "reference s" in out and "slowdown" in out and "restarts" in out
+    assert "replayed" in out and "ckpt MB" in out
 
 
 def test_sched_command(capsys):
@@ -49,9 +50,26 @@ def test_sched_command(capsys):
     assert "RR/AD" in out
 
 
-def test_kernel_rejects_unknown():
+def test_run_rejects_unknown_kernel():
     with pytest.raises(SystemExit):
-        main(["kernel", "nope"])
+        main(["run", "nope"])
+
+
+@pytest.mark.parametrize(
+    "verb", ["kernel", "faulty", "stats", "profile", "mttr", "trace", "audit"]
+)
+def test_retired_verbs_are_rejected_not_aliased(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "cg", "--class", "T", "-n", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_run_rejects_unknown_observer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "cg", "--class", "T", "--observe", "audit,bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_pingpong_rejects_unknown_device(capsys):
@@ -61,33 +79,40 @@ def test_pingpong_rejects_unknown_device(capsys):
     assert "bogus" in err
 
 
-def test_faulty_rejects_non_v2_device(capsys):
-    rc = main(["faulty", "cg", "--class", "T", "--device", "p4"])
+def test_run_rejects_fault_plan_on_p4(capsys):
+    rc = main(["run", "cg", "--class", "T", "--device", "p4",
+               "--faults", "1"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "v2" in err
 
 
-def test_faulty_reports_mechanism_stats(capsys):
-    rc = main(["faulty", "cg", "--class", "S", "-n", "4", "--faults", "1"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "replayed" in out and "ckpt MB" in out
+def test_run_rejects_negative_faults(capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--faults", "-1"])
+    assert rc == 2
+    assert "--faults must be >= 0" in capsys.readouterr().err
 
 
-def test_stats_command(capsys):
-    rc = main(["stats", "cg", "--class", "T", "-n", "2"])
+def test_run_rejects_ckpt_interval_off_v2(capsys):
+    rc = main(["run", "cg", "--class", "T", "--device", "p4",
+               "--ckpt-interval", "1"])
+    assert rc == 2
+    assert "--ckpt-interval requires --device v2" in capsys.readouterr().err
+
+
+def test_observe_stats(capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "stats"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "el.roundtrips" in out
     assert "senderlog.bytes" in out
 
 
-def test_kernel_trace_out_writes_chrome_trace(tmp_path, capsys):
+def test_run_trace_out_writes_chrome_trace(tmp_path, capsys):
     import json
 
     path = tmp_path / "t.json"
-    rc = main(["kernel", "cg", "--class", "T", "-n", "2",
+    rc = main(["run", "cg", "--class", "T", "-n", "2",
                "--trace-out", str(path)])
     assert rc == 0
     doc = json.loads(path.read_text())
@@ -95,15 +120,16 @@ def test_kernel_trace_out_writes_chrome_trace(tmp_path, capsys):
     assert any(e.get("ph") == "i" for e in doc["traceEvents"])
 
 
-def test_kernel_metrics_out_writes_registry(tmp_path, capsys):
+def test_report_out_stats_is_the_registry_export(tmp_path, capsys):
     import json
 
-    path = tmp_path / "m.json"
-    rc = main(["kernel", "cg", "--class", "T", "-n", "2",
-               "--metrics-out", str(path)])
+    path = tmp_path / "r.json"
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "stats",
+               "--report-out", str(path)])
     assert rc == 0
-    entries = json.loads(path.read_text())
-    assert any(e["name"] == "el.roundtrips" for e in entries)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["run", "stats"]
+    assert any(e["name"] == "el.roundtrips" for e in doc["stats"])
 
 
 def test_pingpong_trace_out_merges_runs(tmp_path, capsys):
@@ -123,12 +149,13 @@ def test_pingpong_trace_out_merges_runs(tmp_path, capsys):
     assert any(n.startswith("v2/1024B:") for n in names)
 
 
-def test_trace_command_with_timeline(tmp_path, capsys):
+def test_observe_timeline_with_trace_out(tmp_path, capsys):
     import json
 
     path = tmp_path / "t.json"
-    rc = main(["trace", "cg", "--class", "T", "-n", "2", "--faults", "1",
-               "--fault-interval", "0.05", "--out", str(path), "--timeline"])
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--faults", "1",
+               "--fault-interval", "0.05", "--trace-out", str(path),
+               "--observe", "timeline"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "wrote" in out
@@ -136,60 +163,51 @@ def test_trace_command_with_timeline(tmp_path, capsys):
     assert json.loads(path.read_text())["traceEvents"]
 
 
-def test_trace_command_jsonl(tmp_path, capsys):
+def test_run_trace_out_jsonl(tmp_path, capsys):
     import json
 
     path = tmp_path / "t.jsonl"
-    rc = main(["trace", "cg", "--class", "T", "-n", "2", "--out", str(path)])
+    rc = main(["run", "cg", "--class", "T", "-n", "2",
+               "--trace-out", str(path)])
     assert rc == 0
     lines = path.read_text().splitlines()
     assert lines and all(json.loads(ln)["kind"] for ln in lines)
 
 
-def test_audit_command_clean_run_exits_zero(capsys):
-    rc = main(["audit", "cg", "--class", "T", "-n", "2"])
+def test_observe_audit_clean_run_exits_zero(capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "audit"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "audit verdict: clean" in out
     assert "waitlogged" in out and "gc-safety" in out
+    assert "Mop/s" in out  # the run row is still there
 
 
-def test_audit_command_with_faults(capsys):
-    rc = main(["audit", "cg", "--class", "T", "-n", "2", "--faults", "1",
-               "--fault-interval", "0.05"])
+def test_observe_audit_with_faults(capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--faults", "1",
+               "--fault-interval", "0.05", "--observe", "audit"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "audit verdict: clean" in out
 
 
-def test_audit_command_writes_hb_and_json(tmp_path, capsys):
+def test_report_out_audit_carries_the_hb_graph(tmp_path, capsys):
     import json
 
-    hb_path = tmp_path / "hb.json"
-    json_path = tmp_path / "audit.json"
-    rc = main(["audit", "cg", "--class", "T", "-n", "2",
-               "--hb-out", str(hb_path), "--json-out", str(json_path)])
-    out = capsys.readouterr().out
+    path = tmp_path / "r.json"
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "audit",
+               "--report-out", str(path)])
     assert rc == 0
-    hb = json.loads(hb_path.read_text())
-    assert hb["nodes"] and hb["edges"]
-    assert "happens-before graph" in out
-    doc = json.loads(json_path.read_text())
+    doc = json.loads(path.read_text())["audit"]
     assert doc["verdict"] == "clean"
     assert doc["checks"]["waitlogged"] > 0
+    hb = doc["happens_before"]
+    assert hb["nodes"] and hb["edges"]
 
 
-def test_kernel_audit_flag_prints_verdict(capsys):
-    rc = main(["kernel", "cg", "--class", "T", "-n", "2", "--audit"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "audit verdict: clean" in out
-    assert "Mop/s" in out  # the normal output is still there
-
-
-def test_faulty_audit_flag_prints_verdict(capsys):
-    rc = main(["faulty", "cg", "--class", "S", "-n", "4", "--faults", "1",
-               "--audit"])
+def test_observe_audit_with_random_kill_on_class_s(capsys):
+    rc = main(["run", "cg", "--class", "S", "-n", "4", "--faults", "1",
+               "--observe", "audit"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "audit verdict: clean" in out
@@ -204,10 +222,49 @@ def test_pingpong_audit_flag_prints_per_run_verdicts(capsys):
     assert out.count("audit verdict: clean") == 2
 
 
-def test_faulty_service_faults_and_partitions(capsys):
-    rc = main(["faulty", "cg", "--class", "S", "-n", "4", "--faults", "0",
+@pytest.mark.parametrize("argv", [
+    ["run", "cg", "--class", "T", "-n", "2", "--observe", "audit"],
+    ["pingpong", "--sizes", "0", "--devices", "v2", "--reps", "2", "--audit"],
+    ["burst", "--sizes", "1024", "--reps", "1", "--audit"],
+    ["serve", "--jobs", "examples/serve_plan.json", "--capacity", "8",
+     "--svc-slots", "2"],
+])
+def test_unclean_audit_exits_one(argv, monkeypatch, capsys):
+    """The one exit rule: whatever attached the auditor, a verdict other
+    than clean is exit 1 (``kernel --audit`` and a truncated ``audit``
+    used to return 0)."""
+    import repro.cli
+    import repro.runtime.mpirun
+    import repro.serve.cli
+
+    def truncate(res):
+        if res.audit is not None:
+            res.audit.truncated = True
+        return res
+
+    real_run = repro.runtime.mpirun.run_job
+    real_plan = repro.serve.cli.run_plan
+
+    def run_job(*a, **kw):
+        return truncate(real_run(*a, **kw))
+
+    def run_plan(*a, **kw):
+        plane, handles = real_plan(*a, **kw)
+        for h in handles:
+            truncate(h.result)
+        return plane, handles
+
+    monkeypatch.setattr(repro.cli, "run_job", run_job)
+    monkeypatch.setattr(repro.runtime.mpirun, "run_job", run_job)
+    monkeypatch.setattr(repro.serve.cli, "run_plan", run_plan)
+    assert main(argv) == 1
+    assert "truncated" in capsys.readouterr().out
+
+
+def test_run_service_faults_and_partitions(capsys):
+    rc = main(["run", "cg", "--class", "S", "-n", "4",
                "--service-faults", "el:0@0.3:0.5",
-               "--partitions", "0.5:0.5:0+1", "--audit"])
+               "--partitions", "0.5:0.5:0+1", "--observe", "audit"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "audit verdict: clean" in out
@@ -215,25 +272,30 @@ def test_faulty_service_faults_and_partitions(capsys):
     assert "retries=" in out and "reconnects=" in out
 
 
-def test_faulty_churn_plan(capsys):
-    rc = main(["faulty", "cg", "--class", "S", "-n", "4", "--plan", "churn",
+def test_run_churn_plan(capsys):
+    rc = main(["run", "cg", "--class", "S", "-n", "4", "--plan", "churn",
                "--faults", "1", "--mean-lifetime", "3.0", "--seed", "7"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "restarts" in out
 
 
-def test_faulty_rejects_bad_partition_spec(capsys):
-    rc = main(["faulty", "cg", "--class", "S", "-n", "2",
+def test_run_rejects_bad_partition_spec(capsys):
+    rc = main(["run", "cg", "--class", "S", "-n", "2",
                "--partitions", "bogus"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "bad fault spec" in err
 
 
-def test_faulty_parse_helpers():
-    from repro.cli import _parse_partitions, _parse_service_faults
+def test_fault_spec_parse_helpers():
+    from repro.cli import (
+        _parse_kills,
+        _parse_partitions,
+        _parse_service_faults,
+    )
 
+    assert _parse_kills("1.0:2, 3:1") == [(1.0, 2), (3.0, 1)]
     assert _parse_partitions("1.5:2.0:0+3, 4:1:2") == [
         (1.5, (0, 3), 2.0), (4.0, (2,), 1.0)]
     assert _parse_service_faults("el:0@2.0:1.0,cs:0@3:0.5") == [
@@ -241,7 +303,8 @@ def test_faulty_parse_helpers():
 
 
 def test_stats_prefix_filter(capsys):
-    rc = main(["stats", "cg", "--class", "T", "-n", "2", "--prefix", "el."])
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "stats",
+               "--prefix", "el."])
     out = capsys.readouterr().out
     assert rc == 0
     assert "el.roundtrips" in out
@@ -249,7 +312,8 @@ def test_stats_prefix_filter(capsys):
 
 
 def test_stats_top_filter(capsys):
-    rc = main(["stats", "cg", "--class", "T", "-n", "2", "--top", "3"])
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "stats",
+               "--top", "3"])
     out = capsys.readouterr().out
     assert rc == 0
     # the totals table keeps only the 3 largest metrics; byte counters
@@ -259,25 +323,68 @@ def test_stats_top_filter(capsys):
     assert "senderlog.ram_bytes" in totals
 
 
-def test_profile_command_v2_with_critical_path(tmp_path, capsys):
+def test_observe_audit_and_profile_adds_critical_path(tmp_path, capsys):
     import json
 
-    path = tmp_path / "prof.json"
-    rc = main(["profile", "cg", "--class", "T", "-n", "2",
-               "--json-out", str(path)])
+    path = tmp_path / "r.json"
+    rc = main(["run", "cg", "--class", "T", "-n", "2",
+               "--observe", "audit,profile", "--report-out", str(path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "events/s" in out
     assert "service CPU decomposition" in out
     assert "critical path" in out and "el-ack" in out
     doc = json.loads(path.read_text())
-    assert doc["events"] > 0
+    assert doc["profile"]["events"] > 0
     assert doc["critical_path"]["span_s"] > 0
 
 
-def test_profile_command_p4_skips_critical_path(capsys):
-    rc = main(["profile", "cg", "--class", "T", "-n", "2", "--device", "p4"])
+@pytest.mark.parametrize("observe", ["profile", "audit,profile"])
+def test_observe_profile_on_p4_has_no_critical_path(observe, capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--device", "p4",
+               "--observe", observe])
     out = capsys.readouterr().out
     assert rc == 0
     assert "events/s" in out
     assert "critical path" not in out  # no hb graph outside v2
+
+
+def test_one_run_composes_every_observer(tmp_path, capsys):
+    """stats + audit + profile + mttr attach to a single simulation."""
+    import json
+
+    from repro.ft.failure import RandomFaults
+    from repro.runtime.config import DEFAULT_TESTBED
+    from repro.runtime.mpirun import run_job
+    from repro.workloads import nas
+
+    path = tmp_path / "r.json"
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--faults", "1",
+               "--seed", "1", "--observe", "stats,audit,profile,mttr",
+               "--report-out", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    for section in ("senderlog.ram_bytes", "audit verdict: clean",
+                    "service CPU decomposition", "critical path:",
+                    "per-fault phase decomposition"):
+        assert out.count(section) == 1, section
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["run", "stats", "audit", "profile",
+                         "critical_path", "mttr"]
+    assert doc["audit"]["happens_before"]["nodes"]
+    assert doc["mttr"]["completed"] == doc["run"]["restarts"] == 1
+    assert doc["mttr"]["timeseries"]["series"]
+
+    program = nas.KERNELS["cg"].program
+    kw = dict(device="v2", cfg=DEFAULT_TESTBED, params={"klass": "T"},
+              seed=1, limit=1e8)
+    base = run_job(program, 2, **kw)
+    assert doc["run"]["reference_elapsed"] == base.elapsed
+    direct = run_job(
+        program, 2, **kw, trace=True, audit=True, audit_hb=True,
+        profile=True, timeseries=True, checkpointing=True,
+        ckpt_policy="random", ckpt_continuous=True,
+        faults=RandomFaults(interval=base.elapsed / 2, count=1, seed=1),
+    )
+    assert doc["run"]["elapsed"] == direct.elapsed
+    assert doc["audit"]["checks"] == dict(direct.audit.checks)

@@ -215,7 +215,7 @@ def test_composed_faults_timeline_and_audit():
 # ------------------------------------------------- time-series sampler
 
 
-def test_timeseries_sampler_on_run(ckpt_faulty_run, tmp_path):
+def test_timeseries_sampler_on_run(ckpt_faulty_run):
     ts = ckpt_faulty_run.timeseries
     assert ts is not None and ts.interval == 0.25
     assert "disp.recovering" in ts.series
@@ -224,12 +224,10 @@ def test_timeseries_sampler_on_run(ckpt_faulty_run, tmp_path):
     assert values[-1] == 0.0  # and it drained by job end
     times = [t for t, _ in ts.series["disp.recovering"]]
     assert times == sorted(times)
-    # JSONL round-trip
-    path = tmp_path / "ts.jsonl"
-    n = ts.write_jsonl(str(path))
-    recs = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(recs) == n > 0
-    assert {"t", "name", "value"} <= set(recs[0])
+    # the JSON document carries the same samples
+    doc = json.loads(json.dumps(ts.as_dict()))
+    assert doc["interval"] == 0.25
+    assert [t for t, _ in doc["series"]["disp.recovering"]] == times
 
 
 def test_timeseries_ring_is_bounded():
@@ -311,25 +309,25 @@ def test_quantile():
 
 
 def test_cli_mttr_smoke(capsys, tmp_path):
-    json_out = tmp_path / "mttr.json"
-    ts_out = tmp_path / "ts.jsonl"
+    report_out = tmp_path / "r.json"
     rc = main([
-        "mttr", "cg", "--class", "S", "-n", "4",
-        "--kill-at", "1.0:2", "--seed", "1",
-        "--json-out", str(json_out), "--timeseries-out", str(ts_out),
+        "run", "cg", "--class", "S", "-n", "4",
+        "--kill-at", "1.0:2", "--seed", "1", "--ckpt-interval", "5",
+        "--observe", "mttr", "--report-out", str(report_out),
     ])
     out = capsys.readouterr().out
     assert rc == 0
     assert "per-fault phase decomposition" in out
     assert "detection latency by source" in out
-    doc = json.loads(json_out.read_text())
-    assert doc["attribution"]["completed"] >= 1
-    assert doc["attribution"]["max_reconcile_err_s"] < 1e-9
-    assert ts_out.exists() and ts_out.read_text().strip()
+    doc = json.loads(report_out.read_text())["mttr"]
+    assert doc["completed"] >= 1
+    assert doc["max_reconcile_err_s"] < 1e-9
+    assert doc["timeseries"]["interval"] == 0.5
+    assert doc["timeseries"]["series"]
 
 
-def test_cli_stats_surfaces_detect_latency(capsys):
-    rc = main(["faulty", "cg", "--class", "S", "-n", "4",
+def test_cli_faulty_run_surfaces_detect_latency(capsys):
+    rc = main(["run", "cg", "--class", "S", "-n", "4",
                "--faults", "1", "--seed", "1"])
     out = capsys.readouterr().out
     assert rc == 0

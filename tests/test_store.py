@@ -354,4 +354,4 @@ def test_store_replica_default_name_and_empty_images():
     host = cluster.add_aux("svc")
     cs = StoreReplica(cluster.sim, host, fabric, cluster.cfg)
     assert cs.name == "cs:0"
-    assert cs.images == {}
+    assert cs.manifests == {}
