@@ -6,7 +6,7 @@ with gang scheduling, fair-share admission and per-job namespaces on
 the shared event-logger and checkpoint-store services.  This benchmark
 drives the plane with 1000 jobs from two tenants (weights 3:1),
 submitted all at once — a pure admission storm — with a v2 slice that
-includes rank-kill faults recovering mid-traffic.  Four claims are
+includes rank-kill faults recovering mid-traffic.  Five claims are
 gated:
 
 - **completion** — every job of the storm runs to completion: 1000
@@ -17,6 +17,12 @@ gated:
 - **fairness** — over the saturation window (admissions while both
   tenants still have queued work), each tenant's rank-weighted share
   of admitted capacity is within 20% of its fair-share weight;
+- **retention** — a finished job leaves only its result: the
+  GC-tracked objects the drained plane and its 1000 results hold, per
+  job, stay within ``RETAINED_OBJECTS_BUDGET`` (the per-job metrics
+  registry, timers and audit report are most of it), and the event
+  heap holds at most ``HEAP_ENTRIES_BUDGET`` entries after the drain —
+  no finished job's watchdog, no dead process's wake-up;
 - **regression gate** — makespan must not exceed the checked-in
   ``BENCH_serve.json`` baseline by more than ``REGRESSION_BUDGET``
   (simulated time on a fixed seed: deterministic).
@@ -29,6 +35,7 @@ artifact and the next baseline).  Run as a pytest benchmark
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import random
@@ -53,6 +60,9 @@ WEIGHTS = {"alpha": 3.0, "beta": 1.0}
 SEED = 1
 FAIRNESS_BUDGET = 0.20  # tenant share vs weight, saturation window
 REGRESSION_BUDGET = 0.20  # makespan vs the checked-in baseline
+# tighten-only (ROADMAP): measured 46.5 objects/job and 10 entries
+RETAINED_OBJECTS_BUDGET = 80.0  # GC-tracked objects per finished job
+HEAP_ENTRIES_BUDGET = 32  # event-heap entries once the storm has drained
 
 
 def _specs(rng: random.Random) -> list[JobSpec]:
@@ -109,6 +119,8 @@ def _saturation_shares(handles) -> dict[str, float]:
 
 
 def measure_serve() -> dict:
+    gc.collect()
+    objects_before = len(gc.get_objects())
     rng = random.Random(SEED)
     specs = _specs(rng)
     plane = ControlPlane(
@@ -116,7 +128,10 @@ def measure_serve() -> dict:
     )
     handles = [plane.submit(spec) for spec in specs]
     plane.drain()
+    heap_entries = len(plane.sim._heap)
     summary = plane.finish()
+    gc.collect()
+    retained = (len(gc.get_objects()) - objects_before) / N_JOBS
 
     shares = _saturation_shares(handles)
     weight_total = sum(WEIGHTS.values())
@@ -152,8 +167,12 @@ def measure_serve() -> dict:
             1 for h in faulty if h.result.restarts < 1
         ),
         "tenants": per_tenant,
+        "retained_objects_per_job": retained,
+        "heap_entries_after_drain": heap_entries,
         "fairness_budget": FAIRNESS_BUDGET,
         "regression_budget": REGRESSION_BUDGET,
+        "retained_objects_budget": RETAINED_OBJECTS_BUDGET,
+        "heap_entries_budget": HEAP_ENTRIES_BUDGET,
     }
 
 
@@ -193,6 +212,16 @@ def check_serve(out: dict, baseline: dict) -> list[str]:
                 f"{t['saturation_share']:.3f} drifts >{FAIRNESS_BUDGET:.0%} "
                 f"from fair share {t['fair_share']:.3f}"
             )
+    if out["retained_objects_per_job"] > RETAINED_OBJECTS_BUDGET:
+        problems.append(
+            f"{out['retained_objects_per_job']:.1f} GC-tracked objects "
+            f"retained per finished job (budget {RETAINED_OBJECTS_BUDGET:.0f})"
+        )
+    if out["heap_entries_after_drain"] > HEAP_ENTRIES_BUDGET:
+        problems.append(
+            f"{out['heap_entries_after_drain']} event-heap entries after "
+            f"the drain (budget {HEAP_ENTRIES_BUDGET})"
+        )
     base_makespan = baseline.get("makespan_s")
     if base_makespan:
         limit = base_makespan * (1.0 + REGRESSION_BUDGET)
@@ -234,7 +263,9 @@ def bench_serve():
         f"{out['completed']}/{out['jobs']} jobs in {out['makespan_s']:.2f} "
         f"simulated s ({out['v2_jobs']} on v2, {out['faulted_jobs']} "
         f"killed and recovered with {out['total_restarts']} restarts); "
-        f"{out['audit_violations']} audit violations"
+        f"{out['audit_violations']} audit violations; "
+        f"{out['retained_objects_per_job']:.1f} objects retained per job, "
+        f"{out['heap_entries_after_drain']} heap entries after the drain"
     )
     record_report(rep)
     assert not problems, "; ".join(problems)
@@ -254,6 +285,8 @@ if __name__ == "__main__":
     print(
         f"OK: {out['completed']}/{out['jobs']} jobs, "
         f"{out['audit_violations']} violations, "
-        f"makespan {out['makespan_s']:.2f}s"
+        f"makespan {out['makespan_s']:.2f}s, "
+        f"{out['retained_objects_per_job']:.1f} objects/job retained, "
+        f"{out['heap_entries_after_drain']} heap entries after drain"
     )
     sys.exit(0)

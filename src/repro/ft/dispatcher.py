@@ -43,18 +43,18 @@ class _ControlListener(ServiceBase):
     def __init__(self, dispatcher: "Dispatcher", *args: Any, **kw: Any) -> None:
         super().__init__(*args, **kw)
         self._dispatcher = dispatcher
-        self._rank_of: dict[int, int] = {}  # id(end) -> rank
+        self._rank_of: dict[StreamEnd, int] = {}
 
     def on_accept(self, end: StreamEnd, hello: Any) -> None:
         # hello = ("HELLO", rank, incarnation); a (re)connect is itself
         # a liveness proof, so it refreshes the heartbeat clock too
         if type(hello) is tuple and len(hello) >= 2 and hello[0] == "HELLO":
-            self._rank_of[id(end)] = hello[1]
+            self._rank_of[end] = hello[1]
             self._dispatcher.note_heartbeat(hello[1])
         super().on_accept(end, hello)
 
     def on_ping(self, end: StreamEnd, msg: tuple) -> None:
-        rank = self._rank_of.get(id(end))
+        rank = self._rank_of.get(end)
         if rank is not None:
             self._dispatcher.note_heartbeat(rank)
 
@@ -136,8 +136,8 @@ class Dispatcher(RankSet):
         for r, host in enumerate(self.dep.cn_hosts):
             self._spawn_rank(r, host)
         if self.cfg.hb_interval > 0 and self.cfg.hb_timeout > 0:
-            p = self.sim.spawn(self._hb_monitor(), name="disp.hb-monitor")
-            self.host.register(p)
+            # one of the listener's processes: ``stop`` ends it with the job
+            self.listener._spawn(self._hb_monitor(), "disp.hb-monitor")
 
     # -- heartbeat monitoring ------------------------------------------------
     def note_heartbeat(self, rank: int) -> None:
@@ -180,11 +180,13 @@ class Dispatcher(RankSet):
             self._m_recovering.set(float(len(self.recovering)), time)
 
     def stop(self, cause: Any) -> None:
-        """Withdraw the control listener (dropping every daemon link) and
-        the job's checkpoint scheduler."""
+        """Withdraw the control listener (dropping every daemon link,
+        ending the heartbeat monitor), the checkpoint scheduler and the
+        tracer subscription (through which a result reaches every daemon)."""
         self.listener.stop(cause)
         if self.scheduler is not None:
             self.scheduler.stop(cause)
+        self.tracer.unsubscribe(self._note_caught_up)
 
     def wipe_logs(self) -> None:
         """Forget the job's logged events, images and GC floors: after a
@@ -288,7 +290,11 @@ class Dispatcher(RankSet):
     # -- monitoring / recovery ---------------------------------------------------
     def _on_host_crash(self, rank: int, incarnation: int) -> None:
         st = self.states[rank]
-        if st.incarnation != incarnation or self.done.done:
+        if st.incarnation != incarnation:
+            return
+        # the dead incarnation's name goes too (processes, streams did)
+        st.daemon.peers.listener.stop("host-crash")
+        if self.done.done:
             return
         self.recovering.add(rank)
         self._m_recovering.set(float(len(self.recovering)), self.sim.now)

@@ -48,24 +48,14 @@ def fold_cluster(cluster: Any) -> None:
     if net.links_broken:
         m.counter("net.links_broken").inc(net.links_broken)
 
-    seen_streams: set[int] = set()
     for host in net.hosts.values():
         if host.nic_tx_busy_s:
             m.counter("nic.tx_busy_s", host=host.name).inc(host.nic_tx_busy_s)
         if host.nic_rx_busy_s:
             m.counter("nic.rx_busy_s", host=host.name).inc(host.nic_rx_busy_s)
-        for stream in host._streams:
-            if id(stream) in seen_streams:
-                continue
-            seen_streams.add(id(stream))
-            for end in (stream.a, stream.b):
-                if end.stall_s:
-                    m.counter("stream.stall_s", host=end.host.name).inc(
-                        end.stall_s
-                    )
-                    m.counter("stream.stalls", host=end.host.name).inc(
-                        end.stall_count
-                    )
+        if host.stall_s:
+            m.counter("stream.stall_s", host=host.name).inc(host.stall_s)
+            m.counter("stream.stalls", host=host.name).inc(host.stall_count)
 
 
 def fold_device_stats(

@@ -380,14 +380,19 @@ class ServiceBase:
             f"{self.metric_ns}.protocol_errors", server=name
         )
         self._acceptor: Optional[Acceptor] = None
-        self._procs: list = []
-        self._conns: list[StreamEnd] = []
+        #: live service processes by ``done`` future (an ended one leaves)
+        self._procs: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
     @property
     def listening(self) -> bool:
         """Is the service currently accepting connections?"""
         return self._acceptor is not None
+
+    @property
+    def _conns(self) -> list:
+        """Live accepted connections: the host's streams tagged as ours."""
+        return [s for s, owner in self.host._streams.items() if owner is self]
 
     def start(self) -> None:
         """Register the listener and start accepting connections.
@@ -421,13 +426,10 @@ class ServiceBase:
         if self._acceptor is not None:
             self.fabric.unlisten(self.name, self._acceptor)
             self._acceptor = None
-        procs, self._procs = self._procs, []
-        for p in procs:
+        for p in list(self._procs.values()):
             p.kill()
-        conns, self._conns = self._conns, []
-        for end in conns:
-            if not end.stream.dead:
-                end.stream.break_both(cause)
+        for stream in self._conns:
+            stream.break_both(cause)
         self.on_stop(cause)
 
     def on_start(self) -> None:
@@ -440,7 +442,8 @@ class ServiceBase:
     def _accept_loop(self, acceptor: Acceptor):
         while True:
             end, hello = yield acceptor.accept()
-            self._conns.append(end)
+            if not end.stream.dead:  # else: broke while queued, untracked
+                self.host.attach_stream(end.stream, owner=self)
             self.on_accept(end, hello)
 
     def on_accept(self, end: StreamEnd, hello: Any) -> None:
@@ -458,7 +461,7 @@ class ServiceBase:
         """Spawn a service process tracked for :meth:`stop` teardown."""
         p = self.sim.spawn(gen, name=name, supervised=supervised)
         self.host.register(p)
-        self._procs.append(p)
+        p.register_in(self._procs)
         return p
 
     def _protocol_error(self, why: str) -> None:

@@ -351,8 +351,10 @@ class ControlPlane:
         )
 
         limit = spec.limit if spec.limit is not None else self.cfg.serve_job_limit
-        yield any_of(sim, [job.done, sim.timeout(limit)])
+        watchdog = sim.timeout(limit)
+        yield any_of(sim, [job.done, watchdog])
         timed_out = not job.done.done
+        sim.cancel(watchdog)
 
         # teardown, in dependency order: resolve `done` first so every
         # crash callback / monitor loop guard sees a finished job, then
@@ -373,6 +375,7 @@ class ControlPlane:
                 el.evict(keys)
             for srv in self.servers:
                 srv.evict(keys)
+        self.cluster.rng.drop(ns.prefix)
 
         result = collect(job, since=handle.start_t or 0.0, timed_out=timed_out)
         result.extras.update(

@@ -349,11 +349,17 @@ class Process:
         # bound once: every blocking yield registers this callback, and
         # binding a method per block is measurable at CG event rates
         self._resume_cb = self._resume
-        sim._processes.append(self)
+        self.register_in(sim._processes)
         if sim.flat:
             sim.sched(sim.now, EV_START, self)
         else:
             sim.after(0.0, lambda: self._step(None, None))
+
+    def register_in(self, table: dict) -> None:
+        """Enter a live-process ``table`` until this process ends: every
+        way to end completes ``done``, whose callback pops the entry."""
+        table[self.done] = self
+        self.done.add_done_callback(table.pop)
 
     def kill(self) -> None:
         """Abruptly terminate the process (models a crash).
@@ -401,9 +407,16 @@ class Process:
             try:
                 if exc is not None:
                     yielded = self.gen.throw(exc)
+                    # caught: drop the traceback the throw appended, or a
+                    # stored instance (a broken queue's, a stream end's)
+                    # pins every frame of every waiter it was thrown into;
+                    # an uncaught one keeps it — that is the crash report
+                    exc.__traceback__ = None
                 else:
                     yielded = self.gen.send(value)
             except StopIteration as stop:
+                if exc is not None:
+                    exc.__traceback__ = None  # caught, then returned
                 self.alive = False
                 self.done.resolve_if_pending(stop.value)
                 return
@@ -469,7 +482,8 @@ class Simulator:
         self.flat: bool = FLAT_DISPATCH if flat is None else flat
         self._heap: list[tuple[float, int, int, Any, Any]] = []
         self._seq = 0
-        self._processes: list[Process] = []
+        #: live processes by their ``done`` future, in spawn order
+        self._processes: dict[Future, Process] = {}
         self._crashes: list[tuple[Process, BaseException]] = []
         self._stopped = False
         self._probe: Optional[Any] = None
@@ -550,6 +564,19 @@ class Simulator:
             self._pause_value = value
             return _PAUSE
         return self.timeout(delay, value)
+
+    def cancel(self, fut: Future) -> None:
+        """Withdraw the pending :meth:`timeout` ``fut`` from the heap,
+        where a long timer whose reason is gone (a finished job's
+        watchdog) would deepen every push and pop until it expires.
+        O(heap); a no-op once fired, and in legacy dispatch mode."""
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[3] is fut:
+                heap[i] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)  # in place: the run loops hold the list
+                return
 
     def future(self, name: str = "") -> Future:
         """Allocate an unresolved future."""
@@ -719,7 +746,7 @@ class Simulator:
     def blocked_processes(self) -> list[str]:
         """Human-readable list of alive processes and their waits."""
         out = []
-        for p in self._processes:
+        for p in self._processes.values():
             if p.alive and p._waiting_on is not None:
                 out.append(f"{p.name} on {p._waiting_on.name or '<future>'}")
         return out

@@ -339,9 +339,6 @@ class Network:
                 continue
             stream.break_both(cause)
             broken += 1
-        a._streams = [s for s in a._streams if not s.dead]
-        if b is not None:
-            b._streams = [s for s in b._streams if not s.dead]
         if broken:
             self.links_broken += broken
             self.tracer.emit(

@@ -15,9 +15,9 @@ detected through socket disconnection).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .kernel import Process, Simulator
+from .kernel import Future, Process, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .streams import Stream
@@ -65,8 +65,15 @@ class Host:
         # at job end; plain floats keep the reservation path allocation-free)
         self.nic_tx_busy_s = 0.0
         self.nic_rx_busy_s = 0.0
-        self._processes: list[Process] = []
-        self._streams: list["Stream"] = []
+        # window stalls of writers here, same pattern (streams are gone
+        # by the job-end fold)
+        self.stall_s = 0.0
+        self.stall_count = 0
+        # what a crash takes down, live entries only: a process leaves
+        # when it ends, a stream when it breaks.  A stream maps to the
+        # service that accepted it here (None: a client-side end).
+        self._processes: dict[Future, Process] = {}
+        self._streams: dict["Stream", Any] = {}
         self.on_crash: list[Callable[["Host"], None]] = []
 
     #: frames below this size never couple tx/rx on a half-duplex
@@ -122,11 +129,11 @@ class Host:
         """Bind a simulated process to this machine (dies with it)."""
         if self.failed:
             raise HostDown(self.name)
-        self._processes.append(proc)
+        proc.register_in(self._processes)
 
-    def attach_stream(self, stream: "Stream") -> None:
-        """Track a stream so a crash can break it."""
-        self._streams.append(stream)
+    def attach_stream(self, stream: "Stream", owner: Any = None) -> None:
+        """Track a stream so a crash (or ``owner`` stopping) can break it."""
+        self._streams[stream] = owner
 
     # -- failure ---------------------------------------------------------
     def crash(self) -> None:
@@ -136,11 +143,9 @@ class Host:
         if self.reliable:
             raise HostDown(f"reliable host {self.name} cannot be crashed")
         self.failed = True
-        procs, self._processes = self._processes, []
-        for p in procs:
+        for p in list(self._processes.values()):
             p.kill()
-        streams, self._streams = self._streams, []
-        for s in streams:
+        for s in list(self._streams):
             s.break_both(self)
         for cb in list(self.on_crash):
             cb(self)

@@ -34,6 +34,12 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
+    def drop(self, prefix: str) -> None:
+        """Forget every stream named ``prefix...`` (a finished job's
+        namespace); one asked for again restarts from its derived seed."""
+        for name in [n for n in self._streams if n.startswith(prefix)]:
+            del self._streams[name]
+
     def fork(self, salt: int) -> "RngRegistry":
         """A registry with an independent master seed (for sub-experiments)."""
         return RngRegistry(master_seed=self.master_seed * 1_000_003 + salt)

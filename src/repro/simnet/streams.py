@@ -79,6 +79,12 @@ class StreamEnd:
         self.stall_s = 0.0
         self._read_name = f"{stream.name}.{label}.read"
 
+    def _gone(self) -> Disconnected:
+        """The break as a fresh instance: a raise appends a traceback,
+        which on the stored ``broken`` would pin every writer's frames
+        (futures may carry the stored one: the kernel strips it)."""
+        return Disconnected(self.stream.name, self.broken.cause)
+
     # -- writing ----------------------------------------------------------
     def _xfer(
         self, nbytes: int, charge: int, payload: Any, bulk: bool, nsegs: int
@@ -119,16 +125,19 @@ class StreamEnd:
         """
         charge = max(1, min(nbytes, self.stream.window))
         if self.broken is not None:
-            raise self.broken
+            raise self._gone()
         if not self._wcredit.try_acquire(charge):
             # blocked — whether on missing tokens or FIFO order behind
             # earlier waiters (the old tokens>=charge check missed those)
             self.stall_count += 1
+            self.host.stall_count += 1
             t0 = self.stream.net.sim.now
             yield self._wcredit.acquire(charge)
-            self.stall_s += self.stream.net.sim.now - t0
+            dt = self.stream.net.sim.now - t0
+            self.stall_s += dt
+            self.host.stall_s += dt
             if self.broken is not None:
-                raise self.broken
+                raise self._gone()
         self._xfer(nbytes, charge, payload, bulk, 1)
 
     def write_frame(
@@ -155,7 +164,7 @@ class StreamEnd:
         counts at most one window stall.
         """
         if self.broken is not None:
-            raise self.broken
+            raise self._gone()
         window = self.stream.window
         if mtu is None or mtu <= 0:
             mtu = window
@@ -163,11 +172,14 @@ class StreamEnd:
             charge = max(1, nbytes)
             if not self._wcredit.try_acquire(charge):
                 self.stall_count += 1
+                self.host.stall_count += 1
                 t0 = self.stream.net.sim.now
                 yield self._wcredit.acquire(charge)
-                self.stall_s += self.stream.net.sim.now - t0
+                dt = self.stream.net.sim.now - t0
+                self.stall_s += dt
+                self.host.stall_s += dt
                 if self.broken is not None:
-                    raise self.broken
+                    raise self._gone()
             nsegs = -(-nbytes // mtu) if nbytes > 0 else 1
             self._xfer(nbytes, charge, record, bulk, nsegs)
             return
@@ -180,11 +192,14 @@ class StreamEnd:
                 if not stalled:
                     stalled = True
                     self.stall_count += 1
+                    self.host.stall_count += 1
                 t0 = self.stream.net.sim.now
                 yield self._wcredit.acquire(charge)
-                self.stall_s += self.stream.net.sim.now - t0
+                dt = self.stream.net.sim.now - t0
+                self.stall_s += dt
+                self.host.stall_s += dt
                 if self.broken is not None:
-                    raise self.broken
+                    raise self._gone()
             remaining -= seg
             self._xfer(seg, charge, record if remaining <= 0 else None, bulk, 1)
 
@@ -345,5 +360,7 @@ class Stream:
         if self.dead:
             return
         self.dead = True
+        self.a.host._streams.pop(self, None)
+        self.b.host._streams.pop(self, None)
         self.a._break(cause)
         self.b._break(cause)

@@ -84,7 +84,8 @@ class Tracer:
 
     def unsubscribe(self, callback: Callable[[float, str, dict], None]) -> None:
         """Detach a subscriber added with :meth:`subscribe`."""
-        self._subs = [(cb, k) for cb, k in self._subs if cb is not callback]
+        # ``!=``: each ``obj.method`` is a new, equal, bound-method object
+        self._subs = [(cb, k) for cb, k in self._subs if cb != callback]
         self._recompute_interest()
 
     def _recompute_interest(self) -> None:

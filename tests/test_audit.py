@@ -270,6 +270,19 @@ def test_live_subscriber_sees_full_stream_despite_ring_buffer():
     assert rep.clean
 
 
+def test_finish_really_unsubscribes_the_auditor():
+    """``detach`` passes a freshly bound ``self.observe``; an identity
+    comparison in ``Tracer.unsubscribe`` never matched it, so finished
+    auditors stayed subscribed (and their tracers hot) for good."""
+    t = Tracer(enabled=False)
+    auditor = ProtocolAuditor().attach(t)
+    assert t.hot and len(t._subs) == 1
+    rep = auditor.finish()
+    assert not t._subs and not t.hot and t._interest == frozenset()
+    t.emit(1.0, "v2.log_event", rank=0, rclock=1, src=1, sclock=1)
+    assert auditor.events_seen == rep.events_seen == 0
+
+
 # -- happens-before graph ---------------------------------------------------
 
 def test_happens_before_graph_links_sends_to_deliveries():

@@ -213,6 +213,74 @@ def test_run_until_deadlock_detection():
         sim.run_until(p.done)
 
 
+def test_blocked_processes_lists_the_live_in_spawn_order():
+    """The process table holds live processes only; the deadlock
+    diagnosis must still name every alive-and-blocked one, in spawn
+    order, and none that returned, was killed or is merely sleeping."""
+    sim = Simulator()
+
+    def stuck(name):
+        yield sim.future(name)
+
+    def brief():
+        yield sim.timeout(1.0)
+
+    def sleeper():
+        yield sim.pause(100.0)
+
+    a = sim.spawn(stuck("fa"), "a")
+    sim.spawn(brief(), "returns")
+    victim = sim.spawn(stuck("fv"), "killed")
+    sim.spawn(stuck("fc"), "c")
+    sim.spawn(sleeper(), "sleeping")
+    sim.run(until=2.0)
+    victim.kill()
+    assert sim.blocked_processes() == ["a on fa", "c on fc"]
+    assert [p.name for p in sim._processes.values()] == ["a", "c", "sleeping"]
+    with pytest.raises(DeadlockError, match=r"blocked: \['a on fa', 'c on fc'\]"):
+        sim.run_until(a.done)
+
+
+def test_cancelled_timeout_leaves_the_heap_and_never_fires():
+    sim = Simulator()
+    fired = []
+    long = sim.timeout(3600.0)
+    long.add_done_callback(fired.append)
+    others = [sim.timeout(float(d)) for d in (5, 1, 4, 2, 3)]
+    order = []
+    for d, f in zip((5, 1, 4, 2, 3), others):
+        f.add_done_callback(lambda _f, d=d: order.append(d))
+    sim.cancel(long)
+    assert len(sim._heap) == 5
+    sim.cancel(long)  # gone already: a no-op
+    sim.run()
+    assert order == [1, 2, 3, 4, 5] and not fired and sim.now == 5.0
+
+
+def test_caught_exception_from_a_failed_future_pins_no_frames():
+    """A broken queue fails every getter with one stored instance; each
+    ``throw`` appends the catcher's frames to its traceback.  The kernel
+    drops that traceback once the process has caught the exception."""
+    from repro.simnet.kernel import Queue
+
+    sim = Simulator()
+    q = Queue(sim, "q")
+    boom = RuntimeError("peer gone")
+
+    def waiter(ballast):
+        try:
+            yield q.get()
+        except RuntimeError:
+            yield sim.timeout(1.0)
+
+    procs = [sim.spawn(waiter([i]), f"w{i}") for i in range(3)]
+    sim.run(until=0.5)
+    q.break_(boom)
+    assert boom.__traceback__ is None
+    sim.run()
+    assert all(not p.alive for p in procs) and boom.__traceback__ is None
+
+
 def test_run_until_sim_time_limit():
     sim = Simulator()
 
