@@ -1,15 +1,8 @@
 """Event-kernel throughput, profiler overhead, and the class-B gate.
 
-The flat-event kernel rewrite promises four measurable things, all
+The flat-event kernel rewrite promises three measurable things, all
 recorded in ``BENCH_kernel.json`` at the repository root:
 
-- **hook cost**: structurally zero, by construction rather than by
-  measurement — ``set_probe(None)`` selects an uninstrumented run-loop
-  twin with no hook points at all, and the parity test pins the twins
-  to identical event order.  (The old bench timed a "hooks disabled"
-  configuration separately; after the rewrite that is byte-identical
-  code, and timing it produced exactly the nonsensical −5% "overhead"
-  readings the interleaved methodology exists to avoid.)
 - **probe cost**: a probed run stays cheap enough to leave on for any
   attribution question (counts exact, timing sampled
   1-in-``sample_every``); budget **15%** over the unprofiled run (the
@@ -120,10 +113,6 @@ def measure_kernel(nprocs: int = 8, klass: str = "A", reps: int = 5) -> dict:
         "profiled_s": profiled_s,
         "profiled_overhead": (profiled_s - unprofiled) / unprofiled,
         "budget_profiled": BUDGET_PROFILED,
-        # hook cost with no probe installed: set_probe(None) selects an
-        # uninstrumented run-loop twin, so there is no separate "hooks
-        # disabled" configuration left to time
-        "hook_cost": "structural zero (unprobed twin; see kernel parity test)",
         "events": best_profile.events,
         "events_per_s": best_profile.events_per_s,
         "seed_events_per_s": SEED_EVENTS_PER_S,

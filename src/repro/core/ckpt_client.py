@@ -12,8 +12,8 @@ CKPT_DONE / CKPT_FAIL accounting.
 Composes with the daemon core through the same explicit interface as
 :class:`~repro.core.peers.PeerManager`: ``core`` provides ``rank``,
 ``clock``, ``saved``, ``delivery_log``, ``op_index``,
-``app_footprint``, ``mutations``, ``peers`` (GC fan-out), ``el``
-(prune), ``ctrl.sched_end`` (completion reports), and ``_spawn``.
+``app_footprint``, ``peers`` (GC fan-out), ``el`` (prune),
+``ctrl.sched_end`` (completion reports), and ``_spawn``.
 """
 
 from __future__ import annotations
@@ -190,10 +190,7 @@ class CheckpointClient:
         # Thresholds come from the *image's* HR vector — the live clock has
         # already advanced past deliveries the image does not cover.
         for q in core.peers.links:
-            thr = image.clock.hr.get(q, 0)
-            if "premature_gc" in core.mutations:
-                thr += 5  # test-only: GC past the checkpoint's coverage
-            core.peers.enqueue_ctrl(q, ("GC", thr))
+            core.peers.enqueue_ctrl(q, ("GC", image.clock.hr.get(q, 0)))
         yield from core.el.prune(image.clock.recv_seq)
         sched_end = core.ctrl.sched_end
         if sched_end is not None:

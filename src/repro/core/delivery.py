@@ -9,8 +9,8 @@ handoff.  It also accounts the incarnation's catch-up point (the
 
 Composes with the daemon core through the usual explicit interface:
 ``core`` provides ``rank``, ``incarnation``, ``cfg``, ``sim``,
-``replay``, ``op_index``, ``mutations``, ``device`` (or None),
-``peers`` (the RTSDUP answer), and ``cpu_tax_owed``.
+``replay``, ``op_index``, ``device`` (or None), ``peers`` (the RTSDUP
+answer), and ``cpu_tax_owed``.
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ class DeliveryPipeline:
             # a delivery; CTS and rendezvous DATA complete an exchange the
             # event order already admitted and must pass through, or the
             # handshake deadlocks behind its own consumed event
-            if "reorder_replay" in core.mutations:
-                self._release(pkt)  # test-only: arrival order, not logged order
-                return
             for released in core.replay.offer_packet(pkt):
                 self._release(released)
             self.maybe_caught_up()

@@ -89,7 +89,6 @@ class EventLogClient:
         metrics: Optional[Metrics] = None,
         rng: Optional[Any] = None,
         on_retry: Optional[Callable[[int, float], None]] = None,
-        mutations: frozenset = frozenset(),
         key: Optional[Any] = None,
     ) -> None:
         self.sim = sim
@@ -109,7 +108,6 @@ class EventLogClient:
         #: replica acks required before a batch clears the gate
         self.quorum = min(self.nreps, cfg.el_quorum)
         self._spawn = spawn
-        self.mutations = mutations
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._policy = RetryPolicy.from_config(cfg)
         self._rng = rng
@@ -361,14 +359,12 @@ class EventLogClient:
             }
             self._order.append(bid)
             self.events_pushed += len(batch)
-            if "bypass_quorum" in self.mutations:
-                # test-only sabotage: clear the gate the moment the
-                # batch is queued, before any replica stored it — the
-                # el-quorum auditor rule must catch the resulting acks
-                self._order.pop()
-                self._complete(bid)
-            for rep in self.replicas:
-                rep.sendq.put((bid, batch))
+            self._fan_out(bid, batch)
+
+    def _fan_out(self, bid: int, batch: list) -> None:
+        """Hand a registered batch to every replica's writer."""
+        for rep in self.replicas:
+            rep.sendq.put((bid, batch))
 
     def _rep_writer(self, rep: _ReplicaLink):
         while True:

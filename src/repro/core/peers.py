@@ -78,9 +78,9 @@ class PeerManager:
     """The daemon's mesh of peer links and their transmit/receive loops.
 
     Composes with the daemon core through an explicit interface: ``core``
-    must provide ``rank``, ``incarnation``, ``cfg``, ``mutations``,
-    ``clock`` (for the RESTART1 watermark), ``cpu_tax_owed``, ``device``
-    (or None), ``el.wait_sendable()`` (the WAITLOGGED gate),
+    must provide ``rank``, ``incarnation``, ``cfg``, ``clock`` (for the
+    RESTART1 watermark), ``cpu_tax_owed``, ``device`` (or None),
+    ``el.wait_sendable()`` (the WAITLOGGED gate),
     ``_handle_ctrl(q, msg)`` / ``delivery.handle_app_packet(q, pkt)``
     (protocol dispatch), and ``_spawn(gen, label)`` (incarnation-named
     processes).
@@ -241,10 +241,7 @@ class PeerManager:
                     return
                 continue
             pkt: Packet = item
-            if "bypass_waitlogged" in core.mutations:
-                pass  # test-only: skip the pessimistic gate entirely
-            else:
-                yield from core.el.wait_sendable()  # WAITLOGGED
+            yield from core.el.wait_sendable()  # WAITLOGGED
             end = link.end
             if end is None or link.stale(epoch):
                 return  # packet dropped; SAVED + handshake recover it

@@ -70,7 +70,6 @@ class V2Daemon:
         app_footprint: int = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[Metrics] = None,
-        mutations: Optional[frozenset] = None,
         rng: Optional[Any] = None,
         job_key: Optional[Any] = None,
     ) -> None:
@@ -96,12 +95,6 @@ class V2Daemon:
         self.sched_name = sched_name
         self.dispatcher_name = dispatcher_name
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        #: test-only protocol sabotage (``bypass_waitlogged``,
-        #: ``reorder_replay``, ``premature_gc``, ``bypass_quorum``): each
-        #: seeds one safety violation the online auditor must catch —
-        #: never set in production
-        self.mutations = frozenset(mutations or ())
-        self._mut_prev_replay: Optional[tuple[int, int]] = None
         #: jitter source for reconnect backoff (a named sim RNG stream in
         #: production runs; ``None`` disables jitter — still deterministic)
         self._rng = rng
@@ -148,7 +141,7 @@ class V2Daemon:
             sim, cfg, fabric, host, rank, self.el_names,
             spawn=self._spawn, tracer=self.tracer, metrics=m,
             rng=rng, on_retry=self._note_outage_retry,
-            mutations=self.mutations, key=job_key,
+            key=job_key,
         )
         self.peers = PeerManager(
             self, sim, fabric, host,
@@ -532,7 +525,6 @@ class V2Device(ChannelDevice):
         )
         d.delivery_log.append(rec)
         resume = d.replay.log_resume_clock if d.replay is not None else 0
-        src_seen, sclock_seen = env.src, env.sclock
         if rclock > resume:
             d.el.log_event(EventRecord(rclock, env.src, env.sclock, probes))
             d._m_del_fresh.inc()
@@ -543,19 +535,11 @@ class V2Device(ChannelDevice):
             d._m_del_replayed.inc()
             self.stats.deliveries_replayed += 1
             mode = "replay"
-            if "reorder_replay" in d.mutations:
-                # test-only: a replay that ran in arrival order is one
-                # step out of phase with the logged order — record the
-                # previous replayed event's identity at this clock
-                prev = d._mut_prev_replay
-                d._mut_prev_replay = (env.src, env.sclock)
-                if prev is not None:
-                    src_seen, sclock_seen = prev
         self.stats.events_logged += 1
         if self.tracer.hot:
             self.tracer.emit(
-                self.sim.now, "v2.deliver", rank=self.rank, src=src_seen,
-                sclock=sclock_seen, rclock=rclock, mode=mode,
+                self.sim.now, "v2.deliver", rank=self.rank, src=env.src,
+                sclock=env.sclock, rclock=rclock, mode=mode,
             )
 
     def force_probe(self) -> Optional[bool]:

@@ -22,7 +22,6 @@ from ..mpi.protocol import Packet
 from ..runtime.config import TestbedConfig
 from ..simnet.kernel import Future, Queue, Simulator
 from ..simnet.node import Host
-from ..simnet.streams import StreamEnd
 from ..simnet.trace import Tracer
 
 __all__ = ["ChannelDevice", "DeviceStats", "segment_sizes"]
@@ -195,16 +194,6 @@ class ChannelDevice:
         """Checkpoint-at-a-safe-point hook, called at API boundaries."""
         return
         yield  # pragma: no cover
-
-    # -- segmented packet transmission over one stream ----------------------
-    def _write_packet(
-        self, end: StreamEnd, pkt: Packet
-    ) -> Generator[Future, Any, None]:
-        """Send one packet as a coalesced frame over ``end`` (blocking)."""
-        total = pkt.payload_bytes + self.cfg.packet_header_bytes
-        yield from end.write_frame(total, pkt, mtu=self.cfg.chunk_bytes)
-        self.stats.bytes_sent += pkt.payload_bytes
-        self.stats.msgs_sent += 1
 
     def _note_received(self, pkt: Packet) -> None:
         self.stats.bytes_received += pkt.payload_bytes

@@ -95,7 +95,6 @@ def deploy_store(
     *,
     supervisor: Optional[Any] = None,
     ns: str = "",
-    mutations: Optional[frozenset] = None,
     tracer: Optional[Any] = None,
     metrics: Optional[Any] = None,
 ) -> tuple[list[str], list[StoreReplica]]:
@@ -108,7 +107,6 @@ def deploy_store(
         cs = StoreReplica(
             sim, host, fabric, cfg, name=f"{ns}cs:{i}",
             tracer=tracer, metrics=metrics,
-            mutations=mutations,
         )
         cs.start()
         servers.append(cs)
@@ -122,7 +120,6 @@ def private_deployment(
     nprocs: int,
     plan: Optional[DeploymentPlan] = None,
     spares: int = 0,
-    mutations: Optional[frozenset] = None,
 ) -> Deployment:
     """One MPICH-V2 job's own machines and services on ``cluster``.
 
@@ -183,8 +180,7 @@ def private_deployment(
         n_shards=len(el_hosts), supervisor=supervisor,
     )
     cs_names, servers = deploy_store(
-        cluster, fabric, cfg, cs_hosts,
-        supervisor=supervisor, mutations=mutations,
+        cluster, fabric, cfg, cs_hosts, supervisor=supervisor,
     )
     return Deployment(
         cluster, fabric, cn_hosts,

@@ -87,7 +87,6 @@ class Dispatcher(RankSet):
         params: dict[str, Any],
         nprocs: int,
         scheduler: Optional[CheckpointScheduler] = None,
-        mutations: Optional[frozenset] = None,
     ) -> None:
         # per-job observability comes with the deployment: the control
         # plane hands each dispatcher its job's own tracer/metrics so
@@ -98,7 +97,6 @@ class Dispatcher(RankSet):
         self.fabric = dep.fabric
         self.spare_hosts = list(dep.spare_hosts)
         self.scheduler = scheduler
-        self.mutations = frozenset(mutations or ())  # test-only fault seeds
         self._global_restarting = False
         m = self.metrics
         self._m_faults = m.counter("ft.faults")
@@ -269,7 +267,6 @@ class Dispatcher(RankSet):
             dispatcher_name="dispatcher",
             tracer=self.tracer,
             metrics=self.metrics,
-            mutations=self.mutations,
             rng=self.cluster.rng.stream(f"{dep.ns}reconnect:d{rank}"),
             job_key=dep.job_key(rank) if dep.job_key is not None else None,
         )
@@ -391,15 +388,9 @@ def launch(
     ckpt_policy: str = "round_robin",
     ckpt_interval: float = 30.0,
     ckpt_continuous: bool = False,
-    mutations: Optional[frozenset] = None,
 ) -> Dispatcher:
     """Start an MPICH-V2 job on ``dep``: scheduler (if checkpointing),
-    then the dispatcher and through it every rank.
-
-    ``mutations`` is a test-only set of deliberate protocol violations
-    to seed (see :class:`~repro.core.v2_device.V2Daemon`) so the
-    auditor's detectors can be exercised.
-    """
+    then the dispatcher and through it every rank."""
     scheduler = None
     if checkpointing:
         scheduler = CheckpointScheduler(
@@ -418,6 +409,6 @@ def launch(
             key_of=dep.job_key,
         )
         scheduler.start()
-    dispatcher = Dispatcher(dep, program, params, nprocs, scheduler, mutations)
+    dispatcher = Dispatcher(dep, program, params, nprocs, scheduler)
     dispatcher.start()
     return dispatcher

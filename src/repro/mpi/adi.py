@@ -298,13 +298,3 @@ class Adi:
         req = self.match.arrived(env)
         if req is not None:
             self._deliver(req, env)
-
-    # -- teardown ---------------------------------------------------------------
-    def quiescent(self) -> bool:
-        """No protocol state in flight (used by finalize sanity checks)."""
-        return (
-            not self._rndv_out
-            and not self._rndv_in
-            and not self._ctrl_backlog
-            and not self._data_backlog
-        )

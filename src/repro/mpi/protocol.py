@@ -58,11 +58,3 @@ def is_app_payload(pkt: Packet) -> bool:
     acknowledgement in MPICH-V2.
     """
     return pkt.kind in (PacketKind.SHORT, PacketKind.EAGER, PacketKind.RTS, PacketKind.DATA)
-
-
-def make_send_packets(env: Envelope, eager_threshold: int) -> Packet:
-    """The first packet of a message: eager payload or rendezvous RTS."""
-    if env.nbytes <= eager_threshold:
-        kind = PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-        return Packet(kind, env, payload_bytes=env.nbytes)
-    return Packet(PacketKind.RTS, env, payload_bytes=0)

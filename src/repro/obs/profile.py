@@ -9,8 +9,8 @@ is paid.  This module decomposes a run three ways:
   (:meth:`~repro.simnet.kernel.Simulator.set_probe`): per-event-kind
   dispatch counts, sampled handler wall time, queue-depth samples and an
   events/sec throughput meter.  Installing it costs ~10% wall clock;
-  *not* installing it costs nothing — the kernel's default run loops are
-  the uninstrumented ones, fenced at 2% by ``benchmarks/bench_kernel.py``;
+  *not* installing it costs one ``is not None`` test per event in the
+  kernel's run loops;
 * per-service CPU attribution — sampled process-resume timing classified
   by process name (app ranks, daemons, event loggers, store replicas,
   scheduler, dispatcher), rolled into the paper-style overhead
@@ -231,7 +231,7 @@ class KernelProfiler:
             queue_depth=queue,
         )
 
-    # -- the probe interface (called by the kernel's probed loops) --------
+    # -- the probe interface (called by the kernel's run loops) --------
     def dispatch(self, time: float, fn: Callable[[], None], qsize: int) -> None:
         """Count, classify and (sampled) time one popped event.
 

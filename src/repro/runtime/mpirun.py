@@ -433,7 +433,7 @@ def run_job(
     :class:`~repro.runtime.progfile.DeploymentPlan`, or ``spares``) and
     everything :func:`repro.ft.dispatcher.launch` takes
     (``checkpointing``, ``ckpt_policy``, ``ckpt_interval``,
-    ``ckpt_continuous``, ``mutations``); for v1 ``cns_per_cm``.  The
+    ``ckpt_continuous``); for v1 ``cns_per_cm``.  The
     event-logger shard count is ``cfg.el_servers``.
     """
     if plane is not None:
@@ -472,7 +472,6 @@ def run_job(
             cluster, nprocs,
             plan=device_kw.pop("plan", None),
             spares=device_kw.pop("spares", 0),
-            mutations=device_kw.get("mutations"),
         )
     else:  # computing nodes only; v1 adds its Channel Memories itself
         dep = Deployment(

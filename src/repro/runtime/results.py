@@ -46,10 +46,6 @@ class JobResult:
         """Sum of one call category's time across all ranks."""
         return sum(t.get(cat) for t in self.timers.values())
 
-    def comm_time(self, rank: int) -> float:
-        """One rank's total non-compute (communication) time."""
-        return self.timers[rank].comm_total()
-
     def compute_time(self, rank: int) -> float:
         """One rank's total computation time."""
         return self.timers[rank].get("compute")

@@ -21,8 +21,11 @@ Flat events
 -----------
 
 Heap entries are flat ``(time, seq, slot, a, b)`` tuples.  ``slot``
-selects the handler; the hot slots are inlined in the run loops so the
-common events cost no closure allocation and no attribute lookups:
+selects the handler; the hot slots are inlined in the two run loops
+(:meth:`Simulator.run`, :meth:`Simulator.run_until`) so the common
+events cost no closure allocation and no attribute lookups; with a probe
+installed (:meth:`Simulator.set_probe`) the same loops hand each event
+to the probe instead:
 
 * ``EV_CALL`` (0) — legacy callable: run ``a()``.  Everything scheduled
   through :meth:`Simulator.at`/:meth:`Simulator.after` uses this slot.
@@ -504,9 +507,10 @@ class Simulator:
         must execute the event via :func:`run_slot`.  While the probe has
         ``probe.sampling`` set, process resumes are timed and reported
         via ``probe.step_done(name, dt)`` for per-service CPU
-        attribution.  With no probe installed the run loops below are
-        exactly the uninstrumented ones — dispatch costs nothing — which
-        is the property ``benchmarks/bench_kernel.py`` fences at 2%.
+        attribution.  The run loops read the probe once on entry, so a
+        change takes effect at the next :meth:`run`/:meth:`run_until`
+        call; with none installed an event pays one ``is not None`` test
+        on a local before the inlined dispatch.
         """
         self._probe = probe
 
@@ -601,8 +605,7 @@ class Simulator:
 
         Re-raises the first unsupervised process crash, if any.
         """
-        if self._probe is not None:
-            return self._run_probed(until)
+        probe = self._probe
         heap = self._heap
         pop = heapq.heappop
         handlers = _SLOT_HANDLERS
@@ -616,9 +619,14 @@ class Simulator:
             self.now = time
             slot = entry[2]
             a = entry[3]
-            # probe is None in these loops by construction, so process
-            # resumes skip _step's probe check and go straight in
-            if slot == 3:
+            if probe is not None:
+                # the probe runs the event itself (see ``set_probe``)
+                if slot == 0:
+                    probe.dispatch(time, a, len(heap))
+                else:
+                    probe.dispatch_flat(time, slot, a, entry[4], len(heap))
+            elif slot == 3:
+                # no probe: resumes skip ``_step``'s probe check
                 a._step_inner(entry[4], None)
             elif slot > 3:
                 handlers[slot](a, entry[4])
@@ -641,8 +649,7 @@ class Simulator:
         """Run until ``fut`` resolves; raise :class:`DeadlockError` if the
         event queue drains first, or :class:`SimError` if ``limit`` simulated
         seconds pass first."""
-        if self._probe is not None:
-            return self._run_until_probed(fut, limit)
+        probe = self._probe
         heap = self._heap
         pop = heapq.heappop
         handlers = _SLOT_HANDLERS
@@ -657,9 +664,14 @@ class Simulator:
             self.now = time
             slot = entry[2]
             a = entry[3]
-            # probe is None in these loops by construction, so process
-            # resumes skip _step's probe check and go straight in
-            if slot == 3:
+            if probe is not None:
+                # the probe runs the event itself (see ``set_probe``)
+                if slot == 0:
+                    probe.dispatch(time, a, len(heap))
+                else:
+                    probe.dispatch_flat(time, slot, a, entry[4], len(heap))
+            elif slot == 3:
+                # no probe: resumes skip ``_step``'s probe check
                 a._step_inner(entry[4], None)
             elif slot > 3:
                 handlers[slot](a, entry[4])
@@ -672,62 +684,6 @@ class Simulator:
                     a._fire()
             else:
                 a._step_inner(None, None)
-            if self._crashes:
-                proc, err = self._crashes[0]
-                raise SimError(f"process {proc.name!r} crashed") from err
-        if not fut._done:
-            raise DeadlockError(
-                f"event queue drained; {fut.name!r} never resolved; "
-                f"blocked: {self.blocked_processes()}"
-            )
-        return fut.value
-
-    # probed twins of the two run loops: identical control flow, with
-    # every dispatch routed through the probe (legacy callables through
-    # ``dispatch``, flat slots through ``dispatch_flat``).  Kept separate
-    # so the default loops above stay byte-for-byte the uninstrumented
-    # ones.
-    def _run_probed(self, until: Optional[float]) -> None:
-        probe = self._probe
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and not self._stopped:
-            entry = heap[0]
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                break
-            pop(heap)
-            self.now = time
-            slot = entry[2]
-            if slot == 0:
-                probe.dispatch(time, entry[3], len(heap))
-            else:
-                probe.dispatch_flat(time, slot, entry[3], entry[4], len(heap))
-            if self._crashes:
-                proc, err = self._crashes[0]
-                raise SimError(f"process {proc.name!r} crashed") from err
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
-
-    def _run_until_probed(self, fut: Future, limit: Optional[float]) -> Any:
-        probe = self._probe
-        heap = self._heap
-        pop = heapq.heappop
-        while not fut._done and heap and not self._stopped:
-            entry = pop(heap)
-            time = entry[0]
-            if limit is not None and time > limit:
-                raise SimError(
-                    f"simulated time limit {limit} exceeded waiting for "
-                    f"{fut.name!r} (now={time})"
-                )
-            self.now = time
-            slot = entry[2]
-            if slot == 0:
-                probe.dispatch(time, entry[3], len(heap))
-            else:
-                probe.dispatch_flat(time, slot, entry[3], entry[4], len(heap))
             if self._crashes:
                 proc, err = self._crashes[0]
                 raise SimError(f"process {proc.name!r} crashed") from err
@@ -824,10 +780,6 @@ class Queue:
         else:
             self._watchers.append(fut)
         return fut
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of the queued items (not consumed)."""
-        return list(self._items)
 
     def break_(self, exc: BaseException) -> None:
         """Fail all pending and future gets (peer disconnected/crashed)."""

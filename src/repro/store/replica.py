@@ -67,14 +67,9 @@ class StoreReplica(ServiceBase):
         name: str = "cs:0",
         tracer: Optional[Tracer] = None,
         metrics: Optional[Metrics] = None,
-        mutations: Optional[frozenset] = None,
     ) -> None:
         super().__init__(sim, host, fabric, name, tracer=tracer, metrics=metrics)
         self.cfg = cfg
-        #: test-only sabotage (``premature_store_gc``): GC one sequence past
-        #: the scheduler's epoch, dropping a latest quorum-complete manifest
-        #: — the auditor's ``store-gc`` rule must catch the reclaim
-        self.mutations = frozenset(mutations or ())
         m = self.metrics
         self._m_stores = m.counter("cs.stores", server=name)
         self._m_fetches = m.counter("cs.fetches", server=name)
@@ -205,8 +200,6 @@ class StoreReplica(ServiceBase):
         """Apply one GC epoch: per-rank manifest floors, then chunk sweep."""
         dropped = 0
         for rank, floor in keep.items():
-            if "premature_store_gc" in self.mutations:
-                floor = floor + 1  # test-only: reclaim past the quorum epoch
             per = self.manifests.get(rank)
             if not per:
                 continue

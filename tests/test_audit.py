@@ -1,20 +1,25 @@
 """The online protocol auditor: clean runs pass, seeded violations fail.
 
 Mutation-tests the auditor the only way a checker can be trusted: seed
-each protocol violation deliberately (test-only ``mutations`` hooks in
-the V2 daemon) and assert the auditor names the offending rank and its
-causal clock.  Also covers the vector-clock algebra, the happens-before
-graph, and the refusal to call a truncated stream clean.
+each protocol violation deliberately (one production method patched for
+the length of the test — the ``sabotage_*`` seams below, one per rule)
+and assert the auditor names the offending rank and its causal clock.
+Also covers the vector-clock algebra, the happens-before graph, and the
+refusal to call a truncated stream clean.
 """
 
 import pytest
 
 from repro.core.clocks import VectorClock
+from repro.core.el_client import EventLogClient
+from repro.core.peers import PeerManager
+from repro.core.replay import ReplayState
 from repro.ft.failure import ExplicitFaults
 from repro.obs.audit import ProtocolAuditor, audit_trace
 from repro.runtime.cluster import Cluster
 from repro.runtime.mpirun import run_job
 from repro.simnet.trace import Tracer
+from repro.store.replica import StoreReplica
 
 
 def traffic_prog(mpi, rounds=6):
@@ -102,12 +107,67 @@ def test_audit_off_by_default():
 
 
 # -- seeded violations (mutation coverage) ----------------------------------
+# One seam per auditor rule (the table in DESIGN.md): each helper swaps
+# one production method for a faulty one until the test ends.
 
-def test_mutation_bypass_waitlogged_is_flagged():
-    res = run_job(
-        traffic_prog, 4, device="v2", audit=True,
-        mutations=frozenset({"bypass_waitlogged"}),
+def sabotage_waitlogged(monkeypatch):
+    """Sends skip the pessimistic gate entirely."""
+    def wait_sendable(self):
+        return
+        yield
+
+    monkeypatch.setattr(EventLogClient, "wait_sendable", wait_sendable)
+
+
+def sabotage_replay_order(monkeypatch):
+    """Replayed packets go up in arrival order, not logged order."""
+    monkeypatch.setattr(ReplayState, "offer_packet", lambda self, pkt: [pkt])
+
+
+def sabotage_gc(monkeypatch):
+    """GC orders reach 5 clocks past the checkpoint's coverage."""
+    enqueue_ctrl = PeerManager.enqueue_ctrl
+
+    def past_coverage(self, dst, ctrl):
+        if ctrl[0] == "GC":
+            ctrl = ("GC", ctrl[1] + 5)
+        enqueue_ctrl(self, dst, ctrl)
+
+    monkeypatch.setattr(PeerManager, "enqueue_ctrl", past_coverage)
+
+
+def sabotage_store_gc(monkeypatch):
+    """Replicas reclaim one sequence past the scheduler's quorum epoch."""
+    collect = StoreReplica._collect
+    monkeypatch.setattr(
+        StoreReplica, "_collect",
+        lambda self, keep: collect(
+            self, {rank: floor + 1 for rank, floor in keep.items()}
+        ),
     )
+
+
+def sabotage_quorum(monkeypatch):
+    """The gate clears the moment a batch is queued, before any replica
+    stored it."""
+    fan_out = EventLogClient._fan_out
+
+    def ack_at_queue_time(self, bid, batch):
+        self._order.pop()
+        self._complete(bid)
+        fan_out(self, bid, batch)
+
+    monkeypatch.setattr(EventLogClient, "_fan_out", ack_at_queue_time)
+
+
+def test_mutations_keyword_is_gone():
+    with pytest.raises(TypeError, match="mutations"):
+        run_job(traffic_prog, 2, device="v2", mutations=frozenset())
+
+
+def test_mutation_bypass_waitlogged_is_flagged(monkeypatch):
+    sabotage_waitlogged(monkeypatch)
+    res = run_job(traffic_prog, 4, device="v2", audit=True)
     rep = res.audit
     assert rep.verdict == "violations"
     assert rep.count("waitlogged") > 0
@@ -119,11 +179,11 @@ def test_mutation_bypass_waitlogged_is_flagged():
     assert v.context["unacked"] >= 1
 
 
-def test_mutation_reorder_replay_is_flagged():
+def test_mutation_reorder_replay_is_flagged(monkeypatch):
+    sabotage_replay_order(monkeypatch)
     res = run_job(
         traffic_prog, 4, device="v2", audit=True,
         faults=ExplicitFaults([(0.01, 2)]),
-        mutations=frozenset({"reorder_replay"}),
     )
     rep = res.audit
     assert res.restarts >= 1
@@ -136,11 +196,11 @@ def test_mutation_reorder_replay_is_flagged():
     assert v.vc  # causal context attached
 
 
-def test_mutation_premature_gc_is_flagged():
+def test_mutation_premature_gc_is_flagged(monkeypatch):
+    sabotage_gc(monkeypatch)
     res = run_job(
         traffic_prog, 4, device="v2", params={"rounds": 40}, audit=True,
         checkpointing=True, ckpt_interval=0.01, ckpt_continuous=True,
-        mutations=frozenset({"premature_gc"}),
     )
     rep = res.audit
     assert res.checkpoints > 0
@@ -152,12 +212,13 @@ def test_mutation_premature_gc_is_flagged():
     assert v.context["upto"] > v.context["covered"]
 
 
-def test_mutation_premature_store_gc_is_flagged():
+def test_mutation_premature_store_gc_is_flagged(monkeypatch):
     """A replica that garbage-collects one sequence past the scheduler's
     quorum epoch reclaims chunks of a latest quorum-complete manifest —
     the ``store-gc`` rule must catch the reclaim on that replica."""
     from repro.runtime.config import DEFAULT_TESTBED
 
+    sabotage_store_gc(monkeypatch)
     cfg = DEFAULT_TESTBED.with_(
         ckpt_servers=3, ckpt_replicas=2, ckpt_incremental=True
     )
@@ -165,7 +226,6 @@ def test_mutation_premature_store_gc_is_flagged():
         traffic_prog, 4, device="v2", cfg=cfg, params={"rounds": 40},
         audit=True,
         checkpointing=True, ckpt_interval=0.01, ckpt_continuous=True,
-        mutations=frozenset({"premature_store_gc"}),
     )
     rep = res.audit
     assert res.checkpoints > 0
@@ -177,16 +237,14 @@ def test_mutation_premature_store_gc_is_flagged():
     assert v.context["chunks"] >= 1
 
 
-def test_mutation_bypass_quorum_is_flagged():
+def test_mutation_bypass_quorum_is_flagged(monkeypatch):
     """A batcher that clears the WAITLOGGED gate at queue time — before
     any replica stored the events — must trip the ``el-quorum`` rule."""
     from repro.runtime.config import DEFAULT_TESTBED
 
+    sabotage_quorum(monkeypatch)
     cfg = DEFAULT_TESTBED.with_(el_replicas=3)
-    res = run_job(
-        traffic_prog, 4, device="v2", cfg=cfg, audit=True,
-        mutations=frozenset({"bypass_quorum"}),
-    )
+    res = run_job(traffic_prog, 4, device="v2", cfg=cfg, audit=True)
     rep = res.audit
     assert rep.verdict == "violations"
     assert rep.count("el-quorum") > 0
@@ -200,7 +258,7 @@ def test_mutation_bypass_quorum_is_flagged():
 
 def test_unmutated_twin_of_each_mutation_run_is_clean():
     """The mutation runs above differ from clean runs only by the seeded
-    sabotage: the same configurations without mutations audit clean."""
+    sabotage: the same configurations left unpatched audit clean."""
     from repro.runtime.config import DEFAULT_TESTBED
 
     a = run_job(traffic_prog, 4, device="v2", audit=True)
@@ -324,26 +382,22 @@ def test_hb_graph_off_by_default():
 
 # -- report plumbing --------------------------------------------------------
 
-def test_report_to_dict_roundtrips_json():
+def test_report_to_dict_roundtrips_json(monkeypatch):
     import json
 
-    res = run_job(
-        traffic_prog, 4, device="v2", audit=True,
-        mutations=frozenset({"bypass_waitlogged"}),
-    )
+    sabotage_waitlogged(monkeypatch)
+    res = run_job(traffic_prog, 4, device="v2", audit=True)
     doc = json.loads(json.dumps(res.audit.to_dict()))
     assert doc["verdict"] == "violations"
     assert doc["violations"][0]["rule"] == "waitlogged"
     assert doc["checks"]["waitlogged"] > 0
 
 
-def test_format_audit_names_ranks_and_clocks():
+def test_format_audit_names_ranks_and_clocks(monkeypatch):
     from repro.analysis.report import format_audit
 
-    res = run_job(
-        traffic_prog, 4, device="v2", audit=True,
-        mutations=frozenset({"bypass_waitlogged"}),
-    )
+    sabotage_waitlogged(monkeypatch)
+    res = run_job(traffic_prog, 4, device="v2", audit=True)
     text = format_audit(res.audit)
     assert "audit verdict: violations" in text
     assert "waitlogged" in text

@@ -13,6 +13,7 @@ from repro.simnet import (
     all_of,
     any_of,
 )
+from repro.simnet.kernel import run_slot
 
 
 def test_time_starts_at_zero():
@@ -290,6 +291,80 @@ def test_run_until_sim_time_limit():
     p = sim.spawn(prog(), "slow")
     with pytest.raises(SimError, match="limit"):
         sim.run_until(p.done, limit=10.0)
+
+
+class _CountingProbe:
+    """The smallest conforming kernel probe: count, then execute."""
+
+    sampling = False
+
+    def __init__(self):
+        self.events = 0
+
+    def dispatch(self, time, fn, qsize):
+        self.events += 1
+        fn()
+
+    def dispatch_flat(self, time, slot, a, b, qsize):
+        self.events += 1
+        run_slot(slot, a, b)
+
+
+def _ends_in_crash(sim):
+    def prog():
+        yield sim.timeout(1.0)
+        raise RuntimeError("app bug")
+
+    sim.spawn(prog(), "buggy")
+    sim.after(3.0, lambda: None)  # never reached: the crash ends the run
+    sim.run()
+
+
+def _ends_past_limit(sim):
+    def prog():
+        yield sim.pause(4.0)
+        yield sim.timeout(100.0)
+
+    sim.run_until(sim.spawn(prog(), "slow").done, limit=10.0)
+
+
+def _ends_deadlocked(sim):
+    def prog():
+        yield sim.pause(2.0)
+        yield sim.future("never")
+
+    sim.run_until(sim.spawn(prog(), "stuck").done)
+
+
+def _ends_at_until(sim):
+    sim.after(1.0, lambda: None)
+    sim.after(5.0, lambda: None)
+    sim.run(until=2.0)  # stops short of a queued event
+    assert sim.now == 2.0
+    sim.run(until=7.0)  # outlasts the queue
+
+
+@pytest.mark.parametrize("drive, raises, match, now", [
+    (_ends_in_crash, SimError, "'buggy' crashed", 1.0),
+    (_ends_past_limit, SimError, "limit 10.0 exceeded", 4.0),
+    (_ends_deadlocked, DeadlockError, r"blocked: \['stuck on never'\]", 2.0),
+    (_ends_at_until, None, None, 7.0),
+])
+def test_run_loop_endings_are_the_same_under_a_probe(drive, raises, match, now):
+    """Every way out of ``run``/``run_until`` — crash re-raise, blown
+    limit, deadlock diagnosis, ``until`` clock advance — ends with the
+    same exception and the same clock whether or not a probe dispatches
+    the events."""
+    for probe in (None, _CountingProbe()):
+        sim = Simulator()
+        sim.set_probe(probe)
+        if raises is None:
+            drive(sim)
+        else:
+            with pytest.raises(raises, match=match):
+                drive(sim)
+        assert sim.now == now
+        assert probe is None or probe.events > 0
 
 
 def test_all_of_collects_values_in_order():
