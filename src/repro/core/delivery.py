@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..mpi.datatypes import Envelope
-from ..mpi.protocol import Packet, PacketKind
+from ..mpi.protocol import FIRST_KINDS, Packet, PacketKind, inline_packet
 from ..obs.registry import Metrics
 from ..simnet.kernel import Queue, Simulator
 from ..simnet.trace import Tracer
@@ -26,7 +26,6 @@ from ..simnet.trace import Tracer
 __all__ = ["DeliveryPipeline"]
 
 _PAYLOAD_KINDS = (PacketKind.SHORT, PacketKind.EAGER, PacketKind.DATA)
-_FIRST_KINDS = (PacketKind.SHORT, PacketKind.EAGER, PacketKind.RTS)
 
 
 class DeliveryPipeline:
@@ -56,15 +55,12 @@ class DeliveryPipeline:
 
     def enqueue_replay(self, dst: int, env: Envelope) -> None:
         """Old saved messages are re-sent with the payload inline."""
-        kind = PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-        self.core.peers.enqueue_app(
-            dst, Packet(kind, env, payload_bytes=env.nbytes)
-        )
+        self.core.peers.enqueue_app(dst, inline_packet(env, self.core.cfg))
 
     def handle_app_packet(self, src: int, pkt: Packet) -> None:
         core = self.core
         env = pkt.env
-        if pkt.kind in _FIRST_KINDS:
+        if pkt.kind in FIRST_KINDS:
             # duplicate discard (phase C): the RESTART handshake may re-send
             # messages we already passed up to the MPI process
             if env.sclock <= self.forwarded_hw.get(src, 0):
@@ -78,7 +74,7 @@ class DeliveryPipeline:
         if (
             core.replay is not None
             and core.replay.replaying()
-            and pkt.kind in _FIRST_KINDS
+            and pkt.kind in FIRST_KINDS
         ):
             # the forced-order holdback applies to the packets that *start*
             # a delivery; CTS and rendezvous DATA complete an exchange the

@@ -30,7 +30,7 @@ from typing import Any, Generator, Optional
 
 from ..devices.base import ChannelDevice
 from ..mpi.datatypes import Envelope
-from ..mpi.protocol import Packet, PacketKind
+from ..mpi.protocol import FIRST_KINDS, Packet, PacketKind, inline_packet
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import Fabric
@@ -47,8 +47,6 @@ from .replay import CheckpointImage, DeliveryRecord, ReplayState
 from .sender_log import SenderLog
 
 __all__ = ["V2Daemon", "V2Device"]
-
-_FIRST_KINDS = (PacketKind.SHORT, PacketKind.EAGER, PacketKind.RTS)
 
 
 class V2Daemon:
@@ -435,7 +433,7 @@ class V2Device(ChannelDevice):
         d = self.daemon
         env = pkt.env
         ff = self.fast_forward()
-        if pkt.kind in _FIRST_KINDS and env.sclock == 0:
+        if pkt.kind in FIRST_KINDS and env.sclock == 0:
             env.sclock = d.clock.tick_send()
             if not ff:
                 # the sender-based copy (and its RAM/disk cost)
@@ -462,7 +460,7 @@ class V2Device(ChannelDevice):
             yield self.sim.pause(handoff)
         if ff:
             return False
-        suppressible = pkt.kind in _FIRST_KINDS
+        suppressible = pkt.kind in FIRST_KINDS
         if suppressible and d.clock.suppressed(dst, env.sclock):
             return False  # receiver already delivered it (re-execution)
         d.peers.enqueue_app(dst, pkt)
@@ -488,8 +486,7 @@ class V2Device(ChannelDevice):
                 )
             yield self.sim.pause(0.0)
             env = rec.to_envelope(self.rank)
-            kind = PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-            return env.src, Packet(kind, env, payload_bytes=env.nbytes)
+            return env.src, inline_packet(env, self.cfg)
         return (yield from super().pibrecv())
 
     def _pump_ready(self) -> None:
@@ -554,10 +551,7 @@ class V2Device(ChannelDevice):
                 rec = d.replay.next_ff_delivery()
                 if rec is not None:
                     env = rec.to_envelope(self.rank)
-                    kind = (
-                        PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-                    )
-                    self.inbox.put((env.src, Packet(kind, env, payload_bytes=env.nbytes)))
+                    self.inbox.put((env.src, inline_packet(env, self.cfg)))
                 return None
             return False
         return d.replay.replay_probe()

@@ -1,8 +1,9 @@
 """The MPICH-like layered MPI stack: channel interface -> protocol layer
 -> ADI progress engine -> user API and collectives.
 
-``MPI`` (the user-level context) is exposed lazily to avoid a circular
-import with the channel devices.
+``MPI`` (the world communicator handed to programs) and ``Comm`` (every
+communicator, the world and what ``split`` returns) are exposed lazily
+to avoid a circular import with the channel devices.
 """
 
 from .datatypes import ANY_SOURCE, ANY_TAG, Envelope, Message
@@ -10,9 +11,8 @@ from .requests import RecvRequest, Request, SendRequest
 from .timing import CallTimer
 
 __all__ = [
+    "Comm",
     "MPI",
-    "SubComm",
-    "comm_split",
     "payload_nbytes",
     "ANY_SOURCE",
     "ANY_TAG",
@@ -26,12 +26,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name in ("MPI", "payload_nbytes"):
+    if name in ("Comm", "MPI", "payload_nbytes"):
         from . import api
 
         return getattr(api, name)
-    if name in ("SubComm", "comm_split"):
-        from . import communicator
-
-        return getattr(communicator, name)
     raise AttributeError(name)

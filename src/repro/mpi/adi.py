@@ -23,7 +23,7 @@ from ..simnet.kernel import Future, Simulator
 from ..simnet.trace import Tracer
 from .datatypes import Envelope
 from .matching import MatchEngine
-from .protocol import Packet, PacketKind
+from .protocol import Packet, PacketKind, inline_packet
 from .requests import RecvRequest, SendRequest
 
 __all__ = ["Adi"]
@@ -71,9 +71,7 @@ class Adi:
             float("inf") if self.device.eager_override else self.device.cfg.eager_threshold
         )
         if env.nbytes <= eager_limit:
-            kind = PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-            pkt = Packet(kind, env, payload_bytes=env.nbytes)
-            yield from self.device.pibsend(env.dst, pkt)
+            yield from self.device.pibsend(env.dst, inline_packet(env, self.device.cfg))
             req.done.resolve(None)
         else:
             pkt = Packet(PacketKind.RTS, env, payload_bytes=0)
@@ -116,9 +114,11 @@ class Adi:
         ]
 
     # -- receives ---------------------------------------------------------------
-    def irecv(self, src: int, tag: int, context: int) -> RecvRequest:
-        """Post a receive (never blocks)."""
-        req = RecvRequest(self.sim, src, tag, context)
+    def irecv(
+        self, src: int, tag: int, context: int, ranks: Optional[list[int]] = None
+    ) -> RecvRequest:
+        """Post a receive (never blocks); ``ranks`` is the poster's group."""
+        req = RecvRequest(self.sim, src, tag, context, ranks)
         env = self.match.post(req)
         if env is not None:
             self._matched(req, env)

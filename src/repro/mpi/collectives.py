@@ -3,9 +3,10 @@
 Algorithms match MPICH 1.2.5's defaults for small/medium clusters:
 binomial-tree broadcast and reduce, recursive-doubling allreduce and
 barrier (dissemination), ring allgather, pairwise-exchange alltoall.
-All collectives run in the ``CTX_COLL`` matching context with a
-deterministic per-operation tag, so internal traffic can never match
-application receives — and replays regenerate identical tags.
+All collectives run in the communicator's collective matching context
+(``_context=CTX_COLL``) with a deterministic per-operation tag, so
+internal traffic can never match application receives — and replays
+regenerate identical tags.  ``mpi`` is any :class:`~repro.mpi.api.Comm`.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ __all__ = ["ANY_SOURCE", "ANY_TAG", "CTX_PT2PT", "CTX_COLL", "Envelope", "Messag
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-# communication contexts (a minimal stand-in for MPI communicators: all
-# traffic runs in COMM_WORLD, but collectives use a separate matching
-# context so internal tags can never collide with application tags)
+# the world communicator's two matching contexts (collectives use a
+# separate one so internal tags can never collide with application
+# tags); a split communicator gets a fresh pair, and the API's
+# ``_context`` argument names which of the pair a message travels in
 CTX_PT2PT = 0
 CTX_COLL = 1
 

@@ -5,18 +5,24 @@ payload-carrying packet; larger messages use the three-way rendezvous
 (request-to-send, clear-to-send, data).  MPICH 1.2.5's default thresholds
 (1 KiB short, 128 KiB eager) are kept: the paper attributes the
 non-linearity of Figure 10 between 64 KiB and 128 KiB to exactly this
-protocol change.
+protocol change.  Both are ``TestbedConfig`` fields: the ADI's send reads
+the eager one, and the short/eager choice is made here only
+(:func:`inline_packet`), so the packet a replay re-sends or a
+fast-forward synthesizes is of the kind the original send chose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .datatypes import Envelope
 
-__all__ = ["PacketKind", "Packet", "wire_bytes", "is_app_payload"]
+if TYPE_CHECKING:  # runtime/ imports the devices, which import this module
+    from ..runtime.config import TestbedConfig
+
+__all__ = ["PacketKind", "Packet", "FIRST_KINDS", "inline_packet"]
 
 
 class PacketKind(Enum):
@@ -45,16 +51,12 @@ class Packet:
         return self.env.msgid
 
 
-def wire_bytes(pkt: Packet, header: int) -> int:
-    """Bytes this packet occupies on the wire (header + carried payload)."""
-    return header + pkt.payload_bytes
+#: the kinds that *start* a delivery: they carry a fresh message id, and
+#: duplicate discard, the replay holdback and send suppression act on them
+FIRST_KINDS = (PacketKind.SHORT, PacketKind.EAGER, PacketKind.RTS)
 
 
-def is_app_payload(pkt: Packet) -> bool:
-    """Packets whose (eventual) delivery is an application reception.
-
-    These are the packets whose emission "has an effect on the system" in
-    the paper's sense and must therefore be gated behind the event-logger
-    acknowledgement in MPICH-V2.
-    """
-    return pkt.kind in (PacketKind.SHORT, PacketKind.EAGER, PacketKind.RTS, PacketKind.DATA)
+def inline_packet(env: Envelope, cfg: TestbedConfig) -> Packet:
+    """The single payload-carrying packet for ``env``: short or eager by size."""
+    kind = PacketKind.SHORT if env.nbytes <= cfg.short_threshold else PacketKind.EAGER
+    return Packet(kind, env, payload_bytes=env.nbytes)

@@ -47,14 +47,27 @@ class RecvRequest(Request):
 
     kind = "recv"
 
-    def __init__(self, sim: Simulator, src: int, tag: int, context: int) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        src: int,
+        tag: int,
+        context: int,
+        ranks: Optional[list[int]] = None,
+    ) -> None:
         super().__init__(sim, name=f"recv(src={src} t{tag})")
-        self.src = src
+        self.src = src  # world rank, like everything the ADI matches on
         self.tag = tag
         self.context = context
+        self.ranks = ranks  # the posting communicator's group (None: world)
         self.message: Optional[Message] = None
 
     def fulfill(self, env: Envelope) -> None:
-        """Deliver the matched envelope and resolve the request."""
-        self.message = Message(env.src, env.tag, env.nbytes, env.data)
+        """Deliver the matched envelope and resolve the request.
+
+        ``Message.source`` is a rank of the communicator that posted the
+        receive, so the application can reply to it there.
+        """
+        src = env.src if self.ranks is None else self.ranks.index(env.src)
+        self.message = Message(src, env.tag, env.nbytes, env.data)
         self.done.resolve(self.message)

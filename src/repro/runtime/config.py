@@ -66,11 +66,9 @@ class TestbedConfig:
     cm_store_cpu: float = 25e-6  # CM-side handling per message
 
     # -- checkpointing -----------------------------------------------------------
-    ckpt_protocol_bytes: int = 64  # control messages around a checkpoint
     ckpt_fork_cost: float = 20e-3  # fork + Condor library entry
     restart_detect_delay: float = 0.25  # dispatcher notices the broken socket
-    restart_spawn_delay: float = 1.0  # rsh/ssh + process launch on the new node
-    ckpt_image_load_cpu: float = 0.5  # Condor jump-to-checkpoint local cost
+    restart_spawn_delay: float = 1.0  # rsh/ssh + launch + image load on the new node
 
     # -- failure model -------------------------------------------------------------
     reliable_aux: bool = True

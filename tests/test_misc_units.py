@@ -8,7 +8,7 @@ from repro.analysis.report import Report, format_table
 from repro.devices.base import segment_sizes
 from repro.mpi.api import payload_nbytes
 from repro.mpi.datatypes import Envelope
-from repro.mpi.protocol import Packet, PacketKind, is_app_payload, wire_bytes
+from repro.mpi.protocol import PacketKind, inline_packet
 from repro.mpi.timing import CallTimer
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
@@ -66,17 +66,14 @@ def env(nbytes=100):
     return Envelope(0, 1, 0, 0, nbytes, 1)
 
 
-def test_wire_bytes_adds_header():
-    pkt = Packet(PacketKind.EAGER, env(5000), payload_bytes=5000)
-    assert wire_bytes(pkt, header=32) == 5032
-
-
-def test_is_app_payload_classification():
-    assert is_app_payload(Packet(PacketKind.EAGER, env(), 10))
-    assert is_app_payload(Packet(PacketKind.RTS, env(), 0))
-    assert is_app_payload(Packet(PacketKind.DATA, env(), 10))
-    assert not is_app_payload(Packet(PacketKind.CTS, env(), 0))
-    assert not is_app_payload(Packet(PacketKind.CONTROL, env(), 0))
+def test_inline_packet_kind_follows_the_configured_short_threshold():
+    cfg = DEFAULT_TESTBED
+    at, over = env(cfg.short_threshold), env(cfg.short_threshold + 1)
+    assert inline_packet(at, cfg).kind is PacketKind.SHORT
+    assert inline_packet(over, cfg).kind is PacketKind.EAGER
+    assert inline_packet(over, cfg).payload_bytes == over.nbytes
+    # the field is read, not a literal: moving it moves the choice
+    assert inline_packet(at, cfg.with_(short_threshold=64)).kind is PacketKind.EAGER
 
 
 # -- call timer -------------------------------------------------------------------
