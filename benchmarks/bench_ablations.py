@@ -5,8 +5,6 @@ Not figures from the paper, but quantifications of its design arguments:
 * **event-logger scaling** — "For scalability reasons, several event
   loggers may be used in a system": the EL is a shared contention point,
   so the latency-bound CG kernel speeds up with more loggers;
-* **event batching** — the daemon may aggregate reception events per
-  push; batch size trades EL load against acknowledgement latency;
 * **log slab size** — the slab-allocated message log is what turns LU's
   modest payload volume into a disk-spilling 1 GB (DESIGN.md note 5);
 * **collective latency per device** — the per-collective cost behind the
@@ -47,31 +45,6 @@ def bench_event_logger_scaling(benchmark):
     )
     record_report(rep)
     assert out[4] < out[1]
-
-
-def bench_event_batch_cap(benchmark):
-    def run():
-        rows = []
-        out = {}
-        for cap in (1, 4, 32):
-            cfg = DEFAULT_TESTBED.with_(el_batch_cap=cap)
-            res = run_job(
-                nas.cg.program, 8, device="v2", params={"klass": "A"},
-                cfg=cfg, limit=1e6,
-            )
-            rows.append([cap, res.elapsed])
-            out[cap] = res.elapsed
-        return rows, out
-
-    rows, out = benchmark.pedantic(run, rounds=1, iterations=1)
-    rep = Report("Ablation - event batch cap for CG-A-8 (V2)")
-    rep.table(["batch cap", "elapsed s"], rows)
-    rep.add(
-        "larger batches amortize event-logger round trips; per-event "
-        "pushes (cap=1) maximize the pessimistic gate's stalls"
-    )
-    record_report(rep)
-    assert out[32] <= out[1]
 
 
 def bench_log_slab_size(benchmark):

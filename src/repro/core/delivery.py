@@ -3,29 +3,53 @@
 One :class:`DeliveryPipeline` per daemon incarnation owns the receive
 side of the node: phase-C duplicate discard against the per-sender
 ``forwarded_hw`` watermark, the forced-order holdback during replay,
-and the UNIX-socket forwarding queue that models the daemon-to-process
-handoff.  It also accounts the incarnation's catch-up point (the
-``v2.caught_up`` trace and the ``ft.replay_s`` histogram).
+and the UNIX-socket forward that models the daemon-to-process handoff.
+It also accounts the incarnation's catch-up point (the ``v2.caught_up``
+trace and the ``ft.replay_s`` histogram).
+
+The forward is a FIFO server without a process: one ``daemon.fwd``
+kernel event per packet, at the instant its socket transfer completes,
+whose handler hands the packet to the MPI process and schedules the
+next queued one.
 
 Composes with the daemon core through the usual explicit interface:
-``core`` provides ``rank``, ``incarnation``, ``cfg``, ``sim``,
+``core`` provides ``rank``, ``incarnation``, ``host``, ``cfg``,
 ``replay``, ``op_index``, ``device`` (or None), ``peers`` (the RTSDUP
-answer), and ``cpu_tax_owed``.
+answer), ``cpu_tax_owed`` and ``proc_name(label)``.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from time import perf_counter
 from typing import Optional
 
 from ..mpi.datatypes import Envelope
 from ..mpi.protocol import FIRST_KINDS, Packet, PacketKind, inline_packet
 from ..obs.registry import Metrics
-from ..simnet.kernel import Queue, Simulator
+from ..simnet.kernel import Simulator, register_slot
 from ..simnet.trace import Tracer
 
 __all__ = ["DeliveryPipeline"]
 
 _PAYLOAD_KINDS = (PacketKind.SHORT, PacketKind.EAGER, PacketKind.DATA)
+
+
+def _forwarded(pipe: "DeliveryPipeline", item: Optional[tuple]) -> None:
+    if pipe.host.incarnation != pipe._life:
+        return  # the host crashed: the forward died with it
+    probe = pipe.sim._probe
+    if probe is not None and probe.sampling:
+        t0 = perf_counter()
+        pipe._serve(item)
+        probe.step_done(pipe._fwd_name, perf_counter() - t0)
+    else:
+        pipe._serve(item)
+
+
+#: ``(EV_FWD, pipeline, (src, pkt))``: the packet crossed the UNIX socket
+#: (``None``: the forward starts, so far with nothing in flight)
+EV_FWD = register_slot(_forwarded, "daemon.fwd")
 
 
 class DeliveryPipeline:
@@ -41,13 +65,19 @@ class DeliveryPipeline:
     ) -> None:
         self.core = core
         self.sim = sim
+        self.host = core.host
+        self._life = core.host.incarnation
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         # highest sclock passed up to the MPI process, per sender: the
         # duplicate-discard watermark of replay phase C
         self.forwarded_hw: dict[int, int] = {}
         self.dups_dropped = 0
-        # daemon -> MPI process forwarding (the UNIX socket, ordered)
-        self.fwd_q: Queue = Queue(sim, name=f"d{core.rank}.fwd")
+        # daemon -> MPI process forwarding (the UNIX socket, ordered):
+        # packets waiting while one is in flight — or until the forward
+        # starts, which ``_fwd_busy`` stands in for until then
+        self._fwd_backlog: deque[tuple[int, Packet]] = deque()
+        self._fwd_busy = True
+        self._fwd_name = core.proc_name("fwd")
         self.start_t = 0.0
         self._caught_up = False
         m = metrics if metrics is not None else Metrics()
@@ -102,23 +132,37 @@ class DeliveryPipeline:
 
     def _forward(self, src: int, pkt: Packet) -> None:
         """Ship a packet across the UNIX socket to the MPI process."""
-        self.fwd_q.put((src, pkt))
+        if self._fwd_busy:
+            self._fwd_backlog.append((src, pkt))
+        else:
+            self._fwd_busy = True
+            self._send((src, pkt))
         self.core.cpu_tax_owed += self.core.cfg.daemon_cpu_per_msg
 
-    def forward_loop(self):
-        core = self.core
-        cfg = core.cfg
-        device = core.device
-        while True:
-            src, pkt = yield self.fwd_q.get()
-            delay = cfg.unix_socket_latency + (
-                (pkt.payload_bytes + cfg.packet_header_bytes)
-                / cfg.unix_socket_bw
-            )
-            yield self.sim.pause(delay)
-            device.inbox.put((src, pkt))
-            device.stats.bytes_received += pkt.payload_bytes
+    def start_forwarding(self) -> None:
+        """Open the socket: packets queued so far go from the next event."""
+        self.sim.sched(self.sim.now, EV_FWD, self, None)
+
+    def _send(self, item: tuple[int, Packet]) -> None:
+        """Put one packet on the socket: its event fires on arrival."""
+        cfg = self.core.cfg
+        delay = cfg.unix_socket_latency + (
+            (item[1].payload_bytes + cfg.packet_header_bytes)
+            / cfg.unix_socket_bw
+        )
+        self.sim.sched(self.sim.now + delay, EV_FWD, self, item)
+
+    def _serve(self, item: Optional[tuple[int, Packet]]) -> None:
+        """Hand the arrived packet up, then send the next queued one."""
+        if item is not None:
+            device = self.core.device
+            device.inbox.put(item)
+            device.stats.bytes_received += item[1].payload_bytes
             device.stats.msgs_received += 1
+        if self._fwd_backlog:
+            self._send(self._fwd_backlog.popleft())
+        else:
+            self._fwd_busy = False
 
     def maybe_caught_up(self) -> None:
         """Emit ``v2.caught_up`` once this incarnation's replay drains."""

@@ -4,16 +4,22 @@ One :class:`EventLogClient` per daemon incarnation owns everything the
 pessimistic protocol needs from the event logger side of the node:
 
 * the **WAITLOGGED gate** — closed the instant a reception event is
-  queued, reopened only when every outstanding event has a *quorum* of
+  logged, reopened only when every outstanding event has a *quorum* of
   replica acknowledgements; :meth:`EventLogClient.wait_sendable` is
   where the transmit loops park (and where the stall is measured —
   V2's small-message latency);
-* the **fan-out** — events batched up to ``el_batch_cap``, each batch
-  pushed to every replica of the rank's EL shard; per-replica readers
-  count acknowledgements into the shared quorum ledger, and a batch
-  completes (``v2.el_ack``) once ``cfg.el_quorum`` distinct replicas
-  acknowledged it — in batch order, because each replica acks in order
-  and the q-th order statistic of monotone sequences is monotone;
+* the **fan-out** — each logged event is one batch, registered and
+  pushed to every replica of the rank's EL shard at once: written in
+  place when that replica's writer is idle with its link up and credit
+  free, else queued for the writer process, which waits for the link
+  or the credit.  (Batching happens on the logger's side: it stores
+  what queued behind a batch under one CPU charge and one cumulative
+  ack.)  Per-replica readers — push consumers
+  (:class:`~repro.runtime.session.PushReader`), not processes — count
+  acknowledgements into the shared quorum ledger, and a batch completes
+  (``v2.el_ack``) once ``cfg.el_quorum`` distinct replicas acknowledged
+  it — in batch order, because each replica acks in order and the q-th
+  order statistic of monotone sequences is monotone;
 * **failover survival** — batches written to a replica but not yet
   acknowledged by it sit in that replica's ``unacked`` ledger and are
   re-pushed, in order, after its reconnect (the server dedups by
@@ -40,7 +46,7 @@ from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import ConnectionRefused, Fabric
 from ..runtime.retry import RetryPolicy
-from ..runtime.session import Session
+from ..runtime.session import PushReader, Session
 from ..simnet.kernel import Future, Gate, Queue, Simulator
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
@@ -61,8 +67,11 @@ class _ReplicaLink:
         self.session = session
         # closed while this replica's link is down; its writer parks here
         self.up = Gate(sim, opened=False, name=f"d{rank}.el{idx}.up")
-        # batches handed to this replica by the batcher, in batch order
+        # batches handed to this replica's writer, in batch order
         self.sendq: Queue = Queue(sim, name=f"d{rank}.el{idx}.q")
+        # the writer is parked on an empty ``sendq``: a batch may be
+        # written in its place, at the point it would have run
+        self.writer_idle = False
         # (batch id, batch) written on this link but not yet acked *by
         # this replica* — re-pushed after its reconnect
         self.unacked: deque[tuple[int, list[EventRecord]]] = deque()
@@ -85,6 +94,7 @@ class EventLogClient:
         el_names: Union[str, Sequence[str]],
         *,
         spawn: Callable[[Any, str], Any],
+        proc_name: Callable[[str], str],
         tracer: Optional[Tracer] = None,
         metrics: Optional[Metrics] = None,
         rng: Optional[Any] = None,
@@ -108,6 +118,8 @@ class EventLogClient:
         #: replica acks required before a batch clears the gate
         self.quorum = min(self.nreps, cfg.el_quorum)
         self._spawn = spawn
+        self._proc_name = proc_name
+        self.host = host
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._policy = RetryPolicy.from_config(cfg)
         self._rng = rng
@@ -130,7 +142,6 @@ class EventLogClient:
         # quorum of acks; no application message leaves the node then
         self.gate = Gate(sim, opened=True, name=f"d{rank}.elgate")
         self.outstanding = 0
-        self._q: Queue = Queue(sim, name=f"d{rank}.elq")
         # quorum ledger: batch id -> {n, t0, ids, acked (replica set),
         # done}; entries retire once every replica acked (or never, for
         # a replica that stays dead — bounded by the job's event count)
@@ -210,16 +221,13 @@ class EventLogClient:
                 rep.up.open()
 
     def start_io(self) -> None:
-        """Spawn the steady-state batcher plus per-replica writer/reader
-        loops; replicas that missed the initial connect get a background
+        """Start the steady-state per-replica writers and readers;
+        replicas that missed the initial connect get a background
         reconnector instead of a reader."""
-        self._spawn(self._batcher(), "el.tx")
         for rep in self.replicas:
             self._spawn(self._rep_writer(rep), f"el.tx{rep.idx}")
             if rep.session.up():
-                self._spawn(
-                    self._rep_reader(rep, rep.session.end), f"el.rx{rep.idx}"
-                )
+                self._read(rep, rep.session.end)
             elif not rep.reconnecting:
                 rep.reconnecting = True
                 self._spawn(self._rep_reconnect(rep), f"el.re{rep.idx}")
@@ -275,7 +283,7 @@ class EventLogClient:
         # writer sends next
         repush = list(rep.unacked)
         rep.inflight.clear()
-        self._spawn(self._rep_reader(rep, end), f"el.rx{rep.idx}")
+        self._read(rep, end)
         for bid, batch in repush:
             t0 = self.sim.now
             try:
@@ -304,10 +312,21 @@ class EventLogClient:
     # the pessimistic protocol
     # ------------------------------------------------------------------
     def log_event(self, rec: EventRecord) -> None:
-        """Queue a reception event for the event logger; closes the gate."""
+        """Push a reception event to the event logger; closes the gate."""
         self.outstanding += 1
         self.gate.close()
-        self._q.put(rec)
+        bid = self._next_bid
+        self._next_bid += 1
+        self._pend[bid] = {
+            "n": 1,
+            "t0": self.sim.now,
+            "ids": (rec.rclock,),
+            "acked": set(),
+            "done": False,
+        }
+        self._order.append(bid)
+        self.events_pushed += 1
+        self._fan_out(bid, [rec])
         if self.tracer.hot:
             self.tracer.emit(
                 self.sim.now,
@@ -334,43 +353,37 @@ class EventLogClient:
                 # held because a quorum of acks could not arrive at all
                 self._m_outage_stalled.inc(self.sim.now - t0)
 
-    def _batcher(self):
-        """Drain the record queue into batches and fan them out."""
-        while True:
-            ok, first = self._q.try_get()
-            if not ok:
-                first = yield self._q.get()
-            batch = [first]
-            while len(batch) < self.cfg.el_batch_cap:
-                ok, more = self._q.try_get()
-                if not ok:
-                    break
-                batch.append(more)
-            bid = self._next_bid
-            self._next_bid += 1
-            n = len(batch)
-            self._pend[bid] = {
-                "n": n,
-                "t0": self.sim.now,
-                "ids": (first.rclock,) if n == 1
-                else tuple(rec.rclock for rec in batch),
-                "acked": set(),
-                "done": False,
-            }
-            self._order.append(bid)
-            self.events_pushed += len(batch)
-            self._fan_out(bid, batch)
-
     def _fan_out(self, bid: int, batch: list) -> None:
-        """Hand a registered batch to every replica's writer."""
+        """Push a registered batch to every replica.
+
+        Where the replica's writer is parked on an empty queue with the
+        link up and window credit free, the write happens here — what
+        the writer, resumed inside this call, would have done before
+        parking again; otherwise the writer gets the batch, to wait for
+        the link or the credit itself.
+        """
+        nbytes = self.cfg.event_bytes * len(batch)
+        record = ("EVENT", self.key, bid, batch)
         for rep in self.replicas:
-            rep.sendq.put((bid, batch))
+            end = rep.session.end
+            if (
+                rep.writer_idle
+                and rep.up.is_open
+                and end is not None
+                and end.write_nowait(nbytes, record)
+            ):
+                rep.unacked.append((bid, batch))
+                rep.inflight.append(self.sim.now)
+            else:
+                rep.sendq.put((bid, batch))
 
     def _rep_writer(self, rep: _ReplicaLink):
         while True:
             ok, item = rep.sendq.try_get()
             if not ok:
+                rep.writer_idle = True
                 item = yield rep.sendq.get()
+                rep.writer_idle = False
             bid, batch = item
             # exactly-once hand-off per stream generation: a batch joins
             # the replica's ``unacked`` only once written, so the
@@ -395,19 +408,21 @@ class EventLogClient:
                 rep.inflight.append(t0)
                 break
 
-    def _rep_reader(self, rep: _ReplicaLink, end: StreamEnd):
-        while True:
-            try:
-                msg = yield from rep.session.read_record(end)
-            except Disconnected:
-                self._rep_down(rep, end)
-                return
+    def _read(self, rep: _ReplicaLink, end: StreamEnd) -> None:
+        """Start ``rep``'s reader on ``end``; it lasts until the break."""
+
+        def on_record(msg: tuple) -> None:
             if msg[0] == "ACK":
                 # ("ACK", bid, n): cumulative — the server coalesces acks
                 # for a burst of queued batches into one frame, and may
                 # piggyback them on DOWNLOAD replies, so one ack can
                 # cover several unacked entries
                 self._ack_through(rep, msg[1])
+
+        PushReader(
+            rep.session, on_record, lambda: self._rep_down(rep, end),
+            host=self.host, name=self._proc_name(f"el.rx{rep.idx}"), end=end,
+        )
 
     def _ack_through(self, rep: _ReplicaLink, bid: int) -> None:
         """Retire every unacked batch of ``rep`` up to and including
@@ -456,7 +471,7 @@ class EventLogClient:
                 outstanding=self.outstanding, ids=ent["ids"],
                 quorum=self.quorum,
             )
-        if self.outstanding == 0 and len(self._q) == 0:
+        if self.outstanding == 0:
             self.gate.open()
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Peer-daemon links: adoption, epochs, reconnects, and the tx/rx loops.
+"""Peer-daemon links: adoption, epochs, reconnects, the tx loop and reader.
 
 One :class:`PeerManager` per daemon incarnation owns the mesh of
 daemon-to-daemon connections.  Each link is a :class:`PeerLink` — a
@@ -12,9 +12,13 @@ the rules that make a volatile mesh converge:
 * **lower-rank reconnect rule** — a flapped link restarts no daemon, so
   nobody would ever re-connect; the canonical initiator (the lower
   rank) actively retries with backoff while the other side listens;
-* **epoch discipline** — every adoption bumps the link epoch; tx/rx
-  loops carry the epoch they were started under and exit the moment it
-  goes stale, so a replaced stream's loops never touch the new one;
+* **epoch discipline** — every adoption bumps the link epoch; the tx
+  loop and the reader carry the epoch they were started under and stop
+  the moment it goes stale, so those of a replaced stream never touch
+  the new one.  The tx loop is a process (it blocks on the WAITLOGGED
+  gate and on window credit); the reader is a
+  :class:`~repro.runtime.session.PushReader`, called at each segment's
+  arrival, because all it does after a read is synchronous;
 * **RESTART1 re-arming** — a link marked ``needs_restart1`` re-sends
   the handshake on every adoption until RESTART2 lands (a replaced
   stream may have swallowed an earlier RESTART1; handling is
@@ -34,7 +38,7 @@ from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import ConnectionRefused, Fabric
 from ..runtime.retry import RetryPolicy
-from ..runtime.session import ServiceBase, Session
+from ..runtime.session import PushReader, ServiceBase, Session
 from ..simnet.kernel import Queue, Simulator
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
@@ -75,15 +79,15 @@ class PeerLink(Session):
 
 
 class PeerManager:
-    """The daemon's mesh of peer links and their transmit/receive loops.
+    """The daemon's mesh of peer links, their transmit loops and readers.
 
     Composes with the daemon core through an explicit interface: ``core``
-    must provide ``rank``, ``incarnation``, ``cfg``, ``clock`` (for the
-    RESTART1 watermark), ``cpu_tax_owed``, ``device`` (or None),
+    must provide ``rank``, ``incarnation``, ``host``, ``cfg``, ``clock``
+    (for the RESTART1 watermark), ``cpu_tax_owed``, ``device`` (or None),
     ``el.wait_sendable()`` (the WAITLOGGED gate),
     ``_handle_ctrl(q, msg)`` / ``delivery.handle_app_packet(q, pkt)``
-    (protocol dispatch), and ``_spawn(gen, label)`` (incarnation-named
-    processes).
+    (protocol dispatch), ``_spawn(gen, label)`` (incarnation-named
+    processes) and ``proc_name(label)`` (the name such a process gets).
     """
 
     def __init__(
@@ -164,8 +168,15 @@ class PeerManager:
         # drop whatever was queued for the old connection: every app packet
         # is in SAVED, and the RESTART handshake re-sends what is needed
         link.tx = Queue(self.sim, name=f"d{core.rank}->d{q}.tx.e{link.epoch}")
-        core._spawn(self._tx_loop(q, link, link.epoch), f"tx{q}e{link.epoch}")
-        core._spawn(self._rx_loop(q, link, link.epoch), f"rx{q}e{link.epoch}")
+        epoch = link.epoch
+        core._spawn(self._tx_loop(q, link, epoch), f"tx{q}e{epoch}")
+        PushReader(
+            link,
+            lambda record: self._on_record(q, record),
+            lambda: self.link_down(q, epoch),
+            host=core.host, name=core.proc_name(f"rx{q}e{epoch}"),
+            epoch=epoch,
+        )
         if q in self.needs_restart1:
             # stays armed until RESTART2 arrives: a replaced stream may have
             # swallowed an earlier RESTART1 (handling is idempotent)
@@ -210,7 +221,7 @@ class PeerManager:
         self.adopt(q, end, initiator=self.core.rank)
 
     # ------------------------------------------------------------------
-    # transmit / receive loops
+    # transmit loop / reader
     # ------------------------------------------------------------------
     def enqueue_app(self, dst: int, pkt: Packet) -> None:
         """Queue one application packet on the per-peer transmit loop."""
@@ -265,19 +276,12 @@ class PeerManager:
                 + cfg.daemon_cpu_per_byte * pkt.payload_bytes
             )
 
-    def _rx_loop(self, q: int, link: PeerLink, epoch: int):
-        core = self.core
-        end = link.end
-        while not link.stale(epoch):
-            try:
-                payload = yield from link.read_record(end)
-            except Disconnected:
-                self.link_down(q, epoch)
-                return
-            if isinstance(payload, tuple):
-                core._handle_ctrl(q, payload)
-            else:
-                core.delivery.handle_app_packet(q, payload)
+    def _on_record(self, q: int, record: Any) -> None:
+        """One record from peer ``q``'s reader: control or application."""
+        if isinstance(record, tuple):
+            self.core._handle_ctrl(q, record)
+        else:
+            self.core.delivery.handle_app_packet(q, record)
 
 
 class _DaemonListener(ServiceBase):

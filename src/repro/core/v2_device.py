@@ -137,7 +137,8 @@ class V2Daemon:
         # the daemon's I/O components, over the shared session layer
         self.el = EventLogClient(
             sim, cfg, fabric, host, rank, self.el_names,
-            spawn=self._spawn, tracer=self.tracer, metrics=m,
+            spawn=self._spawn, proc_name=self.proc_name,
+            tracer=self.tracer, metrics=m,
             rng=rng, on_retry=self._note_outage_retry,
             key=job_key,
         )
@@ -220,7 +221,7 @@ class V2Daemon:
         # first); a restarted daemon reconnects to everyone it can reach
         self.peers.connect_initial()
         self.peers.listener.run_accept()
-        self._spawn(self.delivery.forward_loop(), "fwd")
+        self.delivery.start_forwarding()
         self.el.start_io()
         self.ctrl.start_sched_loop()
         if self.cfg.hb_interval > 0:
@@ -228,13 +229,16 @@ class V2Daemon:
         self.ready.open()
         self.delivery.maybe_caught_up()
 
+    def proc_name(self, label: str) -> str:
+        """The name of this incarnation's daemon process ``label`` — also
+        the one a process-less handler reports its profiled time under."""
+        return f"d{self.rank}.{label}.i{self.incarnation}"
+
     def _spawn(self, gen, label: str) -> None:
         # not supervised: daemon loops handle expected failures
         # (Disconnected, HostDown) themselves; anything else is a bug and
         # must crash the simulation loudly
-        p = self.sim.spawn(
-            gen, name=f"d{self.rank}.{label}.i{self.incarnation}", supervised=False
-        )
+        p = self.sim.spawn(gen, name=self.proc_name(label), supervised=False)
         self.host.register(p)
 
     def _note_outage_retry(self, attempt: int, delay: float) -> None:

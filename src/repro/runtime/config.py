@@ -57,7 +57,6 @@ class TestbedConfig:
     event_bytes: int = 20  # reception event record on the wire (paper: ~20 B)
     event_ack_bytes: int = 8
     el_cpu_per_event: float = 30e-6  # PIII-500 event-logger handling, per event
-    el_batch_cap: int = 4  # daemon pushes at most this many events per write
     daemon_cpu_per_msg: float = 6e-6  # daemon select-loop work per message
     daemon_cpu_per_byte: float = 1.1e-9  # daemon copy work per payload byte
 

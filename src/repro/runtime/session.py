@@ -26,6 +26,10 @@ machinery on the client side.  This module implements each exactly once:
     deterministic jitter, reporting each retry through ``on_retry`` (the
     hook components use to account the ``outage.*`` metrics).
 
+* :class:`PushReader` — a session's reader loop as a stream consumer
+  instead of a process: the same framing (:meth:`Session.accept`), run
+  at each segment's arrival, for loops that never block between reads.
+
 * :class:`ServiceBase` — the server-side lifecycle.  ``start()``
   registers the fabric listener and runs the accept loop; ``stop()``
   withdraws the listener, kills every service process and breaks every
@@ -38,17 +42,18 @@ machinery on the client side.  This module implements each exactly once:
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Callable, Generator, Optional
 
 from ..obs.registry import Metrics
-from ..simnet.kernel import Future, Simulator
+from ..simnet.kernel import Future, Simulator, register_slot
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
 from .fabric import Acceptor, Fabric
 from .retry import RetryPolicy, connect_with_retry
 
-__all__ = ["Session", "ServiceBase", "framed"]
+__all__ = ["Session", "PushReader", "ServiceBase", "framed"]
 
 
 def framed(msg: Any, payload_types: tuple = ()) -> bool:
@@ -306,30 +311,38 @@ class Session:
         self._note_io(src)
         while True:
             _, msg = yield src.read()
-            if msg is None:
-                continue  # an in-flight segment of a chunked transfer
-            if (
-                self._hb_on
-                and type(msg) is tuple
-                and len(msg) == 4
-                and msg[0] == "PONG"
-            ):
-                now = self.sim.now
-                self.last_pong = now
-                self._m_rtt.observe(now - msg[3])
-                if self.hb_suspect:
-                    self.hb_suspect = False
-                    self.tracer.emit(
-                        now, f"{self.scope}.hb_recover",
-                        target=self.target, **self._labels,
-                    )
-                continue
-            if not framed(msg, self.payload_types):
-                self.protocol_error(
-                    f"unframed record of type {type(msg).__name__}"
+            record = self.accept(msg)
+            if record is not None:
+                return record
+
+    def accept(self, msg: Any) -> Any:
+        """One arrived segment through the framing: the record, or None
+        for what a reader skips — an in-flight segment of a chunked
+        transfer, a heartbeat PONG (absorbed into the RTT histogram) or
+        unframed garbage (counted and traced as a protocol error).
+        :meth:`read_record` and :class:`PushReader` both read through it."""
+        if msg is None:
+            return None  # an in-flight segment of a chunked transfer
+        if (
+            self._hb_on
+            and type(msg) is tuple
+            and len(msg) == 4
+            and msg[0] == "PONG"
+        ):
+            now = self.sim.now
+            self.last_pong = now
+            self._m_rtt.observe(now - msg[3])
+            if self.hb_suspect:
+                self.hb_suspect = False
+                self.tracer.emit(
+                    now, f"{self.scope}.hb_recover",
+                    target=self.target, **self._labels,
                 )
-                continue
-            return msg
+            return None
+        if not framed(msg, self.payload_types):
+            self.protocol_error(f"unframed record of type {type(msg).__name__}")
+            return None
+        return msg
 
     def protocol_error(self, why: str) -> None:
         """Count and trace one protocol violation on this link."""
@@ -339,6 +352,134 @@ class Session:
             self.sim.now, f"{self.scope}.protocol_error",
             why=why, **self._labels,
         )
+
+
+def _begin_reader(reader: "PushReader", _unused: Any) -> None:
+    reader(None, _BEGIN)
+
+
+#: the flat event a :class:`PushReader` starts from, pushed where the
+#: reader process it replaces was spawned (so at its ``EV_START``)
+EV_READER = register_slot(_begin_reader, "session.reader")
+_BEGIN = object()  # the start event's marker in the ``exc`` position
+
+
+class PushReader:
+    """A session reader loop without a process: a stream consumer.
+
+    It does, call for call, what this process did::
+
+        end = end or session.end              # at its EV_START
+        while not session.stale(epoch):       # never, for epoch None
+            try:
+                record = yield from session.read_record(end)
+            except Disconnected:
+                on_break(); return
+            on_record(record)
+
+    Parked in ``read``, that loop was resumed synchronously inside the
+    arrival that woke it and never blocked before its next read, so
+    :attr:`StreamEnd.consumer <repro.simnet.streams.StreamEnd.consumer>`
+    runs the same code at the same point.  A backlog queued before the
+    start (or during ``on_record``) drains iteratively, not recursively.
+    What killed or stopped the loop stops the reader: once the host's
+    crash bumped its incarnation all input is ignored; after a record
+    that left the epoch stale the consumer is detached and later
+    segments stay queued, unread; a break calls ``on_break`` once.
+    Under a sampling kernel probe each activation reports its time as
+    a resume of ``name``, the process name it replaces.
+    """
+
+    __slots__ = (
+        "session", "sim", "on_record", "on_break", "host", "life", "name",
+        "end", "epoch",
+    )
+
+    def __init__(
+        self,
+        session: Session,
+        on_record: Callable[[Any], None],
+        on_break: Callable[[], None],
+        *,
+        host: Host,
+        name: str,
+        end: Optional[StreamEnd] = None,
+        epoch: Optional[int] = None,
+    ) -> None:
+        self.session = session
+        self.sim = sim = session.sim
+        self.on_record = on_record
+        self.on_break = on_break
+        self.host = host
+        self.life = host.incarnation
+        self.name = name
+        self.end = end  # None: the session's stream when the reader starts
+        self.epoch = epoch
+        sim.sched(sim.now, EV_READER, self)
+
+    def __call__(self, payload: Any, exc: Any) -> None:
+        if self.host.incarnation != self.life:
+            return  # the host crashed: the loop died with it
+        probe = self.sim._probe
+        if probe is not None and probe.sampling:
+            t0 = perf_counter()
+            self._take(payload, exc)
+            probe.step_done(self.name, perf_counter() - t0)
+        else:
+            self._take(payload, exc)
+
+    def _take(self, payload: Any, exc: Any) -> None:
+        if exc is None:
+            if payload is None:
+                return  # an in-flight segment: the loop read on, parked
+            # detached while it works, as the loop was off its read: a
+            # break meanwhile is found by the next read, not delivered
+            self.end.consumer = None
+            if self._feed(payload):
+                self._drain()
+        elif exc is _BEGIN:
+            self._begin()
+        else:
+            self.on_break()
+
+    def _begin(self) -> None:
+        session = self.session
+        end = self.end
+        if end is None:
+            end = self.end = session.end
+        if self.epoch is not None and session.stale(self.epoch):
+            return
+        if end is None:
+            self.on_break()  # read_record on a dropped session raises
+            return
+        session._note_io(end)
+        self._drain()
+
+    def _drain(self) -> None:
+        """The loop's next reads, until one would park: then install."""
+        end = self.end
+        while self.host.incarnation == self.life:
+            if end.broken is not None:
+                self.on_break()
+                return
+            ok, _, payload = end.try_read()
+            if not ok:
+                end.consumer = self
+                return
+            if not self._feed(payload):
+                return
+
+    def _feed(self, payload: Any) -> bool:
+        """One read's payload; False once the loop would have exited."""
+        session = self.session
+        record = session.accept(payload)
+        if record is None:
+            return True
+        self.on_record(record)
+        if self.epoch is not None and session.stale(self.epoch):
+            return False
+        session._note_io(self.end)  # the next read_record call's
+        return True
 
 
 class ServiceBase:

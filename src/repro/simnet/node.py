@@ -57,6 +57,9 @@ class Host:
         self.reliable = reliable
 
         self.failed = False
+        #: bumped by every crash, before its processes die: work bound to
+        #: an earlier value died with them (process-less stream consumers
+        #: and flat-event handlers compare it instead of ``alive``)
         self.incarnation = 0
         # NIC serialization state (absolute simulated times)
         self._tx_free = 0.0
@@ -143,6 +146,7 @@ class Host:
         if self.reliable:
             raise HostDown(f"reliable host {self.name} cannot be crashed")
         self.failed = True
+        self.incarnation += 1
         for p in list(self._processes.values()):
             p.kill()
         for s in list(self._streams):
@@ -155,7 +159,6 @@ class Host:
         if not self.failed:
             return
         self.failed = False
-        self.incarnation += 1
         self._tx_free = self.sim.now
         self._rx_free = self.sim.now
 

@@ -18,7 +18,7 @@ and in-flight segments are dropped — matching the paper's assumption that
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .kernel import Future, Semaphore, register_slot
 from .network import Network
@@ -68,6 +68,13 @@ class StreamEnd:
         self._rx_items: deque[tuple] = deque()
         self._rx_getters: deque[Future] = deque()
         self._rx_watchers: list[Future] = []
+        #: push delivery instead of reads: ``consumer(payload, None)`` runs
+        #: at each segment's arrival, credit already released, and
+        #: ``consumer(None, exc)`` once when the stream breaks (the hook is
+        #: cleared first).  A reader whose work after each read is all
+        #: synchronous needs no process: installed, it replaces the parked
+        #: read exactly.  While it is None, segments queue for ``read``.
+        self.consumer: Optional[Callable[[Any, Optional[Disconnected]], None]] = None
         self.broken: Optional[Disconnected] = None
         self.bytes_written = 0
         self.bytes_read = 0
@@ -224,10 +231,19 @@ class StreamEnd:
     def _deliver(self, segment: tuple) -> None:
         """Hand one arrived segment to the receive side.
 
-        A waiting reader gets it immediately — credit released and its
-        read future resolved right here, with no intermediate queue hop
-        — otherwise the segment is parked for the next read call.
+        A consumer, or else a waiting reader, gets it immediately —
+        credit released and the consumer called or the read future
+        resolved right here, with no intermediate queue hop — otherwise
+        the segment is parked for the next read call.
         """
+        consumer = self.consumer
+        if consumer is not None:
+            nbytes, charge, payload = segment
+            self.bytes_read += nbytes
+            if self.peer.broken is None:
+                self.peer._wcredit.release(charge)
+            consumer(payload, None)
+            return
         getters = self._rx_getters
         if getters:
             nbytes, charge, payload = segment
@@ -310,6 +326,10 @@ class StreamEnd:
             return
         exc = Disconnected(self.stream.name, cause)
         self.broken = exc
+        consumer = self.consumer
+        if consumer is not None:
+            self.consumer = None  # a dead stream pins no reader
+            consumer(None, exc)
         getters, self._rx_getters = self._rx_getters, deque()
         for fut in getters:
             fut.fail_if_pending(exc)

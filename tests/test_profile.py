@@ -8,9 +8,12 @@ predecessor wins, per-category aggregation), and the ``profile=True``
 plumbing through ``run_job`` with el-ack edges present on a real V2 run.
 """
 
+import re
+
 import pytest
 
 from repro.obs.profile import KernelProfiler, classify_service, critical_path
+from repro.runtime import mpirun
 from repro.runtime.mpirun import run_job
 from repro.simnet.kernel import Simulator
 
@@ -159,6 +162,43 @@ def test_run_job_profile_p4_and_v1():
             profile=True,
         )
         assert res.profile is not None and res.profile.events > 0
+
+
+def test_processless_daemon_work_stays_in_the_daemon_row(monkeypatch):
+    """The UNIX-socket forward and the peer and event-logger readers run
+    as direct calls at arrival, not as processes; while a dispatch is
+    sampled they report their time under the names their processes had,
+    so the daemon row of the decomposition keeps that work."""
+    reported: dict[str, int] = {}
+
+    class EveryDispatch(KernelProfiler):
+        def __init__(self):
+            super().__init__(sample_every=1)
+
+        def step_done(self, name, dt):
+            reported[name] = reported.get(name, 0) + 1
+            super().step_done(name, dt)
+
+    monkeypatch.setattr(mpirun, "KernelProfiler", EveryDispatch)
+    res = run_job(
+        ring, 4, device="v2", params={"rounds": 8, "work": 0.01},
+        profile=True,
+    )
+    families = {
+        "socket forward": r"d\d\.fwd\.i0",
+        "peer reader": r"d\d\.rx\de1\.i0",
+        "event-logger reader": r"d\d\.el\.rx0\.i0",
+    }
+    steps = {
+        family: sum(n for name, n in reported.items()
+                    if re.fullmatch(pattern, name))
+        for family, pattern in families.items()
+    }
+    # each of the 4 ranks reads and forwards 8 ring messages and reads
+    # the event logger's acks of its 8 deliveries, at least
+    assert all(n >= 4 * 8 for n in steps.values()), steps
+    daemon = res.profile.service("daemon")
+    assert daemon["steps"] >= sum(steps.values()), (daemon, steps)
 
 
 def test_profiled_run_matches_unprofiled_results():

@@ -4,16 +4,21 @@ Unit-level coverage of the mechanisms every client and service now
 stands on: reconnect epochs (bump on adoption, stale-epoch and
 stale-drop rejection), the typed-record framing discipline on both
 sides of the wire, the deterministic backoff schedule of
-:meth:`Session.connect`, and the :class:`ServiceBase`
+:meth:`Session.connect`, the :class:`ServiceBase`
 listen/accept/stop/start lifecycle (no process or connection leaks, a
-stopped service refuses connects, a restarted one serves again).
+stopped service refuses connects, a restarted one serves again), and
+the contract of the process-less :class:`PushReader` (it must do what
+the reader loop it replaces did, including how that loop died).
 """
+
+import sys
 
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.fabric import ConnectionRefused, Fabric
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.session import ServiceBase, Session, framed
+from repro.runtime.session import PushReader, ServiceBase, Session, framed
+from repro.simnet import Host, Network, Simulator, Stream
 from repro.simnet.streams import Disconnected
 
 
@@ -357,3 +362,114 @@ def test_backpressure_metrics_surface_stalled_writes():
     assert cluster.metrics.total("session.stalled_write_s") > 0
     depth = [m for m in cluster.metrics if m.name == "session.queue_depth"]
     assert len(depth) == 1 and depth[0].peak >= 1  # echoes queued unread
+
+
+# -- push readers ------------------------------------------------------------
+
+
+def _link(window=64 * 1024):
+    """A raw stream a -> b and a session on b that has adopted its end."""
+    sim = Simulator()
+    net = Network(sim)
+    a = net.add_host(Host(sim, "a"))
+    b = net.add_host(Host(sim, "b"))
+    stream = Stream(net, a, b, window=window)
+    sess = Session(sim, None, b, "a")
+    sess.adopt(stream.b)
+    return sim, stream, sess
+
+
+def _reader(sess, **kw):
+    """A PushReader logging its records and counting its breaks."""
+    seen = {"records": [], "breaks": 0}
+
+    def on_break():
+        seen["breaks"] += 1
+
+    reader = PushReader(sess, seen["records"].append, on_break,
+                        host=sess.host, name="r", **kw)
+    return reader, seen
+
+
+def test_push_reader_drains_a_long_backlog_in_order_iteratively():
+    """Segments queued before the start drain as a loop, not a recursion
+    (the reason ``Process._step_inner`` continues inline on ready
+    futures): far more of them than the interpreter has stack frames."""
+    sim, stream, sess = _link()
+    n = 20_000
+    assert n > 10 * sys.getrecursionlimit()
+    for i in range(n):
+        assert stream.a.write_nowait(1, ("R", i))
+    stream.a.write_nowait(1, None)  # an in-flight segment: skipped
+    sim.run()
+    assert stream.b.rx_depth == n + 1  # nobody reads yet
+    reader, seen = _reader(sess, epoch=sess.epoch)
+    sim.run()
+    assert seen["records"] == [("R", i) for i in range(n)]
+    assert stream.b.rx_depth == 0 and stream.b.consumer is reader
+    assert stream.b.bytes_read == n + 1
+    # drained, then pushed to: the next segment is read at its arrival
+    stream.a.write_nowait(1, ("R", n))
+    sim.run()
+    assert seen["records"][-1] == ("R", n)
+    assert seen["breaks"] == 0
+
+
+def test_push_reader_of_a_crashed_incarnation_ignores_everything():
+    """After its host's crash the loop was dead: its reader neither
+    reads a segment nor reports the break, and one created before the
+    crash never starts."""
+    sim, stream, sess = _link()
+    reader, seen = _reader(sess)
+    stream.a.write_nowait(8, ("R", 0))
+    sim.run()
+    assert seen["records"] == [("R", 0)]
+    late, late_seen = _reader(sess)  # started after the crash below
+    stream.b.host.crash()  # kills, then breaks the stream
+    sim.run()
+    assert seen["breaks"] == 0
+    reader(("R", 1), None)  # a segment reaching it anyway
+    reader(None, Disconnected("s", "again"))
+    assert seen == {"records": [("R", 0)], "breaks": 0}
+    assert late_seen == {"records": [], "breaks": 0}
+
+
+def test_push_reader_reports_a_live_break_exactly_once():
+    sim, stream, sess = _link()
+    reader, seen = _reader(sess, epoch=sess.epoch)
+    sim.run()
+    stream.break_both("link flap")
+    stream.break_both("link flap")  # a dead stream breaks once
+    sim.run()
+    assert seen["breaks"] == 1 and stream.b.consumer is None
+    stream.b.host.crash()
+    assert seen["breaks"] == 1
+    # a break that happened before the start is found by its first read
+    sim2, stream2, sess2 = _link()
+    stream2.break_both("gone")
+    _, seen2 = _reader(sess2, end=stream2.b)
+    sim2.run()
+    assert seen2["breaks"] == 1
+
+
+def test_push_reader_of_a_replaced_link_stops_after_one_record():
+    """The loop checked its epoch only between records: parked on the
+    old stream when the link was replaced, it read one more record,
+    then exited, leaving everything later queued and any break unseen."""
+    sim, stream, sess = _link()
+    reader, seen = _reader(sess, epoch=sess.epoch)
+    sim.run()
+    other = Stream(stream.net, stream.a.host, stream.b.host)
+    sess.adopt(other.b)  # the replacement: the old epoch is stale
+    for i in range(3):
+        stream.a.write_nowait(8, ("R", i))
+    sim.run()
+    assert seen["records"] == [("R", 0)]
+    assert stream.b.consumer is None and stream.b.rx_depth == 2
+    stream.break_both("late")
+    assert seen["breaks"] == 0
+    # started under an epoch already stale: it never reads at all
+    _, seen2 = _reader(sess, epoch=sess.epoch - 1)
+    other.a.write_nowait(8, ("R", 9))
+    sim.run()
+    assert seen2["records"] == [] and other.b.rx_depth == 1
