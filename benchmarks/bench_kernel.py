@@ -5,9 +5,13 @@ recorded in ``BENCH_kernel.json`` at the repository root:
 
 - **probe cost**: a probed run stays cheap enough to leave on for any
   attribution question (counts exact, timing sampled
-  1-in-``sample_every``); budget **15%** over the unprofiled run (the
-  probe's fixed per-dispatch tax is a larger *fraction* of the faster
-  flat-kernel baseline — the absolute cost is unchanged).
+  1-in-``sample_every``); budget **1.9 µs of wall clock per event**
+  over the unprofiled run (``profiled_cost_per_event_us``: ~0.2-0.6,
+  but a difference of two ~3 s runs has read -0.7 to +1.6 on a loaded
+  machine).
+  The probe's tax is fixed per dispatch, so it is gated as an absolute
+  price: a ratio over the unprofiled run would loosen with every
+  speedup of that run.
 - **throughput**: the profiler's ``events_per_s`` meter on the guard
   workload (CG-A at 8 ranks, the highest event-rate kernel), for
   trending across commits.  Absolute events/sec is machine-dependent,
@@ -54,12 +58,12 @@ from repro.workloads import nas
 from conftest import record_report
 
 OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
-#: full profiler attached, vs the unprofiled min.  The probe's cost is
-#: a fixed per-dispatch tax, so the flat kernel's faster baseline makes
-#: the *ratio* larger even though the absolute cost did not move —
-#: measured ~9.6% locally (was ~5% pre-rewrite); 15% leaves room for
-#: runner jitter without masking a real sampling-path regression.
-BUDGET_PROFILED = 0.15
+#: full profiler attached minus the unprofiled min, wall-clock
+#: microseconds per dispatched event.  The probe's cost is a fixed
+#: per-dispatch tax — measured ~0.2-0.6, with -0.7..+1.6 of jitter on a
+#: two-run difference.  Tighten-only: 1.9 is the 15 % ratio it replaces
+#: at the fastest recorded unprofiled run (2.575 s, 203 500 events).
+BUDGET_PROFILED_US_PER_EVENT = 1.9
 #: machine-independent protocol gate: el-ack share of the CG-A-8
 #: critical path with piggybacked acks (0.405 with dedicated frames)
 BUDGET_EL_ACK_SHARE = 0.30
@@ -103,6 +107,7 @@ def measure_kernel(nprocs: int = 8, klass: str = "A", reps: int = 5) -> dict:
         if profiled_s is None or p < profiled_s:
             profiled_s = p
             best_profile = res.profile
+    events = best_profile.events
     return {
         "kernel": "cg",
         "klass": klass,
@@ -112,8 +117,9 @@ def measure_kernel(nprocs: int = 8, klass: str = "A", reps: int = 5) -> dict:
         "unprofiled_s": unprofiled,
         "profiled_s": profiled_s,
         "profiled_overhead": (profiled_s - unprofiled) / unprofiled,
-        "budget_profiled": BUDGET_PROFILED,
-        "events": best_profile.events,
+        "profiled_cost_per_event_us": (profiled_s - unprofiled) / events * 1e6,
+        "budget_profiled_us_per_event": BUDGET_PROFILED_US_PER_EVENT,
+        "events": events,
         "events_per_s": best_profile.events_per_s,
         "seed_events_per_s": SEED_EVENTS_PER_S,
         "improvement_vs_seed": best_profile.events_per_s / SEED_EVENTS_PER_S,
@@ -209,10 +215,11 @@ def measure_all(skip_b64: bool = False) -> dict:
 def _check(out: dict) -> list[str]:
     """Every budget violation in ``out`` (empty = all gates pass)."""
     problems = []
-    if out["profiled_overhead"] > BUDGET_PROFILED:
+    if out["profiled_cost_per_event_us"] > BUDGET_PROFILED_US_PER_EVENT:
         problems.append(
-            f"profiled overhead {out['profiled_overhead']:.1%} exceeds "
-            f"{BUDGET_PROFILED:.0%} (unprofiled={out['unprofiled_s']:.3f}s "
+            f"profiler cost {out['profiled_cost_per_event_us']:.3f} us/event "
+            f"exceeds {BUDGET_PROFILED_US_PER_EVENT:.1f} us "
+            f"(unprofiled={out['unprofiled_s']:.3f}s "
             f"profiled={out['profiled_s']:.3f}s)"
         )
     if out["events_per_s"] < FLOOR_EVENTS_PER_S:
@@ -246,10 +253,10 @@ def bench_kernel_throughput():
     OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
     rep = Report(f"Kernel throughput - CG-{out['klass']}-{out['nprocs']} (V2)")
     rep.table(
-        ["unprofiled s", "profiled s", "profiled ovh",
+        ["unprofiled s", "profiled s", "probe us/event",
          "events/s", "vs seed", "el-ack"],
         [[out["unprofiled_s"], out["profiled_s"],
-          f"{out['profiled_overhead']:+.1%}",
+          f"{out['profiled_cost_per_event_us']:.3f}",
           f"{out['events_per_s']:,.0f}",
           f"{out['improvement_vs_seed']:.2f}x",
           f"{out['el_ack_share']:.3f}"]],
@@ -283,7 +290,8 @@ if __name__ == "__main__":
         print("OVER BUDGET:", p)
     if not problems:
         print(
-            f"OK: profiled {out['profiled_overhead']:+.1%}, "
+            f"OK: profiler {out['profiled_cost_per_event_us']:.3f} us/event "
+            f"({out['profiled_overhead']:+.1%}), "
             f"{out['events_per_s']:,.0f} events/s "
             f"({out['improvement_vs_seed']:.2f}x vs seed), el-ack share "
             f"{out['el_ack_share']:.3f}"

@@ -20,11 +20,15 @@ auditor's checks (~15%).  The tracer now keeps its hot emit sites on a
 subscriber-gated fast path: an unsubscribed run pays nothing, and
 attaching the auditor re-enables the emits it rides on — so the delta
 honestly prices the whole always-on-observability decision (emits +
-checks, ~50% on this workload).  The acceptance bar is **75%**: well
-above measured, low enough that a change leaking protocol work onto
-the per-segment fast path (the failure this bench exists to catch)
-still trips it.  ``audit_cost_per_event_us`` is recorded for trending
-the absolute per-event price across commits.
+checks).  Off and on runs alternate and each keeps its fastest, so the
+difference is not a difference of two noisy medians.  The acceptance
+bar is an absolute price, **10 µs of wall clock per audited event**
+(``audit_cost_per_event_us``, measured 4.5–5.6): a ratio over the
+audit-off run loosens every time that run gets faster,
+while a change leaking protocol work onto the per-segment fast path
+(the failure this bench exists to catch) raises the price per event
+whatever the baseline does.  The on/off ``overhead`` ratio is still
+recorded, for reading only.
 
 Run as a pytest benchmark (``pytest benchmarks/`` — *not* part of the
 tier-1 suite) or directly: ``python benchmarks/bench_observability_overhead.py``.
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import statistics
 import time
 
 from repro.analysis.report import Report
@@ -44,10 +47,10 @@ from repro.workloads import nas
 from conftest import full_sweep, record_report
 
 OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_audit_overhead.json"
-#: audit-on vs audit-off wall clock.  The delta includes the trace-emit
-#: work the subscriber-free fast path skips entirely (see module
-#: docstring) — measured ~52%; the fence catches fast-path leaks.
-BUDGET = 0.75
+#: audit-on minus audit-off wall clock per audited event, microseconds.
+#: The delta includes the trace-emit work the subscriber-free fast path
+#: skips entirely (see module docstring) — measured ~5.5; tighten only.
+BUDGET_US_PER_EVENT = 10.0
 
 
 def _time_run(audit: bool, nprocs: int, klass: str) -> tuple[float, object]:
@@ -62,31 +65,34 @@ def _time_run(audit: bool, nprocs: int, klass: str) -> tuple[float, object]:
 def measure_overhead(
     nprocs: int = 4, klass: str = "A", reps: int = 5
 ) -> dict:
-    """Median audit-off vs audit-on wall-clock for one CG configuration."""
+    """Audit-off vs audit-on wall clock for one CG configuration:
+    interleaved rounds (off, on), the min of each kept — noise only ever
+    adds time, and interleaving lets a slow machine phase hit both."""
     # warm up both paths once so allocator/bytecode effects don't skew
     # the first timed repetition
     _time_run(False, nprocs, klass)
     _time_run(True, nprocs, klass)
-    off = [_time_run(False, nprocs, klass)[0] for _ in range(reps)]
-    on_times = []
+    off, on_times = [], []
     last_audit = None
     for _ in range(reps):
+        off.append(_time_run(False, nprocs, klass)[0])
         dt, res = _time_run(True, nprocs, klass)
         on_times.append(dt)
         last_audit = res.audit
-    off_s = statistics.median(off)
-    on_s = statistics.median(on_times)
+    off_s = min(off)
+    on_s = min(on_times)
     n_events = last_audit.events_seen
     return {
         "kernel": "cg",
         "klass": klass,
         "nprocs": nprocs,
         "reps": reps,
+        "timing": "interleaved min-of-reps, one warmup per path",
         "audit_off_s": off_s,
         "audit_on_s": on_s,
         "overhead": (on_s - off_s) / off_s,
-        "budget": BUDGET,
         "audit_cost_per_event_us": (on_s - off_s) / n_events * 1e6,
+        "budget_us_per_event": BUDGET_US_PER_EVENT,
         "events_audited": n_events,
         "checks": last_audit.checks,
         "verdict": last_audit.verdict,
@@ -99,10 +105,11 @@ def bench_audit_overhead():
     OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
     rep = Report(f"Audit overhead - CG-{out['klass']}-{out['nprocs']} (V2)")
     rep.table(
-        ["audit off s", "audit on s", "overhead", "budget", "events audited"],
+        ["audit off s", "audit on s", "overhead", "us/event", "budget",
+         "events audited"],
         [[out["audit_off_s"], out["audit_on_s"],
-          f"{out['overhead']:+.1%}", f"{BUDGET:.0%}",
-          out["events_audited"]]],
+          f"{out['overhead']:+.1%}", f"{out['audit_cost_per_event_us']:.2f}",
+          f"{BUDGET_US_PER_EVENT:.1f}", out["events_audited"]]],
     )
     rep.add(
         "the online auditor checks every V2 safety invariant live off the "
@@ -111,9 +118,10 @@ def bench_audit_overhead():
     )
     record_report(rep)
     assert out["verdict"] == "clean", out
-    assert out["overhead"] <= BUDGET, (
-        f"audit overhead {out['overhead']:.1%} exceeds the {BUDGET:.0%} "
-        f"budget (off={out['audit_off_s']:.3f}s on={out['audit_on_s']:.3f}s)"
+    assert out["audit_cost_per_event_us"] <= BUDGET_US_PER_EVENT, (
+        f"audit cost {out['audit_cost_per_event_us']:.2f} us/event exceeds "
+        f"the {BUDGET_US_PER_EVENT:.1f} us budget "
+        f"(off={out['audit_off_s']:.3f}s on={out['audit_on_s']:.3f}s)"
     )
 
 
@@ -123,7 +131,9 @@ if __name__ == "__main__":
     out = measure_overhead()
     OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
     print(json.dumps(out, indent=2))
-    ok = out["overhead"] <= BUDGET and out["verdict"] == "clean"
+    cost = out["audit_cost_per_event_us"]
+    ok = cost <= BUDGET_US_PER_EVENT and out["verdict"] == "clean"
     status = "OK" if ok else "OVER BUDGET"
-    print(f"{status}: {out['overhead']:+.1%} (budget {BUDGET:.0%})")
+    print(f"{status}: {cost:.2f} us/event (budget {BUDGET_US_PER_EVENT:.1f}), "
+          f"{out['overhead']:+.1%} over audit-off")
     sys.exit(0 if ok else 1)

@@ -28,7 +28,7 @@ machinery on the client side.  This module implements each exactly once:
 
 * :class:`PushReader` — a session's reader loop as a stream consumer
   instead of a process: the same framing (:meth:`Session.accept`), run
-  at each segment's arrival, for loops that never block between reads.
+  at each record's arrival, for loops that never block between reads.
 
 * :class:`ServiceBase` — the server-side lifecycle.  ``start()``
   registers the fabric listener and runs the accept loop; ``stop()``
@@ -274,13 +274,8 @@ class Session:
 
     # -- framed I/O --------------------------------------------------------
     def write(self, nbytes: int, record: Any) -> Generator[Future, Any, None]:
-        """Send one framed record on the current stream."""
-        end = self.end
-        if end is None:
-            raise Disconnected(self.target, "session down")
-        self._note_io(end)
-        yield from end.write(nbytes, record)
-        self._note_io(end)  # fold the stall this write just paid, if any
+        """Send one framed record as one segment (``StreamEnd.write``)."""
+        return self.write_frame(nbytes, record, nbytes)
 
     def write_frame(
         self,
@@ -296,15 +291,15 @@ class Session:
             raise Disconnected(self.target, "session down")
         self._note_io(end)
         yield from end.write_frame(nbytes, record, mtu=mtu, bulk=bulk)
-        self._note_io(end)
+        self._note_io(end)  # fold the stall this write just paid, if any
 
     def read_record(
         self, end: Optional[StreamEnd] = None
     ) -> Generator[Future, Any, Any]:
-        """Next well-formed record: skips in-flight segments, rejects
-        (counts + traces) unframed garbage instead of returning it.
-        Heartbeat PONGs are absorbed here (RTT histogram), never
-        returned to the caller."""
+        """Next well-formed record (``read`` returns no in-flight
+        segment): rejects (counts + traces) unframed garbage instead of
+        returning it.  Heartbeat PONGs are absorbed here (RTT
+        histogram), never returned to the caller."""
         src = end if end is not None else self.end
         if src is None:
             raise Disconnected(self.target, "session down")
@@ -322,7 +317,7 @@ class Session:
         unframed garbage (counted and traced as a protocol error).
         :meth:`read_record` and :class:`PushReader` both read through it."""
         if msg is None:
-            return None  # an in-flight segment of a chunked transfer
+            return None  # an in-flight segment (only ``try_read`` returns one)
         if (
             self._hb_on
             and type(msg) is tuple
@@ -430,8 +425,6 @@ class PushReader:
 
     def _take(self, payload: Any, exc: Any) -> None:
         if exc is None:
-            if payload is None:
-                return  # an in-flight segment: the loop read on, parked
             # detached while it works, as the loop was off its read: a
             # break meanwhile is found by the next read, not delivered
             self.end.consumer = None
@@ -620,14 +613,12 @@ class ServiceBase:
         control listener uses this as its liveness signal."""
 
     def _read_record(self, end: StreamEnd) -> Generator[Future, Any, Any]:
-        """Next well-formed record from a client: skips in-flight
-        segments, rejects (counts + traces) unframed garbage.
+        """Next well-formed record from a client (``read`` returns no
+        in-flight segment): rejects (counts + traces) unframed garbage.
         Heartbeat PINGs are answered in place (PONG echoing the
         client's timestamp) and reported via :meth:`on_ping`."""
         while True:
             _, msg = yield end.read()
-            if msg is None:
-                continue  # an in-flight segment of a chunked transfer
             if type(msg) is tuple and len(msg) == 4 and msg[0] == "PING":
                 self.on_ping(end, msg)
                 yield from end.write(24, ("PONG", msg[1], msg[2], msg[3]))

@@ -18,7 +18,6 @@ from .kernel import (
     Simulator,
     all_of,
     any_of,
-    wait,
 )
 from .network import DegradeWindow, LinkConfig, Network, PartitionWindow
 from .node import Host, HostDown
@@ -38,7 +37,6 @@ __all__ = [
     "Simulator",
     "all_of",
     "any_of",
-    "wait",
     "LinkConfig",
     "Network",
     "PartitionWindow",

@@ -62,7 +62,6 @@ __all__ = [
     "Queue",
     "Gate",
     "Semaphore",
-    "wait",
     "all_of",
     "any_of",
     "EV_CALL",
@@ -260,12 +259,6 @@ class Future:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
         return f"<Future {self.name!r} {state}>"
-
-
-def wait(fut: Future) -> Generator[Future, Any, Any]:
-    """Composite form of blocking on a future (``yield from wait(f)``)."""
-    value = yield fut
-    return value
 
 
 def all_of(sim: "Simulator", futures: Iterable[Future]) -> Future:
@@ -845,7 +838,7 @@ class Semaphore:
         self.sim = sim
         self.name = name
         self._tokens = tokens
-        self._waiters: deque[tuple[int, Future]] = deque()
+        self._waiters: deque[tuple[int, Any]] = deque()  # see ``park``
         self._observers: list[tuple[int, Future]] = []
         self._broken: Optional[BaseException] = None
         self._acquire_name = f"{name}.acquire"
@@ -859,14 +852,19 @@ class Semaphore:
     def acquire(self, n: int = 1) -> Future:
         """A future resolved once ``n`` tokens have been taken."""
         fut = Future(self.sim, name=self._acquire_name)
-        if self._broken is not None:
-            fut.fail(self._broken)
-        elif not self._waiters and self._tokens >= n:
-            self._tokens -= n
+        if self.try_acquire(n):
             fut._done = True
         else:
-            self._waiters.append((n, fut))
+            self.park(n, fut)
         return fut
+
+    def park(self, n: int, waiter: Any) -> None:
+        """Queue ``waiter`` — a :class:`Future`, or a stream's blocked
+        frame with the same two resolution methods — for ``n`` tokens."""
+        if self._broken is not None:
+            waiter.fail_if_pending(self._broken)
+        else:
+            self._waiters.append((n, waiter))
 
     def try_acquire(self, n: int = 1) -> bool:
         """Take ``n`` tokens now, or none: the allocation-free fast path.

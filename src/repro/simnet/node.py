@@ -85,13 +85,10 @@ class Host:
     HALF_DUPLEX_MIN_BYTES = 8192
 
     # -- NIC resource ----------------------------------------------------
-    def _coupled(self, nbytes: int) -> bool:
-        return not self.full_duplex and nbytes >= self.HALF_DUPLEX_MIN_BYTES
-
     def reserve_tx(self, start: float, duration: float, nbytes: int = 0) -> float:
         """Reserve the transmit side; returns actual transmission start."""
         begin = self._tx_free
-        if not self.full_duplex and nbytes >= 8192:  # inlined _coupled
+        if not self.full_duplex and nbytes >= 8192:  # HALF_DUPLEX_MIN_BYTES
             if self._rx_free > begin:
                 begin = self._rx_free
             if start > begin:
@@ -110,7 +107,7 @@ class Host:
     def reserve_rx(self, start: float, duration: float, nbytes: int = 0) -> float:
         """Reserve the receive side; returns the reception completion time."""
         begin = self._rx_free
-        if not self.full_duplex and nbytes >= 8192:  # inlined _coupled
+        if not self.full_duplex and nbytes >= 8192:  # HALF_DUPLEX_MIN_BYTES
             if self._tx_free > begin:
                 begin = self._tx_free
             if start > begin:

@@ -6,7 +6,9 @@ it has that many bytes outstanding that the reader has not consumed.  This
 is the mechanism behind Figure 9 of the paper — the P4 driver does not
 drain incoming segments while pushing a message, so its peer stalls on a
 full window, serializing the two directions; the V2 daemon drains after
-every chunk and keeps both directions flowing.
+every chunk and keeps both directions flowing.  A writer out of credit
+parks once per call, the releases sending the rest (:class:`_Frame`);
+in-flight segments (payload ``None``) wake no reader.
 
 Streams deliver segments in order and break atomically when either host
 crashes: pending and future reads/writes fail with :class:`Disconnected`
@@ -22,7 +24,7 @@ from typing import Any, Callable, Generator, Optional
 
 from .kernel import Future, Semaphore, register_slot
 from .network import Network
-from .node import Host
+from .node import Host, HostDown
 
 __all__ = ["Disconnected", "Stream", "StreamEnd", "DEFAULT_WINDOW", "EV_ARRIVE"]
 
@@ -50,6 +52,67 @@ def _arrive(end: "StreamEnd", segment: tuple) -> None:
 EV_ARRIVE = register_slot(_arrive, "streams.arrive")
 
 
+class _Frame:
+    """A blocked write, sent on by credit releases instead of its writer:
+    the credit semaphore's FIFO waiter, called where the parked writer was
+    resumed (:meth:`resolve_if_pending`; a break: :meth:`fail_if_pending`).
+    The writer yields once, on ``done``.  A killed writer clears ``end``:
+    its wait still takes the tokens released to it, as a dead process's
+    ``acquire`` does, and sends nothing."""
+
+    __slots__ = ("end", "sim", "left", "step", "payload", "bulk", "nsegs",
+                 "t0", "done")
+
+    def __init__(self, end: "StreamEnd", nbytes: int, step: int,
+                 payload: Any, bulk: bool, nsegs: int) -> None:
+        self.end: Optional[StreamEnd] = end
+        self.sim = end.stream.net.sim
+        self.left, self.step, self.payload = nbytes, step, payload
+        self.bulk, self.nsegs = bulk, nsegs
+        self.t0 = 0.0  # when the current park began
+        self.done = Future(self.sim, name=end._wcredit.name)
+
+    def pump(self, granted: bool = False) -> bool:
+        """Send segments while credit covers them; True: parked on the
+        first it does not (``granted``: the head's credit is taken)."""
+        end = self.end
+        credit, window = end._wcredit, end.stream.window
+        step, left = self.step, self.left
+        while True:
+            seg = step if left > step else left
+            # max(1, min(seg, window)) without two builtin calls a segment
+            charge = (seg if seg < window else window) or 1
+            if not granted and not credit.try_acquire(charge):
+                self.left = left
+                self.t0 = self.sim.now
+                credit.park(charge, self)
+                return True
+            granted = False
+            left -= seg
+            end._xfer(seg, charge, self.payload if left <= 0 else None,
+                      self.bulk, self.nsegs)
+            if left <= 0:
+                self.done.resolve(None)
+                return False
+
+    def resolve_if_pending(self, _value: Any = None) -> None:
+        """The head segment's credit was taken for it: send on."""
+        end = self.end
+        if end is None:
+            return  # the writer was killed
+        dt = self.sim.now - self.t0
+        end.stall_s += dt
+        end.host.stall_s += dt
+        try:
+            self.pump(True)
+        except HostDown as exc:  # the writer's exception, not the releaser's
+            self.fail_if_pending(exc)
+
+    def fail_if_pending(self, exc: BaseException) -> None:
+        self.end = None  # the stream broke (or the source host is down)
+        self.done.fail_if_pending(exc)
+
+
 class StreamEnd:
     """One side of a stream."""
 
@@ -69,7 +132,7 @@ class StreamEnd:
         self._rx_getters: deque[Future] = deque()
         self._rx_watchers: list[Future] = []
         #: push delivery instead of reads: ``consumer(payload, None)`` runs
-        #: at each segment's arrival, credit already released, and
+        #: at each record's arrival, credit already released, and
         #: ``consumer(None, exc)`` once when the stream breaks (the hook is
         #: cleared first).  A reader whose work after each read is all
         #: synchronous needs no process: installed, it replaces the parked
@@ -103,19 +166,11 @@ class StreamEnd:
         if net.sim.flat:
             net.transfer(
                 self.host, peer.host, nbytes, (EV_ARRIVE, peer, segment),
-                bulk=bulk, segments=nsegs,
+                bulk, nsegs,
             )
         else:
-            stream = self.stream
-
-            def arrive() -> None:
-                if stream.dead or peer.broken is not None:
-                    return  # dropped on the floor: crash during transfer
-                peer._deliver(segment)
-
-            net.transfer(
-                self.host, peer.host, nbytes, arrive, bulk=bulk, segments=nsegs
-            )
+            net.transfer(self.host, peer.host, nbytes,
+                         lambda: _arrive(peer, segment), bulk, nsegs)
         self.bytes_written += nbytes
 
     def write(
@@ -130,22 +185,7 @@ class StreamEnd:
         endpoint such segments serialize against reception.
         Returns once the segment has been handed to the network.
         """
-        charge = max(1, min(nbytes, self.stream.window))
-        if self.broken is not None:
-            raise self._gone()
-        if not self._wcredit.try_acquire(charge):
-            # blocked — whether on missing tokens or FIFO order behind
-            # earlier waiters (the old tokens>=charge check missed those)
-            self.stall_count += 1
-            self.host.stall_count += 1
-            t0 = self.stream.net.sim.now
-            yield self._wcredit.acquire(charge)
-            dt = self.stream.net.sim.now - t0
-            self.stall_s += dt
-            self.host.stall_s += dt
-            if self.broken is not None:
-                raise self._gone()
-        self._xfer(nbytes, charge, payload, bulk, 1)
+        return self.write_frame(nbytes, payload, nbytes, bulk)  # one segment
 
     def write_frame(
         self,
@@ -156,8 +196,7 @@ class StreamEnd:
     ) -> Generator[Future, Any, None]:
         """Send one length-prefixed frame, coalescing its wire segments.
 
-        Replaces the ``N-1 × write(None) + write(record)`` segment loops:
-        when the whole frame fits in the peer's receive window, its
+        When the whole frame fits in the peer's receive window, its
         window credit is charged once and the network moves it as a
         single transfer of ``ceil(nbytes / mtu)`` wire segments — one
         kernel event and one reader wakeup instead of N (wire time is
@@ -166,49 +205,31 @@ class StreamEnd:
 
         A frame larger than the window cannot coalesce without breaking
         flow control (the reader must drain mid-transfer — the Figure 9
-        stall mechanism), so it falls back to window-respecting segments
-        with ``record`` riding the last one.  Either way a blocked call
-        counts at most one window stall.
+        stall mechanism), so it goes as window-respecting ``mtu``
+        segments, in flight but the last, which carries ``record``.  A
+        call out of credit — on missing tokens or FIFO order behind
+        earlier waiters — counts one window stall and parks once, while
+        the credit releases send the rest (:class:`_Frame`).
         """
         if self.broken is not None:
             raise self._gone()
         window = self.stream.window
         if mtu is None or mtu <= 0:
             mtu = window
-        if nbytes <= window:
-            charge = max(1, nbytes)
-            if not self._wcredit.try_acquire(charge):
-                self.stall_count += 1
-                self.host.stall_count += 1
-                t0 = self.stream.net.sim.now
-                yield self._wcredit.acquire(charge)
-                dt = self.stream.net.sim.now - t0
-                self.stall_s += dt
-                self.host.stall_s += dt
-                if self.broken is not None:
-                    raise self._gone()
-            nsegs = -(-nbytes // mtu) if nbytes > 0 else 1
-            self._xfer(nbytes, charge, record, bulk, nsegs)
-            return
-        remaining = nbytes
-        stalled = False
-        while remaining > 0:
-            seg = mtu if remaining > mtu else remaining
-            charge = max(1, min(seg, window))
-            if not self._wcredit.try_acquire(charge):
-                if not stalled:
-                    stalled = True
-                    self.stall_count += 1
-                    self.host.stall_count += 1
-                t0 = self.stream.net.sim.now
-                yield self._wcredit.acquire(charge)
-                dt = self.stream.net.sim.now - t0
-                self.stall_s += dt
-                self.host.stall_s += dt
-                if self.broken is not None:
-                    raise self._gone()
-            remaining -= seg
-            self._xfer(seg, charge, record if remaining <= 0 else None, bulk, 1)
+        step, nsegs = (mtu, 1) if nbytes > window else (nbytes, -(-nbytes // mtu) or 1)
+        if nbytes <= step:  # one segment: the free-credit fast path
+            charge = max(1, min(nbytes, window))
+            if self._wcredit.try_acquire(charge):
+                self._xfer(nbytes, charge, record, bulk, nsegs)
+                return
+        frame = _Frame(self, nbytes, step, record, bulk, nsegs)
+        if frame.pump():  # out of credit: one stall for the whole call
+            self.stall_count += 1
+            self.host.stall_count += 1
+        try:
+            yield frame.done
+        finally:
+            frame.end = None  # killed: the frame sends nothing more
 
     def write_nowait(self, nbytes: int, payload: Any = None, bulk: bool = False) -> bool:
         """Non-blocking write; returns False if the window is full/broken.
@@ -222,35 +243,28 @@ class StreamEnd:
         self._xfer(nbytes, charge, payload, bulk, 1)
         return True
 
-    @property
-    def writable(self) -> bool:
-        """Window credit available and connection alive?"""
-        return self.broken is None and self._wcredit.tokens > 0
-
     # -- reading ----------------------------------------------------------
     def _deliver(self, segment: tuple) -> None:
         """Hand one arrived segment to the receive side.
 
         A consumer, or else a waiting reader, gets it immediately —
-        credit released and the consumer called or the read future
-        resolved right here, with no intermediate queue hop — otherwise
-        the segment is parked for the next read call.
+        credit released and (unless it is in flight) the consumer called
+        or the read future resolved right here, with no intermediate queue
+        hop — otherwise the segment is parked for the next read call.
         """
         consumer = self.consumer
-        if consumer is not None:
-            nbytes, charge, payload = segment
-            self.bytes_read += nbytes
-            if self.peer.broken is None:
-                self.peer._wcredit.release(charge)
-            consumer(payload, None)
-            return
         getters = self._rx_getters
-        if getters:
+        if consumer is not None or getters:
             nbytes, charge, payload = segment
             self.bytes_read += nbytes
             if self.peer.broken is None:
                 self.peer._wcredit.release(charge)
-            getters.popleft().resolve((nbytes, payload))
+            if payload is None:
+                return
+            if consumer is not None:
+                consumer(payload, None)
+            else:
+                getters.popleft().resolve((nbytes, payload))
             return
         self._rx_items.append(segment)
         if self._rx_watchers:
@@ -259,24 +273,25 @@ class StreamEnd:
                 fut.resolve_if_pending(None)
 
     def read(self) -> Future:
-        """A future for the next segment ``(nbytes, payload)``.
+        """A future for the next record ``(nbytes, payload)``, consuming
+        queued in-flight segments on the way (arriving ones never resolve it).
 
         Reading releases window credit back to the peer writer — a device
         that delays reads (P4 while sending) therefore stalls its peer.
         """
+        fut = Future(self.stream.net.sim, name=self._read_name)
         items = self._rx_items
-        if items and self.broken is None:
+        while items and self.broken is None:
             # hot path: a segment is already queued — pop it, release the
-            # credit and return a pre-resolved future
+            # credit and, for a record, return a pre-resolved future
             nbytes, charge, payload = items.popleft()
             self.bytes_read += nbytes
             if self.peer.broken is None:
                 self.peer._wcredit.release(charge)
-            fut = Future(self.stream.net.sim, name=self._read_name)
-            fut._done = True
-            fut._value = (nbytes, payload)
-            return fut
-        fut = Future(self.stream.net.sim, name=self._read_name)
+            if payload is not None:
+                fut._done = True
+                fut._value = (nbytes, payload)
+                return fut
         if self.broken is not None:
             fut.fail(self.broken)
         else:

@@ -1,14 +1,20 @@
-"""Golden trace oracle: three V2 fault runs pinned record for record.
+"""Golden trace oracle: four V2 fault runs pinned record for record.
 
 The benchmark digests cover the metrics registry, not the order of
 events; these hashes cover the whole trace stream — every record's
-simulated time, kind and fields, in emission order — of three runs
+simulated time, kind and fields, in emission order — of four runs
 that cross crash, restart, replay, replicated event loggers,
 checkpointing and churn.  A refactor of order-sensitive plumbing (the
 kernel, streams, the daemon's readers and forward) must leave them
-unchanged.  Values were recorded before the daemon's reader and
-forward processes became direct calls, and confirmed under two
-``PYTHONHASHSEED`` values.
+unchanged.  The three class-S runs send no frame larger than a stream
+window; the bulk run does nothing else: 256 KiB rendezvous DATA frames
+both ways, each one 16 wire segments behind a 64 KiB window (one
+``net.xfer`` record per segment), with a kill that lands while both
+directions are parked mid-frame on credit.  The class-S values were
+recorded before the daemon's reader and forward processes became
+direct calls, the bulk one before a blocked frame stopped resuming its
+writer per segment; all were confirmed under two ``PYTHONHASHSEED``
+values.
 """
 
 import hashlib
@@ -19,6 +25,7 @@ from repro.ft.failure import ChurnFaults, ExplicitFaults
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
+from repro.workloads.synthetic import burst_pingpong
 
 
 def trace_hash(res) -> tuple[str, int]:
@@ -59,6 +66,16 @@ RUNS = {
                                max_faults=3),
         ),
         ("b9462474a2a8", 29_885),
+    ),
+    "burst-256k-ckpt-kill-mid-frame": (
+        lambda: run_job(
+            burst_pingpong, 2, device="v2",
+            params={"nbytes": 256 * 1024, "reps": 3, "warmup": 0},
+            seed=1, trace=True, limit=1e6,
+            checkpointing=True, ckpt_interval=0.1,
+            faults=ExplicitFaults([(0.3, 1)]),
+        ),
+        ("f90a1ffdd86f", 2_375),
     ),
 }
 

@@ -5,6 +5,8 @@ import pytest
 from repro.simnet import (
     Disconnected,
     Host,
+    HostDown,
+    Killed,
     Network,
     Simulator,
     Stream,
@@ -203,19 +205,22 @@ def test_end_for_lookup():
 
 
 def test_byte_accounting():
+    """In-flight segments count as read when consumed, though a read
+    returns only the record after them."""
     sim, net, stream = make_pair()
 
     def writer():
         yield from stream.a.write(123, payload=None)
+        yield from stream.a.write(7, payload="end")
 
     def reader():
-        yield stream.b.read()
+        return (yield stream.b.read())
 
     sim.spawn(writer(), "w")
     p = sim.spawn(reader(), "r")
-    sim.run_until(p.done)
-    assert stream.a.bytes_written == 123
-    assert stream.b.bytes_read == 123
+    assert sim.run_until(p.done) == (7, "end")
+    assert stream.a.bytes_written == 130
+    assert stream.b.bytes_read == 130
 
 
 def test_bidirectional_streams_independent():
@@ -291,10 +296,19 @@ def test_write_frame_times_like_segmented_writes():
 
 def test_write_frame_larger_than_window_respects_flow_control():
     """An over-window frame falls back to window-respecting segments:
-    the reader must drain mid-transfer (Figure 9), and the record rides
-    the final segment."""
+    the reader drains mid-transfer (Figure 9) — each in-flight segment
+    returns its credit at its arrival, where the next segment takes it
+    at once — yet wakes once, for the record on the final segment."""
     sim, net, stream = make_pair(window=1000)
     got = []
+    credit_after_arrival = []
+    deliver = stream.b._deliver
+
+    def spy(segment):
+        deliver(segment)
+        credit_after_arrival.append(stream.a._wcredit.tokens)
+
+    stream.b._deliver = spy
 
     def writer():
         yield from stream.a.write_frame(3500, record="tail", mtu=1000)
@@ -309,9 +323,14 @@ def test_write_frame_larger_than_window_respects_flow_control():
     sim.spawn(writer(), "w")
     p = sim.spawn(reader(), "r")
     sim.run_until(p.done)
-    assert got == [(1000, None), (1000, None), (1000, None), (500, "tail")]
+    assert got == [(500, "tail")]
+    assert credit_after_arrival == [0, 0, 500, 1000]
     assert stream.a.bytes_written == 3500
     assert stream.b.bytes_read == 3500
+
+
+# four parks of one 1000-byte segment's round trip each, summed in order
+STALL_S_5000_OVER_1000 = 0.0005865779334500874
 
 
 def test_write_frame_over_window_counts_at_most_one_stall():
@@ -332,7 +351,140 @@ def test_write_frame_over_window_counts_at_most_one_stall():
     p = sim.spawn(reader(), "r")
     sim.run_until(p.done)
     assert stream.a.stall_count == 1
-    assert stream.a.stall_s > 0.0
+    assert stream.a.host.stall_count == 1
+    # four parks, each timed from the park to the release that paid
+    # for it and added on its own, in order: the per-segment writer
+    # loop's float sum, bit for bit
+    assert stream.a.stall_s == STALL_S_5000_OVER_1000
+    assert stream.a.host.stall_s == STALL_S_5000_OVER_1000
+
+
+# -- a blocked frame moved by credit releases ----------------------------------
+
+
+def _spy_arrivals(end):
+    """Record ``(nbytes, payload)`` of every segment arriving at ``end``."""
+    seen = []
+    deliver = end._deliver
+
+    def spy(segment):
+        seen.append((segment[0], segment[2]))
+        deliver(segment)
+
+    end._deliver = spy
+    return seen
+
+
+def test_killed_writer_sends_nothing_more_and_its_wait_takes_the_credit():
+    """As a dead process's pending ``acquire`` did: the released credit
+    is consumed by the killed frame's wait, and nothing is sent."""
+    sim, net, stream = make_pair(window=1000)
+
+    def writer():
+        yield from stream.a.write_frame(5000, record="r", mtu=1000)
+
+    w = sim.spawn(writer(), "w")
+    sim.run()  # one segment sent, queued unread; the frame parked
+    assert stream.a.bytes_written == 1000 and stream.b.rx_depth == 1
+    w.kill()
+    assert stream.b.try_read() == (True, 1000, None)  # 1000 tokens back
+    sim.run()
+    assert stream.a.bytes_written == 1000
+    assert net.segments_moved == 1
+    assert stream.a._wcredit.tokens == 0  # taken by the dead frame's wait
+    assert stream.a.write_nowait(10, "late") is False
+    assert isinstance(w.done.exception, Killed)
+
+
+def test_stream_broken_mid_frame_fails_the_writer_after_its_handoffs():
+    """The writer sees ``Disconnected`` and ``bytes_written`` counts the
+    segments handed to the network, the one dropped on the wire too."""
+    sim, net, stream = make_pair(window=1000)
+    seen = _spy_arrivals(stream.b)
+    caught = {}
+
+    def writer():
+        try:
+            yield from stream.a.write_frame(5000, record="r", mtu=1000)
+        except Disconnected as exc:
+            caught["exc"] = exc
+            caught["written"] = stream.a.bytes_written
+
+    def reader():
+        while True:
+            yield stream.b.read()
+
+    w = sim.spawn(writer(), "w")
+    sim.spawn(reader(), "r", supervised=True)
+    # a segment takes ~147 us end to end: at 350 us the third is on the
+    # wire and the frame parked for the fourth
+    sim.after(350e-6, lambda: stream.break_both("cut"))
+    sim.run()
+    assert w.done.done and w.done.exception is None
+    assert isinstance(caught["exc"], Disconnected)
+    assert caught["written"] == 3000 == net.bytes_moved
+    assert seen == [(1000, None), (1000, None)]  # the third was dropped
+    assert stream.a.stall_count == 1
+
+
+def test_writer_queued_behind_a_blocked_frame_keeps_fifo_order():
+    """A parked frame re-queues behind a writer that queued meanwhile:
+    the credit goes first to the head of the queue, segment by segment."""
+    sim, net, stream = make_pair(window=1000)
+    seen = _spy_arrivals(stream.b)
+    done = []
+
+    def frame_writer():
+        yield from stream.a.write_frame(2000, record="A", mtu=400)
+        done.append("A")
+
+    def small_writer():
+        # 200 tokens are free, enough for 150 bytes: FIFO order still
+        # queues this write behind the parked frame
+        yield sim.timeout(1e-6)
+        yield from stream.a.write(150, payload="B")
+        done.append("B")
+
+    def reader():
+        while (yield stream.b.read())[1] != "A":
+            pass
+
+    sim.spawn(frame_writer(), "wa")
+    sim.spawn(small_writer(), "wb")
+    p = sim.spawn(reader(), "r")
+    sim.run_until(p.done)
+    assert seen == [
+        (400, None), (400, None), (400, None), (150, "B"), (400, None),
+        (400, "A"),
+    ]
+    assert done == ["B", "A"]
+    assert stream.a.stall_count == 2
+
+
+def test_source_host_crash_mid_frame_does_not_crash_the_simulator():
+    """Credit released to a frame whose host is already down (a crash
+    kills processes before it breaks streams): the hand-off's HostDown
+    goes to the writer, not to whoever released the credit."""
+    sim, net, stream = make_pair(window=1000)
+    a = stream.a.host
+
+    def writer():
+        yield from stream.a.write_frame(5000, record="r", mtu=1000)
+
+    def bystander():
+        yield sim.timeout(10.0)
+
+    w = sim.spawn(writer(), "w", supervised=True)  # not bound to host a
+    k = sim.spawn(bystander(), "k")
+    a.register(k)
+    # killing k drains the receive side while host a is down
+    k.done.add_done_callback(lambda _f: stream.b.try_read())
+    sim.run(until=1.0)  # one segment queued, the frame parked
+    a.crash()
+    sim.run()
+    assert isinstance(w.done.exception, HostDown)
+    assert stream.a.bytes_written == 1000
+    assert stream.dead
 
 
 # -- window-stall accounting --------------------------------------------------
@@ -377,7 +529,7 @@ def test_no_stall_counted_on_free_write():
     sim, net, stream = make_pair(window=1000)
 
     def writer():
-        yield from stream.a.write(100, payload=None)
+        yield from stream.a.write(100, payload="x")
 
     def reader():
         yield stream.b.read()
