@@ -13,17 +13,16 @@ highest protocol-event rate per unit of wall-clock — with auditing off
 and on, and records the median overhead in ``BENCH_audit_overhead.json``
 at the repository root.
 
-What "overhead" covers changed with the flat-kernel rewrite.  The old
-kernel emitted trace records unconditionally, so audit-off runs paid
-the emit cost invisibly and the on/off delta isolated just the
-auditor's checks (~15%).  The tracer now keeps its hot emit sites on a
-subscriber-gated fast path: an unsubscribed run pays nothing, and
-attaching the auditor re-enables the emits it rides on — so the delta
-honestly prices the whole always-on-observability decision (emits +
+What "overhead" covers: every per-message emit site is guarded by
+``tracer.hot``, which is False on a run with no retention and no
+subscriber.  Only observers subscribe (no protocol or bookkeeping path
+does), so the audit-off run builds no trace record at all, and
+attaching the auditor turns on every guarded emit it rides on — the
+delta prices the whole always-on-observability decision (emits +
 checks).  Off and on runs alternate and each keeps its fastest, so the
 difference is not a difference of two noisy medians.  The acceptance
 bar is an absolute price, **10 µs of wall clock per audited event**
-(``audit_cost_per_event_us``, measured 4.5–5.6): a ratio over the
+(``audit_cost_per_event_us``, ~5 measured on CG-A-4): a ratio over the
 audit-off run loosens every time that run gets faster,
 while a change leaking protocol work onto the per-segment fast path
 (the failure this bench exists to catch) raises the price per event
@@ -48,8 +47,8 @@ from conftest import full_sweep, record_report
 
 OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_audit_overhead.json"
 #: audit-on minus audit-off wall clock per audited event, microseconds.
-#: The delta includes the trace-emit work the subscriber-free fast path
-#: skips entirely (see module docstring) — measured ~5.5; tighten only.
+#: The delta includes the trace-emit work an unobserved run skips
+#: entirely (see module docstring); tighten only.
 BUDGET_US_PER_EVENT = 10.0
 
 

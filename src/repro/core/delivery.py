@@ -5,7 +5,8 @@ side of the node: phase-C duplicate discard against the per-sender
 ``forwarded_hw`` watermark, the forced-order holdback during replay,
 and the UNIX-socket forward that models the daemon-to-process handoff.
 It also accounts the incarnation's catch-up point (the ``v2.caught_up``
-trace and the ``ft.replay_s`` histogram).
+trace, the ``ft.replay_s`` histogram and the ``on_caught_up`` call
+through which the dispatcher keeps its recovery gauge).
 
 The forward is a FIFO server without a process: one ``daemon.fwd``
 kernel event per packet, at the instant its socket transfer completes,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Optional
+from typing import Callable, Optional
 
 from ..mpi.datatypes import Envelope
 from ..mpi.protocol import FIRST_KINDS, Packet, PacketKind, inline_packet
@@ -80,6 +81,8 @@ class DeliveryPipeline:
         self._fwd_name = core.proc_name("fwd")
         self.start_t = 0.0
         self._caught_up = False
+        #: ``callback(rank)`` at the catch-up instant (set by the dispatcher)
+        self.on_caught_up: Optional[Callable[[int], None]] = None
         m = metrics if metrics is not None else Metrics()
         self._m_replay_s = m.histogram("ft.replay_s", rank=core.rank)
 
@@ -174,6 +177,8 @@ class DeliveryPipeline:
         self._caught_up = True
         replay_s = self.sim.now - self.start_t
         self._m_replay_s.observe(replay_s)
+        if self.on_caught_up is not None:
+            self.on_caught_up(core.rank)
         self.tracer.emit(
             self.sim.now,
             "v2.caught_up",

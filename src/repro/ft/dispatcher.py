@@ -116,7 +116,6 @@ class Dispatcher(RankSet):
         # recoveries), kept as a time-weighted gauge for the sampler
         self.recovering: set[int] = set()
         self._m_recovering = m.gauge("disp.recovering")
-        self.tracer.subscribe(self._note_caught_up, kinds={"v2.caught_up"})
         # heartbeat bookkeeping: last PING (or accept) per rank, and the
         # set of ranks whose link has gone quiet past hb_timeout —
         # partitioned-but-alive daemons the socket detector cannot see
@@ -171,20 +170,18 @@ class Dispatcher(RankSet):
                         now, "ft.suspect", rank=r, quiet_s=now - seen
                     )
 
-    def _note_caught_up(self, time: float, kind: str, fields: dict) -> None:
-        rank = fields.get("rank")
+    def _note_caught_up(self, rank: int) -> None:
+        """A restarted rank's replay drained (its daemon calls this)."""
         if rank in self.recovering:
             self.recovering.discard(rank)
-            self._m_recovering.set(float(len(self.recovering)), time)
+            self._m_recovering.set(float(len(self.recovering)), self.sim.now)
 
     def stop(self, cause: Any) -> None:
         """Withdraw the control listener (dropping every daemon link,
-        ending the heartbeat monitor), the checkpoint scheduler and the
-        tracer subscription (through which a result reaches every daemon)."""
+        ending the heartbeat monitor) and the checkpoint scheduler."""
         self.listener.stop(cause)
         if self.scheduler is not None:
             self.scheduler.stop(cause)
-        self.tracer.unsubscribe(self._note_caught_up)
 
     def wipe_logs(self) -> None:
         """Forget the job's logged events, images and GC floors: after a
@@ -274,6 +271,7 @@ class Dispatcher(RankSet):
             self.sim, self.cfg, rank, self.nprocs, host, daemon,
             tracer=self.tracer,
         )
+        daemon.delivery.on_caught_up = self._note_caught_up
         st.daemon = daemon
         dproc = self.sim.spawn(
             daemon.start(), name=f"daemon{rank}.i{incarnation}"

@@ -63,9 +63,11 @@ class Tracer:
                                Optional[frozenset]]] = []
         self._interest: Optional[frozenset] = frozenset()  # union; None=all
         #: False only when *no* emit can have an effect (retention off,
-        #: no subscribers).  Hot paths guard ``if tracer.hot:`` before
-        #: building an emit's keyword dict — the dict construction, not
-        #: the emit call, is what shows up at CG event rates.
+        #: no subscribers) — which is every unobserved job's whole life:
+        #: only observers subscribe, never protocol or bookkeeping code.
+        #: Hot paths guard ``if tracer.hot:`` before building an emit's
+        #: keyword dict — the dict construction, not the emit call, is
+        #: what shows up at CG event rates.
         self.hot = enabled
         if max_records is not None:
             self.records: Any = deque(maxlen=max_records)

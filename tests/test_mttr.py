@@ -27,6 +27,9 @@ from repro.obs import (
 from repro.obs.timeline import quantile
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
+from repro.simnet.trace import Tracer
+from repro.workloads import nas
+from repro.workloads.pingpong import pingpong
 
 
 def ring_prog(mpi, rounds=30, nbytes=2000, work=0.02):
@@ -228,6 +231,48 @@ def test_timeseries_sampler_on_run(ckpt_faulty_run):
     doc = json.loads(json.dumps(ts.as_dict()))
     assert doc["interval"] == 0.25
     assert [t for t, _ in doc["series"]["disp.recovering"]] == times
+
+
+def test_recovery_gauge_does_not_ride_the_trace_stream():
+    """An untraced, unaudited V2 job keeps its tracer cold for its whole
+    life: the dispatcher learns of a caught-up rank by a direct call, not
+    a subscription, and the ``disp.recovering`` gauge still rises and
+    drains with the pinned values at the pinned simulated instants."""
+    res = run_job(
+        nas.KERNELS["cg"].program, 4, device="v2", params={"klass": "S"},
+        timeseries=True, faults=ExplicitFaults([(0.05, 1), (0.12, 3)]),
+        limit=1000.0,
+    )
+    assert res.restarts == 2
+    assert res.tracer.hot is False and not res.tracer._subs
+    series = list(res.timeseries.series["disp.recovering"])
+    assert max(v for _, v in series) == 2.0 and series[-1][1] == 0.0
+    # sample for sample, and the time-weighted mean pins every set()
+    assert res.elapsed == 2.1885321839362954
+    assert series == [
+        (0.0, 0.0), (0.5, 2.0), (1.0, 2.0), (1.5, 0.0), (2.0, 0.0),
+        (res.elapsed, 0.0),
+    ]
+    gauge = res.metrics.gauge("disp.recovering")
+    assert gauge.time_avg(res.elapsed) == 1.1894018519367353
+
+
+def test_unobserved_pingpong_emits_nothing(monkeypatch):
+    """Every per-message emit site is guarded by ``tracer.hot``; on an
+    unobserved fault-free run none of them reaches ``Tracer.emit``."""
+    calls = []
+    emit = Tracer.emit
+
+    def counting(self, *args, **fields):
+        calls.append(args[1])
+        return emit(self, *args, **fields)
+
+    monkeypatch.setattr(Tracer, "emit", counting)
+    res = run_job(
+        pingpong, 2, device="v2", params={"nbytes": 0, "reps": 50}
+    )
+    assert res.results[0] > 0
+    assert calls == []
 
 
 def test_timeseries_ring_is_bounded():
