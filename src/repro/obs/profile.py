@@ -76,11 +76,12 @@ def classify_service(name: str) -> str:
 
 
 def _kind_name(fn: Callable) -> str:
-    """A stable, human-readable label for a heap callback.
+    """A stable, human-readable label for an ``EV_CALL`` callable.
 
-    Heap entries are mostly fresh closures (``timeout`` lambdas, stream
-    ``arrive`` closures, process bootstrap lambdas), so the label comes
-    from the *definition site*: the qualname with module noise stripped.
+    Callables scheduled through ``Simulator.at``/``after`` are often
+    fresh closures (a partition's heal, a supervisor's relaunch), so the
+    label comes from the *definition site*: the qualname with module
+    noise stripped.
     """
     func = getattr(fn, "__func__", fn)
     qual = getattr(func, "__qualname__", None)
@@ -149,11 +150,12 @@ class KernelProfiler:
         #: process resumes triggered inside it are timed (Process._step
         #: reads this flag instead of paying a method call per resume)
         self.sampling = False
-        # definition-site key -> [label, count, timed_count, wall_s]
+        # kind key (slot, or a callable's code) -> [label, count,
+        # timed_count, wall_s]
         self._kinds: dict[Any, list] = {}
-        # slot -> the same stats lists, indexed by position: the flat
-        # dispatch path pays a list index instead of a dict probe
-        self._flat: list = []
+        # slot -> the same stats lists, indexed by position: a slot event
+        # pays a list index instead of a dict probe
+        self._by_slot: list = []
         self._left = sample_every  # dispatches until the next sample
         self._q_sum = 0
         self._q_max = 0
@@ -232,66 +234,39 @@ class KernelProfiler:
         )
 
     # -- the probe interface (called by the kernel's run loops) --------
-    def dispatch(self, time: float, fn: Callable[[], None], qsize: int) -> None:
-        """Count, classify and (sampled) time one popped event.
-
-        This runs once per kernel event: the common case is a dict
-        lookup, a count bump and a countdown decrement.  One dispatch in
-        ``sample_every`` additionally records the heap depth, times the
-        handler, and raises :attr:`sampling` so process resumes executed
-        inside it land in the service decomposition.
-        """
-        try:
-            code = fn.__code__
-        except AttributeError:
-            func = getattr(fn, "__func__", None)
-            code = getattr(func, "__code__", None)
-            if code is None:
-                code = type(fn)
-        stats = self._kinds.get(code)
-        if stats is None:
-            stats = self._kinds[code] = [_kind_name(fn), 0, 0, 0.0]
-        stats[1] += 1
-        left = self._left - 1
-        if left:
-            self._left = left
-            fn()
-        else:
-            self._left = self.sample_every
-            self._q_sum += qsize
-            self._q_n += 1
-            if qsize > self._q_max:
-                self._q_max = qsize
-            self.sampling = True
-            t0 = perf_counter()
-            fn()
-            dt = perf_counter() - t0
-            self.sampling = False
-            stats[3] += dt
-            stats[2] += 1
-
-    def dispatch_flat(
+    def dispatch(
         self, time: float, slot: int, a: Any, b: Any, qsize: int
     ) -> None:
-        """Count, classify and (sampled) time one popped *flat* event.
+        """Count, classify and (sampled) time one popped event.
 
-        The twin of :meth:`dispatch` for slot-dispatched events: the kind
-        key is the slot integer (int keys never collide with the code
-        objects :meth:`dispatch` uses), labelled from the kernel's
-        ``SLOT_NAMES`` registry, and execution goes through ``run_slot``.
-        Slot stats live in a list indexed by slot number — this runs once
-        per kernel event, and a list index beats a dict probe there.
+        This runs once per kernel event: the common case is a list
+        index, a count bump and a countdown decrement.  The kind key is
+        the slot number, labelled from the kernel's ``SLOT_NAMES``
+        registry; an ``EV_CALL`` event (slot 0, a bare callable ``a``)
+        is keyed by the callable's code object instead and labelled by
+        its definition site (int keys never collide with code objects).
+        One dispatch in ``sample_every`` additionally records the heap
+        depth, times the handler, and raises :attr:`sampling` so process
+        resumes executed inside it land in the service decomposition.
         """
-        flat = self._flat
-        if slot < len(flat):
-            stats = flat[slot]
+        if slot:
+            by_slot = self._by_slot
+            stats = by_slot[slot] if slot < len(by_slot) else None
+            if stats is None:
+                by_slot.extend([None] * (slot + 1 - len(by_slot)))
+                stats = by_slot[slot] = self._kinds[slot] = [
+                    SLOT_NAMES.get(slot, f"slot{slot}"), 0, 0, 0.0
+                ]
         else:
-            stats = None
-        if stats is None:
-            flat.extend([None] * (slot + 1 - len(flat)))
-            stats = flat[slot] = self._kinds[slot] = [
-                SLOT_NAMES.get(slot, f"slot{slot}"), 0, 0, 0.0
-            ]
+            try:
+                code = a.__code__
+            except AttributeError:
+                code = getattr(getattr(a, "__func__", None), "__code__", None)
+                if code is None:
+                    code = type(a)
+            stats = self._kinds.get(code)
+            if stats is None:
+                stats = self._kinds[code] = [_kind_name(a), 0, 0, 0.0]
         stats[1] += 1
         left = self._left - 1
         if left:

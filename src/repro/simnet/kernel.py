@@ -27,7 +27,7 @@ events cost no closure allocation and no attribute lookups; with a probe
 installed (:meth:`Simulator.set_probe`) the same loops hand each event
 to the probe instead:
 
-* ``EV_CALL`` (0) — legacy callable: run ``a()``.  Everything scheduled
+* ``EV_CALL`` (0) — run the callable ``a()``.  Everything scheduled
   through :meth:`Simulator.at`/:meth:`Simulator.after` uses this slot.
 * ``EV_RESOLVE`` (1) — resolve :class:`Future` ``a`` with value ``b``
   unless it is already done (the :meth:`Simulator.timeout` fast path).
@@ -37,12 +37,8 @@ to the probe instead:
 
 Subsystems register additional slots with :func:`register_slot`; the run
 loops dispatch those through the module-level handler table with a plain
-list index.  The module flag :data:`FLAT_DISPATCH` (mirrored per-instance
-as ``Simulator.flat``) selects between the flat fast path and the legacy
-closure forms at every call site; both schedule exactly one heap entry at
-exactly the same point, so event order — ``(time, seq)`` for every
-event — is byte-identical between the two modes.  The parity test in
-``tests/test_kernel_parity.py`` holds us to that.
+list index.  Event order — ``(time, seq)`` for every event — is pinned
+by the full-trace hashes of ``tests/test_golden_trace.py``.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ __all__ = [
     "EV_RESOLVE",
     "EV_START",
     "EV_WAKE",
-    "FLAT_DISPATCH",
     "SLOT_NAMES",
     "register_slot",
     "run_slot",
@@ -89,19 +84,13 @@ class Killed(SimError):
 
 # -- the flat-event slot table ------------------------------------------
 
-#: Run-loop fast path on (the default) vs. legacy closure scheduling
-#: (the reference twin the parity test compares against).  Read once per
-#: Simulator at construction; flip the module global *before* building a
-#: simulator to select a mode.
-FLAT_DISPATCH = True
-
 EV_CALL = 0  # a: callable        b: unused   — run a()
 EV_RESOLVE = 1  # a: Future      b: value    — a.resolve_if_pending(b)
 EV_START = 2  # a: Process       b: unused   — first step of a process
 EV_WAKE = 3  # a: Process        b: value    — resume a sleeping process
 
-#: slot → human label, used by the kernel profiler to classify flat
-#: events (``KernelProfiler.dispatch_flat``) without touching handlers
+#: slot → human label, used by the kernel profiler to classify events
+#: (``KernelProfiler.dispatch``) without touching handlers
 SLOT_NAMES: dict[int, str] = {
     EV_CALL: "call",
     EV_RESOLVE: "timeout",
@@ -109,9 +98,8 @@ SLOT_NAMES: dict[int, str] = {
     EV_WAKE: "sleep",
 }
 
-# Slots 0-3 are inlined in the run loops; their table entries exist only
-# so ``run_slot`` (the profiler's sampled-execution helper) can execute
-# any slot uniformly.
+# Slots 0-3 are inlined in the run loops and in ``run_slot``; their table
+# entries only reserve the indices.
 _SLOT_HANDLERS: list[Optional[Callable[[Any, Any], None]]] = [
     None, None, None, None,
 ]
@@ -132,7 +120,7 @@ def register_slot(handler: Callable[[Any, Any], None], name: str) -> int:
 
 
 def run_slot(slot: int, a: Any, b: Any) -> None:
-    """Execute one flat event outside the run loop (profiler sampling)."""
+    """Execute one event outside the run loop (a probe's dispatch)."""
     if slot == 1:
         if not a._done:
             a._done = True
@@ -346,10 +334,7 @@ class Process:
         # binding a method per block is measurable at CG event rates
         self._resume_cb = self._resume
         self.register_in(sim._processes)
-        if sim.flat:
-            sim.sched(sim.now, EV_START, self)
-        else:
-            sim.after(0.0, lambda: self._step(None, None))
+        sim.sched(sim.now, EV_START, self)
 
     def register_in(self, table: dict) -> None:
         """Enter a live-process ``table`` until this process ends: every
@@ -473,9 +458,8 @@ class Process:
 class Simulator:
     """The event loop: a heap of flat ``(time, seq, slot, a, b)`` entries."""
 
-    def __init__(self, flat: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.flat: bool = FLAT_DISPATCH if flat is None else flat
         self._heap: list[tuple[float, int, int, Any, Any]] = []
         self._seq = 0
         #: live processes by their ``done`` future, in spawn order
@@ -492,12 +476,10 @@ class Simulator:
     def set_probe(self, probe: Optional[Any]) -> None:
         """Install (or clear, with ``None``) the kernel probe.
 
-        A probe observes the event loop at dispatch granularity: for
-        legacy callable events (slot ``EV_CALL``),
-        ``probe.dispatch(time, fn, qsize)`` is called *instead of*
-        ``fn()`` (the probe must invoke ``fn``); for every other slot,
-        ``probe.dispatch_flat(time, slot, a, b, qsize)`` is called and
-        must execute the event via :func:`run_slot`.  While the probe has
+        A probe observes the event loop at dispatch granularity:
+        ``probe.dispatch(time, slot, a, b, qsize)`` is called *instead
+        of* the inlined dispatch and must execute the event via
+        :func:`run_slot`.  While the probe has
         ``probe.sampling`` set, process resumes are timed and reported
         via ``probe.step_done(name, dt)`` for per-service CPU
         attribution.  The run loops read the probe once on entry, so a
@@ -535,10 +517,7 @@ class Simulator:
         if delay < 0:
             raise SimError(f"negative delay {delay}")
         fut = Future(self, name="timeout")
-        if self.flat:
-            self.sched(self.now + delay, EV_RESOLVE, fut, value)
-        else:
-            self.at(self.now + delay, lambda: fut.resolve_if_pending(value))
+        self.sched(self.now + delay, EV_RESOLVE, fut, value)
         return fut
 
     def pause(self, delay: float, value: Any = None) -> Any:
@@ -550,23 +529,19 @@ class Simulator:
         the running process (the kernel stashes the wake time on the
         simulator and the next yield consumes it); for anything fancier
         — handing the future around, racing it in ``any_of`` — use
-        :meth:`timeout`.  In legacy dispatch mode this *is*
-        :meth:`timeout`, so call sites stay mode-agnostic and event
-        order stays byte-identical between the modes.
+        :meth:`timeout`.
         """
-        if self.flat:
-            if delay < 0:
-                raise SimError(f"negative delay {delay}")
-            self._pause_time = self.now + delay
-            self._pause_value = value
-            return _PAUSE
-        return self.timeout(delay, value)
+        if delay < 0:
+            raise SimError(f"negative delay {delay}")
+        self._pause_time = self.now + delay
+        self._pause_value = value
+        return _PAUSE
 
     def cancel(self, fut: Future) -> None:
         """Withdraw the pending :meth:`timeout` ``fut`` from the heap,
         where a long timer whose reason is gone (a finished job's
         watchdog) would deepen every push and pop until it expires.
-        O(heap); a no-op once fired, and in legacy dispatch mode."""
+        O(heap); a no-op once fired."""
         heap = self._heap
         for i, entry in enumerate(heap):
             if entry[3] is fut:
@@ -614,10 +589,7 @@ class Simulator:
             a = entry[3]
             if probe is not None:
                 # the probe runs the event itself (see ``set_probe``)
-                if slot == 0:
-                    probe.dispatch(time, a, len(heap))
-                else:
-                    probe.dispatch_flat(time, slot, a, entry[4], len(heap))
+                probe.dispatch(time, slot, a, entry[4], len(heap))
             elif slot == 3:
                 # no probe: resumes skip ``_step``'s probe check
                 a._step_inner(entry[4], None)
@@ -659,10 +631,7 @@ class Simulator:
             a = entry[3]
             if probe is not None:
                 # the probe runs the event itself (see ``set_probe``)
-                if slot == 0:
-                    probe.dispatch(time, a, len(heap))
-                else:
-                    probe.dispatch_flat(time, slot, a, entry[4], len(heap))
+                probe.dispatch(time, slot, a, entry[4], len(heap))
             elif slot == 3:
                 # no probe: resumes skip ``_step``'s probe check
                 a._step_inner(entry[4], None)

@@ -20,7 +20,7 @@ Loopback (A == B) transfers move at memory-copy speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from .kernel import Simulator
 from .node import Host, HostDown
@@ -134,15 +134,15 @@ class Network:
         src: Host,
         dst: Host,
         nbytes: int,
-        on_arrival: Any,
+        on_arrival: tuple[int, Any, Any],
         bulk: bool = False,
         segments: int = 1,
     ) -> float:
         """Schedule a one-way frame; returns the arrival time.
 
-        ``on_arrival`` is either a callable (legacy closure delivery) or
-        a flat ``(slot, a, b)`` event tuple scheduled directly on the
-        kernel heap — the zero-allocation path the streams layer uses.
+        ``on_arrival`` is a flat ``(slot, a, b)`` event tuple scheduled
+        on the kernel heap at arrival (``(EV_CALL, fn, None)`` runs a
+        plain callable).
 
         ``segments`` models a coalesced frame: one transfer call moving
         what the wire carries as N segments.  Wire time is honest — the
@@ -165,10 +165,7 @@ class Network:
                 + link.loopback_latency
                 + nbytes / link.loopback_bandwidth
             )
-            if on_arrival.__class__ is tuple:
-                self.sim.sched(arrival, on_arrival[0], on_arrival[1], on_arrival[2])
-            else:
-                self.sim.at(arrival, on_arrival)
+            self.sim.sched(arrival, on_arrival[0], on_arrival[1], on_arrival[2])
             return arrival
 
         if self._partitions:
@@ -216,10 +213,7 @@ class Network:
                 now, "net.xfer",
                 src=src.name, dst=dst.name, nbytes=nbytes, arrival=arrival,
             )
-        if on_arrival.__class__ is tuple:
-            self.sim.sched(arrival, on_arrival[0], on_arrival[1], on_arrival[2])
-        else:
-            self.sim.at(arrival, on_arrival)
+        self.sim.sched(arrival, on_arrival[0], on_arrival[1], on_arrival[2])
         return arrival
 
     def _retry_deferred(
@@ -227,7 +221,7 @@ class Network:
         src: Host,
         dst: Host,
         nbytes: int,
-        on_arrival: Any,
+        on_arrival: tuple[int, Any, Any],
         bulk: bool,
         segments: int = 1,
     ) -> None:

@@ -47,8 +47,8 @@ def _arrive(end: "StreamEnd", segment: tuple) -> None:
         end._deliver(segment)
 
 
-#: the flat-dispatch slot for segment delivery: ``(EV_ARRIVE, receiving
-#: end, segment)`` heap entries replace the per-segment arrive closures
+#: the kernel slot for segment delivery: one ``(EV_ARRIVE, receiving end,
+#: segment)`` heap entry per transfer, no closure
 EV_ARRIVE = register_slot(_arrive, "streams.arrive")
 
 
@@ -160,17 +160,11 @@ class StreamEnd:
         self, nbytes: int, charge: int, payload: Any, bulk: bool, nsegs: int
     ) -> None:
         """Hand one (possibly coalesced) frame to the network."""
-        net = self.stream.net
         peer = self.peer
-        segment = (nbytes, charge, payload)
-        if net.sim.flat:
-            net.transfer(
-                self.host, peer.host, nbytes, (EV_ARRIVE, peer, segment),
-                bulk, nsegs,
-            )
-        else:
-            net.transfer(self.host, peer.host, nbytes,
-                         lambda: _arrive(peer, segment), bulk, nsegs)
+        self.stream.net.transfer(
+            self.host, peer.host, nbytes,
+            (EV_ARRIVE, peer, (nbytes, charge, payload)), bulk, nsegs,
+        )
         self.bytes_written += nbytes
 
     def write(

@@ -1,4 +1,5 @@
-"""Golden trace oracle: four V2 fault runs pinned record for record.
+"""Golden trace oracle: fault runs and a random-program corpus pinned
+record for record.
 
 The benchmark digests cover the metrics registry, not the order of
 events; these hashes cover the whole trace stream — every record's
@@ -15,9 +16,17 @@ recorded before the daemon's reader and forward processes became
 direct calls, the bulk one before a blocked frame stopped resuming its
 writer per segment; all were confirmed under two ``PYTHONHASHSEED``
 values.
+
+The corpus runs six generated MPI programs (``CORPUS``) on P4, on V2
+and on V2 with one rank killed mid-run.  Its hashes were recorded while
+the kernel still had a closure-scheduling twin of its flat event
+dispatch, and were identical under both dispatch paths and under two
+``PYTHONHASHSEED`` values: they pin the one kernel to the reference
+that twin used to be.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -26,6 +35,7 @@ from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
 from repro.workloads.synthetic import burst_pingpong
+from tests.test_random_programs import NPROCS, make_program
 
 
 def trace_hash(res) -> tuple[str, int]:
@@ -78,6 +88,56 @@ RUNS = {
         ("f90a1ffdd86f", 2_375),
     ),
 }
+
+#: six programs over ``test_random_programs``'s step vocabulary, drawn
+#: once from ``random.Random(25)`` (3-8 steps each) and kept literal
+CORPUS = [
+    [("scan", 0, 8), ("scan", 0, 8), ("scan", 0, 8), ("shift", 1, 3829),
+     ("scan", 0, 8), ("allreduce", 0, 8)],
+    [("bcast", 0, 886), ("scan", 0, 8), ("allreduce", 0, 8),
+     ("shift", 2, 2329), ("bcast", 0, 610), ("scan", 0, 8),
+     ("shift", 3, 2828), ("compute", 27, 0)],
+    [("gather_any", 2, 8), ("scan", 0, 8), ("pair", 1, 1068),
+     ("bcast", 0, 912)],
+    [("compute", 4, 0), ("gather_any", 2, 8), ("bcast", 2, 201),
+     ("compute", 6, 0), ("gather_any", 3, 8), ("shift", 1, 1668),
+     ("gather_any", 0, 8), ("gather_any", 1, 8)],
+    [("shift", 3, 720), ("shift", 3, 920), ("scan", 0, 8),
+     ("bcast", 3, 454), ("scan", 0, 8), ("bcast", 3, 460),
+     ("shift", 2, 1174), ("pair", 0, 852)],
+    [("compute", 15, 0), ("shift", 2, 3856), ("pair", 1, 1281),
+     ("gather_any", 2, 8), ("shift", 1, 526), ("shift", 1, 2819)],
+]
+
+#: per program: p4, v2, and v2 with rank ``i % NPROCS`` killed at half
+#: the fault-free elapsed (every one of those restarts once)
+CORPUS_HASHES = [
+    (("64c4e9dbc02d", 96), ("7bbc534b6372", 428), ("20bf6d850255", 509)),
+    (("372a0223ef17", 96), ("c34ccce06d7f", 429), ("7743a4040e96", 528)),
+    (("5249a92386ce", 62), ("6d6f38f685a2", 277), ("45b234407a2c", 370)),
+    (("fa5ee7854c58", 70), ("02e6dd0731e2", 313), ("0213cc9f2fbf", 382)),
+    (("f6831f34c560", 96), ("ab057effc8ca", 433), ("f6853b0959ad", 515)),
+    (("5c8d56bce6b5", 70), ("c890ed08daf6", 315), ("69d0c6336eeb", 382)),
+]
+
+
+def _corpus_run(schedule, device, victim=None):
+    prog = make_program(schedule)
+    res = run_job(prog, NPROCS, device=device, trace=True, limit=3600.0)
+    if victim is None:
+        return res
+    return run_job(
+        prog, NPROCS, device=device, trace=True, limit=3600.0,
+        faults=ExplicitFaults([(res.elapsed / 2, victim)]),
+    )
+
+
+for _i, (_sched, (_p4, _v2, _kill)) in enumerate(zip(CORPUS, CORPUS_HASHES)):
+    RUNS[f"corpus{_i}-p4"] = (partial(_corpus_run, _sched, "p4"), _p4)
+    RUNS[f"corpus{_i}-v2"] = (partial(_corpus_run, _sched, "v2"), _v2)
+    RUNS[f"corpus{_i}-v2-kill-half"] = (
+        partial(_corpus_run, _sched, "v2", _i % NPROCS), _kill
+    )
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -35,6 +35,9 @@ step_st = st.one_of(
     st.tuples(st.just("scan"), st.just(0), st.just(8)),
 )
 
+#: the padding step of the checkpointed fault test
+PAD = ("compute", 30, 0)
+
 
 def make_program(schedule):
     def program(mpi):
@@ -90,19 +93,28 @@ def test_devices_agree_on_random_programs(schedule):
 
 @given(
     st.lists(step_st, min_size=3, max_size=10),
-    st.floats(min_value=0.001, max_value=0.2),
+    st.floats(min_value=0.05, max_value=0.95),
     st.integers(0, NPROCS - 1),
 )
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_v2_faults_transparent_on_random_programs(schedule, t_kill, victim):
+def test_v2_faults_transparent_on_random_programs(schedule, frac, victim):
+    """The kill lands inside the run: at a fraction of its fault-free
+    length, which is milliseconds for these programs."""
     prog = make_program(schedule)
-    ref = run_job(prog, NPROCS, device="v2", limit=3600.0).results
+    ref = run_job(prog, NPROCS, device="v2", limit=3600.0)
+    t_kill = frac * ref.elapsed
+    faults = ExplicitFaults([(t_kill, victim)])
     res = run_job(
-        prog, NPROCS, device="v2",
-        faults=ExplicitFaults([(t_kill, victim)]), limit=3600.0,
+        prog, NPROCS, device="v2", faults=faults, limit=3600.0, audit=True,
     )
-    assert res.results == ref
+    assert res.results == ref.results
+    assert len(faults.injected) == 1
+    # a rank killed while it runs is restarted; one killed after it
+    # finished is not if the job ends before the crash is detected
+    finished = ref.extras["dispatcher"].states[victim].finish_time
+    assert res.restarts == 1 or (res.restarts == 0 and t_kill >= finished)
+    assert res.audit.verdict == "clean", res.audit.violations
 
 
 @given(
@@ -112,14 +124,19 @@ def test_v2_faults_transparent_on_random_programs(schedule, t_kill, victim):
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_v2_checkpointed_faults_transparent_on_random_programs(schedule, seed):
+    """30 ms of compute after every step gives checkpoints time to land;
+    the checkpoint and fault intervals scale with the fault-free run."""
     from repro.ft.failure import RandomFaults
 
-    prog = make_program(schedule)
-    ref = run_job(prog, NPROCS, device="v2", limit=3600.0).results
+    prog = make_program([s for step in schedule for s in (step, PAD)])
+    ref = run_job(prog, NPROCS, device="v2", limit=3600.0)
+    faults = RandomFaults(interval=ref.elapsed / 3, count=2, seed=seed)
     res = run_job(
         prog, NPROCS, device="v2",
-        checkpointing=True, ckpt_interval=0.03,
-        faults=RandomFaults(interval=0.05, count=2, seed=seed),
-        limit=3600.0,
+        checkpointing=True, ckpt_interval=ref.elapsed / 10,
+        faults=faults, limit=3600.0, audit=True,
     )
-    assert res.results == ref
+    assert res.results == ref.results
+    assert faults.injected and res.restarts == len(faults.injected)
+    assert res.checkpoints >= 1
+    assert res.audit.verdict == "clean", res.audit.violations

@@ -301,11 +301,7 @@ class _CountingProbe:
     def __init__(self):
         self.events = 0
 
-    def dispatch(self, time, fn, qsize):
-        self.events += 1
-        fn()
-
-    def dispatch_flat(self, time, slot, a, b, qsize):
+    def dispatch(self, time, slot, a, b, qsize):
         self.events += 1
         run_slot(slot, a, b)
 
