@@ -34,7 +34,7 @@ from ..runtime.config import TestbedConfig
 from ..runtime.fabric import ConnectionRefused, Fabric
 from ..runtime.retry import RetryPolicy
 from ..runtime.session import ServiceBase, Session
-from ..simnet.kernel import Queue, Simulator, any_of
+from ..simnet.kernel import Future, Queue, Simulator
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
@@ -78,7 +78,9 @@ class CheckpointScheduler(ServiceBase):
         self.links: dict[int, StreamEnd] = {}
         self.status: dict[int, dict[str, Any]] = {}
         self._rr_next = 0
-        self._done_q: Queue = Queue(sim, name="sched.done")
+        #: continuous mode: the ordered rank and the future its
+        #: CKPT_DONE, its CKPT_FAIL or its link breaking resolves
+        self._awaiting: Optional[tuple[int, Future]] = None
         self.orders_issued = 0
         # ranks whose checkpoint push failed (checkpoint-server outage);
         # they are re-ordered ahead of the policy's regular pick
@@ -134,13 +136,15 @@ class CheckpointScheduler(ServiceBase):
             except Disconnected:
                 if self.links.get(rank) is end:
                     del self.links[rank]
+                # a rank killed mid-push sends neither DONE nor FAIL
+                self._settle(rank)
                 return
             if msg[0] == "STATUS":
                 self.status[msg[1]] = msg[2]
             elif msg[0] == "CKPT_DONE":
                 if len(msg) > 3:
                     self._note_quorum(msg[1], msg[3])
-                self._done_q.put((msg[1], msg[2]))
+                self._settle(msg[1])
             elif msg[0] == "CKPT_FAIL":
                 # the push aborted (checkpoint-server outage); queue a retry
                 # and unblock the continuous-mode wait
@@ -148,7 +152,14 @@ class CheckpointScheduler(ServiceBase):
                 self.ckpt_retries += 1
                 self._retry_q.append(failed)
                 self.tracer.emit(self.sim.now, "sched.ckpt_retry", rank=failed)
-                self._done_q.put((failed, None))
+                self._settle(failed)
+
+    def _settle(self, rank: int) -> None:
+        """End the continuous-mode wait if it is on ``rank``'s checkpoint."""
+        awaiting = self._awaiting
+        if awaiting is not None and awaiting[0] == rank:
+            self._awaiting = None
+            awaiting[1].resolve()
 
     # -- store garbage collection ---------------------------------------------
     def _note_quorum(self, rank: int, seq: int) -> None:
@@ -218,10 +229,10 @@ class CheckpointScheduler(ServiceBase):
             self.orders_issued += 1
             self.tracer.emit(self.sim.now, "sched.order", rank=target)
             if self.continuous:
-                # wait for completion (or give up if the node crashed)
-                done = self._done_q.get()
-                patience = self.sim.timeout(self.interval * 10)
-                yield any_of(self.sim, [done, patience])
+                # the next order follows this checkpoint's end
+                done = Future(self.sim, name="sched.done")
+                self._awaiting = (target, done)
+                yield done
 
     def _pick(self):
         """Choose the next node to checkpoint, per policy."""

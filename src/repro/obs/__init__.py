@@ -36,7 +36,6 @@ from .timeseries import DEFAULT_SERIES, TimeseriesSampler
 from .trace_export import (
     chrome_trace,
     counter_events,
-    merge_chrome_traces,
     trace_records,
     write_chrome_trace,
     write_trace_jsonl,
@@ -55,7 +54,6 @@ __all__ = [
     "recovery_timeline",
     "chrome_trace",
     "counter_events",
-    "merge_chrome_traces",
     "trace_records",
     "write_chrome_trace",
     "write_trace_jsonl",

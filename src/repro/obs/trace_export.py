@@ -25,7 +25,7 @@ graphs on a ``telemetry`` process alongside the event slices.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from ..simnet.trace import Tracer, TraceRecord
 
@@ -67,8 +67,6 @@ def _json_safe(value: Any) -> Any:
 
 def counter_events(
     tracks: Mapping[str, Sequence[tuple[float, float]]],
-    pid: int = TELEMETRY_PID,
-    pid_prefix: str = "",
 ) -> list[dict[str, Any]]:
     """Chrome counter events (``ph: "C"``) from sampled time-series.
 
@@ -82,9 +80,9 @@ def counter_events(
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": TELEMETRY_PID,
             "tid": 0,
-            "args": {"name": pid_prefix + "telemetry"},
+            "args": {"name": "telemetry"},
         }
     ]
     for name, samples in sorted(tracks.items()):
@@ -94,7 +92,7 @@ def counter_events(
                     "name": name,
                     "ph": "C",
                     "ts": t * 1e6,
-                    "pid": pid,
+                    "pid": TELEMETRY_PID,
                     "args": {name: v},
                 }
             )
@@ -103,26 +101,19 @@ def counter_events(
 
 def chrome_trace(
     tracer: Tracer,
-    pid_prefix: str = "",
-    _pid_base: int = 0,
     counters: Optional[Mapping[str, Sequence[tuple[float, float]]]] = None,
 ) -> dict[str, Any]:
-    """Render a tracer as a Chrome trace-event document (a plain dict).
-
-    ``pid_prefix`` namespaces track names (used when several runs are
-    merged into one file); ``_pid_base`` offsets the numeric pids so
-    merged documents do not collide.
-    """
+    """Render a tracer as a Chrome trace-event document (a plain dict)."""
     pids: dict[str, int] = {}
     tids: dict[tuple[int, str], int] = {}
     events: list[dict[str, Any]] = []
     meta: list[dict[str, Any]] = []
 
     for rec in tracer:
-        track = pid_prefix + _track_of(rec)
+        track = _track_of(rec)
         pid = pids.get(track)
         if pid is None:
-            pid = _pid_base + len(pids) + 1
+            pid = len(pids) + 1
             pids[track] = pid
             meta.append(
                 {
@@ -159,34 +150,13 @@ def chrome_trace(
             }
         )
 
-    extra: list[dict[str, Any]] = []
-    if counters:
-        extra = counter_events(
-            counters, pid=TELEMETRY_PID + _pid_base, pid_prefix=pid_prefix
-        )
     doc: dict[str, Any] = {
-        "traceEvents": meta + events + extra,
+        "traceEvents": meta + events + counter_events(counters or {}),
         "displayTimeUnit": "ms",
     }
     if tracer.dropped:
         doc["metadata"] = {"dropped_records": tracer.dropped}
     return doc
-
-
-def merge_chrome_traces(parts: Iterable[tuple[str, Tracer]]) -> dict[str, Any]:
-    """One document from several labelled runs (tracks are namespaced)."""
-    events: list[dict[str, Any]] = []
-    dropped = 0
-    base = 0
-    for label, tracer in parts:
-        doc = chrome_trace(tracer, pid_prefix=f"{label}:", _pid_base=base)
-        events.extend(doc["traceEvents"])
-        dropped += doc.get("metadata", {}).get("dropped_records", 0)
-        base = max((e["pid"] for e in events), default=0)
-    out: dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if dropped:
-        out["metadata"] = {"dropped_records": dropped}
-    return out
 
 
 def trace_records(tracer: Tracer) -> list[dict[str, Any]]:

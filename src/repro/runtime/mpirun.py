@@ -404,16 +404,12 @@ def run_job(
     audit: bool = False,
     profile: bool = False,
     timeseries: Any = False,
-    plane: Optional[Any] = None,
     **device_kw: Any,
 ) -> JobResult:
     """Run ``program`` on ``nprocs`` simulated processes; block to completion.
 
-    With ``plane`` (a :class:`~repro.serve.plane.ControlPlane`), the job
-    is not given a private cluster: it is submitted to the plane's
-    admission queue and runs over the shared deployment — ``run_job``
-    becomes a single-job client of the control plane, and the plane's
-    ``cfg``/``seed`` govern the platform (this call's are ignored).
+    The job gets a private cluster.  A job that shares one goes through
+    the control plane: ``plane.wait(plane.submit(JobSpec(...)))``.
 
     ``limit`` bounds simulated seconds (raises if exceeded).  ``audit``
     attaches the online protocol auditor to the run's live trace stream
@@ -436,33 +432,6 @@ def run_job(
     ``ckpt_continuous``); for v1 ``cns_per_cm``.  The
     event-logger shard count is ``cfg.el_servers``.
     """
-    if plane is not None:
-        if profile or timeseries:
-            raise ValueError(
-                "profile/timeseries are per-cluster: run them on a "
-                "dedicated deployment, not through the control plane"
-            )
-        from ..serve.plan import JobSpec
-
-        spec = JobSpec(
-            workload=program,
-            nranks=nprocs,
-            device=device,
-            params=params or {},
-            checkpointing=device_kw.pop("checkpointing", False),
-            ckpt_interval=device_kw.pop("ckpt_interval", 30.0),
-            fault=device_kw.pop("faults", None),
-            tenant=device_kw.pop("tenant", "default"),
-            limit=limit,
-            trace=trace,
-            audit=audit,
-        )
-        if device_kw:
-            raise ValueError(
-                f"options {sorted(device_kw)} are not supported when "
-                "submitting through a control plane"
-            )
-        return plane.wait(plane.submit(spec))
     _launcher(device)  # reject an unknown device before building anything
     cluster = Cluster(cfg, seed=seed, trace=trace)
     if device == "v2":

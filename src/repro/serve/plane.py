@@ -27,10 +27,8 @@ MPI jobs over it concurrently:
   is detected, restarted and audited entirely inside that job while
   co-resident jobs keep running.
 
-The plane itself is reachable over the wire: a
-:class:`~repro.runtime.session.ServiceBase` listener on ``plane:0``
-accepts ``SUBMIT``/``WAIT`` records, mirroring the programmatic
-:meth:`ControlPlane.submit` / :meth:`ControlPlane.wait` API.
+A job enters the plane one way, :meth:`ControlPlane.submit`, and its
+submitter blocks on :meth:`ControlPlane.wait` or :meth:`ControlPlane.drain`.
 """
 
 from __future__ import annotations
@@ -48,9 +46,7 @@ from ..runtime.config import DEFAULT_TESTBED, TestbedConfig
 from ..runtime.fabric import Fabric
 from ..runtime.mpirun import Deployment, collect, start
 from ..runtime.results import JobResult
-from ..runtime.session import ServiceBase
 from ..simnet.kernel import Future, all_of, any_of
-from ..simnet.streams import Disconnected
 from ..simnet.trace import Tracer
 from .namespace import JobNamespace, TraceRouter
 from .plan import JobSpec, resolve_fault, resolve_program
@@ -91,48 +87,6 @@ class JobHandle:
         if self.submit_t is None or self.start_t is None:
             return None
         return self.start_t - self.submit_t
-
-
-class _PlaneListener(ServiceBase):
-    """The plane's wire API: SUBMIT a job spec, WAIT on a job id."""
-
-    metric_ns = "plane"
-
-    def __init__(self, plane: "ControlPlane", *args: Any, **kw: Any) -> None:
-        super().__init__(*args, **kw)
-        self.plane = plane
-
-    def _serve(self, end, hello):
-        while True:
-            try:
-                msg = yield from self._read_record(end)
-            except Disconnected:
-                return
-            kind = msg[0]
-            if kind == "SUBMIT":
-                spec = msg[1]
-                if isinstance(spec, dict):
-                    spec = JobSpec(**spec)
-                handle = self.plane.submit(spec)
-                try:
-                    yield from end.write(64, ("JOB", handle.job_id))
-                except Disconnected:
-                    return
-            elif kind == "WAIT":
-                handle = self.plane.handles.get(msg[1])
-                if handle is None:
-                    reply = ("ERR", f"unknown job {msg[1]!r}")
-                else:
-                    if not handle.done.done:
-                        yield handle.done
-                    reply = ("DONE", handle.job_id, handle.state)
-                try:
-                    yield from end.write(64, reply)
-                except Disconnected:
-                    return
-            else:
-                self._protocol_error(f"plane got {kind!r}")
-                return
 
 
 class ControlPlane:
@@ -195,14 +149,8 @@ class ControlPlane:
         self.shared_names = (
             frozenset(n for g in self.el_groups for n in g)
             | frozenset(self.cs_names)
-            | frozenset({"plane:0"})
         )
         self.router = TraceRouter(self.cluster.tracer)
-        self.listener = _PlaneListener(
-            self, self.sim, self.plane_host, self.fabric, "plane:0",
-            tracer=self.cluster.tracer, metrics=self.metrics,
-        )
-        self.listener.start()
 
         self.tenants: dict[str, Tenant] = {}
         for name, weight in (tenants or {}).items():
@@ -444,7 +392,6 @@ class ControlPlane:
         """Stop the plane and report the multi-tenant summary."""
         if not self._finished:
             self._finished = True
-            self.listener.stop("plane-shutdown")
             self.router.close()
             fold_cluster(self.cluster)
         m = self.metrics

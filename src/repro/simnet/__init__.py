@@ -13,7 +13,6 @@ from .kernel import (
     Killed,
     Process,
     Queue,
-    Semaphore,
     SimError,
     Simulator,
     all_of,
@@ -22,7 +21,7 @@ from .kernel import (
 from .network import DegradeWindow, LinkConfig, Network, PartitionWindow
 from .node import Host, HostDown
 from .rng import RngRegistry
-from .streams import DEFAULT_WINDOW, Disconnected, Stream, StreamEnd
+from .streams import DEFAULT_WINDOW, Disconnected, Semaphore, Stream, StreamEnd
 from .trace import Tracer, TraceRecord
 
 __all__ = [

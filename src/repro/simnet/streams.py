@@ -22,11 +22,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Generator, Optional
 
-from .kernel import Future, Semaphore, register_slot
+from .kernel import Future, register_slot
 from .network import Network
 from .node import Host, HostDown
 
-__all__ = ["Disconnected", "Stream", "StreamEnd", "DEFAULT_WINDOW", "EV_ARRIVE"]
+__all__ = [
+    "Disconnected", "Semaphore", "Stream", "StreamEnd", "DEFAULT_WINDOW",
+    "EV_ARRIVE",
+]
 
 DEFAULT_WINDOW = 64 * 1024
 
@@ -38,6 +41,108 @@ class Disconnected(Exception):
         super().__init__(f"stream {stream_name} disconnected ({cause})")
         self.stream_name = stream_name
         self.cause = cause
+
+
+class Semaphore:
+    """A counting semaphore with FIFO acquire ordering: the credit window
+    of one stream direction (a :class:`_Frame` parks on it)."""
+
+    __slots__ = (
+        "sim", "name", "_tokens", "_waiters", "_observers", "_broken",
+        "_acquire_name", "_avail_name",
+    )
+
+    def __init__(self, sim: Simulator, tokens: int, name: str = "sem") -> None:
+        if tokens < 0:
+            raise ValueError("tokens must be >= 0")
+        self.sim = sim
+        self.name = name
+        self._tokens = tokens
+        self._waiters: deque[tuple[int, Any]] = deque()  # see ``park``
+        self._observers: list[tuple[int, Future]] = []
+        self._broken: Optional[BaseException] = None
+        self._acquire_name = f"{name}.acquire"
+        self._avail_name = f"{name}.avail"
+
+    @property
+    def tokens(self) -> int:
+        """Currently available tokens."""
+        return self._tokens
+
+    def acquire(self, n: int = 1) -> Future:
+        """A future resolved once ``n`` tokens have been taken."""
+        fut = Future(self.sim, name=self._acquire_name)
+        if self.try_acquire(n):
+            fut._done = True
+        else:
+            self.park(n, fut)
+        return fut
+
+    def park(self, n: int, waiter: Any) -> None:
+        """Queue ``waiter`` — a :class:`Future`, or a stream's blocked
+        frame with the same two resolution methods — for ``n`` tokens."""
+        if self._broken is not None:
+            waiter.fail_if_pending(self._broken)
+        else:
+            self._waiters.append((n, waiter))
+
+    def try_acquire(self, n: int = 1) -> bool:
+        """Take ``n`` tokens now, or none: the allocation-free fast path.
+
+        Exactly :meth:`acquire`'s synchronous-success condition (FIFO
+        order respected — queued waiters refuse the shortcut), without
+        building a future for it.
+        """
+        if (
+            self._broken is not None
+            or self._waiters
+            or self._tokens < n
+        ):
+            return False
+        self._tokens -= n
+        return True
+
+    def release(self, n: int = 1) -> None:
+        """Return ``n`` tokens; wakes waiters FIFO."""
+        self._tokens += n
+        waiters = self._waiters
+        while waiters and self._tokens >= waiters[0][0]:
+            need, fut = waiters.popleft()
+            self._tokens -= need
+            fut.resolve_if_pending(None)
+        if self._observers:
+            still = []
+            for need, fut in self._observers:
+                if self._tokens >= need:
+                    fut.resolve_if_pending(None)
+                else:
+                    still.append((need, fut))
+            self._observers = still
+
+    def break_(self, exc: BaseException) -> None:
+        """Fail all pending and future acquires (resource vanished)."""
+        self._broken = exc
+        waiters, self._waiters = self._waiters, deque()
+        for _, fut in waiters:
+            fut.fail_if_pending(exc)
+        observers, self._observers = self._observers, []
+        for _, fut in observers:
+            fut.fail_if_pending(exc)
+
+    def when_available(self, n: int = 1) -> Future:
+        """A future resolved once ``n`` tokens exist (without taking them).
+
+        The caller must re-check (and possibly wait again): tokens may be
+        taken by another process in the same tick.
+        """
+        fut = Future(self.sim, name=self._avail_name)
+        if self._broken is not None:
+            fut.fail(self._broken)
+        elif self._tokens >= n:
+            fut.resolve(None)
+        else:
+            self._observers.append((n, fut))
+        return fut
 
 
 def _arrive(end: "StreamEnd", segment: tuple) -> None:

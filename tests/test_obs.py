@@ -19,7 +19,6 @@ from repro.obs import (
     Histogram,
     Metrics,
     chrome_trace,
-    merge_chrome_traces,
     recovery_timeline,
     trace_records,
     write_chrome_trace,
@@ -192,29 +191,6 @@ def test_chrome_trace_pid_tid_mapping(traced_run):
     assert any(t.startswith("rank") for t in tracks)
     assert any(t.startswith("host:") for t in tracks)
     assert "event-logger" in tracks
-
-
-def test_merge_chrome_traces_namespaces_tracks(traced_run):
-    other = run_job(ring_prog, 2, device="p4", trace=True)
-    doc = merge_chrome_traces([("a", traced_run.tracer), ("b", other.tracer)])
-    names = [
-        e["args"]["name"]
-        for e in doc["traceEvents"]
-        if e.get("ph") == "M" and e["name"] == "process_name"
-    ]
-    assert any(n.startswith("a:") for n in names)
-    assert any(n.startswith("b:") for n in names)
-    pids_a = {
-        e["pid"]
-        for e in doc["traceEvents"]
-        if e.get("ph") == "M" and e["args"]["name"].startswith("a:")
-    }
-    pids_b = {
-        e["pid"]
-        for e in doc["traceEvents"]
-        if e.get("ph") == "M" and e["args"]["name"].startswith("b:")
-    }
-    assert not (pids_a & pids_b)
 
 
 def test_trace_jsonl_roundtrip(traced_run, tmp_path):

@@ -4,8 +4,7 @@ Covers the admission queue (FIFO within a tenant, head-blocking,
 cross-tenant fair share), all-or-nothing gang placement, per-job
 namespace isolation on the shared fabric / EL shards / store replicas,
 rank-kill isolation between co-resident jobs (with clean audits on both
-sides), per-job metrics-registry isolation, the plane's wire API, and
-``run_job`` acting as a single-job client of a plane.
+sides), and per-job metrics-registry isolation.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.fabric import ConnectionRefused, Fabric, ScopedFabric
 from repro.runtime.mpirun import run_job
 from repro.runtime.results import JobResult
-from repro.runtime.session import Session
 from repro.serve import ControlPlane, JobSpec, load_plan
 from repro.workloads import token_ring
 
@@ -55,11 +53,19 @@ def _data_ring(mpi, rounds=3):
     ("p4", False), ("v1", False), ("v2", False), ("p4", True), ("v2", True),
 ])
 def test_launch_parity(device, through_plane):
-    """Every way in — three devices on a private cluster, two as plane
-    tenants — goes through one start/collect pair and must hand back the
-    same shape of result and the same program results."""
-    plane = ControlPlane(capacity=4) if through_plane else None
-    res = run_job(_data_ring, 3, device=device, plane=plane, audit=True)
+    """Three devices on a private cluster (``run_job``) and two submitted
+    to a control plane go through one start/collect pair and must hand
+    back the same shape of result and the same program results."""
+
+    def launch(audit):
+        if not through_plane:
+            return run_job(_data_ring, 3, device=device, audit=audit)
+        plane = ControlPlane(capacity=4)
+        spec = JobSpec(workload=_data_ring, nranks=3, device=device,
+                       audit=audit)
+        return plane.wait(plane.submit(spec))
+
+    res = launch(audit=True)
     assert isinstance(res, JobResult)
     assert (res.nprocs, res.device, res.restarts) == (3, device, 0)
     # after k rounds rank r holds the token of rank r-k, incremented k times
@@ -70,8 +76,9 @@ def test_launch_parity(device, through_plane):
     assert res.elapsed > 0 and res.metrics.snapshot()
     assert res.audit is not None and res.audit.clean
     assert res.extras["global_restarts"] == 0
-    unasked = run_job(_data_ring, 3, device=device,
-                      plane=ControlPlane(capacity=4) if through_plane else None)
+    if through_plane:
+        assert res.extras["tenant"] == "default"
+    unasked = launch(audit=False)
     assert unasked.audit is None and unasked.results == res.results
 
 
@@ -265,49 +272,3 @@ def test_per_job_metrics_registries_are_isolated():
     assert plane.metrics.total("el.roundtrips", default=-1.0) == -1.0
     assert not any(m.name.startswith("ft.") for m in plane.metrics)
     assert plane.metrics.total("serve.completed") == 2
-
-
-# -- the wire API ------------------------------------------------------------
-
-
-def test_plane_listener_serves_submit_and_wait():
-    plane = ControlPlane(capacity=4, svc_slots=0)
-    client = plane.cluster.add_cn("client")
-    sess = Session(
-        plane.sim, plane.fabric, client, "plane:0",
-        metrics=plane.metrics, labels={"rank": 99},
-    )
-    got = {}
-
-    def run():
-        sess.connect_now()
-        yield from sess.write(64, ("SUBMIT", {
-            "workload": "token_ring", "nranks": 2,
-            "params": {"rounds": 3, "nbytes": 256},
-        }))
-        got["job"] = yield from sess.read_record()
-        yield from sess.write(64, ("WAIT", got["job"][1]))
-        got["done"] = yield from sess.read_record()
-        yield from sess.write(64, ("WAIT", 999))
-        got["err"] = yield from sess.read_record()
-
-    proc = plane.sim.spawn(run(), name="client")
-    plane.sim.run_until(proc.done, limit=60.0)
-    kind, job_id = got["job"]
-    assert kind == "JOB"
-    assert got["done"] == ("DONE", job_id, "done")
-    assert got["err"][0] == "ERR"
-    assert plane.handles[job_id].result.nprocs == 2
-
-
-def test_run_job_as_a_control_plane_client():
-    plane = ControlPlane(capacity=4, svc_slots=1)
-    res = run_job(token_ring, 2, device="p4", plane=plane, params=dict(TINY))
-    assert isinstance(res, JobResult)
-    assert res.nprocs == 2 and res.device == "p4"
-    assert res.extras["tenant"] == "default"
-    # per-cluster instruments cannot ride through a shared plane
-    with pytest.raises(ValueError, match="control plane"):
-        run_job(token_ring, 2, plane=plane, profile=True)
-    with pytest.raises(ValueError, match="not supported"):
-        run_job(token_ring, 2, plane=plane, el_servers=3)

@@ -54,7 +54,7 @@ def _drained_plane(n_jobs: int) -> ControlPlane:
 
 def _tables(plane: ControlPlane) -> dict[str, int]:
     sim, hosts = plane.sim, plane.cluster.net.hosts.values()
-    services = plane.loggers + plane.servers + [plane.listener]
+    services = plane.loggers + plane.servers
     return {
         "sim._processes": len(sim._processes),
         "sim._heap": len(sim._heap),
