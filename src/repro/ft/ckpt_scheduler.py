@@ -25,9 +25,7 @@ follows the one of another node", the Figure 11 setup).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
@@ -38,6 +36,9 @@ from ..simnet.kernel import Future, Queue, Simulator
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CheckpointScheduler", "POLICIES"]
 
@@ -74,7 +75,11 @@ class CheckpointScheduler(ServiceBase):
         self.policy = policy
         self.interval = interval
         self.continuous = continuous
-        self.rng = rng or np.random.default_rng(0)
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng(0)
+        self.rng = rng
         self.links: dict[int, StreamEnd] = {}
         self.status: dict[int, dict[str, Any]] = {}
         self._rr_next = 0

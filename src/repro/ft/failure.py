@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
-import numpy as np
-
 __all__ = [
     "ExplicitFaults",
     "RandomFaults",
@@ -100,6 +98,8 @@ class RandomFaults:
 
     def driver(self, ctx: FaultContext):
         """Run the schedule (spawned by the dispatcher)."""
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         yield ctx.sim.timeout(
             self.first_at if self.first_at is not None else self.interval
@@ -141,6 +141,8 @@ class ChurnFaults:
     def driver(self, ctx: FaultContext):
         """Run the churn process (spawned by the dispatcher)."""
         import math
+
+        import numpy as np
 
         rng = np.random.default_rng(self.seed)
         # per-rank scheduled death time; re-drawn after each restart
@@ -236,6 +238,8 @@ class LinkFlapFaults:
         """Run the schedule (spawned by the dispatcher)."""
         if ctx.flap_link is None:
             return
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         done = 0
         while done < self.count and ctx.job_running():

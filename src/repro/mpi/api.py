@@ -29,9 +29,8 @@ real implementation retains the bytes).
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Generator, Optional, Sequence
-
-import numpy as np
 
 from ..devices.base import ChannelDevice
 from ..simnet.kernel import Future, Simulator
@@ -54,7 +53,9 @@ def payload_nbytes(data: Any) -> int:
         return 0
     if isinstance(data, (bytes, bytearray)):
         return len(data)
-    if isinstance(data, np.ndarray):
+    # an array needs numpy loaded; a run that never loaded it has none
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(data, np.ndarray):
         return int(data.nbytes)
     if isinstance(data, (int, float)):
         return 8

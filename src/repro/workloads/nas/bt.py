@@ -15,9 +15,8 @@ Class T carries real face vectors and returns a checksum.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator
-
-import numpy as np
 
 from .common import KernelSpec, NasResult
 
@@ -41,7 +40,7 @@ def spec(klass: str) -> KernelSpec:
 
 def square_side(p: int) -> int:
     """BT/SP require square process counts (1, 4, 9, 16, 25, ...)."""
-    side = int(round(np.sqrt(p)))
+    side = math.isqrt(p)
     if side * side != p:
         raise ValueError(f"BT/SP need a square process count, got {p}")
     return side

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
 from .common import KernelSpec, NasResult, grid_2d
 
 __all__ = ["SPECS", "program", "spec"]
@@ -53,6 +51,8 @@ def program(
     verify = klass == "T"
     x = local_m = None
     if verify:
+        import numpy as np
+
         # deterministic local operator (same on every rank for clean math)
         local_m = np.fromfunction(
             lambda i, j: 1.0 / (1.0 + i + 2 * j), (8, 8)

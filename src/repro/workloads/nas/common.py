@@ -18,10 +18,9 @@ Class parameters follow NPB 2.3 (Bailey et al., NAS-95-020).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 __all__ = ["KernelSpec", "grid_2d", "nearest_pow2_factors", "NasResult"]
 
@@ -54,7 +53,7 @@ class NasResult:
 def nearest_pow2_factors(p: int) -> tuple[int, int]:
     """Split p into the most square (rows, cols) power-of-two-ish factors."""
     best = (1, p)
-    for rows in range(1, int(np.sqrt(p)) + 1):
+    for rows in range(1, math.isqrt(p) + 1):
         if p % rows == 0:
             best = (rows, p // rows)
     return best

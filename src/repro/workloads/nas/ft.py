@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
 from .common import KernelSpec, NasResult
 
 __all__ = ["SPECS", "program", "spec"]
@@ -62,6 +60,8 @@ def program(mpi, klass: str = "A") -> Generator[Any, Any, NasResult]:
     flops_per_phase = sp.total_flops / sp.iters / _TRANSPOSES_PER_ITER / p
 
     if verify:
+        import numpy as np
+
         rng = np.random.default_rng(77 + mpi.rank)
         local = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     checksum = 0.0

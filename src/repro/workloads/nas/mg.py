@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
 from .common import KernelSpec, NasResult
 
 __all__ = ["SPECS", "program", "spec"]
@@ -61,8 +59,10 @@ def program(mpi, klass: str = "A") -> Generator[Any, Any, NasResult]:
     px, py, pz = _factor3(p)
     mpi.set_footprint(sp.footprint_per_proc(p))
     verify = klass == "T"
+    if verify:
+        import numpy as np
 
-    levels = max(2, int(np.log2(dim)) - 1)
+    levels = max(2, dim.bit_length() - 2)  # floor(log2(dim)) - 1
     # comm3 halo exchanges per level per V-cycle: NPB calls comm3 after
     # every smoother/residual/restriction application
     comm3_per_level = 3

@@ -188,6 +188,57 @@ def test_rng_streams_are_stable_and_independent():
     assert r.stream("s") is r.stream("s")
 
 
+def _eager(seed, name):
+    """The generator a stream was before streams became lazy."""
+    import zlib
+
+    import numpy as np
+
+    key = zlib.crc32(name.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([seed, key]))
+
+
+@pytest.mark.parametrize("seed, name", [
+    (0, "ckpt-sched"), (1, "j3/reconnect:d2"), (7, "x"),
+])
+def test_lazy_stream_draws_equal_the_eager_generator(seed, name):
+    from repro.simnet.rng import RngRegistry
+
+    draws = [
+        lambda g: g.random(), lambda g: g.choice(8),
+        lambda g: g.integers(0, 1000),
+    ]
+    for draw in draws:
+        lazy = RngRegistry(seed).stream(name)
+        eager = _eager(seed, name)
+        assert [draw(lazy) for _ in range(64)] == [draw(eager) for _ in range(64)]
+
+
+def test_dropped_stream_restarts_from_its_derived_seed():
+    from repro.simnet.rng import RngRegistry
+
+    reg = RngRegistry(5)
+    first = [reg.stream("j1/a").random() for _ in range(4)]
+    reg.stream("j2/a").random()
+    reg.drop("j1/")
+    assert [reg.stream("j1/a").random() for _ in range(4)] == first
+    eager = _eager(5, "j1/a")
+    assert first == [eager.random() for _ in range(4)]
+    assert "j2/a" in reg._streams  # another prefix is kept
+
+
+def test_payload_nbytes_sizes_arrays_and_lists_of_arrays():
+    import numpy as np
+
+    from repro.mpi.api import payload_nbytes
+
+    assert payload_nbytes(np.zeros(10)) == 80
+    assert payload_nbytes([np.zeros(10), np.ones(3, dtype=np.int32)]) == (
+        16 + 80 + 12
+    )
+    assert payload_nbytes((np.zeros(2), 1.0, None)) == 16 + 16 + 8 + 0
+
+
 def test_rng_fork_changes_streams():
     from repro.simnet.rng import RngRegistry
 

@@ -95,3 +95,27 @@ def test_specs_include_class_c():
         sp = mod.spec("C")
         assert sp.total_flops > mod.spec("B").total_flops
         assert sp.footprint_total > mod.spec("B").footprint_total
+
+
+def test_integer_grid_helpers_match_their_float_reference():
+    """The grid helpers use exact integer math; the float formulas they
+    replaced (``np.sqrt``/``np.log2``) are the reference."""
+    import numpy as np
+
+    from repro.workloads.nas.bt import square_side
+    from repro.workloads.nas.common import nearest_pow2_factors
+
+    for p in range(1, 4097):
+        best = (1, p)
+        for rows in range(1, int(np.sqrt(p)) + 1):
+            if p % rows == 0:
+                best = (rows, p // rows)
+        assert nearest_pow2_factors(p) == best, p
+        side = int(round(np.sqrt(p)))
+        if side * side == p:
+            assert square_side(p) == side
+        else:
+            with pytest.raises(ValueError):
+                square_side(p)
+    for dim in nas.mg._DIM.values():
+        assert dim.bit_length() - 1 == int(np.log2(dim))
