@@ -21,7 +21,7 @@ from .kernel import (
 from .network import DegradeWindow, LinkConfig, Network, PartitionWindow
 from .node import Host, HostDown
 from .rng import RngRegistry
-from .streams import DEFAULT_WINDOW, Disconnected, Semaphore, Stream, StreamEnd
+from .streams import DEFAULT_WINDOW, Disconnected, Stream, StreamEnd
 from .trace import Tracer, TraceRecord
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "Killed",
     "Process",
     "Queue",
-    "Semaphore",
     "SimError",
     "Simulator",
     "all_of",

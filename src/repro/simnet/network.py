@@ -14,6 +14,10 @@ traversal), which dominate small-message latency: the P4 0-byte one-way
 latency of ~77 microseconds is reproduced as
 ``send_cpu + wire_latency + frame_time + recv_cpu``.
 
+:meth:`Network.transfer` is the one place this is computed: it reads
+and advances both hosts' "free at" times itself (the NIC reservation)
+and schedules the caller's flat ``(slot, a, b)`` arrival event.
+
 Loopback (A == B) transfers move at memory-copy speed.
 """
 
@@ -134,15 +138,16 @@ class Network:
         src: Host,
         dst: Host,
         nbytes: int,
-        on_arrival: tuple[int, Any, Any],
+        slot: int,
+        a: Any,
+        b: Any,
         bulk: bool = False,
         segments: int = 1,
     ) -> float:
         """Schedule a one-way frame; returns the arrival time.
 
-        ``on_arrival`` is a flat ``(slot, a, b)`` event tuple scheduled
-        on the kernel heap at arrival (``(EV_CALL, fn, None)`` runs a
-        plain callable).
+        ``(slot, a, b)`` is the flat event scheduled on the kernel heap
+        at arrival (``EV_CALL, fn, None`` runs a plain callable).
 
         ``segments`` models a coalesced frame: one transfer call moving
         what the wire carries as N segments.  Wire time is honest — the
@@ -151,13 +156,20 @@ class Network:
         CPU (``send_cpu``/``recv_cpu``) is paid once per *call*, which is
         the syscall-batching/scatter-gather win coalescing buys.
 
+        The frame reserves ``src``'s transmit side, then ``dst``'s receive
+        side, for its wire duration.  A ``bulk`` frame of at least
+        ``Host.HALF_DUPLEX_MIN_BYTES`` on a half-duplex endpoint holds
+        both of that endpoint's sides instead: it waits for the other
+        direction and blocks it meanwhile.
+
         The caller is responsible for flow control (see ``streams``); the
         network itself never queues unboundedly per-stream because writers
         block on window credit.
         """
         if src.failed:
             raise HostDown(src.name)
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         link = self.link
         if src is dst:
             arrival = (
@@ -165,7 +177,7 @@ class Network:
                 + link.loopback_latency
                 + nbytes / link.loopback_bandwidth
             )
-            self.sim.sched(arrival, on_arrival[0], on_arrival[1], on_arrival[2])
+            sim.sched(arrival, slot, a, b)
             return arrival
 
         if self._partitions:
@@ -181,18 +193,17 @@ class Network:
                 )
                 win.deferred.append(
                     lambda: self._retry_deferred(
-                        src, dst, nbytes, on_arrival, bulk, segments
+                        src, dst, nbytes, slot, a, b, bulk, segments
                     )
                 )
                 return win.until
 
-        same_site = src.site == dst.site
-        bandwidth = (
-            link.bandwidth
-            if same_site
-            else min(link.bandwidth, link.wan_bandwidth)
-        )
-        latency = link.wire_latency if same_site else link.wan_latency
+        if src.site == dst.site:
+            bandwidth = link.bandwidth
+            latency = link.wire_latency
+        else:
+            bandwidth = min(link.bandwidth, link.wan_bandwidth)
+            latency = link.wan_latency
         if self._degrades:
             bwf, latf = self._degradation(src.name, dst.name)
             bandwidth /= bwf
@@ -201,9 +212,29 @@ class Network:
             (nbytes + link.frame_overhead * segments) / bandwidth
             + link.per_segment_gap * segments
         )
-        coupling = nbytes if bulk else 0
-        tx_start = src.reserve_tx(now + link.send_cpu, duration, coupling)
-        rx_end = dst.reserve_rx(tx_start + latency, duration, coupling)
+        # each NIC side is free after its last frame; a half-duplex host
+        # moving a bulk frame waits for its other side too, and holds both
+        hold = bulk and nbytes >= Host.HALF_DUPLEX_MIN_BYTES
+        start = now + link.send_cpu  # once the sender's CPU has set it up
+        tx_start = src._tx_free
+        if hold and not src.full_duplex and src._rx_free > tx_start:
+            tx_start = src._rx_free
+        if start > tx_start:
+            tx_start = start
+        src._tx_free = tx_start + duration
+        if hold and not src.full_duplex:
+            src._rx_free = src._tx_free
+        src.nic_tx_busy_s += duration
+        start = tx_start + latency  # store-and-forward at the receiver
+        rx_start = dst._rx_free
+        if hold and not dst.full_duplex and dst._tx_free > rx_start:
+            rx_start = dst._tx_free
+        if start > rx_start:
+            rx_start = start
+        rx_end = dst._rx_free = rx_start + duration
+        if hold and not dst.full_duplex:
+            dst._tx_free = rx_end
+        dst.nic_rx_busy_s += duration
         arrival = rx_end + link.recv_cpu
 
         self.bytes_moved += nbytes
@@ -213,7 +244,7 @@ class Network:
                 now, "net.xfer",
                 src=src.name, dst=dst.name, nbytes=nbytes, arrival=arrival,
             )
-        self.sim.sched(arrival, on_arrival[0], on_arrival[1], on_arrival[2])
+        sim.sched(arrival, slot, a, b)
         return arrival
 
     def _retry_deferred(
@@ -221,13 +252,15 @@ class Network:
         src: Host,
         dst: Host,
         nbytes: int,
-        on_arrival: tuple[int, Any, Any],
+        slot: int,
+        a: Any,
+        b: Any,
         bulk: bool,
-        segments: int = 1,
+        segments: int,
     ) -> None:
         if src.failed or dst.failed:
             return  # the crash already broke the stream; the segment dies
-        self.transfer(src, dst, nbytes, on_arrival, bulk=bulk, segments=segments)
+        self.transfer(src, dst, nbytes, slot, a, b, bulk, segments)
 
     # -- link-level faults -------------------------------------------------
     def partition(

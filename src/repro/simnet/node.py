@@ -4,9 +4,10 @@ A :class:`Host` models one machine of the paper's testbed: a CPU with a
 sustained compute rate, RAM and swap budgets (used by the sender-based
 message log accounting), and a network interface.  The NIC is modelled by
 two scalar "free at" times — transmit and receive — which serialize
-transfers; a *half-duplex endpoint* (used for the MPICH-P4 driver, whose
-process does not service receptions while pushing a message) shares a
-single resource for both directions.
+transfers; :meth:`~repro.simnet.network.Network.transfer` reserves them.
+A *half-duplex endpoint* (used for the MPICH-P4 driver, whose process does
+not service receptions while pushing a message) holds both for its bulk
+frames.
 
 Crashing a host kills every simulated process registered on it and breaks
 every attached stream; this is the fault model of the paper (fail-stop,
@@ -61,7 +62,8 @@ class Host:
         #: an earlier value died with them (process-less stream consumers
         #: and flat-event handlers compare it instead of ``alive``)
         self.incarnation = 0
-        # NIC serialization state (absolute simulated times)
+        # NIC serialization state (absolute simulated times), reserved
+        # by ``Network.transfer``
         self._tx_free = 0.0
         self._rx_free = 0.0
         # cumulative NIC busy seconds (folded into the metrics registry
@@ -79,50 +81,10 @@ class Host:
         self._streams: dict["Stream", Any] = {}
         self.on_crash: list[Callable[["Host"], None]] = []
 
-    #: frames below this size never couple tx/rx on a half-duplex
+    #: bulk frames below this size never couple tx/rx on a half-duplex
     #: endpoint: the P4 driver's read starvation only matters while it is
     #: busy pushing bulk payload chunks, not for small control frames
     HALF_DUPLEX_MIN_BYTES = 8192
-
-    # -- NIC resource ----------------------------------------------------
-    def reserve_tx(self, start: float, duration: float, nbytes: int = 0) -> float:
-        """Reserve the transmit side; returns actual transmission start."""
-        begin = self._tx_free
-        if not self.full_duplex and nbytes >= 8192:  # HALF_DUPLEX_MIN_BYTES
-            if self._rx_free > begin:
-                begin = self._rx_free
-            if start > begin:
-                begin = start
-            end = begin + duration
-            self._tx_free = end
-            if end > self._rx_free:
-                self._rx_free = end
-        else:
-            if start > begin:
-                begin = start
-            self._tx_free = begin + duration
-        self.nic_tx_busy_s += duration
-        return begin
-
-    def reserve_rx(self, start: float, duration: float, nbytes: int = 0) -> float:
-        """Reserve the receive side; returns the reception completion time."""
-        begin = self._rx_free
-        if not self.full_duplex and nbytes >= 8192:  # HALF_DUPLEX_MIN_BYTES
-            if self._tx_free > begin:
-                begin = self._tx_free
-            if start > begin:
-                begin = start
-            end = begin + duration
-            self._rx_free = end
-            if end > self._tx_free:
-                self._tx_free = end
-        else:
-            if start > begin:
-                begin = start
-            end = begin + duration
-            self._rx_free = end
-        self.nic_rx_busy_s += duration
-        return end
 
     # -- process / stream registry ---------------------------------------
     def register(self, proc: Process) -> None:

@@ -6,9 +6,14 @@ it has that many bytes outstanding that the reader has not consumed.  This
 is the mechanism behind Figure 9 of the paper — the P4 driver does not
 drain incoming segments while pushing a message, so its peer stalls on a
 full window, serializing the two directions; the V2 daemon drains after
-every chunk and keeps both directions flowing.  A writer out of credit
-parks once per call, the releases sending the rest (:class:`_Frame`);
-in-flight segments (payload ``None``) wake no reader.
+every chunk and keeps both directions flowing.
+
+The window is the writing :class:`StreamEnd`'s ``credit``, with a FIFO
+of writers parked on it.  A writer out of credit parks once per call and
+the returned credit sends the rest (:class:`_Frame`): an in-flight
+segment (payload ``None``) wakes no reader, and when its reader consumes
+at once (a ``consumer``, or a parked ``read()``) its arrival handler
+returns its credit and sends the parked frame's next segment itself.
 
 Streams deliver segments in order and break atomically when either host
 crashes: pending and future reads/writes fail with :class:`Disconnected`
@@ -27,7 +32,7 @@ from .network import Network
 from .node import Host, HostDown
 
 __all__ = [
-    "Disconnected", "Semaphore", "Stream", "StreamEnd", "DEFAULT_WINDOW",
+    "Disconnected", "Stream", "StreamEnd", "DEFAULT_WINDOW",
     "EV_ARRIVE",
 ]
 
@@ -43,113 +48,35 @@ class Disconnected(Exception):
         self.cause = cause
 
 
-class Semaphore:
-    """A counting semaphore with FIFO acquire ordering: the credit window
-    of one stream direction (a :class:`_Frame` parks on it)."""
-
-    __slots__ = (
-        "sim", "name", "_tokens", "_waiters", "_observers", "_broken",
-        "_acquire_name", "_avail_name",
-    )
-
-    def __init__(self, sim: Simulator, tokens: int, name: str = "sem") -> None:
-        if tokens < 0:
-            raise ValueError("tokens must be >= 0")
-        self.sim = sim
-        self.name = name
-        self._tokens = tokens
-        self._waiters: deque[tuple[int, Any]] = deque()  # see ``park``
-        self._observers: list[tuple[int, Future]] = []
-        self._broken: Optional[BaseException] = None
-        self._acquire_name = f"{name}.acquire"
-        self._avail_name = f"{name}.avail"
-
-    @property
-    def tokens(self) -> int:
-        """Currently available tokens."""
-        return self._tokens
-
-    def acquire(self, n: int = 1) -> Future:
-        """A future resolved once ``n`` tokens have been taken."""
-        fut = Future(self.sim, name=self._acquire_name)
-        if self.try_acquire(n):
-            fut._done = True
-        else:
-            self.park(n, fut)
-        return fut
-
-    def park(self, n: int, waiter: Any) -> None:
-        """Queue ``waiter`` — a :class:`Future`, or a stream's blocked
-        frame with the same two resolution methods — for ``n`` tokens."""
-        if self._broken is not None:
-            waiter.fail_if_pending(self._broken)
-        else:
-            self._waiters.append((n, waiter))
-
-    def try_acquire(self, n: int = 1) -> bool:
-        """Take ``n`` tokens now, or none: the allocation-free fast path.
-
-        Exactly :meth:`acquire`'s synchronous-success condition (FIFO
-        order respected — queued waiters refuse the shortcut), without
-        building a future for it.
-        """
-        if (
-            self._broken is not None
-            or self._waiters
-            or self._tokens < n
-        ):
-            return False
-        self._tokens -= n
-        return True
-
-    def release(self, n: int = 1) -> None:
-        """Return ``n`` tokens; wakes waiters FIFO."""
-        self._tokens += n
-        waiters = self._waiters
-        while waiters and self._tokens >= waiters[0][0]:
-            need, fut = waiters.popleft()
-            self._tokens -= need
-            fut.resolve_if_pending(None)
-        if self._observers:
-            still = []
-            for need, fut in self._observers:
-                if self._tokens >= need:
-                    fut.resolve_if_pending(None)
-                else:
-                    still.append((need, fut))
-            self._observers = still
-
-    def break_(self, exc: BaseException) -> None:
-        """Fail all pending and future acquires (resource vanished)."""
-        self._broken = exc
-        waiters, self._waiters = self._waiters, deque()
-        for _, fut in waiters:
-            fut.fail_if_pending(exc)
-        observers, self._observers = self._observers, []
-        for _, fut in observers:
-            fut.fail_if_pending(exc)
-
-    def when_available(self, n: int = 1) -> Future:
-        """A future resolved once ``n`` tokens exist (without taking them).
-
-        The caller must re-check (and possibly wait again): tokens may be
-        taken by another process in the same tick.
-        """
-        fut = Future(self.sim, name=self._avail_name)
-        if self._broken is not None:
-            fut.fail(self._broken)
-        elif self._tokens >= n:
-            fut.resolve(None)
-        else:
-            self._observers.append((n, fut))
-        return fut
-
-
 def _arrive(end: "StreamEnd", segment: tuple) -> None:
+    """A segment reaches ``end``: a consumer, or else a parked reader,
+    takes it at once — its credit goes back to the writer, sending the
+    head parked frame on in this same handler — otherwise it queues,
+    holding its credit, for the next ``read``/``try_read``."""
     # dropped on the floor when a crash raced the transfer — matching the
     # paper's "a message is completely received or not at all"
-    if not end.stream.dead and end.broken is None:
-        end._deliver(segment)
+    if end.stream.dead or end.broken is not None:
+        return
+    consumer = end.consumer
+    getters = end._rx_getters
+    if consumer is None and not getters:
+        end._rx_items.append(segment)
+        if end._rx_watchers:
+            watchers, end._rx_watchers = end._rx_watchers, []
+            for fut in watchers:
+                fut.resolve_if_pending(None)
+        return
+    nbytes, charge, payload = segment
+    end.bytes_read += nbytes
+    writer = end.peer
+    if writer.broken is None:
+        writer._return_credit(charge)
+    if payload is None:
+        return  # in flight: wakes no reader
+    if consumer is not None:
+        consumer(payload, None)
+    else:
+        getters.popleft().resolve((nbytes, payload))
 
 
 #: the kernel slot for segment delivery: one ``(EV_ARRIVE, receiving end,
@@ -158,15 +85,18 @@ EV_ARRIVE = register_slot(_arrive, "streams.arrive")
 
 
 class _Frame:
-    """A blocked write, sent on by credit releases instead of its writer:
-    the credit semaphore's FIFO waiter, called where the parked writer was
-    resumed (:meth:`resolve_if_pending`; a break: :meth:`fail_if_pending`).
-    The writer yields once, on ``done``.  A killed writer clears ``end``:
-    its wait still takes the tokens released to it, as a dead process's
-    ``acquire`` does, and sends nothing."""
+    """A blocked write, sent on by returned credit instead of its writer.
+
+    :meth:`pump` sends segments while the writing end's credit covers
+    them and parks the frame in that end's FIFO on the first it does not;
+    the credit a reader returns sends it on from there
+    (:meth:`StreamEnd._return_credit`, inside the arrival handler when the
+    reader consumes at once).  The writer yields once, on ``done``.  A
+    killed writer clears ``end``: its parked place still takes the credit
+    returned to it, as a dead process's wait did, and sends nothing."""
 
     __slots__ = ("end", "sim", "left", "step", "payload", "bulk", "nsegs",
-                 "t0", "done")
+                 "need", "t0", "done")
 
     def __init__(self, end: "StreamEnd", nbytes: int, step: int,
                  payload: Any, bulk: bool, nsegs: int) -> None:
@@ -174,46 +104,43 @@ class _Frame:
         self.sim = end.stream.net.sim
         self.left, self.step, self.payload = nbytes, step, payload
         self.bulk, self.nsegs = bulk, nsegs
+        self.need = 0  # the parked segment's charge
         self.t0 = 0.0  # when the current park began
-        self.done = Future(self.sim, name=end._wcredit.name)
+        self.done = Future(self.sim, name=f"{end.stream.name}.{end.label}.credit")
 
     def pump(self, granted: bool = False) -> bool:
         """Send segments while credit covers them; True: parked on the
-        first it does not (``granted``: the head's credit is taken)."""
+        first it does not (``granted``: the head's credit is taken).
+        Credit goes FIFO: a frame behind parked writers parks too."""
         end = self.end
-        credit, window = end._wcredit, end.stream.window
+        window = end.stream.window
         step, left = self.step, self.left
         while True:
             seg = step if left > step else left
             # max(1, min(seg, window)) without two builtin calls a segment
             charge = (seg if seg < window else window) or 1
-            if not granted and not credit.try_acquire(charge):
-                self.left = left
+            if granted:
+                granted = False
+            elif end._parked or end.credit < charge:
+                self.left, self.need = left, charge
                 self.t0 = self.sim.now
-                credit.park(charge, self)
+                end._parked.append(self)
                 return True
-            granted = False
+            else:
+                end.credit -= charge
             left -= seg
-            end._xfer(seg, charge, self.payload if left <= 0 else None,
-                      self.bulk, self.nsegs)
+            peer = end.peer
+            end.stream.net.transfer(
+                end.host, peer.host, seg, EV_ARRIVE, peer,
+                (seg, charge, self.payload if left <= 0 else None),
+                self.bulk, self.nsegs,
+            )
+            end.bytes_written += seg
             if left <= 0:
                 self.done.resolve(None)
                 return False
 
-    def resolve_if_pending(self, _value: Any = None) -> None:
-        """The head segment's credit was taken for it: send on."""
-        end = self.end
-        if end is None:
-            return  # the writer was killed
-        dt = self.sim.now - self.t0
-        end.stall_s += dt
-        end.host.stall_s += dt
-        try:
-            self.pump(True)
-        except HostDown as exc:  # the writer's exception, not the releaser's
-            self.fail_if_pending(exc)
-
-    def fail_if_pending(self, exc: BaseException) -> None:
+    def fail(self, exc: BaseException) -> None:
         self.end = None  # the stream broke (or the source host is down)
         self.done.fail_if_pending(exc)
 
@@ -226,10 +153,14 @@ class StreamEnd:
         self.host = host
         self.label = label
         self.peer: "StreamEnd" = None  # type: ignore[assignment]  # set by Stream
-        # credit tokens = free bytes in the *peer's* receive buffer
-        self._wcredit = Semaphore(
-            stream.net.sim, stream.window, name=f"{stream.name}.{label}.credit"
-        )
+        #: the write side's credit window: free bytes in the *peer's*
+        #: receive buffer.  Writers out of credit park FIFO in
+        #: ``_parked`` (each frame's ``need`` is its next segment's
+        #: charge); ``when_writable`` watchers wait in ``_writable`` as
+        #: ``(charge, future)``.
+        self.credit = stream.window
+        self._parked: deque[_Frame] = deque()
+        self._writable: list[tuple[int, Future]] = []
         # the receive side, inlined (no kernel Queue): segments are
         # handed straight to a waiting reader at arrival time — one
         # future and zero closures per read on the hot path
@@ -260,15 +191,45 @@ class StreamEnd:
         (futures may carry the stored one: the kernel strips it)."""
         return Disconnected(self.stream.name, self.broken.cause)
 
+    # -- credit -----------------------------------------------------------
+    def _return_credit(self, n: int) -> None:
+        """The reader consumed ``n`` bytes of this end's writes: parked
+        frames go on, head first, while the credit covers them; then
+        satisfied ``when_writable`` watchers resolve."""
+        self.credit += n
+        parked = self._parked
+        while parked and self.credit >= parked[0].need:
+            frame = parked.popleft()
+            self.credit -= frame.need
+            if frame.end is None:
+                continue  # the writer was killed: its place took the credit
+            dt = frame.sim.now - frame.t0
+            self.stall_s += dt
+            self.host.stall_s += dt
+            try:
+                frame.pump(True)
+            except HostDown as exc:  # the writer's exception, not the reader's
+                frame.fail(exc)
+        if self._writable:
+            still = []
+            for need, fut in self._writable:
+                if self.credit >= need:
+                    fut.resolve_if_pending(None)
+                else:
+                    still.append((need, fut))
+            self._writable = still
+
     # -- writing ----------------------------------------------------------
     def _xfer(
         self, nbytes: int, charge: int, payload: Any, bulk: bool, nsegs: int
     ) -> None:
-        """Hand one (possibly coalesced) frame to the network."""
+        """Hand one (possibly coalesced) frame to the network.  A blocked
+        frame's segments make the same hand-off inline, in
+        :meth:`_Frame.pump`: it runs once per wire segment."""
         peer = self.peer
         self.stream.net.transfer(
             self.host, peer.host, nbytes,
-            (EV_ARRIVE, peer, (nbytes, charge, payload)), bulk, nsegs,
+            EV_ARRIVE, peer, (nbytes, charge, payload), bulk, nsegs,
         )
         self.bytes_written += nbytes
 
@@ -306,9 +267,10 @@ class StreamEnd:
         flow control (the reader must drain mid-transfer — the Figure 9
         stall mechanism), so it goes as window-respecting ``mtu``
         segments, in flight but the last, which carries ``record``.  A
-        call out of credit — on missing tokens or FIFO order behind
-        earlier waiters — counts one window stall and parks once, while
-        the credit releases send the rest (:class:`_Frame`).
+        call out of credit — on missing credit or FIFO order behind
+        earlier parked writers — counts one window stall and parks once
+        (:class:`_Frame`); from then on each segment the reader consumes
+        at its arrival sends the next from the arrival handler.
         """
         if self.broken is not None:
             raise self._gone()
@@ -318,7 +280,8 @@ class StreamEnd:
         step, nsegs = (mtu, 1) if nbytes > window else (nbytes, -(-nbytes // mtu) or 1)
         if nbytes <= step:  # one segment: the free-credit fast path
             charge = max(1, min(nbytes, window))
-            if self._wcredit.try_acquire(charge):
+            if not self._parked and self.credit >= charge:
+                self.credit -= charge
                 self._xfer(nbytes, charge, record, bulk, nsegs)
                 return
         frame = _Frame(self, nbytes, step, record, bulk, nsegs)
@@ -333,44 +296,32 @@ class StreamEnd:
     def write_nowait(self, nbytes: int, payload: Any = None, bulk: bool = False) -> bool:
         """Non-blocking write; returns False if the window is full/broken.
 
-        FIFO order is respected: queued writers go first (try_acquire
-        refuses while waiters exist).
+        FIFO order is respected: it refuses while writers are parked.
         """
         charge = max(1, min(nbytes, self.stream.window))
-        if self.broken is not None or not self._wcredit.try_acquire(charge):
+        if self.broken is not None or self._parked or self.credit < charge:
             return False
+        self.credit -= charge
         self._xfer(nbytes, charge, payload, bulk, 1)
         return True
 
+    def when_writable(self, nbytes: int) -> Future:
+        """A future resolved when window credit for ``nbytes`` exists
+        (without taking it: the caller re-checks, and may wait again)."""
+        charge = max(1, min(nbytes, self.stream.window))
+        fut = Future(
+            self.stream.net.sim,
+            name=f"{self.stream.name}.{self.label}.credit.avail",
+        )
+        if self.broken is not None:
+            fut.fail(self.broken)
+        elif self.credit >= charge:
+            fut.resolve(None)
+        else:
+            self._writable.append((charge, fut))
+        return fut
+
     # -- reading ----------------------------------------------------------
-    def _deliver(self, segment: tuple) -> None:
-        """Hand one arrived segment to the receive side.
-
-        A consumer, or else a waiting reader, gets it immediately —
-        credit released and (unless it is in flight) the consumer called
-        or the read future resolved right here, with no intermediate queue
-        hop — otherwise the segment is parked for the next read call.
-        """
-        consumer = self.consumer
-        getters = self._rx_getters
-        if consumer is not None or getters:
-            nbytes, charge, payload = segment
-            self.bytes_read += nbytes
-            if self.peer.broken is None:
-                self.peer._wcredit.release(charge)
-            if payload is None:
-                return
-            if consumer is not None:
-                consumer(payload, None)
-            else:
-                getters.popleft().resolve((nbytes, payload))
-            return
-        self._rx_items.append(segment)
-        if self._rx_watchers:
-            watchers, self._rx_watchers = self._rx_watchers, []
-            for fut in watchers:
-                fut.resolve_if_pending(None)
-
     def read(self) -> Future:
         """A future for the next record ``(nbytes, payload)``, consuming
         queued in-flight segments on the way (arriving ones never resolve it).
@@ -386,7 +337,7 @@ class StreamEnd:
             nbytes, charge, payload = items.popleft()
             self.bytes_read += nbytes
             if self.peer.broken is None:
-                self.peer._wcredit.release(charge)
+                self.peer._return_credit(charge)
             if payload is not None:
                 fut._done = True
                 fut._value = (nbytes, payload)
@@ -405,7 +356,7 @@ class StreamEnd:
         nbytes, charge, payload = items.popleft()
         self.bytes_read += nbytes
         if self.peer.broken is None:
-            self.peer._wcredit.release(charge)
+            self.peer._return_credit(charge)
         return True, nbytes, payload
 
     @property
@@ -429,11 +380,6 @@ class StreamEnd:
             self._rx_watchers.append(fut)
         return fut
 
-    def when_writable(self, nbytes: int) -> Future:
-        """A future resolved when window credit for ``nbytes`` exists."""
-        charge = max(1, min(nbytes, self.stream.window))
-        return self._wcredit.when_available(charge)
-
     # -- teardown ---------------------------------------------------------
     def _break(self, cause: Any) -> None:
         if self.broken is not None:
@@ -450,7 +396,13 @@ class StreamEnd:
         watchers, self._rx_watchers = self._rx_watchers, []
         for fut in watchers:
             fut.fail_if_pending(exc)
-        self._wcredit.break_(exc)
+        # the write side: every parked writer, then every watcher
+        parked, self._parked = self._parked, deque()
+        for frame in parked:
+            frame.fail(exc)
+        writable, self._writable = self._writable, []
+        for _, fut in writable:
+            fut.fail_if_pending(exc)
 
 
 class Stream:

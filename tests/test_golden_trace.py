@@ -144,3 +144,22 @@ for _i, (_sched, (_p4, _v2, _kill)) in enumerate(zip(CORPUS, CORPUS_HASHES)):
 def test_trace_matches_golden_hash(name):
     run, expected = RUNS[name]
     assert trace_hash(run()) == expected
+
+
+def test_untraced_bulk_kill_mid_frame_matches_golden_digest():
+    """The bulk run untraced, as benchmark runs are: no trace to hash, so
+    the digest covers what the benchmark's does — elapsed time, results,
+    restarts and the whole metrics registry."""
+    res = run_job(
+        burst_pingpong, 2, device="v2",
+        params={"nbytes": 256 * 1024, "reps": 3, "warmup": 0},
+        seed=1, limit=1e6, checkpointing=True, ckpt_interval=0.1,
+        faults=ExplicitFaults([(0.3, 1)]),
+    )
+    assert not res.tracer.hot
+    registry = sorted(res.metrics.snapshot().items())
+    digest = hashlib.blake2b(
+        repr((res.elapsed, res.results, res.restarts, registry)).encode(),
+        digest_size=16,
+    ).hexdigest()
+    assert digest == "80e076ddae84fcd53eed78b41043dffd"

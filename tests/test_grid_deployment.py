@@ -13,7 +13,7 @@ from repro.runtime.mpirun import run_job
 from repro.runtime.progfile import parse_progfile
 from repro.simnet.kernel import EV_CALL
 
-#: an arrival event that does nothing (``transfer`` takes a flat event)
+#: an arrival event that does nothing: ``transfer``'s flat ``slot, a, b``
 NOOP = (EV_CALL, lambda: None, None)
 
 TWO_SITE_PROGFILE = """
@@ -33,8 +33,8 @@ def test_inter_site_transfer_is_slower():
     b = cluster.add_cn("b", site="alpha")
     c = cluster.add_cn("c", site="alpha")
     d = cluster.add_cn("d", site="beta")
-    t_lan = cluster.net.transfer(a, b, 100_000, NOOP)
-    t_wan = cluster.net.transfer(c, d, 100_000, NOOP)
+    t_lan = cluster.net.transfer(a, b, 100_000, *NOOP)
+    t_wan = cluster.net.transfer(c, d, 100_000, *NOOP)
     # the 6 MB/s WAN path is slower than the 11.4 MB/s LAN by ~2x plus
     # the extra propagation delay
     assert t_wan > 1.7 * t_lan
@@ -45,7 +45,7 @@ def test_same_site_unaffected_by_wan_params():
     cluster = Cluster()
     a = cluster.add_cn("a")
     b = cluster.add_cn("b")
-    t = cluster.net.transfer(a, b, 1000, NOOP)
+    t = cluster.net.transfer(a, b, 1000, *NOOP)
     assert t == pytest.approx(cluster.net.one_way_time(1000))
 
 

@@ -7,7 +7,6 @@ from repro.simnet import (
     Gate,
     Killed,
     Queue,
-    Semaphore,
     SimError,
     Simulator,
     all_of,
@@ -487,62 +486,6 @@ def test_gate_open_is_level_triggered():
 
     p = sim.spawn(prog(), "p")
     assert sim.run_until(p.done) == "through"
-
-
-def test_semaphore_counts_and_blocks():
-    sim = Simulator()
-    sem = Semaphore(sim, 2)
-    log = []
-
-    def worker(tag, hold):
-        yield sem.acquire()
-        log.append((sim.now, tag, "in"))
-        yield sim.timeout(hold)
-        sem.release()
-
-    sim.spawn(worker("a", 5.0), "a")
-    sim.spawn(worker("b", 5.0), "b")
-    sim.spawn(worker("c", 1.0), "c")
-    sim.run()
-    assert log[0][1:] == ("a", "in")
-    assert log[1][1:] == ("b", "in")
-    assert log[2] == (5.0, "c", "in")
-
-
-def test_semaphore_bulk_acquire_fifo():
-    sim = Simulator()
-    sem = Semaphore(sim, 0)
-    order = []
-
-    def worker(tag, need):
-        yield sem.acquire(need)
-        order.append(tag)
-
-    sim.spawn(worker("big", 3), "big")
-    sim.spawn(worker("small", 1), "small")
-
-    def feeder():
-        for _ in range(4):
-            yield sim.timeout(1.0)
-            sem.release(1)
-
-    sim.spawn(feeder(), "feeder")
-    sim.run()
-    # FIFO: the big request is served first even though small could go sooner
-    assert order == ["big", "small"]
-
-
-def test_semaphore_break_fails_waiters():
-    sim = Simulator()
-    sem = Semaphore(sim, 0)
-
-    def worker():
-        yield sem.acquire()
-
-    p = sim.spawn(worker(), "w", supervised=True)
-    sim.after(1.0, lambda: sem.break_(ConnectionError("dead")))
-    sim.run()
-    assert isinstance(p.done.exception, ConnectionError)
 
 
 def test_stop_halts_event_loop():

@@ -5,7 +5,7 @@ import pytest
 from repro.simnet import Host, HostDown, LinkConfig, Network, Simulator
 from repro.simnet.kernel import EV_CALL
 
-#: an arrival event that does nothing (``transfer`` takes a flat event)
+#: an arrival event that does nothing: ``transfer``'s flat ``slot, a, b``
 NOOP = (EV_CALL, lambda: None, None)
 
 
@@ -28,7 +28,7 @@ def test_duplicate_host_rejected():
 def test_single_transfer_arrival_time_matches_analytic():
     sim, net, a, b = make_net()
     arrivals = []
-    t = net.transfer(a, b, 1000, (EV_CALL, lambda: arrivals.append(sim.now), None))
+    t = net.transfer(a, b, 1000, EV_CALL, lambda: arrivals.append(sim.now), None)
     assert t == pytest.approx(net.one_way_time(1000))
     sim.run()
     assert arrivals == [pytest.approx(t)]
@@ -36,7 +36,7 @@ def test_single_transfer_arrival_time_matches_analytic():
 
 def test_zero_byte_transfer_has_fixed_latency():
     sim, net, a, b = make_net()
-    t = net.transfer(a, b, 0, NOOP)
+    t = net.transfer(a, b, 0, *NOOP)
     lk = net.link
     expected = (
         lk.send_cpu
@@ -50,8 +50,8 @@ def test_zero_byte_transfer_has_fixed_latency():
 
 def test_back_to_back_transfers_serialize_on_sender_nic():
     sim, net, a, b = make_net()
-    t1 = net.transfer(a, b, 100_000, NOOP)
-    t2 = net.transfer(a, b, 100_000, NOOP)
+    t1 = net.transfer(a, b, 100_000, *NOOP)
+    t2 = net.transfer(a, b, 100_000, *NOOP)
     dur = (100_000 + net.link.frame_overhead) / net.link.bandwidth
     assert t2 - t1 >= dur * 0.99  # second waits for the NIC
 
@@ -62,8 +62,8 @@ def test_transfers_from_two_sources_serialize_on_receiver_nic():
     a = net.add_host(Host(sim, "a"))
     b = net.add_host(Host(sim, "b"))
     c = net.add_host(Host(sim, "c"))
-    t1 = net.transfer(a, c, 500_000, NOOP)
-    t2 = net.transfer(b, c, 500_000, NOOP)
+    t1 = net.transfer(a, c, 500_000, *NOOP)
+    t2 = net.transfer(b, c, 500_000, *NOOP)
     dur = (500_000 + net.link.frame_overhead) / net.link.bandwidth
     assert t2 - t1 >= dur * 0.99
 
@@ -73,8 +73,8 @@ def test_full_duplex_host_overlaps_tx_and_rx():
     net = Network(sim)
     a = net.add_host(Host(sim, "a", full_duplex=True))
     b = net.add_host(Host(sim, "b", full_duplex=True))
-    t_ab = net.transfer(a, b, 1_000_000, NOOP)
-    t_ba = net.transfer(b, a, 1_000_000, NOOP)
+    t_ab = net.transfer(a, b, 1_000_000, *NOOP)
+    t_ba = net.transfer(b, a, 1_000_000, *NOOP)
     # both directions complete in roughly one transfer time
     assert t_ba == pytest.approx(t_ab, rel=0.05)
 
@@ -84,8 +84,8 @@ def test_half_duplex_host_serializes_bulk_tx_and_rx():
     net = Network(sim)
     a = net.add_host(Host(sim, "a", full_duplex=False))
     b = net.add_host(Host(sim, "b", full_duplex=False))
-    t_ab = net.transfer(a, b, 1_000_000, NOOP, bulk=True)
-    t_ba = net.transfer(b, a, 1_000_000, NOOP, bulk=True)
+    t_ab = net.transfer(a, b, 1_000_000, *NOOP, bulk=True)
+    t_ba = net.transfer(b, a, 1_000_000, *NOOP, bulk=True)
     # the second direction waits for the first: ~2x
     assert t_ba > 1.8 * t_ab
 
@@ -96,8 +96,8 @@ def test_half_duplex_host_overlaps_non_bulk():
     net = Network(sim)
     a = net.add_host(Host(sim, "a", full_duplex=False))
     b = net.add_host(Host(sim, "b", full_duplex=False))
-    t_ab = net.transfer(a, b, 1_000_000, NOOP)
-    t_ba = net.transfer(b, a, 1_000_000, NOOP)
+    t_ab = net.transfer(a, b, 1_000_000, *NOOP)
+    t_ba = net.transfer(b, a, 1_000_000, *NOOP)
     assert t_ba == pytest.approx(t_ab, rel=0.05)
 
 
@@ -106,14 +106,14 @@ def test_half_duplex_small_bulk_frames_uncoupled():
     net = Network(sim)
     a = net.add_host(Host(sim, "a", full_duplex=False))
     b = net.add_host(Host(sim, "b", full_duplex=False))
-    t_ab = net.transfer(a, b, 4096, NOOP, bulk=True)
-    t_ba = net.transfer(b, a, 4096, NOOP, bulk=True)
+    t_ab = net.transfer(a, b, 4096, *NOOP, bulk=True)
+    t_ba = net.transfer(b, a, 4096, *NOOP, bulk=True)
     assert t_ba == pytest.approx(t_ab, rel=0.05)
 
 
 def test_loopback_is_fast():
     sim, net, a, b = make_net()
-    t = net.transfer(a, a, 1_000_000, NOOP)
+    t = net.transfer(a, a, 1_000_000, *NOOP)
     assert t < 0.01  # memcpy speed, not wire speed
 
 
@@ -121,7 +121,7 @@ def test_transfer_from_crashed_host_raises():
     sim, net, a, b = make_net()
     a.crash()
     with pytest.raises(HostDown):
-        net.transfer(a, b, 10, NOOP)
+        net.transfer(a, b, 10, *NOOP)
 
 
 def test_reliable_host_cannot_crash():
@@ -188,8 +188,8 @@ def test_compute_seconds_scales_with_cpu():
 
 def test_network_accounting():
     sim, net, a, b = make_net()
-    net.transfer(a, b, 100, NOOP)
-    net.transfer(a, b, 200, NOOP)
+    net.transfer(a, b, 100, *NOOP)
+    net.transfer(a, b, 200, *NOOP)
     assert net.bytes_moved == 300
     assert net.segments_moved == 2
 
@@ -200,7 +200,7 @@ def test_sustained_bandwidth_close_to_link_rate():
     n, size = 100, 16384
     done = []
     for _ in range(n):
-        t = net.transfer(a, b, size, NOOP)
+        t = net.transfer(a, b, size, *NOOP)
         done.append(t)
     total_bytes = n * size
     elapsed = done[-1]

@@ -11,6 +11,8 @@ from repro.simnet import (
     Simulator,
     Stream,
 )
+from repro.simnet.kernel import run_slot
+from repro.simnet.streams import EV_ARRIVE
 
 
 def make_pair(window=64 * 1024):
@@ -20,6 +22,35 @@ def make_pair(window=64 * 1024):
     b = net.add_host(Host(sim, "b"))
     stream = Stream(net, a, b, window=window)
     return sim, net, stream
+
+
+class _ArrivalSpy:
+    """Installed as the kernel probe: records ``(time, nbytes, payload)``
+    of every segment delivered to ``end`` — an arrival dropped on a dead
+    stream is no delivery — and calls ``after()`` once each is handled."""
+
+    sampling = False
+
+    def __init__(self, end, after=None):
+        self.end = end
+        self.after = after
+        self.seen = []
+        end.stream.net.sim.set_probe(self)
+
+    def dispatch(self, time, slot, a, b, qsize):
+        live = (slot == EV_ARRIVE and a is self.end
+                and not a.stream.dead and a.broken is None)
+        run_slot(slot, a, b)
+        if live:
+            self.seen.append((time, b[0], b[2]))
+            if self.after is not None:
+                self.after()
+
+    def segments(self):
+        return [(nbytes, payload) for _, nbytes, payload in self.seen]
+
+    def times(self):
+        return [time for time, _, _ in self.seen]
 
 
 def test_write_then_read_delivers_payload():
@@ -302,13 +333,9 @@ def test_write_frame_larger_than_window_respects_flow_control():
     sim, net, stream = make_pair(window=1000)
     got = []
     credit_after_arrival = []
-    deliver = stream.b._deliver
-
-    def spy(segment):
-        deliver(segment)
-        credit_after_arrival.append(stream.a._wcredit.tokens)
-
-    stream.b._deliver = spy
+    _ArrivalSpy(
+        stream.b, after=lambda: credit_after_arrival.append(stream.a.credit),
+    )
 
     def writer():
         yield from stream.a.write_frame(3500, record="tail", mtu=1000)
@@ -362,19 +389,6 @@ def test_write_frame_over_window_counts_at_most_one_stall():
 # -- a blocked frame moved by credit releases ----------------------------------
 
 
-def _spy_arrivals(end):
-    """Record ``(nbytes, payload)`` of every segment arriving at ``end``."""
-    seen = []
-    deliver = end._deliver
-
-    def spy(segment):
-        seen.append((segment[0], segment[2]))
-        deliver(segment)
-
-    end._deliver = spy
-    return seen
-
-
 def test_killed_writer_sends_nothing_more_and_its_wait_takes_the_credit():
     """As a dead process's pending ``acquire`` did: the released credit
     is consumed by the killed frame's wait, and nothing is sent."""
@@ -391,7 +405,7 @@ def test_killed_writer_sends_nothing_more_and_its_wait_takes_the_credit():
     sim.run()
     assert stream.a.bytes_written == 1000
     assert net.segments_moved == 1
-    assert stream.a._wcredit.tokens == 0  # taken by the dead frame's wait
+    assert stream.a.credit == 0  # taken by the dead frame's wait
     assert stream.a.write_nowait(10, "late") is False
     assert isinstance(w.done.exception, Killed)
 
@@ -400,7 +414,7 @@ def test_stream_broken_mid_frame_fails_the_writer_after_its_handoffs():
     """The writer sees ``Disconnected`` and ``bytes_written`` counts the
     segments handed to the network, the one dropped on the wire too."""
     sim, net, stream = make_pair(window=1000)
-    seen = _spy_arrivals(stream.b)
+    spy = _ArrivalSpy(stream.b)
     caught = {}
 
     def writer():
@@ -423,7 +437,8 @@ def test_stream_broken_mid_frame_fails_the_writer_after_its_handoffs():
     assert w.done.done and w.done.exception is None
     assert isinstance(caught["exc"], Disconnected)
     assert caught["written"] == 3000 == net.bytes_moved
-    assert seen == [(1000, None), (1000, None)]  # the third was dropped
+    # the third was dropped
+    assert spy.segments() == [(1000, None), (1000, None)]
     assert stream.a.stall_count == 1
 
 
@@ -431,7 +446,7 @@ def test_writer_queued_behind_a_blocked_frame_keeps_fifo_order():
     """A parked frame re-queues behind a writer that queued meanwhile:
     the credit goes first to the head of the queue, segment by segment."""
     sim, net, stream = make_pair(window=1000)
-    seen = _spy_arrivals(stream.b)
+    spy = _ArrivalSpy(stream.b)
     done = []
 
     def frame_writer():
@@ -453,7 +468,7 @@ def test_writer_queued_behind_a_blocked_frame_keeps_fifo_order():
     sim.spawn(small_writer(), "wb")
     p = sim.spawn(reader(), "r")
     sim.run_until(p.done)
-    assert seen == [
+    assert spy.segments() == [
         (400, None), (400, None), (400, None), (150, "B"), (400, None),
         (400, "A"),
     ]
@@ -485,6 +500,162 @@ def test_source_host_crash_mid_frame_does_not_crash_the_simulator():
     assert isinstance(w.done.exception, HostDown)
     assert stream.a.bytes_written == 1000
     assert stream.dead
+
+
+# -- the arrival hand-off's fallbacks (times recorded before the hand-off
+# sent the next segment from the arrival handler itself) ----------------------
+
+#: one 1000-byte segment's end-to-end time on the default link
+SEG_1000_S = 0.00014664448336252188
+
+
+def _frame_under_fault(fault):
+    """A 5000-byte frame through a 1000-byte window to a draining reader,
+    ``fault(net, stream)`` applied at 350 us — the third segment on the
+    wire, the frame parked for the fourth."""
+    sim, net, stream = make_pair(window=1000)
+    spy = _ArrivalSpy(stream.b)
+    done = {}
+
+    def writer():
+        yield from stream.a.write_frame(5000, record="r", mtu=1000)
+        done["w"] = sim.now
+
+    def reader():
+        while (yield stream.b.read())[1] is None:
+            pass
+        done["r"] = sim.now
+
+    sim.spawn(writer(), "w")
+    p = sim.spawn(reader(), "r")
+    sim.after(350e-6, lambda: fault(net, stream))
+    sim.run_until(p.done)
+    assert spy.segments() == [(1000, None)] * 4 + [(1000, "r")]
+    assert stream.a.stall_count == 1
+    return spy.times(), done, stream, net
+
+
+def test_partition_mid_frame_defers_the_next_segment_until_the_heal():
+    """The segment the third arrival sends meets the cut: it is deferred,
+    the frame stays parked through the partition and ends after the heal."""
+    times, done, stream, net = _frame_under_fault(
+        lambda net, s: net.partition([s.a.host], [s.b.host], 0.01)
+    )
+    assert times == [
+        SEG_1000_S, 0.00029328896672504377, 0.0004399334500875656,
+        0.010496644483362523, 0.010643288966725046,
+    ]
+    assert done == {"w": 0.010496644483362523, "r": 0.010643288966725046}
+    assert net.segments_deferred == 1
+    assert stream.a.stall_s == 0.010496644483362523
+
+
+def test_degrade_window_mid_frame_slows_the_segments_sent_after_it():
+    times, done, stream, net = _frame_under_fault(
+        lambda net, s: net.degrade([s.b.host], 0.002, bw_factor=4.0,
+                                   latency_factor=2.0)
+    )
+    assert times == [
+        SEG_1000_S, 0.00029328896672504377, 0.0004399334500875656,
+        0.0008925113835376532, 0.0013450893169877406,
+    ]
+    assert done == {"w": 0.0008925113835376532, "r": 0.0013450893169877406}
+    assert net.segments_deferred == 0
+    assert stream.a.stall_s == 0.0008925113835376532
+
+
+def test_undrained_segments_keep_their_credit_until_read():
+    """With no reader parked, an in-flight segment queues and its credit
+    stays taken: the frame moves only when ``try_read``/``read`` consume."""
+    sim, net, stream = make_pair(window=1000)
+    spy = _ArrivalSpy(stream.b)
+    done = {}
+
+    def writer():
+        yield from stream.a.write_frame(3500, record="tail", mtu=1000)
+        done["w"] = sim.now
+
+    sim.spawn(writer(), "w")
+    sim.run()
+    assert sim.now == SEG_1000_S
+    assert (stream.b.rx_depth, stream.a.bytes_written) == (1, 1000)
+    assert stream.a.credit == 0
+    assert stream.a.write_nowait(10) is False
+    assert not stream.a.when_writable(1).done
+    assert stream.b.try_read() == (True, 1000, None)
+    sim.run()
+    assert (stream.b.rx_depth, stream.a.bytes_written) == (1, 2000)
+    fut = stream.b.read()  # consumes the queued segment, then parks
+    assert not fut.done and stream.b.rx_depth == 0
+    assert stream.a.bytes_written == 3000
+    sim.run()
+    assert fut.value == (500, "tail")
+    assert sim.now == 0.0005427950963222416
+    assert done == {"w": 0.0004399334500875656}
+    assert stream.b.bytes_read == 3500
+    assert stream.a.stall_s == 0.0004399334500875656
+    assert spy.times() == [
+        SEG_1000_S, 0.00029328896672504377, 0.0004399334500875656,
+        0.0005427950963222416,
+    ]
+
+
+# -- the credit window ----------------------------------------------------------
+
+
+def test_credit_goes_fifo_a_large_parked_need_is_not_overtaken():
+    """Credit returned piecemeal: a later, smaller write that it would
+    already cover waits behind the earlier, larger parked one."""
+    sim, net, stream = make_pair(window=1000)
+    order = []
+    for i in range(4):
+        assert stream.a.write_nowait(250, payload=i)  # the window is full
+
+    def writer(tag, nbytes):
+        yield from stream.a.write(nbytes, payload=tag)
+        order.append((tag, sim.now))
+
+    sim.spawn(writer("big", 750), "big")
+    sim.spawn(writer("small", 250), "small")
+
+    def drain():
+        for _ in range(4):
+            yield sim.timeout(1.0)
+            assert stream.b.try_read()[0]
+
+    sim.spawn(drain(), "drain")
+    sim.run()
+    assert order == [("big", 3.0), ("small", 4.0)]
+
+
+def test_break_fails_every_parked_writer_and_writable_watcher():
+    sim, net, stream = make_pair(window=100)
+    assert stream.a.write_nowait(100, payload=0)
+
+    def writer():
+        yield from stream.a.write(100, payload=1)
+
+    writers = [sim.spawn(writer(), f"w{i}", supervised=True) for i in range(2)]
+    watchers = [stream.a.when_writable(50), stream.a.when_writable(100)]
+    sim.after(1.0, lambda: stream.break_both("peer crash"))
+    sim.run()
+    for fut in [w.done for w in writers] + watchers:
+        assert isinstance(fut.exception, Disconnected)
+    assert isinstance(stream.a.when_writable(1).exception, Disconnected)
+
+
+def test_when_writable_resolves_on_returned_credit_without_taking_it():
+    """The P4 eager path's wait: resolved by the reader's consumption,
+    not by the segment's arrival, and the credit stays for the writer."""
+    sim, net, stream = make_pair(window=1000)
+    assert stream.a.write_nowait(1000, payload="x")
+    fut = stream.a.when_writable(500)
+    sim.run()  # arrived and queued: its credit is still taken
+    assert stream.b.rx_depth == 1 and not fut.done
+    assert stream.b.try_read() == (True, 1000, "x")
+    assert fut.done and fut.exception is None
+    assert stream.a.credit == 1000
+    assert stream.a.when_writable(5000).done  # charged at the window cap
 
 
 # -- window-stall accounting --------------------------------------------------

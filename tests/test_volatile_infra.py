@@ -34,7 +34,7 @@ from repro.simnet.rng import RngRegistry
 from repro.simnet.streams import Disconnected
 from repro.store import StoreReplica, assemble_image, chunk_image
 
-#: an arrival event that does nothing (``transfer`` takes a flat event)
+#: an arrival event that does nothing: ``transfer``'s flat ``slot, a, b``
 NOOP = (EV_CALL, lambda: None, None)
 
 
@@ -65,7 +65,7 @@ def test_partition_defers_segments_until_heal():
     sim, net, a, b = make_net()
     net.partition([a], [b], duration=2.0)
     arrivals = []
-    net.transfer(a, b, 1000, (EV_CALL, lambda: arrivals.append(sim.now), None))
+    net.transfer(a, b, 1000, EV_CALL, lambda: arrivals.append(sim.now), None)
     sim.run()
     assert net.segments_deferred == 1
     assert len(arrivals) == 1
@@ -81,7 +81,7 @@ def test_partition_is_directionless_and_heals():
     sim.run()
     assert not net.partitioned(a, b)
     # traffic after heal moves normally
-    t = net.transfer(a, b, 100, NOOP)
+    t = net.transfer(a, b, 100, *NOOP)
     assert t == pytest.approx(sim.now + net.one_way_time(100))
 
 
@@ -89,7 +89,7 @@ def test_loopback_ignores_partitions():
     sim, net, a, b = make_net()
     net.partition([a], [b], duration=5.0)
     arrivals = []
-    net.transfer(a, a, 100, (EV_CALL, lambda: arrivals.append(sim.now), None))
+    net.transfer(a, a, 100, EV_CALL, lambda: arrivals.append(sim.now), None)
     sim.run(until=1.0)
     assert len(arrivals) == 1  # same-host traffic never crosses the cut
 
@@ -99,7 +99,7 @@ def test_overlapping_partitions_compose():
     net.partition([a], [b], duration=1.0)
     net.partition([a], [b], duration=3.0)
     arrivals = []
-    net.transfer(a, b, 100, (EV_CALL, lambda: arrivals.append(sim.now), None))
+    net.transfer(a, b, 100, EV_CALL, lambda: arrivals.append(sim.now), None)
     sim.run()
     # the first heal re-queues the segment into the second window
     assert arrivals[0] >= 3.0
@@ -110,10 +110,10 @@ def test_degrade_window_slows_transfers():
     sim, net, a, b = make_net()
     t_plain = net.one_way_time(50_000)
     net.degrade([a], duration=1.0, bw_factor=4.0)
-    t_slow = net.transfer(a, b, 50_000, NOOP)
+    t_slow = net.transfer(a, b, 50_000, *NOOP)
     assert t_slow > 2.0 * t_plain
     sim.run()
-    t_after = net.transfer(a, b, 50_000, NOOP) - sim.now
+    t_after = net.transfer(a, b, 50_000, *NOOP) - sim.now
     assert t_after == pytest.approx(t_plain, rel=0.01)
 
 
