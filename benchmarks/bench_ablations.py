@@ -11,8 +11,6 @@ Not figures from the paper, but quantifications of its design arguments:
   CG/MG penalty of Figure 7.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
@@ -22,20 +20,16 @@ from repro.workloads.collect import collective_bench
 from conftest import record_report
 
 
-def bench_event_logger_scaling(benchmark):
-    def run():
-        rows = []
-        out = {}
-        for n_el in (1, 2, 4):
-            res = run_job(
-                nas.cg.program, 16, device="v2", params={"klass": "A"},
-                cfg=DEFAULT_TESTBED.with_(el_servers=n_el), limit=1e6,
-            )
-            rows.append([n_el, res.elapsed])
-            out[n_el] = res.elapsed
-        return rows, out
-
-    rows, out = benchmark.pedantic(run, rounds=1, iterations=1)
+def bench_event_logger_scaling():
+    rows = []
+    out = {}
+    for n_el in (1, 2, 4):
+        res = run_job(
+            nas.cg.program, 16, device="v2", params={"klass": "A"},
+            cfg=DEFAULT_TESTBED.with_(el_servers=n_el), limit=1e6,
+        )
+        rows.append([n_el, res.elapsed])
+        out[n_el] = res.elapsed
     rep = Report("Ablation - event loggers for CG-A-16 (V2)")
     rep.table(["event loggers", "elapsed s"], rows)
     rep.add(
@@ -47,25 +41,21 @@ def bench_event_logger_scaling(benchmark):
     assert out[4] < out[1]
 
 
-def bench_log_slab_size(benchmark):
-    def run():
-        rows = []
-        out = {}
-        for slab in (1, 8 << 10, 24 << 10):
-            cfg = DEFAULT_TESTBED.with_(log_slab_bytes=slab)
-            res = run_job(
-                nas.lu.program, 8, device="v2", params={"klass": "A"},
-                cfg=cfg, limit=1e7,
-            )
-            disp = res.extras["dispatcher"]
-            disk = max(
-                disp.states[r].daemon.saved.bytes_on_disk for r in range(8)
-            )
-            rows.append([slab, res.elapsed, disk / 1e6])
-            out[slab] = res.elapsed
-        return rows, out
-
-    rows, out = benchmark.pedantic(run, rounds=1, iterations=1)
+def bench_log_slab_size():
+    rows = []
+    out = {}
+    for slab in (1, 8 << 10, 24 << 10):
+        cfg = DEFAULT_TESTBED.with_(log_slab_bytes=slab)
+        res = run_job(
+            nas.lu.program, 8, device="v2", params={"klass": "A"},
+            cfg=cfg, limit=1e7,
+        )
+        disp = res.extras["dispatcher"]
+        disk = max(
+            disp.states[r].daemon.saved.bytes_on_disk for r in range(8)
+        )
+        rows.append([slab, res.elapsed, disk / 1e6])
+        out[slab] = res.elapsed
     rep = Report("Ablation - message-log slab size for LU-A-8 (V2)")
     rep.table(["slab bytes", "elapsed s", "max disk MB"], rows)
     rep.add(
@@ -77,40 +67,36 @@ def bench_log_slab_size(benchmark):
     assert out[24 << 10] > 1.5 * out[1]
 
 
-def bench_collective_latency(benchmark):
+def bench_collective_latency():
     OPS = ("barrier", "bcast", "allreduce", "alltoall")
 
-    def run():
-        rows = []
-        out = {}
-        barrier_cost = {}
+    rows = []
+    out = {}
+    barrier_cost = {}
+    for dev in ("p4", "v1", "v2"):
+        res = run_job(
+            collective_bench, 8, device=dev,
+            params={"op": "barrier", "nbytes": 64, "reps": 10}, limit=1e6,
+        )
+        barrier_cost[dev] = max(res.results)
+    for op in OPS:
+        cells = [op]
         for dev in ("p4", "v1", "v2"):
-            res = run_job(
-                collective_bench, 8, device=dev,
-                params={"op": "barrier", "nbytes": 64, "reps": 10}, limit=1e6,
-            )
-            barrier_cost[dev] = max(res.results)
-        for op in OPS:
-            cells = [op]
-            for dev in ("p4", "v1", "v2"):
-                if op == "barrier":
-                    t = barrier_cost[dev] * 1e6
-                else:
-                    # fence the reps so rooted collectives measure latency,
-                    # then remove the fence's own cost
-                    res = run_job(
-                        collective_bench, 8, device=dev,
-                        params={"op": op, "nbytes": 64, "reps": 10,
-                                "fenced": True},
-                        limit=1e6,
-                    )
-                    t = (max(res.results) - barrier_cost[dev]) * 1e6
-                cells.append(t)
-                out[(op, dev)] = t
-            rows.append(cells)
-        return rows, out
-
-    rows, out = benchmark.pedantic(run, rounds=1, iterations=1)
+            if op == "barrier":
+                t = barrier_cost[dev] * 1e6
+            else:
+                # fence the reps so rooted collectives measure latency,
+                # then remove the fence's own cost
+                res = run_job(
+                    collective_bench, 8, device=dev,
+                    params={"op": op, "nbytes": 64, "reps": 10,
+                            "fenced": True},
+                    limit=1e6,
+                )
+                t = (max(res.results) - barrier_cost[dev]) * 1e6
+            cells.append(t)
+            out[(op, dev)] = t
+        rows.append(cells)
     rep = Report("Ablation - small collective latency, 8 ranks (us)")
     rep.table(["collective", "P4", "V1", "V2"], rows)
     rep.add(
@@ -123,7 +109,7 @@ def bench_collective_latency(benchmark):
         assert out[(op, "v2")] > out[(op, "p4")]
 
 
-def bench_grid_event_logger_placement(benchmark):
+def bench_grid_event_logger_placement():
     """Grid deployments (the paper's future work): every reception event
     crosses the CN-to-EL path before the next send may leave, so a
     wide-area event logger multiplies V2's per-message cost.  Placing one
@@ -153,20 +139,16 @@ fe EL site=alpha
 st CS site=alpha
 """
 
-    def run():
-        params = {"rounds": 150, "nbytes": 2048}
-        rows = []
-        out = {}
-        for label, text in (("single cluster", LOCAL),
-                            ("grid, remote EL", REMOTE_EL),
-                            ("grid, EL per site", PER_SITE_EL)):
-            res = run_job(token_ring, 4, device="v2",
-                          plan=parse_progfile(text), limit=1e6)
-            rows.append([label, res.elapsed])
-            out[label] = res.elapsed
-        return rows, out
-
-    rows, out = benchmark.pedantic(run, rounds=1, iterations=1)
+    params = {"rounds": 150, "nbytes": 2048}
+    rows = []
+    out = {}
+    for label, text in (("single cluster", LOCAL),
+                        ("grid, remote EL", REMOTE_EL),
+                        ("grid, EL per site", PER_SITE_EL)):
+        res = run_job(token_ring, 4, device="v2",
+                      plan=parse_progfile(text), limit=1e6)
+        rows.append([label, res.elapsed])
+        out[label] = res.elapsed
     rep = Report("Ablation - Grid deployment: event-logger placement")
     rep.table(["deployment", "ring time s"], rows)
     rep.add(

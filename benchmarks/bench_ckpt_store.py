@@ -14,8 +14,6 @@ Two claims of the store subsystem, measured on CG-A-8:
   whole detect/respawn/fetch window completes by failing over, in time
   comparable to the single-server baseline.
 
-Results land in ``BENCH_ckpt_store.json`` at the repository root.
-
 The sweep runs on a widened-link variant of the calibrated testbed: on the
 paper's Fast Ethernet, pushing CG-A's ~7.5 MB images three times per
 rank takes longer than the kernel runs, so no configuration could reach
@@ -24,14 +22,12 @@ full vs incremental — is a property of the chunker and the dirty-region
 model, not of the link, so the faster wire changes how many checkpoints
 fit, never the ratio.
 
-Run as a pytest benchmark (``pytest benchmarks/`` — *not* part of the
-tier-1 suite) or directly: ``python benchmarks/bench_ckpt_store.py``.
+Run as ``python benchmarks/bench_ckpt_store.py`` (not part of the tier-1
+suite); ``gate.py`` writes the result to ``benchmarks/out/`` and sets the
+exit code.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
 
 from repro.analysis.report import Report
 from repro.ft.failure import ExplicitFaults, ServiceFaults
@@ -41,9 +37,8 @@ from repro.runtime.mpirun import run_job
 from repro.simnet.network import LinkConfig
 from repro.workloads import nas
 
-from conftest import record_report
+import gate
 
-OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_ckpt_store.json"
 BUDGET = 0.40  # incremental must push at least 40% fewer bytes than full
 
 KLASS = "A"
@@ -129,7 +124,7 @@ def measure() -> dict:
     }
 
 
-def _render(out: dict) -> Report:
+def table(out: dict) -> str:
     rep = Report(f"Checkpoint store - CG-{KLASS}-{NPROCS} (V2)")
     rep.table(
         ["mode", "pushed MB", "deduped MB", "ckpts/rank >="],
@@ -152,36 +147,24 @@ def _render(out: dict) -> Report:
         "the whole recovery window: the fetch fails over to a surviving "
         "replica instead of stalling"
     )
-    return rep
+    return rep.render()
 
 
-def _check(out: dict) -> None:
-    assert out["full"]["ckpts_per_rank_min"] >= 3, out["full"]
-    assert out["incremental"]["ckpts_per_rank_min"] >= 3, out["incremental"]
-    assert out["reduction"] >= BUDGET, (
-        f"incremental reduction {out['reduction']:.1%} below the "
-        f"{BUDGET:.0%} budget"
-    )
-    for r in out["restart"]:
-        assert r["recovery_s"] is not None, r
-    assert out["restart"][1]["failovers"] >= 1, out["restart"][1]
-
-
-def bench_ckpt_store():
-    out = measure()
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    record_report(_render(out))
-    _check(out)
+def check(out: dict, base: dict) -> list:
+    return [
+        gate.at_least("full checkpoints per rank",
+                      out["full"]["ckpts_per_rank_min"], 3),
+        gate.at_least("incremental checkpoints per rank",
+                      out["incremental"]["ckpts_per_rank_min"], 3),
+        gate.at_least("incremental push-bytes reduction",
+                      out["reduction"], BUDGET),
+        *(gate.holds(r["recovery_s"] is not None,
+                     f"{r['replicas']}-replica restart never recovered")
+          for r in out["restart"]),
+        gate.at_least("3-replica restart failovers",
+                      out["restart"][1]["failovers"], 1),
+    ]
 
 
 if __name__ == "__main__":
-    out = measure()
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    print(json.dumps(out, indent=2))
-    _check(out)
-    print(
-        f"OK: incremental pushes {out['reduction']:.1%} fewer bytes "
-        f"(budget {BUDGET:.0%}); 3-replica restart failed over "
-        f"{out['restart'][1]['failovers']} time(s) and recovered in "
-        f"{out['restart'][1]['recovery_s']:.2f}s"
-    )
+    gate.run("ckpt_store", measure, check, table)

@@ -17,28 +17,22 @@ configuration, kills one replica mid-run.  Three claims are gated:
   exceed the checked-in ``BENCH_el_scale.json`` baseline by more than
   ``REGRESSION_BUDGET`` (simulated time on a fixed seed: deterministic).
 
-Results land in ``BENCH_el_scale.json`` at the repository root (the CI
-artifact and the next baseline).  Run as a pytest benchmark
-(``pytest benchmarks/`` — *not* part of the tier-1 suite) or directly:
-``python benchmarks/bench_el_scale.py``.
+Run as ``python benchmarks/bench_el_scale.py`` (not part of the tier-1
+suite); ``gate.py`` compares it with the committed ``BENCH_el_scale.json``,
+writes the result to ``benchmarks/out/`` and sets the exit code.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-from repro.analysis.report import Report, format_table
+from repro.analysis.report import Report
 from repro.ft.failure import ServiceFaults
 from repro.obs.profile import critical_path
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
 
-from conftest import full_sweep, record_report
-
-OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_el_scale.json"
+import gate
+from conftest import full_sweep
 
 #: (el_servers, el_replicas) swept; (1, 1) is the paper's reliable-EL shape
 CONFIGS = ((1, 1), (2, 1), (1, 3), (2, 3))
@@ -49,12 +43,15 @@ SEED = 1
 REGRESSION_BUDGET = 0.20  # killed-run elapsed vs the checked-in baseline
 
 
-def _el_ack_share(res) -> float:
+def el_ack_share(res) -> tuple[float, float]:
+    """The el-ack share of an ``audit_hb`` run's critical path (the
+    WAITLOGGED tax), and the path's span in simulated seconds."""
     cp = critical_path(res.audit.hb)
-    return next(
+    share = next(
         (c["share"] for c in cp["contributions"] if c["category"] == "el-ack"),
         0.0,
     )
+    return share, cp["span_s"]
 
 
 def _run_config(servers: int, replicas: int, nprocs: int, klass: str) -> dict:
@@ -85,7 +82,7 @@ def _run_config(servers: int, replicas: int, nprocs: int, klass: str) -> dict:
         "elapsed": res.elapsed,
         "restarts": res.restarts,
         "audit_clean": res.audit.clean,
-        "el_ack_share": _el_ack_share(res),
+        "el_ack_share": el_ack_share(res)[0],
         "quorum_wait_p95_s": m.quantile("el.quorum_wait_s", 0.95),
         "failovers": int(m.total("el.failovers")),
         "resyncs": int(m.total("el.resyncs")),
@@ -94,7 +91,7 @@ def _run_config(servers: int, replicas: int, nprocs: int, klass: str) -> dict:
     }
 
 
-def measure_el_scale(nprocs: int = 8, klass: str = "A") -> dict:
+def measure(nprocs: int = 8, klass: str = "A") -> dict:
     """Sweep shard/replica configurations; one replica kill per K>1 run."""
     configs = FULL_CONFIGS if full_sweep() else CONFIGS
     sweep = [_run_config(s, k, nprocs, klass) for s, k in configs]
@@ -116,122 +113,60 @@ def measure_el_scale(nprocs: int = 8, klass: str = "A") -> dict:
     }
 
 
-def _load_baseline() -> dict:
-    """The checked-in result this run is gated against (may be absent)."""
-    if OUT_PATH.exists():
-        try:
-            return json.loads(OUT_PATH.read_text())
-        except (OSError, ValueError):
-            return {}
-    return {}
-
-
-def check_el_scale(out: dict, baseline: dict) -> list[str]:
-    """All budget violations as human-readable strings (empty = pass)."""
-    problems: list[str] = []
+def check(out: dict, base: dict) -> list:
+    problems = []
     for row in out["sweep"]:
         tag = f"{row['el_servers']}x{row['el_replicas']}"
-        if not row["audit_clean"]:
-            problems.append(f"{tag}: audit reported violations")
+        problems.append(gate.holds(row["audit_clean"],
+                                   f"{tag}: audit reported violations"))
         if row["el_replicas"] > 1:
-            if row["restarts"] != 0:
-                problems.append(
-                    f"{tag}: a replica kill triggered {row['restarts']} "
-                    f"rank restart(s) — the quorum must absorb it"
-                )
-            if row["failovers"] < 1:
-                problems.append(
-                    f"{tag}: the kill produced no client failover — "
-                    f"the fault did not land"
-                )
-            if row["resyncs"] < 1:
-                problems.append(
-                    f"{tag}: the relaunched replica never resynced"
-                )
-    if out["best_sharded_el_ack_share"] >= out["baseline_el_ack_share"]:
-        problems.append(
-            f"sharding never reduced the el-ack critical-path share: "
-            f"best sharded {out['best_sharded_el_ack_share']:.3f} vs "
-            f"single-server {out['baseline_el_ack_share']:.3f}"
-        )
-    killed = next(
-        (r for r in out["sweep"]
-         if r["el_servers"] == 2 and r["el_replicas"] == 3), None
-    )
-    base_rows = {
-        f"{r['el_servers']}x{r['el_replicas']}": r
-        for r in baseline.get("sweep", ())
-    }
-    if killed is not None and "2x3" in base_rows:
-        base_elapsed = base_rows["2x3"]["elapsed"]
-        limit = base_elapsed * (1.0 + REGRESSION_BUDGET)
-        if killed["elapsed"] > limit:
-            problems.append(
-                f"2x3 killed-replica elapsed {killed['elapsed']:.2f}s "
-                f"regresses >{REGRESSION_BUDGET:.0%} vs baseline "
-                f"{base_elapsed:.2f}s"
-            )
-        killed["baseline_elapsed"] = base_elapsed
+            problems += [
+                gate.at_most(f"{tag}: rank restarts after a replica kill "
+                             f"(the quorum must absorb it)", row["restarts"], 0),
+                gate.at_least(f"{tag}: client failovers (none means the "
+                              f"kill did not land)", row["failovers"], 1),
+                gate.at_least(f"{tag}: relaunched-replica resyncs",
+                              row["resyncs"], 1),
+            ]
+    problems.append(gate.holds(
+        out["best_sharded_el_ack_share"] < out["baseline_el_ack_share"],
+        f"sharding never reduced the el-ack critical-path share: best "
+        f"sharded {out['best_sharded_el_ack_share']:.3f} vs single-server "
+        f"{out['baseline_el_ack_share']:.3f}",
+    ))
+    problems.append(gate.growth(
+        "2x3 killed-replica elapsed s", _row(out, "2x3")["elapsed"],
+        (_row(base, "2x3") or {}).get("elapsed"), REGRESSION_BUDGET,
+    ))
     return problems
 
 
-def _sweep_table(out: dict) -> str:
+def _row(out: dict, tag: str):
+    return next((r for r in out.get("sweep", ())
+                 if f"{r['el_servers']}x{r['el_replicas']}" == tag), None)
+
+
+def table(out: dict) -> str:
     base_elapsed = out["sweep"][0]["elapsed"]
-    rows = []
-    for row in out["sweep"]:
-        rows.append(
-            [
-                f"{row['el_servers']}x{row['el_replicas']}",
-                row["quorum"],
-                row["killed_replica"] or "-",
-                row["elapsed"],
-                row["elapsed"] / base_elapsed,
-                row["el_ack_share"],
-                row["quorum_wait_p95_s"] * 1e6,
-                row["failovers"],
-                row["resyncs"],
-                "clean" if row["audit_clean"] else "VIOLATIONS",
-            ]
-        )
-    return format_table(
-        ["SxK", "quorum", "killed", "elapsed s", "vs 1x1", "el-ack share",
-         "qwait p95 us", "failovers", "resyncs", "audit"],
-        rows,
-    )
-
-
-def bench_el_scale():
-    baseline = _load_baseline()
-    out = measure_el_scale()
-    problems = check_el_scale(out, baseline)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
     rep = Report(
         f"EL scaling - CG-{out['klass']}-{out['nprocs']} shard/replica sweep"
     )
-    rep.add(_sweep_table(out))
+    rep.table(
+        ["SxK", "quorum", "killed", "elapsed s", "vs 1x1", "el-ack share",
+         "qwait p95 us", "failovers", "resyncs", "audit"],
+        [[f"{row['el_servers']}x{row['el_replicas']}", row["quorum"],
+          row["killed_replica"] or "-", row["elapsed"],
+          row["elapsed"] / base_elapsed, row["el_ack_share"],
+          row["quorum_wait_p95_s"] * 1e6, row["failovers"], row["resyncs"],
+          "clean" if row["audit_clean"] else "VIOLATIONS"]
+         for row in out["sweep"]],
+    )
     rep.add(
         f"el-ack critical-path share: {out['baseline_el_ack_share']:.3f} "
-        f"single-server -> {out['best_sharded_el_ack_share']:.3f} best "
-        f"sharded; every K=3 run absorbed a replica kill with a clean "
-        f"audit and zero rank restarts"
+        f"single-server -> {out['best_sharded_el_ack_share']:.3f} best sharded"
     )
-    record_report(rep)
-    assert not problems, "; ".join(problems)
+    return rep.render()
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    out = measure_el_scale()
-    problems = check_el_scale(out, baseline)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    print(json.dumps(out, indent=2))
-    print(_sweep_table(out))
-    if problems:
-        for p in problems:
-            print(f"OVER BUDGET: {p}")
-        sys.exit(1)
-    print(
-        f"OK: el-ack share {out['baseline_el_ack_share']:.3f} -> "
-        f"{out['best_sharded_el_ack_share']:.3f}; replica kills absorbed"
-    )
-    sys.exit(0)
+    gate.run("el_scale", measure, check, table)

@@ -27,8 +27,6 @@ the spawn of the new incarnation to its completion (detection and rsh
 delays excluded, as in the paper's measurement).
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.ft.failure import ExplicitFaults
 from repro.runtime.mpirun import run_job
@@ -74,8 +72,8 @@ def run_fig10():
     return xs, rows, data
 
 
-def bench_fig10_reexecution(benchmark):
-    xs, rows, data = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
+def bench_fig10_reexecution():
+    xs, rows, data = run_fig10()
     rep = Report("Figure 10 - token ring re-execution time (s), 8 nodes")
     rep.table(["bytes", "reference"] + [f"{x}-restart" for x in xs], rows)
     rep.add(

@@ -10,8 +10,6 @@ including during a checkpoint or a re-execution.  Claims:
 3. execution time below twice the fault-free reference at 9 faults.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.ft.failure import RandomFaults
 from repro.runtime.mpirun import run_job
@@ -47,8 +45,8 @@ def run_fig11():
     return reference, rows, times
 
 
-def bench_fig11_faults(benchmark):
-    reference, rows, times = benchmark.pedantic(run_fig11, rounds=1, iterations=1)
+def bench_fig11_faults():
+    reference, rows, times = run_fig11()
     rep = Report("Figure 11 - BT-A on 4 nodes, increasing fault count")
     rep.add(f"fault-free, checkpoint-free reference: {reference:.1f} s")
     rep.table(

@@ -30,8 +30,8 @@ def run_fig5():
     return rows, peak
 
 
-def bench_fig5_bandwidth(benchmark):
-    rows, peak = benchmark.pedantic(run_fig5, rounds=1, iterations=1)
+def bench_fig5_bandwidth():
+    rows, peak = run_fig5()
     rep = Report("Figure 5 - ping-pong bandwidth (MB/s)")
     rep.table(["bytes", "P4", "V1", "V2"], rows)
     rep.add(

@@ -32,8 +32,8 @@ def run_fig6():
     return rows, zero
 
 
-def bench_fig6_latency(benchmark):
-    rows, zero = benchmark.pedantic(run_fig6, rounds=1, iterations=1)
+def bench_fig6_latency():
+    rows, zero = run_fig6()
     rep = Report("Figure 6 - ping-pong one-way latency (us)")
     rep.table(["bytes", "P4", "V1", "V2"], rows)
     rep.add(

@@ -16,8 +16,6 @@ Default sweep is a representative subset; REPRO_BENCH_FULL=1 runs classes
 A+B on process counts up to 32 (slow).
 """
 
-import pytest
-
 from repro.analysis.metrics import mops
 from repro.analysis.report import Report
 from repro.core.sender_log import LogOverflow
@@ -85,8 +83,8 @@ def run_ft_b_overflow():
     return None
 
 
-def bench_fig7_nas(benchmark):
-    rows, ratios = benchmark.pedantic(run_fig7, rounds=1, iterations=1)
+def bench_fig7_nas():
+    rows, ratios = run_fig7()
     overflow = run_ft_b_overflow()
     rep = Report("Figure 7 - NPB 2.3, P4 vs V2")
     rep.table(

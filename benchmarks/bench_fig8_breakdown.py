@@ -29,8 +29,8 @@ def run_fig8():
     return configs, out
 
 
-def bench_fig8_breakdown(benchmark):
-    configs, out = benchmark.pedantic(run_fig8, rounds=1, iterations=1)
+def bench_fig8_breakdown():
+    configs, out = run_fig8()
     rows = []
     for name, klass, p in configs:
         for dev in ("p4", "v1", "v2"):

@@ -7,8 +7,6 @@ V2 daemon drains incoming chunks between transmissions (full duplex),
 the P4 driver does not.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.workloads.synthetic import measure
 
@@ -30,8 +28,8 @@ def run_fig9():
     return rows, ratio
 
 
-def bench_fig9_synthetic(benchmark):
-    rows, ratio = benchmark.pedantic(run_fig9, rounds=1, iterations=1)
+def bench_fig9_synthetic():
+    rows, ratio = run_fig9()
     rep = Report("Figure 9 - nonblocking burst bandwidth (MB/s per direction)")
     rep.table(["bytes", "P4", "V2", "V2/P4"], rows)
     rep.add(

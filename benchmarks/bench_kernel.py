@@ -1,7 +1,7 @@
 """Event-kernel throughput, profiler overhead, and the class-B gate.
 
 The flat-event kernel rewrite promises three measurable things, all
-recorded in ``BENCH_kernel.json`` at the repository root:
+recorded in ``BENCH_kernel.json``:
 
 - **probe cost**: a probed run stays cheap enough to leave on for any
   attribution question (counts exact, timing sampled
@@ -25,39 +25,35 @@ recorded in ``BENCH_kernel.json`` at the repository root:
   with piggybacked acks enabled (it was 0.405 with dedicated ack
   frames).
 
-Timing methodology: one warmup run per configuration, then
-``reps`` *interleaved* rounds — each round times the unprofiled and
+Timing methodology: ``gate.interleaved_min`` — one warmup run per
+configuration, then ``reps`` rounds that time the unprofiled and
 profiled configurations back-to-back, so slow machine phases (CI
 neighbors, thermal throttling) hit both equally instead of biasing
 whichever was measured last.  Per configuration the **min** across
 rounds is kept: every source of variation here only ever adds time, so
 the floor is the honest per-configuration cost.
 
-Run as a pytest benchmark (``pytest benchmarks/`` — *not* part of the
-tier-1 suite) or directly: ``python benchmarks/bench_kernel.py``.
-``REPRO_BENCH_FULL=1`` adds nothing here — the guard already runs the
-full configuration; set ``REPRO_BENCH_SKIP_B64=1`` to skip the class-B
-scale run (it dominates the benchmark's wall clock).
+Run as ``python benchmarks/bench_kernel.py`` (not part of the tier-1
+suite); ``gate.py`` writes the result to ``benchmarks/out/`` and sets the
+exit code.  ``REPRO_BENCH_FULL=1`` adds nothing here — the guard already
+runs the full configuration; set ``REPRO_BENCH_SKIP_B64=1`` to skip the
+class-B scale run (it dominates the benchmark's wall clock).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import pathlib
-import sys
 import time
 
 from repro.analysis.report import Report
-from repro.obs.profile import critical_path
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
 
-from conftest import record_report
+import gate
+from bench_el_scale import el_ack_share
 
-OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
 #: full profiler attached minus the unprofiled min, wall-clock
 #: microseconds per dispatched event.  The probe's cost is a fixed
 #: per-dispatch tax — measured ~0.2-0.6, with -0.7..+1.6 of jitter on a
@@ -82,31 +78,22 @@ BUDGET_B64_WALL_S = 1800.0
 SEED_EVENTS_PER_S = 38_500.0
 
 
-def _time_run(nprocs: int, klass: str, profile: bool) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    res = run_job(
+def _cg(nprocs: int, klass: str, profile: bool):
+    return lambda: run_job(
         nas.cg.program, nprocs, device="v2", params={"klass": klass},
         limit=1e8, profile=profile,
     )
-    return time.perf_counter() - t0, res
 
 
 def measure_kernel(nprocs: int = 8, klass: str = "A", reps: int = 5) -> dict:
     """Interleaved min-of-N wall clock, unprofiled vs. profiled."""
-    # warm both code paths once so bytecode/allocator effects don't skew
-    # the first round
-    _time_run(nprocs, klass, False)
-    _time_run(nprocs, klass, True)
-    unprofiled = profiled_s = None
-    best_profile = None
-    for _ in range(reps):
-        b, _ = _time_run(nprocs, klass, False)
-        p, res = _time_run(nprocs, klass, True)
-        if unprofiled is None or b < unprofiled:
-            unprofiled = b
-        if profiled_s is None or p < profiled_s:
-            profiled_s = p
-            best_profile = res.profile
+    best = gate.interleaved_min(
+        {"unprofiled": _cg(nprocs, klass, False),
+         "profiled": _cg(nprocs, klass, True)}, reps,
+    )
+    unprofiled = best["unprofiled"][0]
+    profiled_s, res = best["profiled"]
+    best_profile = res.profile
     events = best_profile.events
     return {
         "kernel": "cg",
@@ -134,16 +121,8 @@ def _el_ack_share_once(nprocs: int, klass: str, el_servers: int) -> dict:
         nas.cg.program, nprocs, device="v2", cfg=cfg,
         params={"klass": klass}, limit=1e8, audit=True, audit_hb=True,
     )
-    crit = critical_path(res.audit.hb)
-    share = 0.0
-    for c in crit["contributions"]:
-        if c["category"] == "el-ack":
-            share = c["share"]
-    return {
-        "share": share,
-        "span_s": crit["span_s"],
-        "verdict": res.audit.verdict,
-    }
+    share, span_s = el_ack_share(res)
+    return {"share": share, "span_s": span_s, "verdict": res.audit.verdict}
 
 
 def measure_el_ack_share(nprocs: int = 8, klass: str = "A") -> dict:
@@ -204,53 +183,37 @@ def measure_class_b64(nprocs: int = 64, el_servers: int = 4) -> dict:
     }
 
 
-def measure_all(skip_b64: bool = False) -> dict:
+def measure() -> dict:
     out = measure_kernel()
     out.update(measure_el_ack_share())
-    if not skip_b64:
+    if os.environ.get("REPRO_BENCH_SKIP_B64", "") != "1":
         out.update(measure_class_b64())
     return out
 
 
-def _check(out: dict) -> list[str]:
-    """Every budget violation in ``out`` (empty = all gates pass)."""
-    problems = []
-    if out["profiled_cost_per_event_us"] > BUDGET_PROFILED_US_PER_EVENT:
-        problems.append(
-            f"profiler cost {out['profiled_cost_per_event_us']:.3f} us/event "
-            f"exceeds {BUDGET_PROFILED_US_PER_EVENT:.1f} us "
-            f"(unprofiled={out['unprofiled_s']:.3f}s "
-            f"profiled={out['profiled_s']:.3f}s)"
-        )
-    if out["events_per_s"] < FLOOR_EVENTS_PER_S:
-        problems.append(
-            f"events/sec {out['events_per_s']:,.0f} below the sanity "
-            f"floor {FLOOR_EVENTS_PER_S:,.0f}"
-        )
-    if out["el_ack_share"] > BUDGET_EL_ACK_SHARE:
-        problems.append(
-            f"el-ack critical-path share {out['el_ack_share']:.3f} exceeds "
-            f"{BUDGET_EL_ACK_SHARE:.2f} with piggybacked acks"
-        )
-    if out["audit_verdict"] != "clean":
-        problems.append(f"CG-A-8 audit verdict {out['audit_verdict']!r}")
+def check(out: dict, base: dict) -> list:
+    problems = [
+        gate.at_most("profiler cost us/event",
+                     out["profiled_cost_per_event_us"],
+                     BUDGET_PROFILED_US_PER_EVENT),
+        gate.at_least("events/s (sanity floor)", out["events_per_s"],
+                      FLOOR_EVENTS_PER_S),
+        gate.at_most("el-ack critical-path share with piggybacked acks",
+                     out["el_ack_share"], BUDGET_EL_ACK_SHARE),
+        gate.holds(out["audit_verdict"] == "clean",
+                   f"CG-A-8 audit verdict {out['audit_verdict']!r}"),
+    ]
     if "b64_wall_s" in out:
-        if out["b64_wall_s"] > BUDGET_B64_WALL_S:
-            problems.append(
-                f"CG-B-64 wall {out['b64_wall_s']:.1f}s exceeds the "
-                f"{BUDGET_B64_WALL_S:.0f}s budget"
-            )
-        if out["b64_audit_verdict"] != "clean":
-            problems.append(
-                f"CG-B-64 audit verdict {out['b64_audit_verdict']!r}"
-            )
+        problems += [
+            gate.at_most("CG-B-64 wall s", out["b64_wall_s"],
+                         BUDGET_B64_WALL_S),
+            gate.holds(out["b64_audit_verdict"] == "clean",
+                       f"CG-B-64 audit verdict {out['b64_audit_verdict']!r}"),
+        ]
     return problems
 
 
-def bench_kernel_throughput():
-    skip_b64 = os.environ.get("REPRO_BENCH_SKIP_B64", "") == "1"
-    out = measure_all(skip_b64=skip_b64)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
+def table(out: dict) -> str:
     rep = Report(f"Kernel throughput - CG-{out['klass']}-{out['nprocs']} (V2)")
     rep.table(
         ["unprofiled s", "profiled s", "probe us/event",
@@ -268,32 +231,8 @@ def bench_kernel_throughput():
               f"{out['b64_events']:,}", f"{out['b64_events_per_s']:,.0f}",
               out["b64_audit_verdict"]]],
         )
-    rep.add(
-        "flat (time, seq, slot, a, b) events with slot dispatch, pause "
-        "fast-path sleeps, coalesced stream frames and piggybacked EL "
-        "acks; timing is interleaved min-of-reps so machine drift "
-        "cancels, and improvement_vs_seed compares against the "
-        "pre-rewrite kernel measured the same way on the same machine"
-    )
-    record_report(rep)
-    problems = _check(out)
-    assert not problems, "; ".join(problems)
+    return rep.render()
 
 
 if __name__ == "__main__":
-    skip_b64 = os.environ.get("REPRO_BENCH_SKIP_B64", "") == "1"
-    out = measure_all(skip_b64=skip_b64)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    print(json.dumps(out, indent=2))
-    problems = _check(out)
-    for p in problems:
-        print("OVER BUDGET:", p)
-    if not problems:
-        print(
-            f"OK: profiler {out['profiled_cost_per_event_us']:.3f} us/event "
-            f"({out['profiled_overhead']:+.1%}), "
-            f"{out['events_per_s']:,.0f} events/s "
-            f"({out['improvement_vs_seed']:.2f}x vs seed), el-ack share "
-            f"{out['el_ack_share']:.3f}"
-        )
-    sys.exit(0 if not problems else 1)
+    gate.run("kernel", measure, check, table)

@@ -10,8 +10,7 @@ subscriber dispatch.
 
 This benchmark runs the latency-bound CG kernel — the workload with the
 highest protocol-event rate per unit of wall-clock — with auditing off
-and on, and records the median overhead in ``BENCH_audit_overhead.json``
-at the repository root.
+and on, and records the overhead in ``BENCH_audit_overhead.json``.
 
 What "overhead" covers: every per-message emit site is guarded by
 ``tracer.hot``, which is False on a run with no retention and no
@@ -19,68 +18,55 @@ subscriber.  Only observers subscribe (no protocol or bookkeeping path
 does), so the audit-off run builds no trace record at all, and
 attaching the auditor turns on every guarded emit it rides on — the
 delta prices the whole always-on-observability decision (emits +
-checks).  Off and on runs alternate and each keeps its fastest, so the
-difference is not a difference of two noisy medians.  The acceptance
-bar is an absolute price, **10 µs of wall clock per audited event**
-(``audit_cost_per_event_us``, ~5 measured on CG-A-4): a ratio over the
-audit-off run loosens every time that run gets faster,
-while a change leaking protocol work onto the per-segment fast path
-(the failure this bench exists to catch) raises the price per event
-whatever the baseline does.  The on/off ``overhead`` ratio is still
-recorded, for reading only.
+checks).  Off and on runs alternate and each keeps its fastest
+(``gate.interleaved_min``), so the difference is not a difference of
+two noisy medians.  The acceptance bar is an absolute price, **10 µs
+of wall clock per audited event** (``audit_cost_per_event_us``, ~5
+measured on CG-A-4): a ratio over the audit-off run loosens every time
+that run gets faster, while a change leaking protocol work onto the
+per-segment fast path (the failure this bench exists to catch) raises
+the price per event whatever the baseline does.  The on/off
+``overhead`` ratio is still recorded, for reading only.
 
-Run as a pytest benchmark (``pytest benchmarks/`` — *not* part of the
-tier-1 suite) or directly: ``python benchmarks/bench_observability_overhead.py``.
+Run as ``python benchmarks/bench_observability_overhead.py`` (not part
+of the tier-1 suite; CG-A-8 instead of CG-A-4 with ``REPRO_BENCH_FULL=1``);
+``gate.py`` writes the result to ``benchmarks/out/`` and sets the exit
+code.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
-import time
 
 from repro.analysis.report import Report
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
 
-from conftest import full_sweep, record_report
+import gate
+from conftest import full_sweep
 
-OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_audit_overhead.json"
 #: audit-on minus audit-off wall clock per audited event, microseconds.
 #: The delta includes the trace-emit work an unobserved run skips
 #: entirely (see module docstring); tighten only.
 BUDGET_US_PER_EVENT = 10.0
 
 
-def _time_run(audit: bool, nprocs: int, klass: str) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    res = run_job(
+def _cg(audit: bool, nprocs: int, klass: str):
+    return lambda: run_job(
         nas.cg.program, nprocs, device="v2", params={"klass": klass},
         limit=1e8, audit=audit,
     )
-    return time.perf_counter() - t0, res
 
 
-def measure_overhead(
-    nprocs: int = 4, klass: str = "A", reps: int = 5
-) -> dict:
-    """Audit-off vs audit-on wall clock for one CG configuration:
-    interleaved rounds (off, on), the min of each kept — noise only ever
-    adds time, and interleaving lets a slow machine phase hit both."""
-    # warm up both paths once so allocator/bytecode effects don't skew
-    # the first timed repetition
-    _time_run(False, nprocs, klass)
-    _time_run(True, nprocs, klass)
-    off, on_times = [], []
-    last_audit = None
-    for _ in range(reps):
-        off.append(_time_run(False, nprocs, klass)[0])
-        dt, res = _time_run(True, nprocs, klass)
-        on_times.append(dt)
-        last_audit = res.audit
-    off_s = min(off)
-    on_s = min(on_times)
-    n_events = last_audit.events_seen
+def measure(klass: str = "A", reps: int = 5) -> dict:
+    """Audit-off vs audit-on wall clock for one CG configuration."""
+    nprocs = 8 if full_sweep() else 4
+    best = gate.interleaved_min(
+        {"off": _cg(False, nprocs, klass), "on": _cg(True, nprocs, klass)},
+        reps,
+    )
+    off_s = best["off"][0]
+    on_s, res = best["on"]
+    audit = res.audit
+    n_events = audit.events_seen
     return {
         "kernel": "cg",
         "klass": klass,
@@ -93,15 +79,21 @@ def measure_overhead(
         "audit_cost_per_event_us": (on_s - off_s) / n_events * 1e6,
         "budget_us_per_event": BUDGET_US_PER_EVENT,
         "events_audited": n_events,
-        "checks": last_audit.checks,
-        "verdict": last_audit.verdict,
+        "checks": audit.checks,
+        "verdict": audit.verdict,
     }
 
 
-def bench_audit_overhead():
-    nprocs = 8 if full_sweep() else 4
-    out = measure_overhead(nprocs=nprocs)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
+def check(out: dict, base: dict) -> list:
+    return [
+        gate.holds(out["verdict"] == "clean",
+                   f"audit verdict {out['verdict']!r}"),
+        gate.at_most("audit cost us/event", out["audit_cost_per_event_us"],
+                     BUDGET_US_PER_EVENT),
+    ]
+
+
+def table(out: dict) -> str:
     rep = Report(f"Audit overhead - CG-{out['klass']}-{out['nprocs']} (V2)")
     rep.table(
         ["audit off s", "audit on s", "overhead", "us/event", "budget",
@@ -110,29 +102,8 @@ def bench_audit_overhead():
           f"{out['overhead']:+.1%}", f"{out['audit_cost_per_event_us']:.2f}",
           f"{BUDGET_US_PER_EVENT:.1f}", out["events_audited"]]],
     )
-    rep.add(
-        "the online auditor checks every V2 safety invariant live off the "
-        "trace stream; the kind-interest filter keeps non-protocol emits "
-        "on the tracer fast path, which is what keeps this overhead small"
-    )
-    record_report(rep)
-    assert out["verdict"] == "clean", out
-    assert out["audit_cost_per_event_us"] <= BUDGET_US_PER_EVENT, (
-        f"audit cost {out['audit_cost_per_event_us']:.2f} us/event exceeds "
-        f"the {BUDGET_US_PER_EVENT:.1f} us budget "
-        f"(off={out['audit_off_s']:.3f}s on={out['audit_on_s']:.3f}s)"
-    )
+    return rep.render()
 
 
 if __name__ == "__main__":
-    import sys
-
-    out = measure_overhead()
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    print(json.dumps(out, indent=2))
-    cost = out["audit_cost_per_event_us"]
-    ok = cost <= BUDGET_US_PER_EVENT and out["verdict"] == "clean"
-    status = "OK" if ok else "OVER BUDGET"
-    print(f"{status}: {cost:.2f} us/event (budget {BUDGET_US_PER_EVENT:.1f}), "
-          f"{out['overhead']:+.1%} over audit-off")
-    sys.exit(0 if ok else 1)
+    gate.run("audit_overhead", measure, check, table)

@@ -9,7 +9,7 @@ replay tail, not by how often faults arrive.
 
 This benchmark sweeps the churn rate (mean node lifetime) on CG-A-8 and
 records, per rate, the phase-decomposed MTTR distribution from
-:class:`repro.obs.timeline.RecoveryAttribution`.  Three assertions:
+:class:`repro.obs.timeline.RecoveryAttribution`.  Three gates:
 
 - **reconciliation** — each completed arc's contiguous phase durations
   (detect + respawn + restore + replay) sum to ``recovery_s`` exactly
@@ -21,27 +21,22 @@ records, per rate, the phase-decomposed MTTR distribution from
   ``REGRESSION_BUDGET`` (the run is simulated time on a fixed seed, so
   the comparison is deterministic).
 
-Results land in ``BENCH_recovery.json`` at the repository root (the CI
-artifact and the next baseline).  Run as a pytest benchmark
-(``pytest benchmarks/`` — *not* part of the tier-1 suite) or directly:
-``python benchmarks/bench_recovery.py``.
+Run as ``python benchmarks/bench_recovery.py`` (not part of the tier-1
+suite; CG-A-16 instead of CG-A-8 with ``REPRO_BENCH_FULL=1``);
+``gate.py`` compares it with the committed ``BENCH_recovery.json``,
+writes the result to ``benchmarks/out/`` and sets the exit code.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-from repro.analysis.report import Report, format_table
+from repro.analysis.report import Report
 from repro.ft.failure import ChurnFaults
 from repro.obs.timeline import RecoveryAttribution, quantile
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
 
-from conftest import full_sweep, record_report
-
-OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_recovery.json"
+import gate
+from conftest import full_sweep
 
 #: churn rates swept: mean node lifetime in simulated seconds (CG-A-8
 #: runs ~14 s fault-free, so 8 s lifetime is heavy churn)
@@ -85,8 +80,9 @@ def _run_rate(mean_lifetime: float, nprocs: int, klass: str) -> dict:
     }
 
 
-def measure_recovery(nprocs: int = 8, klass: str = "A") -> dict:
+def measure(klass: str = "A") -> dict:
     """Sweep churn rates; aggregate the MTTR distribution per rate."""
+    nprocs = 16 if full_sweep() else 8
     sweep = [_run_rate(ml, nprocs, klass) for ml in MEAN_LIFETIMES]
     all_recoveries = sorted(
         r for row in sweep for r in row["recoveries_s"]
@@ -109,51 +105,26 @@ def measure_recovery(nprocs: int = 8, klass: str = "A") -> dict:
     }
 
 
-def _load_baseline() -> dict:
-    """The checked-in result this run is gated against (may be absent)."""
-    if OUT_PATH.exists():
-        try:
-            return json.loads(OUT_PATH.read_text())
-        except (OSError, ValueError):
-            return {}
-    return {}
-
-
-def check_recovery(out: dict, baseline: dict) -> list[str]:
-    """All budget violations as human-readable strings (empty = pass)."""
-    problems: list[str] = []
+def check(out: dict, base: dict) -> list:
+    problems = []
     for row in out["sweep"]:
-        if row["max_reconcile_err_s"] > RECONCILE_EPS:
-            problems.append(
-                f"lifetime {row['mean_lifetime']}s: phase sums miss "
-                f"recovery_s by {row['max_reconcile_err_s']:.2e}s "
-                f"(eps {RECONCILE_EPS:.0e})"
-            )
-        if row["completed"] + row["aborted"] < row["restarts"]:
-            problems.append(
-                f"lifetime {row['mean_lifetime']}s: {row['restarts']} "
-                f"restarts but only {row['completed']} completed + "
-                f"{row['aborted']} aborted spans — arcs went missing"
-            )
-    ratio = out["flatness_ratio"]
-    if ratio is not None and ratio > FLAT_FACTOR:
-        problems.append(
-            f"p95 MTTR spread {ratio:.2f}x across churn rates exceeds "
-            f"the {FLAT_FACTOR:.1f}x flatness budget"
-        )
-    base = baseline.get("median_mttr_s")
-    if base:
-        limit = base * (1.0 + REGRESSION_BUDGET)
-        if out["median_mttr_s"] > limit:
-            problems.append(
-                f"median MTTR {out['median_mttr_s']:.3f}s regresses "
-                f">{REGRESSION_BUDGET:.0%} vs baseline {base:.3f}s"
-            )
-        out["baseline_median_mttr_s"] = base
+        life = f"lifetime {row['mean_lifetime']}s"
+        problems += [
+            gate.at_most(f"{life}: phase-sum error against recovery_s",
+                         row["max_reconcile_err_s"], RECONCILE_EPS),
+            gate.at_least(f"{life}: completed + aborted spans against "
+                          f"{row['restarts']} restarts (arcs went missing)",
+                          row["completed"] + row["aborted"], row["restarts"]),
+        ]
+    if out["flatness_ratio"] is not None:
+        problems.append(gate.at_most("p95 MTTR spread across churn rates (x)",
+                                     out["flatness_ratio"], FLAT_FACTOR))
+    problems.append(gate.growth("median MTTR s", out["median_mttr_s"],
+                                base.get("median_mttr_s"), REGRESSION_BUDGET))
     return problems
 
 
-def _sweep_table(out: dict) -> str:
+def table(out: dict) -> str:
     rows = []
     for row in out["sweep"]:
         m = row["mttr"]
@@ -170,45 +141,21 @@ def _sweep_table(out: dict) -> str:
                 f"{row['max_reconcile_err_s']:.1e}",
             ]
         )
-    return format_table(
+    rep = Report(
+        f"Recovery attribution - CG-{out['klass']}-{out['nprocs']} churn sweep"
+    )
+    rep.table(
         ["lifetime s", "restarts", "done", "aborted", "MTTR p50",
          "MTTR p95", "fetch p95", "replay p95", "reconcile err"],
         rows,
     )
-
-
-def bench_recovery_attribution():
-    nprocs = 16 if full_sweep() else 8
-    baseline = _load_baseline()
-    out = measure_recovery(nprocs=nprocs)
-    problems = check_recovery(out, baseline)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    rep = Report(f"Recovery attribution - CG-{out['klass']}-{out['nprocs']} churn sweep")
-    rep.add(_sweep_table(out))
     rep.add(
         f"sweep-wide MTTR: median {out['median_mttr_s']:.3f}s, "
         f"p95 {out['p95_mttr_s']:.3f}s; p95 spread across churn rates "
-        f"{out['flatness_ratio']:.2f}x (budget {FLAT_FACTOR:.1f}x) — "
-        "recovery cost is set by the checkpoint image and replay tail, "
-        "not the fault arrival rate"
+        f"{out['flatness_ratio']:.2f}x (budget {FLAT_FACTOR:.1f}x)"
     )
-    record_report(rep)
-    assert not problems, "; ".join(problems)
+    return rep.render()
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    out = measure_recovery()
-    problems = check_recovery(out, baseline)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    print(json.dumps(out, indent=2))
-    print(_sweep_table(out))
-    if problems:
-        for p in problems:
-            print(f"OVER BUDGET: {p}")
-        sys.exit(1)
-    print(
-        f"OK: median MTTR {out['median_mttr_s']:.3f}s, p95 spread "
-        f"{out['flatness_ratio']:.2f}x (budget {FLAT_FACTOR:.1f}x)"
-    )
-    sys.exit(0)
+    gate.run("recovery", measure, check, table)

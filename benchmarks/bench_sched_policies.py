@@ -8,8 +8,6 @@ utilization) and often provides better (up to n times better, n being
 the number of computing nodes for asynchronous broadcast)."
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.sched import SCHEMES, scheme, simulate
 
@@ -35,8 +33,8 @@ def run_sched():
     return rows, ratios
 
 
-def bench_sched_policies(benchmark):
-    rows, ratios = benchmark.pedantic(run_sched, rounds=1, iterations=1)
+def bench_sched_policies():
+    rows, ratios = run_sched()
     rep = Report("Section 4.6.2 - checkpoint scheduling policies")
     rep.table(
         ["scheme", "n", "RR bw MB/s", "AD bw MB/s", "RR/AD",

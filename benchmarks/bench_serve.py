@@ -28,26 +28,20 @@ gated:
   ``BENCH_serve.json`` baseline by more than ``REGRESSION_BUDGET``
   (simulated time on a fixed seed: deterministic).
 
-Results land in ``BENCH_serve.json`` at the repository root (the CI
-artifact and the next baseline).  Run as a pytest benchmark
-(``pytest benchmarks/`` — *not* part of the tier-1 suite) or directly:
-``python benchmarks/bench_serve.py``.
+Run as ``python benchmarks/bench_serve.py`` (not part of the tier-1
+suite); ``gate.py`` compares it with the committed ``BENCH_serve.json``,
+writes the result to ``benchmarks/out/`` and sets the exit code.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import pathlib
 import random
-import sys
 
-from repro.analysis.report import Report, format_table
+from repro.analysis.report import Report
 from repro.serve import ControlPlane, JobSpec
 
-from conftest import record_report
-
-OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_serve.json"
+import gate
 
 N_JOBS = 1000
 #: v2-device job slots per 20-job window — one even (alpha) and one odd
@@ -135,10 +129,11 @@ def _warm_up() -> None:
     ))
     plane.drain()
     summary = plane.finish()
-    assert summary["completed"] == 1, summary
+    if summary["completed"] != 1:
+        raise RuntimeError(f"warm-up job did not complete: {summary}")
 
 
-def measure_serve() -> dict:
+def measure() -> dict:
     _warm_up()
     gc.collect()
     objects_before = len(gc.get_objects())
@@ -197,89 +192,45 @@ def measure_serve() -> dict:
     }
 
 
-def _load_baseline() -> dict:
-    """The checked-in result this run is gated against (may be absent)."""
-    if OUT_PATH.exists():
-        try:
-            return json.loads(OUT_PATH.read_text())
-        except (OSError, ValueError):
-            return {}
-    return {}
-
-
-def check_serve(out: dict, baseline: dict) -> list[str]:
-    """All budget violations as human-readable strings (empty = pass)."""
-    problems: list[str] = []
-    if out["completed"] != out["jobs"]:
-        problems.append(
-            f"only {out['completed']}/{out['jobs']} jobs completed"
-        )
-    if out["timeouts"]:
-        problems.append(f"{out['timeouts']} job(s) timed out")
-    if out["audit_violations"]:
-        problems.append(
-            f"{out['audit_violations']} cross-job audit violation(s) — "
-            f"namespace isolation broke"
-        )
-    if out["unrecovered_faults"]:
-        problems.append(
-            f"{out['unrecovered_faults']} killed job(s) never restarted"
-        )
+def check(out: dict, base: dict) -> list:
+    problems = [
+        gate.at_least("completed jobs", out["completed"], out["jobs"]),
+        gate.at_most("timed-out jobs", out["timeouts"], 0),
+        gate.at_most("cross-job audit violations (namespace isolation)",
+                     out["audit_violations"], 0),
+        gate.at_most("killed jobs never restarted",
+                     out["unrecovered_faults"], 0),
+    ]
     for name, t in out["tenants"].items():
-        drift = abs(t["saturation_share"] - t["fair_share"])
-        if drift > FAIRNESS_BUDGET * t["fair_share"]:
-            problems.append(
-                f"tenant {name}: saturation share "
-                f"{t['saturation_share']:.3f} drifts >{FAIRNESS_BUDGET:.0%} "
-                f"from fair share {t['fair_share']:.3f}"
-            )
-    if out["retained_objects_per_job"] > RETAINED_OBJECTS_BUDGET:
-        problems.append(
-            f"{out['retained_objects_per_job']:.1f} GC-tracked objects "
-            f"retained per finished job (budget {RETAINED_OBJECTS_BUDGET:.0f})"
-        )
-    if out["heap_entries_after_drain"] > HEAP_ENTRIES_BUDGET:
-        problems.append(
-            f"{out['heap_entries_after_drain']} event-heap entries after "
-            f"the drain (budget {HEAP_ENTRIES_BUDGET})"
-        )
-    base_makespan = baseline.get("makespan_s")
-    if base_makespan:
-        limit = base_makespan * (1.0 + REGRESSION_BUDGET)
-        if out["makespan_s"] > limit:
-            problems.append(
-                f"makespan {out['makespan_s']:.2f}s regresses "
-                f">{REGRESSION_BUDGET:.0%} vs baseline {base_makespan:.2f}s"
-            )
-        out["baseline_makespan_s"] = base_makespan
+        problems.append(gate.at_most(
+            f"tenant {name}: saturation share {t['saturation_share']:.3f} "
+            f"drift from fair share {t['fair_share']:.3f}",
+            abs(t["saturation_share"] - t["fair_share"]),
+            FAIRNESS_BUDGET * t["fair_share"],
+        ))
+    problems += [
+        gate.at_most("GC-tracked objects retained per finished job",
+                     out["retained_objects_per_job"], RETAINED_OBJECTS_BUDGET),
+        gate.at_most("event-heap entries after the drain",
+                     out["heap_entries_after_drain"], HEAP_ENTRIES_BUDGET),
+        gate.growth("makespan s", out["makespan_s"], base.get("makespan_s"),
+                    REGRESSION_BUDGET),
+    ]
     return problems
 
 
-def _tenant_table(out: dict) -> str:
-    rows = [
-        [
-            name, t["weight"], t["jobs"], t["fair_share"],
-            t["saturation_share"], t["mean_wait_s"], t["p95_wait_s"],
-        ]
-        for name, t in sorted(out["tenants"].items())
-    ]
-    return format_table(
-        ["tenant", "weight", "jobs", "fair share", "sat share",
-         "mean wait s", "p95 wait s"],
-        rows,
-    )
-
-
-def bench_serve():
-    baseline = _load_baseline()
-    out = measure_serve()
-    problems = check_serve(out, baseline)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
+def table(out: dict) -> str:
     rep = Report(
         f"Serve - {out['jobs']}-job admission storm on "
         f"{out['capacity']} CN / {out['svc_slots']} svc slots"
     )
-    rep.add(_tenant_table(out))
+    rep.table(
+        ["tenant", "weight", "jobs", "fair share", "sat share",
+         "mean wait s", "p95 wait s"],
+        [[name, t["weight"], t["jobs"], t["fair_share"],
+          t["saturation_share"], t["mean_wait_s"], t["p95_wait_s"]]
+         for name, t in sorted(out["tenants"].items())],
+    )
     rep.add(
         f"{out['completed']}/{out['jobs']} jobs in {out['makespan_s']:.2f} "
         f"simulated s ({out['v2_jobs']} on v2, {out['faulted_jobs']} "
@@ -288,26 +239,8 @@ def bench_serve():
         f"{out['retained_objects_per_job']:.1f} objects retained per job, "
         f"{out['heap_entries_after_drain']} heap entries after the drain"
     )
-    record_report(rep)
-    assert not problems, "; ".join(problems)
+    return rep.render()
 
 
 if __name__ == "__main__":
-    baseline = _load_baseline()
-    out = measure_serve()
-    problems = check_serve(out, baseline)
-    OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
-    print(json.dumps(out, indent=2))
-    print(_tenant_table(out))
-    if problems:
-        for p in problems:
-            print(f"OVER BUDGET: {p}")
-        sys.exit(1)
-    print(
-        f"OK: {out['completed']}/{out['jobs']} jobs, "
-        f"{out['audit_violations']} violations, "
-        f"makespan {out['makespan_s']:.2f}s, "
-        f"{out['retained_objects_per_job']:.1f} objects/job retained, "
-        f"{out['heap_entries_after_drain']} heap entries after drain"
-    )
-    sys.exit(0)
+    gate.run("serve", measure, check, table)

@@ -14,8 +14,6 @@ actual transmission shifts into MPI_Wait, V2's total is *smaller* for BT
 and ~3x larger for CG.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
@@ -45,8 +43,8 @@ def run_table1():
     return out
 
 
-def bench_table1_decomposition(benchmark):
-    out = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+def bench_table1_decomposition():
+    out = run_table1()
     rows = []
     for fn in ("isend", "irecv", "wait", "total"):
         rows.append(

@@ -1,8 +1,13 @@
-"""Benchmark-harness plumbing.
+"""Plumbing shared by the ``benchmarks/`` scripts.
 
-Each benchmark regenerates one table or figure of the paper and records a
-plain-text report.  Reports are printed in the terminal summary (visible
-without ``-s``) and written to ``benchmarks/results/``.
+Two kinds of script live here.  The paper-figure and ablation files
+(``bench_fig*``, ``bench_table1_decomposition``, ``bench_sched_policies``,
+``bench_ablations``) run under plain pytest (``pytest benchmarks/``):
+each regenerates one table or figure of the paper, asserts its shape,
+prints its report in the terminal summary and writes it to
+``benchmarks/results/``, where it is checked-in output.  The six gated
+scripts run as ``python benchmarks/bench_<name>.py`` and go through
+``gate.py`` (see its docstring); pytest collects nothing from them.
 
 Set ``REPRO_BENCH_FULL=1`` to run the full parameter sweeps (all process
 counts up to 32, class B everywhere) instead of the representative

@@ -3,7 +3,7 @@
 
 Runs three NPB proxies (class A) on MPICH-P4 and MPICH-V2 and prints an
 NPB-style Mop/s table — the programmatic counterpart of the full
-benchmark harness (``pytest benchmarks/ --benchmark-only``), showing how
+benchmark harness (``pytest benchmarks/``), showing how
 to drive sweeps from your own scripts.
 
 Run:  python examples/nas_campaign.py            (about a minute)
