@@ -8,7 +8,7 @@ until the link heals.  Each is a
 :class:`~repro.runtime.session.Session` under the shared retry policy.
 
 Composes with the daemon core through the usual explicit interface:
-``core`` provides ``rank``, ``saved``, ``device``, ``finalized``,
+``core`` provides ``rank``, ``device``, ``finalized``,
 ``ckpt.order()`` (checkpoint orders), and ``_spawn``.
 """
 
@@ -161,21 +161,13 @@ class ControlPlaneClient:
                 yield from sess.connect()
                 continue
             if msg[0] == "STATUS_REQ":
-                status = (
-                    "STATUS",
-                    core.rank,
-                    {
-                        "logged_bytes": core.saved.bytes_total,
-                        "logged_msgs": len(core.saved),
-                        "bytes_sent": core.device.stats.bytes_sent
-                        if core.device
-                        else 0,
-                        "bytes_received": core.device.stats.bytes_received
-                        if core.device
-                        else 0,
-                        "finalized": core.finalized,
-                    },
-                )
+                # the adaptive policy's counters (§4.6.2)
+                stats = core.device.stats if core.device else None
+                status = ("STATUS", core.rank, {
+                    "bytes_sent": stats.bytes_sent if stats else 0,
+                    "bytes_received": stats.bytes_received if stats else 0,
+                    "finalized": core.finalized,
+                })
                 try:
                     yield from end.write(32, status)
                 except Disconnected:

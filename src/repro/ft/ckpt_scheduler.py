@@ -6,43 +6,121 @@ checkpoints accordingly."  Checkpoints need no coordination — scheduling
 exists purely to bound the memory held by the sender-based logs and the
 bandwidth consumed by image transfers.
 
-Three policies are implemented:
-
-* **round_robin** — the paper's baseline: no status traffic, fair only
-  for symmetric communication schemes;
-* **adaptive** — orders nodes by decreasing ratio of received-over-sent
-  bytes ("considering the ratio amount of received messages over amount
-  of sent messages for each computing node"); asymmetric schemes get
-  their heavy loggers checkpointed (and garbage-collected) first;
-* **random** — the policy used in the Figure 11 fault experiment ("We
-  use a scheduling policy randomly selecting the node to checkpoint").
-
-The scheduler runs in two modes: *periodic* (order one checkpoint every
-``interval``) and *continuous* ("the checkpoint of a node immediately
-follows the one of another node", the Figure 11 setup).
+The three ordering policies, :class:`RoundRobin`, :class:`Adaptive` and
+:class:`Random`, exist once, here: the live :class:`CheckpointScheduler`
+and the §4.6.2 traffic model (:func:`repro.sched.simulate`) both drive
+them.  The scheduler runs in two modes: *periodic* (order one checkpoint
+every ``interval``) and *continuous* ("the checkpoint of a node
+immediately follows the one of another node", the Figure 11 setup).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import ConnectionRefused, Fabric
 from ..runtime.retry import RetryPolicy
 from ..runtime.session import ServiceBase, Session
-from ..simnet.kernel import Future, Queue, Simulator
+from ..simnet.kernel import Future, Queue, Simulator, any_of
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
 
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = ["CheckpointScheduler", "POLICIES"]
+__all__ = [
+    "Adaptive", "CheckpointScheduler", "POLICIES", "Random", "RoundRobin",
+    "make_policy",
+]
 
 POLICIES = ("round_robin", "adaptive", "random")
+
+
+class RoundRobin:
+    """The paper's baseline: cycle through the live nodes.
+
+    "The main advantage of the round-robin algorithm is its lack of
+    communication between the scheduler and the nodes. Its main problem
+    comes from the asymmetry of some communication schemes."
+    """
+
+    wants_status = False
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._next = 0
+
+    def pick(self, live, sent=None, recv=None) -> Optional[int]:
+        """The next live node in the cycle (None if none is live)."""
+        for _ in range(self.n):
+            node = self._next
+            self._next = (node + 1) % self.n
+            if node in live:
+                return node
+        return None
+
+
+class Adaptive:
+    """The paper's adaptive policy: "considering the ratio 'amount of
+    received messages' over 'amount of sent messages' for each computing
+    node. It computes a scheduling following a decreasing order of this
+    ratio across the nodes."
+
+    At the start of each cycle it ranks the live nodes by decreasing
+    received/sent ratio (a stable sort, so equal ratios keep node order:
+    round-robin on a symmetric scheme) and orders them in that sequence.
+    The schedule "does not have to be fair": a node that receives
+    nothing is never checkpointed (unless no node receives), e.g. the
+    leaves of a flat reduce or the root of a flat broadcast.  Its log is
+    freed by its receivers' checkpoints, and its image, which carries
+    that log, would be the most expensive to move.
+    """
+
+    def __init__(self) -> None:
+        self._cycle: deque[int] = deque()
+
+    @property
+    def wants_status(self) -> bool:
+        """Does the next pick start a cycle, ranked on fresh counters?"""
+        return not self._cycle
+
+    def pick(self, live, sent=None, recv=None) -> Optional[int]:
+        """The next live node of the cycle; a new cycle ranks ``live`` on
+        the ``sent``/``recv`` byte counters (indexed by node)."""
+        if not self._cycle:
+            ratio = {r: recv[r] / max(sent[r], 1.0) for r in live}
+            order = sorted(ratio, key=lambda r: -ratio[r])
+            self._cycle.extend([r for r in order if ratio[r] > 0] or order)
+        while self._cycle:
+            node = self._cycle.popleft()
+            if node in live:
+                return node
+        return None
+
+
+class Random:
+    """Figure 11's policy: "randomly selecting the node to checkpoint"."""
+
+    wants_status = False
+
+    def __init__(self, rng: Any) -> None:
+        self.rng = rng
+
+    def pick(self, live, sent=None, recv=None) -> Optional[int]:
+        """A live node drawn from the policy's own random stream."""
+        return int(self.rng.choice(live))
+
+
+def make_policy(name: str, n: int, rng: Any = None):
+    """The policy ``name`` over ``n`` nodes (``random`` draws from ``rng``)."""
+    if name == "round_robin":
+        return RoundRobin(n)
+    if name == "adaptive":
+        return Adaptive()
+    if name == "random":
+        return Random(rng)
+    raise ValueError(f"unknown policy {name!r}; pick from {POLICIES}")
 
 
 class CheckpointScheduler(ServiceBase):
@@ -57,32 +135,28 @@ class CheckpointScheduler(ServiceBase):
         fabric: Fabric,
         cfg: TestbedConfig,
         nprocs: int,
+        rng: Any,
         policy: str = "round_robin",
         interval: float = 30.0,
         continuous: bool = False,
         name: str = "sched:0",
-        rng: Optional[np.random.Generator] = None,
         tracer: Optional[Tracer] = None,
         cs_names: tuple[str, ...] = (),
         metrics: Optional[Metrics] = None,
         key_of: Optional[Any] = None,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; pick from {POLICIES}")
+        self.policy = make_policy(policy, nprocs, rng)
         super().__init__(sim, host, fabric, name, tracer=tracer, metrics=metrics)
         self.cfg = cfg
-        self.nprocs = nprocs
-        self.policy = policy
         self.interval = interval
         self.continuous = continuous
-        if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng(0)
-        self.rng = rng
         self.links: dict[int, StreamEnd] = {}
+        #: rank -> its reply to the latest STATUS poll (adaptive only)
         self.status: dict[int, dict[str, Any]] = {}
-        self._rr_next = 0
+        #: ranks polled that have neither answered nor lost their link,
+        #: and the future the last of them resolves
+        self._polled: set[int] = set()
+        self._poll_done: Optional[Future] = None
         #: continuous mode: the ordered rank and the future its
         #: CKPT_DONE, its CKPT_FAIL or its link breaking resolves
         self._awaiting: Optional[tuple[int, Future]] = None
@@ -143,9 +217,11 @@ class CheckpointScheduler(ServiceBase):
                     del self.links[rank]
                 # a rank killed mid-push sends neither DONE nor FAIL
                 self._settle(rank)
+                self._answered(rank)
                 return
             if msg[0] == "STATUS":
                 self.status[msg[1]] = msg[2]
+                self._answered(msg[1])
             elif msg[0] == "CKPT_DONE":
                 if len(msg) > 3:
                     self._note_quorum(msg[1], msg[3])
@@ -165,6 +241,13 @@ class CheckpointScheduler(ServiceBase):
         if awaiting is not None and awaiting[0] == rank:
             self._awaiting = None
             awaiting[1].resolve()
+
+    def _answered(self, rank: int) -> None:
+        """``rank`` answered the STATUS poll or lost its link."""
+        polled = self._polled
+        polled.discard(rank)
+        if not polled and self._poll_done is not None:
+            self._poll_done.resolve_if_pending()
 
     # -- store garbage collection ---------------------------------------------
     def _note_quorum(self, rank: int, seq: int) -> None:
@@ -240,7 +323,8 @@ class CheckpointScheduler(ServiceBase):
                 yield done
 
     def _pick(self):
-        """Choose the next node to checkpoint, per policy."""
+        """Choose the next node to checkpoint: a failed push first, then
+        the policy's pick among the live ranks."""
         while self._retry_q:
             cand = self._retry_q.popleft()
             if cand in self.links:
@@ -249,40 +333,40 @@ class CheckpointScheduler(ServiceBase):
                 yield self.sim.pause(self.cfg.svc_restart_delay)
                 return cand
         live = sorted(self.links)
-        if not live:
+        if not live or not self.policy.wants_status:
             yield self.sim.pause(0.0)
-            return None
-        if self.policy == "round_robin":
-            yield self.sim.pause(0.0)
-            for _ in range(self.nprocs):
-                cand = self._rr_next % self.nprocs
-                self._rr_next += 1
-                if cand in self.links:
-                    return cand
-            return None
-        if self.policy == "random":
-            yield self.sim.pause(0.0)
-            return int(self.rng.choice(live))
-        # adaptive: poll status, rank by received/sent ratio (descending)
+            return self.policy.pick(live) if live else None
+        # adaptive starts a cycle: rank only the ranks that answered
         yield from self._poll_status(live)
-        best, best_ratio = None, -1.0
-        for r in live:
-            st = self.status.get(r)
-            if st is None or st.get("finalized"):
-                continue
-            ratio = st["bytes_received"] / max(1.0, st["bytes_sent"])
-            if ratio > best_ratio:
-                best, best_ratio = r, ratio
-        return best
+        st = {r: s for r, s in self.status.items() if not s["finalized"]}
+        return self.policy.pick(
+            sorted(st),
+            {r: s["bytes_sent"] for r, s in st.items()},
+            {r: s["bytes_received"] for r, s in st.items()},
+        )
 
     def _poll_status(self, live):
+        """Ask every live rank for its counters and wait for the answers.
+
+        The wait ends once each polled rank has answered or lost its
+        link, or after ``cfg.hb_timeout``; :attr:`status` then holds
+        only this poll's answers, so a rank that missed it sits out the
+        cycle instead of being ranked on stale counters.
+        """
+        self.status.clear()
+        self._polled = polled = set(live)
         for r in live:
             end = self.links.get(r)
             if end is None:
+                polled.discard(r)
                 continue
             try:
                 yield from end.write(16, ("STATUS_REQ",))
             except Disconnected:
-                continue
-        # replies arrive through _reader; give them a beat
-        yield self.sim.pause(0.01)
+                polled.discard(r)
+        if polled:
+            self._poll_done = done = Future(self.sim, name="sched.status")
+            timer = self.sim.timeout(self.cfg.hb_timeout)
+            yield any_of(self.sim, (done, timer))
+            self.sim.cancel(timer)
+            self._poll_done = None

@@ -1,17 +1,8 @@
-"""The checkpoint-scheduling policy study of Section 4.6.2."""
+"""The checkpoint-scheduling policy study of Section 4.6.2: an abstract
+traffic model driving the scheduler's own policies
+(:mod:`repro.ft.ckpt_scheduler`)."""
 
-from .policies import POLICY_NAMES, Adaptive, RoundRobin, make_policy
 from .schemes import SCHEMES, Scheme, scheme
 from .simulator import SchedOutcome, simulate
 
-__all__ = [
-    "Adaptive",
-    "POLICY_NAMES",
-    "RoundRobin",
-    "make_policy",
-    "SCHEMES",
-    "Scheme",
-    "scheme",
-    "SchedOutcome",
-    "simulate",
-]
+__all__ = ["SCHEMES", "Scheme", "scheme", "SchedOutcome", "simulate"]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import make_policy
+from ..ft.ckpt_scheduler import make_policy
 from .schemes import Scheme
 
 __all__ = ["SchedOutcome", "simulate"]
@@ -67,9 +67,10 @@ def simulate(
     peak_log = 0.0
     log_integral = 0.0
 
+    nodes = range(n)  # every node of the model is live
     while now < horizon:
         logged = pending.sum(axis=1)
-        target = policy.pick(logged, sent_total, recv_total)
+        target = policy.pick(nodes, sent_total, recv_total)
         image = footprint + logged[target]
         duration = max(min_gap, image / ckpt_bw)
         # traffic accumulates while the image is being pushed

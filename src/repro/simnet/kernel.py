@@ -388,7 +388,7 @@ class Process:
                 if exc is not None:
                     yielded = self.gen.throw(exc)
                     # caught: drop the traceback the throw appended, or a
-                    # stored instance (a broken queue's, a stream end's)
+                    # stored instance (a failed future's, a stream end's)
                     # pins every frame of every waiter it was thrown into;
                     # an uncaught one keeps it — that is the crash report
                     exc.__traceback__ = None
@@ -673,12 +673,10 @@ class Queue:
     """An unbounded FIFO mailbox usable by simulated processes.
 
     ``put`` is immediate; ``get`` blocks until an item is available.
-    A queue can be *broken* (e.g. the peer crashed): pending and future
-    ``get`` calls then fail with the supplied exception.
     """
 
     __slots__ = (
-        "sim", "name", "_items", "_getters", "_watchers", "_broken",
+        "sim", "name", "_items", "_getters", "_watchers",
         "_get_name", "_nonempty_name",
     )
 
@@ -688,7 +686,6 @@ class Queue:
         self._items: deque[Any] = deque()
         self._getters: deque[Future] = deque()
         self._watchers: list[Future] = []
-        self._broken: Optional[BaseException] = None
         # precomputed once: the hot path allocates no f-strings per call
         self._get_name = f"{name}.get"
         self._nonempty_name = f"{name}.nonempty"
@@ -698,8 +695,6 @@ class Queue:
 
     def put(self, item: Any) -> None:
         """Enqueue an item (never blocks); wakes one getter."""
-        if self._broken is not None:
-            return  # messages to a broken queue are dropped
         if self._getters:
             self._getters.popleft().resolve(item)
         else:
@@ -712,9 +707,7 @@ class Queue:
     def get(self) -> Future:
         """A future for the next item (primitive form: ``yield q.get()``)."""
         fut = Future(self.sim, name=self._get_name)
-        if self._broken is not None:
-            fut.fail(self._broken)
-        elif self._items:
+        if self._items:
             fut._done = True
             fut._value = self._items.popleft()
         else:
@@ -722,8 +715,8 @@ class Queue:
         return fut
 
     def try_get(self) -> tuple[bool, Any]:
-        """Nonblocking get: (ok, item); a broken queue yields nothing."""
-        if self._items and self._broken is None:
+        """Nonblocking get: (ok, item)."""
+        if self._items:
             return True, self._items.popleft()
         return False, None
 
@@ -734,23 +727,11 @@ class Queue:
         (another consumer may have raced it in the same tick).
         """
         fut = Future(self.sim, name=self._nonempty_name)
-        if self._broken is not None:
-            fut.fail(self._broken)
-        elif self._items:
+        if self._items:
             fut.resolve(None)
         else:
             self._watchers.append(fut)
         return fut
-
-    def break_(self, exc: BaseException) -> None:
-        """Fail all pending and future gets (peer disconnected/crashed)."""
-        self._broken = exc
-        getters, self._getters = self._getters, deque()
-        for fut in getters:
-            fut.fail_if_pending(exc)
-        watchers, self._watchers = self._watchers, []
-        for fut in watchers:
-            fut.fail_if_pending(exc)
 
 
 class Gate:

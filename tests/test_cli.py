@@ -26,14 +26,6 @@ def test_run_with_faults_prints_reference_and_mechanism_stats(capsys):
     assert "replayed" in out and "ckpt MB" in out
 
 
-def test_sched_command(capsys):
-    rc = main(["sched", "--nodes", "8"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "broadcast" in out
-    assert "RR/AD" in out
-
-
 def test_run_rejects_unknown_kernel():
     with pytest.raises(SystemExit):
         main(["run", "nope"])
@@ -41,7 +33,7 @@ def test_run_rejects_unknown_kernel():
 
 @pytest.mark.parametrize(
     "verb", ["kernel", "faulty", "stats", "profile", "mttr", "trace", "audit",
-             "pingpong", "burst"]
+             "pingpong", "burst", "sched"]
 )
 def test_retired_verbs_are_rejected_not_aliased(verb, capsys):
     with pytest.raises(SystemExit) as exc:

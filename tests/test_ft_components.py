@@ -177,6 +177,66 @@ def test_adaptive_scheduler_polls_status():
     assert sched.status  # STATUS replies arrived
 
 
+def _flat_broadcast(mpi, steps=60, work=0.05):
+    """Rank 0 sends 256 KiB to every other rank each step: a pure sender."""
+    for s in range(steps):
+        if mpi.rank == 0:
+            reqs = []
+            for dst in range(1, mpi.size):
+                req = yield from mpi.isend(dst, nbytes=256 << 10, tag=s)
+                reqs.append(req)
+            yield from mpi.waitall(reqs)
+        else:
+            req = yield from mpi.irecv(source=0, tag=s)
+            yield from mpi.wait(req)
+        yield from mpi.compute(seconds=work)
+
+
+def _ring_exchange(mpi, steps=60, work=0.05):
+    """Each rank swaps 256 KiB with both neighbours each step."""
+    nxt, prv = (mpi.rank + 1) % mpi.size, (mpi.rank - 1) % mpi.size
+    for s in range(steps):
+        reqs = []
+        for peer in (nxt, prv):
+            req = yield from mpi.isend(peer, nbytes=256 << 10, tag=s)
+            reqs.append(req)
+        for peer in (prv, nxt):
+            req = yield from mpi.irecv(source=peer, tag=s)
+            reqs.append(req)
+        yield from mpi.waitall(reqs)
+        yield from mpi.compute(seconds=work)
+
+
+def _continuous_run(program, policy):
+    res = run_job(
+        program, 8, device="v2", checkpointing=True, ckpt_policy=policy,
+        ckpt_continuous=True, trace=True, seed=1,
+    )
+    recs = res.tracer.records
+    orders = [r["rank"] for r in recs if r.kind == "sched.order"]
+    images = [r["rank"] for r in recs if r.kind == "v2.ckpt"]
+    return orders, images
+
+
+def test_adaptive_checkpoints_every_receiver_of_a_flat_broadcast():
+    """The first cycle ranks all-zero counters (nobody has sent yet) and
+    orders every rank; from then on the pure-sending root is left out
+    and each receiver is checkpointed, however the status replies queue
+    behind the bulk frames on the root's NIC."""
+    orders, images = _continuous_run(_flat_broadcast, "adaptive")
+    assert all(r in images for r in range(1, 8)), images
+    assert 0 not in orders[8:], orders
+
+
+def test_adaptive_orders_a_symmetric_ring_like_round_robin():
+    """Equal received/sent ratios keep rank order (a stable sort): while
+    the counters it reads are equal, adaptive orders as round-robin."""
+    adaptive, _ = _continuous_run(_ring_exchange, "adaptive")
+    round_robin, _ = _continuous_run(_ring_exchange, "round_robin")
+    assert len(adaptive) >= 8
+    assert adaptive == round_robin
+
+
 def test_round_robin_scheduler_orders_in_cycle():
     res = run_job(
         ring, 3, device="v2", params={"rounds": 15, "work": 0.1},

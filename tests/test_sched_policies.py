@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sched import SCHEMES, make_policy, scheme, simulate
-from repro.sched.policies import Adaptive, RoundRobin
+from repro.ft.ckpt_scheduler import Adaptive, RoundRobin, make_policy
+from repro.sched import SCHEMES, scheme, simulate
 
 
 def test_scheme_shapes_and_diagonals():
@@ -29,34 +29,47 @@ def test_reduce_is_root_receiving():
 
 def test_round_robin_cycles():
     p = RoundRobin(4)
-    z = np.zeros(4)
-    picks = [p.pick(z, z, z) for _ in range(8)]
+    picks = [p.pick(range(4)) for _ in range(8)]
     assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
+def test_round_robin_skips_ranks_that_are_not_live():
+    p = RoundRobin(4)
+    picks = [p.pick([0, 2, 3]) for _ in range(6)]
+    assert picks == [0, 2, 3, 0, 2, 3]
+    assert p.pick([]) is None
+
+
 def test_adaptive_prefers_high_ratio():
-    p = Adaptive(4)
-    logged = np.zeros(4)
-    sent = np.array([100.0, 1.0, 100.0, 100.0])
-    recv = np.array([1.0, 100.0, 1.0, 1.0])
-    assert p.pick(logged, sent, recv) == 1  # ratio 100, everyone else 0.01
+    p = Adaptive()
+    sent = [100.0, 1.0, 100.0, 100.0]
+    recv = [1.0, 100.0, 1.0, 1.0]
+    assert p.pick(range(4), sent, recv) == 1  # ratio 100, everyone else 0.01
 
 
 def test_adaptive_degenerates_to_rotation_when_symmetric():
-    p = Adaptive(4)
-    logged = np.zeros(4)
-    flat = np.full(4, 10.0)
-    picks = [p.pick(logged, flat, flat) for _ in range(8)]
+    p = Adaptive()
+    flat = [10.0] * 4
+    picks = [p.pick(range(4), flat, flat) for _ in range(8)]
     assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_adaptive_skips_pure_senders():
-    p = Adaptive(3)
-    logged = np.zeros(3)
-    sent = np.array([100.0, 0.0, 0.0])
-    recv = np.array([0.0, 50.0, 50.0])
-    picks = [p.pick(logged, sent, recv) for _ in range(4)]
+    p = Adaptive()
+    sent = [100.0, 0.0, 0.0]
+    recv = [0.0, 50.0, 50.0]
+    picks = [p.pick(range(3), sent, recv) for _ in range(4)]
     assert 0 not in picks  # the pure sender is never checkpointed
+
+
+def test_adaptive_ranks_only_at_a_cycle_start_and_skips_the_dead():
+    p = Adaptive()
+    assert p.wants_status
+    assert p.pick([0, 1, 2], [1.0, 4.0, 2.0], [1.0, 1.0, 4.0]) == 2
+    assert not p.wants_status  # the rest of the cycle needs no counters
+    assert p.pick([0, 2]) == 0
+    assert p.pick([0, 2]) is None  # rank 1 (ratio 0.25) is no longer live
+    assert p.wants_status
 
 
 def test_make_policy_rejects_unknown():

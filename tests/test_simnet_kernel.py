@@ -4,6 +4,7 @@ import pytest
 
 from repro.simnet import (
     DeadlockError,
+    Future,
     Gate,
     Killed,
     Queue,
@@ -258,26 +259,28 @@ def test_cancelled_timeout_leaves_the_heap_and_never_fires():
 
 
 def test_caught_exception_from_a_failed_future_pins_no_frames():
-    """A broken queue fails every getter with one stored instance; each
-    ``throw`` appends the catcher's frames to its traceback.  The kernel
-    drops that traceback once the process has caught the exception."""
-    from repro.simnet.kernel import Queue
-
+    """A failed future throws its one stored exception into every
+    process waiting on it; each ``throw`` appends the catcher's frames
+    to its traceback.  The kernel drops that traceback once the process
+    has caught the exception."""
     sim = Simulator()
-    q = Queue(sim, "q")
+    fut = Future(sim, "f")
     boom = RuntimeError("peer gone")
+    caught = []
 
     def waiter(ballast):
         try:
-            yield q.get()
-        except RuntimeError:
+            yield fut
+        except RuntimeError as exc:
+            caught.append(exc)
             yield sim.timeout(1.0)
 
     procs = [sim.spawn(waiter([i]), f"w{i}") for i in range(3)]
     sim.run(until=0.5)
-    q.break_(boom)
+    fut.fail(boom)
     assert boom.__traceback__ is None
     sim.run()
+    assert caught == [boom] * 3
     assert all(not p.alive for p in procs) and boom.__traceback__ is None
 
 
@@ -439,20 +442,6 @@ def test_queue_multiple_getters_fifo():
     sim.after(2.0, lambda: q.put("second"))
     sim.run()
     assert got == [("r1", "first"), ("r2", "second")]
-
-
-def test_queue_break_fails_pending_and_future_gets():
-    sim = Simulator()
-    q = Queue(sim)
-
-    def reader():
-        yield q.get()
-
-    p = sim.spawn(reader(), "reader", supervised=True)
-    sim.after(1.0, lambda: q.break_(ConnectionError("gone")))
-    sim.run()
-    assert isinstance(p.done.exception, ConnectionError)
-    assert isinstance(q.get().exception, ConnectionError)
 
 
 def test_queue_try_get():
