@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 __all__ = [
-    "format_table", "format_stats", "format_timeline", "format_audit",
+    "format_table", "format_stats", "format_audit",
     "format_mttr", "format_profile", "Report",
 ]
 
@@ -97,47 +97,6 @@ def format_stats(
     return "\n\n".join(blocks) if blocks else "(no metrics recorded)"
 
 
-def format_timeline(spans: Sequence[Any]) -> str:
-    """Render recovery spans (see :mod:`repro.obs.timeline`) as a table.
-
-    A span a second fault (or a global restart) cut short shows its
-    abort cause in the ``note`` column instead of silently reading as
-    missing data."""
-    if not spans:
-        return "(no restarts)"
-
-    def opt(x: Any) -> Any:
-        return "-" if x is None else x
-
-    def note(s: Any) -> str:
-        if getattr(s, "aborted", False):
-            return f"aborted:{s.aborted_by}@{s.aborted_t:.3f}"
-        if getattr(s, "chained_from", None) is not None:
-            return f"supersedes i{s.chained_from}"
-        return ""
-
-    rows = [
-        [
-            s.rank,
-            s.fault_t,
-            opt(s.detect_t),
-            opt(s.respawn_t),
-            opt(s.replay_start_t),
-            opt(s.caught_up_t),
-            opt(s.downtime_s),
-            opt(s.recovery_s),
-            opt(s.host),
-            note(s),
-        ]
-        for s in spans
-    ]
-    return format_table(
-        ["rank", "fault s", "detect s", "respawn s", "replay s",
-         "caught-up s", "downtime s", "recovery s", "host", "note"],
-        rows,
-    )
-
-
 def format_mttr(attribution: Any, per_fault: bool = True) -> str:
     """Render a :class:`~repro.obs.timeline.RecoveryAttribution`.
 
@@ -184,6 +143,7 @@ def format_mttr(attribution: Any, per_fault: bool = True) -> str:
             rows.append(
                 [
                     s.rank,
+                    opt(s.host),
                     opt(s.incarnation),
                     s.fault_t,
                     opt(s.detect_source),
@@ -200,7 +160,7 @@ def format_mttr(attribution: Any, per_fault: bool = True) -> str:
         blocks.append(
             "per-fault phase decomposition (seconds):\n"
             + format_table(
-                ["rank", "inc", "fault t", "source", "detect", "respawn",
+                ["rank", "host", "inc", "fault t", "source", "detect", "respawn",
                  "fetch", "el-dl", "resync", "replay", "recovery", "status"],
                 rows,
             )

@@ -50,7 +50,7 @@ from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import Fabric
 from ..runtime.retry import RetryPolicy
-from ..runtime.session import ServiceBase, Session, framed
+from ..runtime.session import ServiceBase, Session
 from ..simnet.kernel import Simulator
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
@@ -222,16 +222,8 @@ class EventLoggerServer(ServiceBase):
             ok, _, msg = end.try_read()
             if not ok:
                 break
+            msg = yield from self._accept(end, msg)
             if msg is None:
-                continue  # an in-flight segment of a chunked transfer
-            if type(msg) is tuple and len(msg) == 4 and msg[0] == "PING":
-                self.on_ping(end, msg)
-                yield from end.write(24, ("PONG", msg[1], msg[2], msg[3]))
-                continue
-            if not framed(msg, self.payload_types):
-                self._protocol_error(
-                    f"unframed record of type {type(msg).__name__}"
-                )
                 continue
             if msg[0] == "EVENT":
                 batches.append((msg[1], msg[2], msg[3]))

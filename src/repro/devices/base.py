@@ -3,9 +3,10 @@
 MPICH-V2 "is implemented as a channel for MPICH: it implements a set of
 six primitives used by the protocol layer" (Section 4.4): ``PIbsend``,
 ``PIbrecv``, ``PInprobe``, ``PIfrom``, ``PIiInit``, ``PIiFinish``.  Every
-device here (P4, V1, V2) implements exactly that interface; the MPI stack
-above the channel is identical across devices — which is the paper's
-"MPI implementation independence" requirement.
+device here (P4, V1, V2) implements that interface (``pibrecv`` returns
+the sender's rank with the packet, so ``PIfrom`` needs no method of its
+own); the MPI stack above the channel is identical across devices —
+which is the paper's "MPI implementation independence" requirement.
 
 Shared machinery: packet chunking over streams (segments of
 ``chunk_bytes``), reassembly, an inbox of received packets, and
@@ -90,7 +91,6 @@ class ChannelDevice:
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.inbox: Queue = Queue(sim, name=f"dev{rank}.inbox")
         self.stats = DeviceStats()
-        self._last_from: int = -1
         self._send_seq = 0
 
     def stamp(self, env: Envelope) -> None:
@@ -104,7 +104,7 @@ class ChannelDevice:
             self._send_seq += 1
             env.sclock = self._send_seq
 
-    # -- the six channel primitives ---------------------------------------
+    # -- the channel primitives -------------------------------------------
     def piinit(self) -> Generator[Future, Any, None]:
         """Bring the channel up (connect streams, start daemons)."""
         return
@@ -128,18 +128,12 @@ class ChannelDevice:
             self._pump_ready()
         ok, item = self.inbox.try_get()
         assert ok
-        src, pkt = item
-        self._last_from = src
-        return src, pkt
+        return item
 
     def pinprobe(self) -> bool:
         """Is a packet pending? (non-blocking)"""
         self._pump_ready()
         return len(self.inbox) > 0
-
-    def pifrom(self) -> int:
-        """Rank of the last packet's sender (after pibrecv/poll)."""
-        return self._last_from
 
     # -- non-blocking drain (used by the ADI for iprobe/progress) ----------
     def poll(self) -> list[tuple[int, Packet]]:
@@ -150,7 +144,6 @@ class ChannelDevice:
             ok, item = self.inbox.try_get()
             if not ok:
                 break
-            self._last_from = item[0]
             out.append(item)
         return out
 

@@ -313,7 +313,6 @@ class V1Device(ChannelDevice):
                 self._get_outstanding = False
                 self.replay_cursor += 1
                 self._note_received(payload)
-                self._last_from = payload.env.src
                 return payload.env.src, payload
             if payload[0] == "PROBE_R":
                 # a PROBE_R landing outside a probe is a stale reply the
@@ -339,7 +338,6 @@ class V1Device(ChannelDevice):
                 self._get_outstanding = False
                 self.replay_cursor += 1
                 self._note_received(payload)
-                self._last_from = payload.env.src
                 out.append((payload.env.src, payload))
             elif payload is not None and payload[0] == "PROBE_R":
                 self._own.protocol_error("unexpected PROBE_R reply")

@@ -58,12 +58,11 @@ class FaultContext:
     alive_unfinished: Callable[[], list[int]]  # ranks eligible for a kill
     kill: Callable[[int], bool]  # returns False if the kill was impossible
     job_running: Callable[[], bool]
+    spawn: Callable  # (gen, label) -> run a child driver
     # infrastructure hooks (None when the runtime doesn't provide them):
     partition: Optional[Callable] = None  # (ranks, duration) -> cut the net
     crash_service: Optional[Callable] = None  # (name, downtime)
-    restart_service: Optional[Callable] = None  # (name)
     flap_link: Optional[Callable] = None  # (rank_a, rank_b) -> streams broken
-    spawn: Optional[Callable] = None  # (gen, label) -> run a child driver
     service_names: tuple = ()  # supervised services available to plans
 
 
@@ -263,13 +262,9 @@ class ComposedFaults:
 
     def driver(self, ctx: FaultContext):
         """Spawn each child plan's driver as its own process."""
-        if ctx.spawn is not None:
-            for i, plan in enumerate(self.plans):
-                ctx.spawn(plan.driver(ctx), f"faults[{i}]")
-            yield ctx.sim.timeout(0.0)
-        else:  # degenerate fallback: run the plans back to back
-            for plan in self.plans:
-                yield from plan.driver(ctx)
+        for i, plan in enumerate(self.plans):
+            ctx.spawn(plan.driver(ctx), f"faults[{i}]")
+        yield ctx.sim.timeout(0.0)
 
     @property
     def injected(self) -> list:

@@ -69,13 +69,6 @@ class ServiceSupervisor:
         self.tracer.emit(self.sim.now, "svc.crash", service=name, down=down)
         self.sim.at(self.sim.now + down, lambda: self._relaunch(name, svc))
 
-    def restart(self, name: str) -> None:
-        """Immediately relaunch the named service (e.g. after a manual stop)."""
-        svc = self.services.get(name)
-        if svc is None:
-            raise KeyError(f"no supervised service {name!r}")
-        self._relaunch(name, svc)
-
     def _relaunch(self, name: str, svc: Any) -> None:
         if svc.host.failed:
             return  # the machine itself died meanwhile: nothing to respawn on

@@ -242,30 +242,18 @@ class Metrics:
         The per-label histograms share bucket bounds (they are bound with
         the same call site), so their buckets sum into one distribution.
         """
-        merged: Optional[list[int]] = None
-        bounds: tuple[float, ...] = ()
-        count = 0
-        hi = float("-inf")
+        merged: Optional[Histogram] = None
         for m in self._metrics.values():
             if m.name != name or m.kind != "histogram":
                 continue
             if merged is None:
-                bounds = m.bounds
-                merged = [0] * len(m.buckets)
-            for i, n in enumerate(m.buckets):
-                merged[i] += n
-            count += m.count
-            if m.count:
-                hi = max(hi, m.max)
-        if merged is None or not count:
+                merged = Histogram(name, {}, m.bounds)
+            merged.buckets = [a + b for a, b in zip(merged.buckets, m.buckets)]
+            merged.count += m.count
+            merged.max = max(merged.max, m.max)
+        if merged is None or not merged.count:
             return default
-        target = q * count
-        acc = 0
-        for bound, n in zip(bounds, merged):
-            acc += n
-            if acc >= target:
-                return min(bound, hi)
-        return hi
+        return merged.quantile(q)
 
     def snapshot(self) -> dict[str, float]:
         """Merged view: metric name -> scalar summed across all labels."""

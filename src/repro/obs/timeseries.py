@@ -81,14 +81,6 @@ class TimeseriesSampler:
         self.dropped = 0
         self._last_t: Optional[float] = None
 
-    @classmethod
-    def from_flag(cls, metrics: Metrics, flag: Any) -> "TimeseriesSampler":
-        """Build from the ``timeseries=`` run_job flag: ``True`` uses the
-        default cadence, a number overrides the interval in simulated s."""
-        if isinstance(flag, bool):
-            return cls(metrics)
-        return cls(metrics, interval=float(flag))
-
     def _selected(self, name: str) -> bool:
         if name in self._exact:
             return True

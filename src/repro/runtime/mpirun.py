@@ -226,7 +226,6 @@ class RankSet:
             kill=self.kill,
             job_running=lambda: not self.done.done,
             crash_service=sup.crash if sup is not None else None,
-            restart_service=sup.restart if sup is not None else None,
             spawn=spawn,
             service_names=tuple(sorted(sup.services)) if sup is not None else (),
         )
@@ -237,13 +236,13 @@ class _Observers:
 
     def __init__(
         self, sim: Any, tracer: Any, metrics: Any,
-        audit: bool, audit_hb: bool, profile: bool, timeseries: Any,
+        audit: bool, audit_hb: bool, profile: bool, timeseries: bool,
     ) -> None:
         self.profiler = self.sampler = self.auditor = None
         if profile:
             self.profiler = KernelProfiler().install(sim)
         if timeseries:
-            self.sampler = TimeseriesSampler.from_flag(metrics, timeseries)
+            self.sampler = TimeseriesSampler(metrics)
             self.sampler.install(sim)
         if audit:
             self.auditor = ProtocolAuditor(hb_graph=audit_hb).attach(tracer)
@@ -313,7 +312,7 @@ def start(
     audit: bool = False,
     audit_hb: bool = False,
     profile: bool = False,
-    timeseries: Any = False,
+    timeseries: bool = False,
     **device_kw: Any,
 ) -> Job:
     """Launch ``program`` on ``dep``; returns without running the clock.
@@ -403,7 +402,7 @@ def run_job(
     limit: Optional[float] = None,
     audit: bool = False,
     profile: bool = False,
-    timeseries: Any = False,
+    timeseries: bool = False,
     **device_kw: Any,
 ) -> JobResult:
     """Run ``program`` on ``nprocs`` simulated processes; block to completion.
@@ -419,9 +418,8 @@ def run_job(
     happens-before graph.  ``profile`` hooks the event-kernel profiler
     into the simulator and reports the
     :class:`~repro.obs.profile.KernelProfile` in ``JobResult.profile``.
-    ``timeseries`` samples selected registry metrics on a simulated-time
-    cadence (``True`` for the default 0.5 s interval, a number to
-    override it) into ``JobResult.timeseries`` (a
+    ``timeseries`` samples selected registry metrics every 0.5 simulated
+    seconds into ``JobResult.timeseries`` (a
     :class:`~repro.obs.timeseries.TimeseriesSampler`).
 
     Extra keyword arguments: ``faults`` and ``on_ready`` (see

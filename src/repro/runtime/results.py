@@ -41,11 +41,3 @@ class JobResult:
         if self.metrics is None:
             return default
         return self.metrics.total(name, rank=rank, default=default)
-
-    def timer_sum(self, cat: str) -> float:
-        """Sum of one call category's time across all ranks."""
-        return sum(t.get(cat) for t in self.timers.values())
-
-    def compute_time(self, rank: int) -> float:
-        """One rank's total computation time."""
-        return self.timers[rank].get("compute")

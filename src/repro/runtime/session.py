@@ -492,7 +492,7 @@ class ServiceBase:
     """
 
     metric_ns = "svc"
-    #: raw (non-tuple) wire payloads accepted as framed by ``_read_record``
+    #: raw (non-tuple) wire payloads accepted as framed by ``_accept``
     payload_types: tuple = ()
 
     def __init__(
@@ -612,20 +612,30 @@ class ServiceBase:
         ``msg`` is ``("PING", epoch, seq, t_sent)``.  The dispatcher's
         control listener uses this as its liveness signal."""
 
+    def _accept(
+        self, end: StreamEnd, msg: Any
+    ) -> Generator[Future, Any, Any]:
+        """One segment from a client through the framing: the record, or
+        None for what a server skips — an in-flight segment of a chunked
+        transfer, a heartbeat PING (reported via :meth:`on_ping`, then
+        answered in place with a PONG echoing the client's timestamp) or
+        unframed garbage (counted and traced).  The server-side twin of
+        :meth:`Session.accept`."""
+        if msg is None:
+            return None  # an in-flight segment (only ``try_read`` returns one)
+        if type(msg) is tuple and len(msg) == 4 and msg[0] == "PING":
+            self.on_ping(end, msg)
+            yield from end.write(24, ("PONG", msg[1], msg[2], msg[3]))
+            return None
+        if not framed(msg, self.payload_types):
+            self._protocol_error(f"unframed record of type {type(msg).__name__}")
+            return None
+        return msg
+
     def _read_record(self, end: StreamEnd) -> Generator[Future, Any, Any]:
-        """Next well-formed record from a client (``read`` returns no
-        in-flight segment): rejects (counts + traces) unframed garbage.
-        Heartbeat PINGs are answered in place (PONG echoing the
-        client's timestamp) and reported via :meth:`on_ping`."""
+        """Next record from a client, read through :meth:`_accept`."""
         while True:
             _, msg = yield end.read()
-            if type(msg) is tuple and len(msg) == 4 and msg[0] == "PING":
-                self.on_ping(end, msg)
-                yield from end.write(24, ("PONG", msg[1], msg[2], msg[3]))
-                continue
-            if not framed(msg, self.payload_types):
-                self._protocol_error(
-                    f"unframed record of type {type(msg).__name__}"
-                )
-                continue
-            return msg
+            record = yield from self._accept(end, msg)
+            if record is not None:
+                return record

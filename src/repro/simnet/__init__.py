@@ -18,7 +18,7 @@ from .kernel import (
     all_of,
     any_of,
 )
-from .network import DegradeWindow, LinkConfig, Network, PartitionWindow
+from .network import LinkConfig, Network, PartitionWindow
 from .node import Host, HostDown
 from .rng import RngRegistry
 from .streams import DEFAULT_WINDOW, Disconnected, Stream, StreamEnd
@@ -38,7 +38,6 @@ __all__ = [
     "LinkConfig",
     "Network",
     "PartitionWindow",
-    "DegradeWindow",
     "Host",
     "HostDown",
     "RngRegistry",

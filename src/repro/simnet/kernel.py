@@ -21,11 +21,12 @@ Flat events
 -----------
 
 Heap entries are flat ``(time, seq, slot, a, b)`` tuples.  ``slot``
-selects the handler; the hot slots are inlined in the two run loops
-(:meth:`Simulator.run`, :meth:`Simulator.run_until`) so the common
-events cost no closure allocation and no attribute lookups; with a probe
-installed (:meth:`Simulator.set_probe`) the same loops hand each event
-to the probe instead:
+selects the handler; the hot slots are inlined in the one run loop
+(``Simulator._loop``, behind :meth:`Simulator.run` and
+:meth:`Simulator.run_until`) so the common events cost no closure
+allocation and no attribute lookups; with a probe installed
+(:meth:`Simulator.set_probe`) the same loop hands each event to the
+probe instead:
 
 * ``EV_CALL`` (0) — run the callable ``a()``.  Everything scheduled
   through :meth:`Simulator.at`/:meth:`Simulator.after` uses this slot.
@@ -36,7 +37,7 @@ to the probe instead:
   :meth:`Simulator.pause` sleep fast path: no future, no callbacks).
 
 Subsystems register additional slots with :func:`register_slot`; the run
-loops dispatch those through the module-level handler table with a plain
+loop dispatches those through the module-level handler table with a plain
 list index.  Event order — ``(time, seq)`` for every event — is pinned
 by the full-trace hashes of ``tests/test_golden_trace.py``.
 """
@@ -88,6 +89,8 @@ EV_RESOLVE = 1  # a: Future      b: value    — a.resolve_if_pending(b)
 EV_START = 2  # a: Process       b: unused   — first step of a process
 EV_WAKE = 3  # a: Process        b: value    — resume a sleeping process
 
+_INF = float("inf")  # the horizon of a run with no ``until``/``limit``
+
 #: slot → human label, used by the kernel profiler to classify events
 #: (``KernelProfiler.dispatch``) without touching handlers
 SLOT_NAMES: dict[int, str] = {
@@ -97,7 +100,7 @@ SLOT_NAMES: dict[int, str] = {
     EV_WAKE: "sleep",
 }
 
-# Slots 0-3 are inlined in the run loops and in ``run_slot``; their table
+# Slots 0-3 are inlined in the run loop and in ``run_slot``; their table
 # entries only reserve the indices.
 _SLOT_HANDLERS: list[Optional[Callable[[Any, Any], None]]] = [
     None, None, None, None,
@@ -481,7 +484,7 @@ class Simulator:
         :func:`run_slot`.  While the probe has
         ``probe.sampling`` set, process resumes are timed and reported
         via ``probe.step_done(name, dt)`` for per-service CPU
-        attribution.  The run loops read the probe once on entry, so a
+        attribution.  The run loop reads the probe once on entry, so a
         change takes effect at the next :meth:`run`/:meth:`run_until`
         call; with none installed an event pays one ``is not None`` test
         on a local before the inlined dispatch.
@@ -546,7 +549,7 @@ class Simulator:
             if entry[3] is fut:
                 heap[i] = heap[-1]
                 heap.pop()
-                heapq.heapify(heap)  # in place: the run loops hold the list
+                heapq.heapify(heap)  # in place: the run loop holds the list
                 return
 
     def future(self, name: str = "") -> Future:
@@ -562,26 +565,47 @@ class Simulator:
         """Start a new simulated process from a generator."""
         return Process(self, gen, name=name, supervised=supervised)
 
-    def sleep(self, delay: float) -> Generator[Future, Any, None]:
-        """Composite sleep: ``yield from sim.sleep(dt)``."""
-        yield self.pause(delay)
-
     # -- running ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or simulated ``until`` passes.
 
         Re-raises the first unsupervised process crash, if any.
         """
+        # a future nothing resolves: only the horizon, a drained queue or
+        # stop() ends the loop
+        self._loop(Future(self, "run"), _INF if until is None else until)
+        if until is not None and not self._stopped and self.now < until:
+            self.now = until
+
+    def run_until(self, fut: Future, limit: Optional[float] = None) -> Any:
+        """Run until ``fut`` resolves; raise :class:`DeadlockError` if the
+        event queue drains first, or :class:`SimError` if ``limit`` simulated
+        seconds pass first."""
+        if self._loop(fut, _INF if limit is None else limit):
+            raise SimError(
+                f"simulated time limit {limit} exceeded waiting for "
+                f"{fut.name!r} (now={self._heap[0][0]})"
+            )
+        if not fut._done:
+            raise DeadlockError(
+                f"event queue drained; {fut.name!r} never resolved; "
+                f"blocked: {self.blocked_processes()}"
+            )
+        return fut.value
+
+    def _loop(self, fut: Future, horizon: float) -> bool:
+        """Dispatch events until ``fut`` resolves, the queue drains or
+        :meth:`stop` is called; return ``True``, leaving the event
+        queued, when the next event lies past ``horizon``."""
         probe = self._probe
         heap = self._heap
         pop = heapq.heappop
         handlers = _SLOT_HANDLERS
-        while heap and not self._stopped:
+        while not fut._done and heap and not self._stopped:
             entry = heap[0]
             time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                break
+            if time > horizon:
+                return True
             pop(heap)
             self.now = time
             slot = entry[2]
@@ -606,54 +630,7 @@ class Simulator:
             if self._crashes:
                 proc, err = self._crashes[0]
                 raise SimError(f"process {proc.name!r} crashed") from err
-        if until is not None and not self._stopped and self.now < until:
-            self.now = until
-
-    def run_until(self, fut: Future, limit: Optional[float] = None) -> Any:
-        """Run until ``fut`` resolves; raise :class:`DeadlockError` if the
-        event queue drains first, or :class:`SimError` if ``limit`` simulated
-        seconds pass first."""
-        probe = self._probe
-        heap = self._heap
-        pop = heapq.heappop
-        handlers = _SLOT_HANDLERS
-        while not fut._done and heap and not self._stopped:
-            entry = pop(heap)
-            time = entry[0]
-            if limit is not None and time > limit:
-                raise SimError(
-                    f"simulated time limit {limit} exceeded waiting for "
-                    f"{fut.name!r} (now={time})"
-                )
-            self.now = time
-            slot = entry[2]
-            a = entry[3]
-            if probe is not None:
-                # the probe runs the event itself (see ``set_probe``)
-                probe.dispatch(time, slot, a, entry[4], len(heap))
-            elif slot == 3:
-                # no probe: resumes skip ``_step``'s probe check
-                a._step_inner(entry[4], None)
-            elif slot > 3:
-                handlers[slot](a, entry[4])
-            elif slot == 0:
-                a()
-            elif slot == 1:
-                if not a._done:
-                    a._done = True
-                    a._value = entry[4]
-                    a._fire()
-            else:
-                a._step_inner(None, None)
-            if self._crashes:
-                proc, err = self._crashes[0]
-                raise SimError(f"process {proc.name!r} crashed") from err
-        if not fut._done:
-            raise DeadlockError(
-                f"event queue drained; {fut.name!r} never resolved; "
-                f"blocked: {self.blocked_processes()}"
-            )
-        return fut.value
+        return False
 
     def stop(self) -> None:
         """Stop the event loop at the current time."""

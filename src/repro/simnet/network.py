@@ -30,7 +30,7 @@ from .kernel import Simulator
 from .node import Host, HostDown
 from .trace import Tracer
 
-__all__ = ["LinkConfig", "Network", "PartitionWindow", "DegradeWindow"]
+__all__ = ["LinkConfig", "Network", "PartitionWindow"]
 
 
 @dataclass(frozen=True)
@@ -77,26 +77,6 @@ class PartitionWindow:
         )
 
 
-@dataclass
-class DegradeWindow:
-    """A transient service-degradation window on matching hosts.
-
-    ``bw_factor`` divides effective bandwidth, ``latency_factor``
-    multiplies wire latency, for any transfer touching one of ``hosts``
-    (or every non-loopback transfer, when ``hosts`` is ``None``).
-    """
-
-    hosts: Optional[frozenset]
-    bw_factor: float
-    latency_factor: float
-    until: float
-
-    def matches(self, a: str, b: str, now: float) -> bool:
-        if now >= self.until:
-            return False
-        return self.hosts is None or a in self.hosts or b in self.hosts
-
-
 class Network:
     """Schedules segment transfers between hosts."""
 
@@ -112,10 +92,9 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self.bytes_moved = 0.0
         self.segments_moved = 0
-        # link-level fault state (kept off the hot path: lists empty unless
-        # a fault plan is actively degrading the fabric)
+        # link-level fault state (kept off the hot path: the list is empty
+        # unless a fault plan has cut the fabric)
         self._partitions: list[PartitionWindow] = []
-        self._degrades: list[DegradeWindow] = []
         self.partitions_injected = 0
         self.segments_deferred = 0
         self.links_broken = 0
@@ -204,10 +183,6 @@ class Network:
         else:
             bandwidth = min(link.bandwidth, link.wan_bandwidth)
             latency = link.wan_latency
-        if self._degrades:
-            bwf, latf = self._degradation(src.name, dst.name)
-            bandwidth /= bwf
-            latency *= latf
         duration = (
             (nbytes + link.frame_overhead * segments) / bandwidth
             + link.per_segment_gap * segments
@@ -311,41 +286,6 @@ class Network:
     def partitioned(self, a: Host, b: Host) -> bool:
         """Is there an active cut between hosts ``a`` and ``b``?"""
         return a is not b and self._crossing(a.name, b.name) is not None
-
-    def degrade(
-        self,
-        hosts: Optional[Iterable[Host]],
-        duration: float,
-        bw_factor: float = 1.0,
-        latency_factor: float = 1.0,
-    ) -> DegradeWindow:
-        """Degrade links touching ``hosts`` (or all, when ``None``)."""
-        names = None if hosts is None else frozenset(h.name for h in hosts)
-        win = DegradeWindow(
-            names, bw_factor, latency_factor, self.sim.now + duration
-        )
-        self._degrades.append(win)
-        self.tracer.emit(
-            self.sim.now, "net.degrade",
-            hosts=None if names is None else tuple(sorted(names)),
-            bw_factor=bw_factor, latency_factor=latency_factor,
-            until=win.until,
-        )
-        self.sim.at(win.until, lambda: self._expire_degrade(win))
-        return win
-
-    def _expire_degrade(self, win: DegradeWindow) -> None:
-        if win in self._degrades:
-            self._degrades.remove(win)
-
-    def _degradation(self, a: str, b: str) -> tuple[float, float]:
-        bwf, latf = 1.0, 1.0
-        now = self.sim.now
-        for win in self._degrades:
-            if win.matches(a, b, now):
-                bwf *= win.bw_factor
-                latf *= win.latency_factor
-        return bwf, latf
 
     def break_links(
         self, a: Host, b: Optional[Host] = None, cause: Any = "link-break"

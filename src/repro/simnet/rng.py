@@ -65,7 +65,3 @@ class RngRegistry:
         namespace); one asked for again restarts from its derived seed."""
         for name in [n for n in self._streams if n.startswith(prefix)]:
             del self._streams[name]
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry with an independent master seed (for sub-experiments)."""
-        return RngRegistry(master_seed=self.master_seed * 1_000_003 + salt)

@@ -90,21 +90,17 @@ class ImageBuffer:
     The simulation carries no real checkpoint bytes, so the buffer is
     *virtual*: it models the one contiguous serialization a daemon would
     produce, and every chunk of the image carries a :class:`BufferSlice`
-    into it — the ``memoryview`` analogue.  Any code that would have to
-    materialize a private copy of chunk bytes (re-serialize, re-buffer)
-    must call :meth:`BufferSlice.materialize`, which bumps :attr:`copies`;
-    the zero-copy contract of the store path is therefore testable:
-    after push → replica → fetch the chunk still holds a slice of the
-    *original* buffer and ``copies`` is 0.
+    into it — the ``memoryview`` analogue.  The store path is zero-copy:
+    after push → replica → fetch every stored chunk still holds a slice
+    of the *original* buffer.
     """
 
-    __slots__ = ("rank", "seq", "nbytes", "copies")
+    __slots__ = ("rank", "seq", "nbytes")
 
     def __init__(self, rank: Any, seq: int, nbytes: int) -> None:
         self.rank = rank
         self.seq = seq
         self.nbytes = nbytes
-        self.copies = 0  # materializations — 0 along the zero-copy path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ImageBuffer r{self.rank}/seq{self.seq} {self.nbytes}B>"
@@ -116,15 +112,6 @@ class BufferSlice(NamedTuple):
     buf: ImageBuffer
     offset: int
     nbytes: int
-
-    def materialize(self) -> tuple[int, int]:
-        """Model copying the slice out of its backing buffer.
-
-        Returns ``(offset, nbytes)`` and charges one copy against the
-        buffer — the operation the flat framing path never performs.
-        """
-        self.buf.copies += 1
-        return (self.offset, self.nbytes)
 
 
 @dataclass(frozen=True)

@@ -102,18 +102,23 @@ def test_report_out_stats_is_the_registry_export(tmp_path, capsys):
     assert any(e["name"] == "el.roundtrips" for e in doc["stats"])
 
 
-def test_observe_timeline_with_trace_out(tmp_path, capsys):
+def test_observe_mttr_with_trace_out(tmp_path, capsys):
+    """The per-fault recovery table names the host each incarnation ran
+    on, and the Chrome trace carries the sampled series as counters."""
     import json
 
     path = tmp_path / "t.json"
     rc = main(["run", "cg", "--class", "T", "-n", "2", "--faults", "1",
                "--fault-interval", "0.05", "--trace-out", str(path),
-               "--observe", "timeline"])
+               "--observe", "mttr"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "wrote" in out
-    assert "downtime s" in out  # the injected fault shows up in the timeline
-    assert json.loads(path.read_text())["traceEvents"]
+    assert f"wrote trace to {path}" in out
+    table = out.split("per-fault phase decomposition")[1].splitlines()
+    assert table[1].split()[:3] == ["rank", "host", "inc"]
+    assert table[3].split()[:3] == ["1", "cn1", "1"]  # rank, host, inc
+    events = json.loads(path.read_text())["traceEvents"]
+    assert any(e["ph"] == "C" for e in events)
 
 
 def test_run_trace_out_jsonl(tmp_path, capsys):

@@ -239,16 +239,6 @@ def test_payload_nbytes_sizes_arrays_and_lists_of_arrays():
     assert payload_nbytes((np.zeros(2), 1.0, None)) == 16 + 16 + 8 + 0
 
 
-def test_rng_fork_changes_streams():
-    from repro.simnet.rng import RngRegistry
-
-    base = RngRegistry(3)
-    fork = base.fork(1)
-    assert base.master_seed != fork.master_seed
-    assert (base.stream("z").integers(0, 10**6)
-            != fork.stream("z").integers(0, 10**6))
-
-
 def test_tracer_select_prefix():
     from repro.simnet.trace import Tracer
 

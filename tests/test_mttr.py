@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis.report import format_mttr, format_timeline
+from repro.analysis.report import format_mttr
 from repro.cli import main
 from repro.ft.failure import ExplicitFaults, PartitionFaults, ServiceFaults
 from repro.obs import (
@@ -22,7 +22,6 @@ from repro.obs import (
     TimeseriesSampler,
     chrome_trace,
     counter_events,
-    recovery_timeline,
 )
 from repro.obs.timeline import quantile
 from repro.runtime.config import DEFAULT_TESTBED
@@ -52,15 +51,30 @@ def ring_prog(mpi, rounds=30, nbytes=2000, work=0.02):
 
 @pytest.fixture(scope="module")
 def ckpt_faulty_run():
-    """One kill on a checkpointing run: the full recovery arc fires."""
-    return run_job(
+    """One kill on a checkpointing run: the full recovery arc fires.
+
+    The run is sampled every 0.25 s by a sampler installed here (the
+    ``timeseries=True`` one samples every 0.5 s), closed and handed back
+    as ``JobResult.timeseries`` the way ``run_job`` does its own."""
+    samplers = []
+
+    def install_sampler(ctx):
+        ts = TimeseriesSampler(ctx["cluster"].metrics, interval=0.25)
+        ts.install(ctx["sim"])
+        samplers.append(ts)
+
+    res = run_job(
         ring_prog, 4, device="v2", trace=True, seed=1, limit=600,
         params={"rounds": 60},
         checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
         ckpt_interval=0.3,
         faults=ExplicitFaults([(1.0, 2)]),
-        timeseries=0.25,
+        on_ready=install_sampler,
     )
+    [ts] = samplers
+    ts.sample(res.elapsed)
+    res.timeseries = ts
+    return res
 
 
 # ------------------------------------------------- phase decomposition
@@ -178,10 +192,17 @@ def test_detect_source_split(refault_run):
 
 
 def test_timeline_table_marks_aborted(refault_run):
-    spans = recovery_timeline(refault_run.tracer)
-    text = format_timeline(spans)
-    assert "aborted:fault" in text
-    assert "supersedes i1" in text
+    """The per-fault table shows each arc's host and incarnation, and
+    the arc the second fault cut short says so."""
+    att = RecoveryAttribution.from_trace(refault_run.tracer)
+    text = format_mttr(att)
+    first, second = att.spans
+    rows = text.split("per-fault phase decomposition")[1].splitlines()
+    assert rows[1].split()[:3] == ["rank", "host", "inc"]
+    assert rows[3].split()[:3] == ["2", first.host, "1"]
+    assert rows[3].split()[-1] == "aborted:fault"
+    assert rows[4].split()[:3] == ["2", second.host, "2"]
+    assert rows[4].split()[-1] == "ok"
 
 
 # ------------------------------------------------- composed faults
@@ -303,10 +324,9 @@ def test_timeseries_prefix_selection():
     assert "dev.msgs_sent" not in ts.series
 
 
-def test_from_flag():
+def test_sampler_interval_defaults_and_must_be_positive():
     m = Metrics()
-    assert TimeseriesSampler.from_flag(m, True).interval == 0.5
-    assert TimeseriesSampler.from_flag(m, 2).interval == 2.0
+    assert TimeseriesSampler(m).interval == 0.5
     with pytest.raises(ValueError):
         TimeseriesSampler(m, interval=0.0)
 

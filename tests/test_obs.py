@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.analysis.report import format_stats, format_timeline
+from repro.analysis.report import format_stats
 from repro.ft.failure import ExplicitFaults
 from repro.obs import (
     Counter,
@@ -325,15 +325,6 @@ def test_format_stats_renders_tables(v2_run):
 
 def test_format_stats_empty_registry():
     assert format_stats(Metrics()) == "(no metrics recorded)"
-
-
-def test_format_timeline_renders(faulty_run):
-    text = format_timeline(recovery_timeline(faulty_run.tracer))
-    assert "downtime s" in text and "caught-up s" in text
-
-
-def test_format_timeline_empty():
-    assert format_timeline([]) == "(no restarts)"
 
 
 # ------------------------------------------------- overhead / compatibility

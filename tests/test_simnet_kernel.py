@@ -117,9 +117,12 @@ def test_process_returns_value():
 def test_process_sleep_composite():
     sim = Simulator()
 
+    def nap(delay):  # a composite operation: ``yield from nap(dt)``
+        yield sim.pause(delay)
+
     def prog():
-        yield from sim.sleep(0.5)
-        yield from sim.sleep(0.5)
+        yield from nap(0.5)
+        yield from nap(0.5)
         return sim.now
 
     p = sim.spawn(prog(), "p")

@@ -550,20 +550,6 @@ def test_partition_mid_frame_defers_the_next_segment_until_the_heal():
     assert stream.a.stall_s == 0.010496644483362523
 
 
-def test_degrade_window_mid_frame_slows_the_segments_sent_after_it():
-    times, done, stream, net = _frame_under_fault(
-        lambda net, s: net.degrade([s.b.host], 0.002, bw_factor=4.0,
-                                   latency_factor=2.0)
-    )
-    assert times == [
-        SEG_1000_S, 0.00029328896672504377, 0.0004399334500875656,
-        0.0008925113835376532, 0.0013450893169877406,
-    ]
-    assert done == {"w": 0.0008925113835376532, "r": 0.0013450893169877406}
-    assert net.segments_deferred == 0
-    assert stream.a.stall_s == 0.0008925113835376532
-
-
 def test_undrained_segments_keep_their_credit_until_read():
     """With no reader parked, an in-flight segment queues and its credit
     stays taken: the frame moves only when ``try_read``/``read`` consume."""
