@@ -103,7 +103,7 @@ def format_mttr(attribution: Any, per_fault: bool = True) -> str:
     One headline block (MTTR distribution, span accounting, the
     reconciliation error), a per-fault phase-decomposition table (when
     ``per_fault``), the aggregate per-phase p50/p95 table, and the
-    detection-latency split by detector source.
+    recovery traffic totals (the CLI prints detection latency by source).
     """
     if attribution is None:
         return "(no attribution: run with trace=True)"
@@ -176,19 +176,6 @@ def format_mttr(attribution: Any, per_fault: bool = True) -> str:
         + format_table(["phase", "n", "p50 s", "p95 s", "mean s", "max s"],
                        prows)
     )
-    by_src = att.detect_by_source()
-    if by_src:
-        blocks.append(
-            "detection latency by source:\n"
-            + format_table(
-                ["source", "n", "p50 s", "p95 s", "mean s", "max s"],
-                [
-                    [src, st["n"], opt(st["p50"]), opt(st["p95"]),
-                     opt(st["mean"]), opt(st["max"])]
-                    for src, st in by_src.items()
-                ],
-            )
-        )
     totals = att.totals()
     blocks.append(
         "recovery traffic totals: "
@@ -205,18 +192,13 @@ def format_mttr(attribution: Any, per_fault: bool = True) -> str:
 def format_audit(report: Any) -> str:
     """Render an :class:`~repro.obs.audit.AuditReport` as display text.
 
-    One header line with the verdict and stream coverage, a per-rule
+    One header line with the verdict and the events seen, a per-rule
     check/violation table, and — when there are violations — one row per
     violation with its rank, vector clock, and detail.
     """
     if report is None:
         return "(no audit: run with audit=True)"
-    head = (
-        f"audit verdict: {report.verdict}  "
-        f"(events={report.events_seen}, dropped={report.dropped_records})"
-    )
-    if report.truncated:
-        head += "  [stream truncated: cannot attest a clean run]"
+    head = f"audit verdict: {report.verdict}  (events={report.events_seen})"
     rule_rows = [
         [rule, report.checks.get(rule, 0), report.count(rule)]
         for rule in sorted(report.checks)

@@ -101,10 +101,6 @@ class EventRecord:
     sclock: int  # sender's send sequence at emission (the message id)
     probes: int  # unsuccessful probes since the previous delivery
 
-    def wire_bytes(self, per_event: int) -> int:
-        """Bytes this record occupies on the wire."""
-        return per_event
-
 
 @dataclass
 class ClockState:

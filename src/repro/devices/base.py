@@ -5,8 +5,10 @@ six primitives used by the protocol layer" (Section 4.4): ``PIbsend``,
 ``PIbrecv``, ``PInprobe``, ``PIfrom``, ``PIiInit``, ``PIiFinish``.  Every
 device here (P4, V1, V2) implements that interface (``pibrecv`` returns
 the sender's rank with the packet, so ``PIfrom`` needs no method of its
-own); the MPI stack above the channel is identical across devices —
-which is the paper's "MPI implementation independence" requirement.
+own, and ``PInprobe`` is answered by ``poll``, the non-blocking drain
+the ADI's iprobe uses); the MPI stack above the channel is identical
+across devices — which is the paper's "MPI implementation independence"
+requirement.
 
 Shared machinery: packet chunking over streams (segments of
 ``chunk_bytes``), reassembly, an inbox of received packets, and
@@ -129,11 +131,6 @@ class ChannelDevice:
         ok, item = self.inbox.try_get()
         assert ok
         return item
-
-    def pinprobe(self) -> bool:
-        """Is a packet pending? (non-blocking)"""
-        self._pump_ready()
-        return len(self.inbox) > 0
 
     # -- non-blocking drain (used by the ADI for iprobe/progress) ----------
     def poll(self) -> list[tuple[int, Packet]]:

@@ -109,10 +109,6 @@ class ChannelMemory(ServiceBase):
             elif msg[0] == "RESET":
                 # a restarted receiver replays from its checkpoint cursor
                 self.cursor[msg[1]] = msg[2]
-            elif msg[0] == "PROBE":
-                rank = msg[1]
-                pending = self.cursor.get(rank, 0) < len(self.log.get(rank, ()))
-                yield from end.write(16, ("PROBE_R", pending))
             else:  # pragma: no cover
                 raise RuntimeError(f"channel memory got {msg[0]!r}")
 
@@ -314,13 +310,6 @@ class V1Device(ChannelDevice):
                 self.replay_cursor += 1
                 self._note_received(payload)
                 return payload.env.src, payload
-            if payload[0] == "PROBE_R":
-                # a PROBE_R landing outside a probe is a stale reply the
-                # protocol must drop — but never silently: it is counted
-                # (``v1.protocol_errors``) and traced like every other
-                # wire violation
-                self._own.protocol_error("unexpected PROBE_R reply")
-                continue
             raise RuntimeError(  # pragma: no cover
                 f"unexpected CM reply {payload[0]!r}"
             )
@@ -339,15 +328,7 @@ class V1Device(ChannelDevice):
                 self.replay_cursor += 1
                 self._note_received(payload)
                 out.append((payload.env.src, payload))
-            elif payload is not None and payload[0] == "PROBE_R":
-                self._own.protocol_error("unexpected PROBE_R reply")
         return out
-
-    def pinprobe(self) -> bool:
-        # a non-blocking probe cannot see messages still parked on the CM;
-        # blocking probes work (they pump pibrecv).  The paper's V1 numbers
-        # (Figures 5, 6, 8) never exercise MPI_Iprobe.
-        return False
 
     def _wait_for_traffic(self) -> Generator[Future, Any, None]:
         if self._own is None or not self._own.up():

@@ -43,8 +43,7 @@ trip the WAITLOGGED gate waits on) — for export alongside the Chrome
 trace and for :func:`repro.obs.profile.critical_path`.
 
 :func:`audit_trace` runs the same checkers post-hoc over a recorded
-tracer — the invariant *logic* lives here either way — but refuses to
-declare a truncated (ring-buffer-evicted) stream clean.
+tracer — the invariant *logic* lives here either way.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Union
 
-from ..core.clocks import VectorClock
 from ..simnet.trace import Tracer, TraceRecord
 
 __all__ = ["RULES", "Violation", "AuditReport", "ProtocolAuditor", "audit_trace"]
@@ -95,32 +93,22 @@ class AuditReport:
     violations: list[Violation]
     checks: dict[str, int]  # rule -> number of checks evaluated
     events_seen: int  # protocol events observed by the auditor
-    truncated: bool  # the audited stream lost records (post-hoc only)
-    dropped_records: int
     vclocks: dict[int, dict[int, int]]  # final vector clock per rank
     hb: Optional[dict[str, Any]] = None  # happens-before graph, if built
 
     @property
     def clean(self) -> bool:
-        """No violations *and* a complete stream."""
-        return not self.violations and not self.truncated
+        """No violations."""
+        return not self.violations
 
     @property
     def verdict(self) -> str:
-        """``clean``, ``violations``, or ``truncated`` (cannot attest)."""
-        if self.violations:
-            return "violations"
-        if self.truncated:
-            return "truncated"
-        return "clean"
+        """``clean`` or ``violations``."""
+        return "violations" if self.violations else "clean"
 
     def count(self, rule: str) -> int:
         """Number of violations of one rule."""
         return sum(1 for v in self.violations if v.rule == rule)
-
-    def vclock(self, rank: int) -> VectorClock:
-        """One rank's final causal clock, as a comparable VectorClock."""
-        return VectorClock(self.vclocks.get(rank, {}))
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-friendly view of the whole report."""
@@ -128,8 +116,6 @@ class AuditReport:
             "verdict": self.verdict,
             "events_seen": self.events_seen,
             "checks": dict(self.checks),
-            "truncated": self.truncated,
-            "dropped_records": self.dropped_records,
             "violations": [v.as_dict() for v in self.violations],
             "vclocks": {
                 str(r): {str(q): c for q, c in vc.items()}
@@ -563,13 +549,8 @@ class ProtocolAuditor:
         return node
 
     # -- reporting ---------------------------------------------------------
-    def finish(self, dropped: int = 0) -> AuditReport:
-        """Detach (if attached) and build the final report.
-
-        ``dropped`` is the audited stream's eviction count: a live
-        subscriber sees every event regardless of retention, so pass 0
-        for online audits and ``tracer.dropped`` for post-hoc scans.
-        """
+    def finish(self) -> AuditReport:
+        """Detach (if attached) and build the final report."""
         self.detach()
         hb: Optional[dict[str, Any]] = None
         if self.hb_graph:
@@ -591,8 +572,6 @@ class ProtocolAuditor:
                 "el-quorum": self._n_quorum,
             },
             events_seen=self.events_seen,
-            truncated=dropped > 0,
-            dropped_records=dropped,
             vclocks={r: dict(vc) for r, vc in sorted(self._vc.items())},
             hb=hb,
         )
@@ -601,13 +580,8 @@ class ProtocolAuditor:
 def audit_trace(
     records: Union[Iterable[TraceRecord], Tracer], hb_graph: bool = False
 ) -> AuditReport:
-    """Post-hoc audit of recorded trace records with the same checkers.
-
-    When given a :class:`~repro.simnet.trace.Tracer` whose ring buffer
-    evicted records, the report comes back ``truncated`` — a scan over a
-    partial stream proves nothing, so it is never reported clean.
-    """
+    """Post-hoc audit of recorded trace records with the same checkers."""
     auditor = ProtocolAuditor(hb_graph=hb_graph)
     for rec in records:
         auditor.observe(rec.time, rec.kind, rec.fields)
-    return auditor.finish(dropped=getattr(records, "dropped", 0))
+    return auditor.finish()

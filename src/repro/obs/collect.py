@@ -5,19 +5,14 @@ NICs, the stream flow control) keep plain float attributes instead of
 live metric handles — an attribute add is the cheapest accounting
 possible.  :func:`repro.runtime.mpirun.collect` runs once when a job
 completes and folds those floats, plus the per-rank device counters,
-into the job's :class:`~repro.obs.registry.Metrics`, then exposes the
-per-rank stats dicts in :class:`~repro.runtime.results.JobResult`.
+into the job's :class:`~repro.obs.registry.Metrics`: the one per-rank
+view is ``metrics.by_label("rank")`` (or ``JobResult.stat(name, rank=r)``).
 
 The two halves are separate because a shared cluster needs them
 separately: :func:`fold_cluster` folds the *shared* accounting (network,
 NICs, streams) exactly once per cluster — at job end on a private one,
 at shutdown on a control plane's — while :func:`fold_device_stats` folds
 one job's device counters into that job's own registry.
-
-The returned dicts are backward compatible: the device-stat keys
-(``bytes_sent``, ...) stay at top level, and the per-rank registry
-totals (``el.roundtrips``, ``gate.stall_s``, ``senderlog.bytes``, ...)
-are merged alongside them.
 """
 
 from __future__ import annotations
@@ -59,26 +54,12 @@ def fold_cluster(cluster: Any) -> None:
 
 
 def fold_device_stats(
-    metrics: Any,
-    device_stats: dict[int, Any],
-    device: str,
-) -> dict[int, dict[str, Any]]:
-    """Fold one job's device counters into ``metrics``; build rank stats."""
-    stats: dict[int, dict[str, Any]] = {}
+    metrics: Any, device_stats: dict[int, Any], device: str
+) -> None:
+    """Fold one job's device counters into ``metrics`` as ``dev.<key>``."""
     for rank, dev_stats in device_stats.items():
-        snap = dev_stats.snapshot() if hasattr(dev_stats, "snapshot") else dict(
-            dev_stats
-        )
-        for key, value in snap.items():
+        for key, value in dev_stats.snapshot().items():
             if value:
                 metrics.counter(f"dev.{key}", rank=rank, device=device).inc(
                     value
                 )
-        stats[rank] = dict(snap)
-
-    # merge per-rank registry totals next to the raw device counters
-    for rank, totals in metrics.by_label("rank").items():
-        if rank in stats:
-            for name, value in totals.items():
-                stats[rank].setdefault(name, value)
-    return stats

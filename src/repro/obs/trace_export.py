@@ -150,13 +150,10 @@ def chrome_trace(
             }
         )
 
-    doc: dict[str, Any] = {
+    return {
         "traceEvents": meta + events + counter_events(counters or {}),
         "displayTimeUnit": "ms",
     }
-    if tracer.dropped:
-        doc["metadata"] = {"dropped_records": tracer.dropped}
-    return doc
 
 
 def trace_records(tracer: Tracer) -> list[dict[str, Any]]:

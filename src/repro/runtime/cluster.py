@@ -28,15 +28,11 @@ class Cluster:
         cfg: TestbedConfig = DEFAULT_TESTBED,
         seed: int = 0,
         trace: bool = False,
-        trace_max_records: Optional[int] = None,
     ) -> None:
         self.cfg = cfg
         self.sim = Simulator()
-        self.tracer = Tracer(enabled=trace, max_records=trace_max_records)
+        self.tracer = Tracer(enabled=trace)
         self.metrics = Metrics()
-        # ring-buffer evictions are data loss: surface them as a metric so
-        # nothing downstream can mistake a truncated trace for a full one
-        self.tracer.drop_counter = self.metrics.counter("trace.dropped")
         self.net = Network(self.sim, cfg.link, tracer=self.tracer)
         self.rng = RngRegistry(seed)
 

@@ -367,7 +367,7 @@ def collect(job: Job, since: float = 0.0, timed_out: bool = False) -> JobResult:
         # here for a private one, at plane shutdown for a shared one
         fold_cluster(dep.cluster)
     launched = [st for st in ranks.states if st.mpi is not None]
-    stats = fold_device_stats(
+    fold_device_stats(
         dep.metrics, {st.rank: st.mpi.device.stats for st in launched},
         job.device,
     )
@@ -379,7 +379,6 @@ def collect(job: Job, since: float = 0.0, timed_out: bool = False) -> JobResult:
         results=[] if timed_out else job.done.value,
         timers={st.rank: st.mpi.timer for st in launched},
         tracer=dep.tracer,
-        stats=stats,
         restarts=ranks.total_restarts,
         checkpoints=int(dep.metrics.total("ckpt.images")),
         metrics=dep.metrics,

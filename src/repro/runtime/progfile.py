@@ -26,18 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["MachineSpec", "DeploymentPlan", "parse_progfile"]
+__all__ = ["DeploymentPlan", "parse_progfile"]
 
 ROLES = ("CN", "SPARE", "EL", "CS", "SC", "DISPATCHER")
-
-
-@dataclass(frozen=True)
-class MachineSpec:
-    """One line of the program file."""
-
-    host: str
-    role: str
-    options: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass

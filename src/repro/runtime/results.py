@@ -21,7 +21,6 @@ class JobResult:
     results: list[Any]  # per-rank return values of the program
     timers: dict[int, CallTimer]  # per-rank call-time attribution
     tracer: Optional[Tracer] = None
-    stats: dict[int, dict[str, Any]] = field(default_factory=dict)
     restarts: int = 0  # how many process restarts occurred
     checkpoints: int = 0  # how many checkpoints completed
     metrics: Optional[Any] = None  # the job's obs.Metrics registry

@@ -37,7 +37,6 @@ def run_plan(
     seed: int = 0,
     capacity: Optional[int] = None,
     svc_slots: Optional[int] = None,
-    trace: bool = False,
     limit: Optional[float] = None,
 ) -> tuple[ControlPlane, list[JobHandle]]:
     """Run a plan file to completion; returns the plane and its handles.
@@ -52,8 +51,7 @@ def run_plan(
     tenants, jobs = load_plan(path)
     plane = ControlPlane(
         cfg if cfg is not None else DEFAULT_TESTBED,
-        seed=seed, capacity=capacity, svc_slots=svc_slots,
-        trace=trace, tenants=tenants,
+        seed=seed, capacity=capacity, svc_slots=svc_slots, tenants=tenants,
     )
     handles = [plane.submit(spec, at=spec.at) for spec in jobs]
     plane.drain(limit=limit)

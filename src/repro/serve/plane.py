@@ -98,7 +98,6 @@ class ControlPlane:
         seed: int = 0,
         capacity: Optional[int] = None,
         svc_slots: Optional[int] = None,
-        trace: bool = False,
         tenants: Optional[dict[str, float]] = None,
     ) -> None:
         self.cfg = cfg
@@ -106,7 +105,7 @@ class ControlPlane:
         self.svc_slots = (
             svc_slots if svc_slots is not None else cfg.serve_svc_slots
         )
-        self.cluster = Cluster(cfg, seed=seed, trace=trace)
+        self.cluster = Cluster(cfg, seed=seed)
         self.sim = self.cluster.sim
         self.fabric = Fabric(self.cluster)
         #: the plane's own registry (admission/tenant metrics; never a

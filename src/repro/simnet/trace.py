@@ -8,7 +8,6 @@ traces, so the protocol code itself stays free of assertion scaffolding.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -33,15 +32,11 @@ class TraceRecord:
 
 
 class Tracer:
-    """Append-only trace sink with prefix filtering and live subscribers.
+    """Append-only trace sink with live subscribers.
 
     Tracing is cheap when disabled (a single branch per call); benchmarks
-    run with tracing off, tests with tracing on.  ``max_records`` bounds
-    memory for soak runs: the sink becomes a ring buffer that drops the
-    *oldest* record on overflow and counts the drops in ``dropped`` (and
-    in a bound drop counter, when one is attached) — a truncated stream
-    can no longer prove anything, so post-hoc checks must not call it
-    clean.
+    run with tracing off, tests with tracing on.  An enabled tracer keeps
+    every record it is given.
 
     **Subscribers** see every event as it is emitted, even when record
     *retention* is off — this is what lets the online protocol auditor
@@ -52,13 +47,8 @@ class Tracer:
     subscriptions stay on the one-branch fast path.
     """
 
-    def __init__(
-        self, enabled: bool = False, max_records: Optional[int] = None
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.max_records = max_records
-        self.dropped = 0
-        self.drop_counter: Optional[Any] = None  # obs.Counter, bound late
         self._subs: list[tuple[Callable[[float, str, dict], None],
                                Optional[frozenset]]] = []
         self._interest: Optional[frozenset] = frozenset()  # union; None=all
@@ -69,10 +59,7 @@ class Tracer:
         #: keyword dict — the dict construction, not the emit call, is
         #: what shows up at CG event rates.
         self.hot = enabled
-        if max_records is not None:
-            self.records: Any = deque(maxlen=max_records)
-        else:
-            self.records = []
+        self.records: list[TraceRecord] = []
 
     # -- subscribers -------------------------------------------------------
     def subscribe(
@@ -103,39 +90,15 @@ class Tracer:
     def emit(self, time: float, kind: str, **fields: Any) -> None:
         """Record one event (no-op when disabled and nobody subscribed)."""
         interest = self._interest
-        if interest is not None and kind not in interest:
-            # no subscriber wants this kind: retention-only path
-            if not self.enabled:
-                return
-        else:
+        if interest is None or kind in interest:
             for cb, kinds in self._subs:
                 if kinds is None or kind in kinds:
                     cb(time, kind, fields)
-            if not self.enabled:
-                return
-        if (
-            self.max_records is not None
-            and len(self.records) == self.max_records
-        ):
-            self.dropped += 1  # deque(maxlen) evicts the oldest
-            if self.drop_counter is not None:
-                self.drop_counter.inc()
-        self.records.append(TraceRecord(time, kind, fields))
-
-    def select(self, prefix: str) -> list[TraceRecord]:
-        """All records whose kind equals or starts with ``prefix``."""
-        dotted = prefix if prefix.endswith(".") else prefix + "."
-        return [
-            r for r in self.records if r.kind == prefix or r.kind.startswith(dotted)
-        ]
+        if self.enabled:
+            self.records.append(TraceRecord(time, kind, fields))
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def clear(self) -> None:
-        """Drop all recorded events (and reset the overflow count)."""
-        self.records.clear()
-        self.dropped = 0

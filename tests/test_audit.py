@@ -4,8 +4,7 @@ Mutation-tests the auditor the only way a checker can be trusted: seed
 each protocol violation deliberately (one production method patched for
 the length of the test — the ``sabotage_*`` seams below, one per rule)
 and assert the auditor names the offending rank and its causal clock.
-Also covers the vector-clock algebra, the happens-before graph, and the
-refusal to call a truncated stream clean.
+Also covers the vector-clock algebra and the happens-before graph.
 """
 
 import pytest
@@ -15,8 +14,7 @@ from repro.core.el_client import EventLogClient
 from repro.core.peers import PeerManager
 from repro.core.replay import ReplayState
 from repro.ft.failure import ExplicitFaults
-from repro.obs.audit import ProtocolAuditor, audit_trace
-from repro.runtime.cluster import Cluster
+from repro.obs.audit import ProtocolAuditor
 from repro.runtime.mpirun import run_job
 from repro.simnet.trace import Tracer
 from repro.store.replica import StoreReplica
@@ -286,46 +284,6 @@ def test_unmutated_twin_of_each_mutation_run_is_clean():
     for res in (a, b, c, d, e):
         assert res.audit.clean, res.audit.violations
         assert res.audit.checks["store-gc"] >= 0
-
-
-# -- truncated streams ------------------------------------------------------
-
-def test_posthoc_audit_refuses_truncated_stream():
-    """A ring-buffer tracer that evicted records cannot prove anything:
-    the post-hoc verdict is ``truncated``, never ``clean``."""
-    t = Tracer(enabled=True, max_records=4)
-    for i in range(10):
-        t.emit(float(i), "v2.log_event", rank=0, rclock=i, src=1, sclock=i)
-    assert t.dropped == 6
-    rep = audit_trace(t)
-    assert not rep.violations  # nothing wrong in what *was* seen...
-    assert rep.truncated and not rep.clean  # ...but no clean attestation
-    assert rep.verdict == "truncated"
-    assert rep.dropped_records == 6
-
-
-def test_ring_buffer_drops_counted_in_metrics():
-    """Satellite of the same fix: evictions surface in the metrics
-    registry, so truncation is visible even without an audit."""
-    cluster = Cluster(trace=True, trace_max_records=3)
-    for i in range(8):
-        cluster.tracer.emit(float(i), "net.xfer", nbytes=1)
-    assert cluster.tracer.dropped == 5
-    assert cluster.metrics.total("trace.dropped") == 5
-    assert len(cluster.tracer.records) == 3
-
-
-def test_live_subscriber_sees_full_stream_despite_ring_buffer():
-    """The online auditor is immune to retention truncation: subscribers
-    observe every emit, so a live audit over a ring-buffer tracer still
-    attests the complete run."""
-    t = Tracer(enabled=True, max_records=2)
-    auditor = ProtocolAuditor().attach(t)
-    for i in range(1, 6):
-        t.emit(float(i), "v2.log_event", rank=0, rclock=i, src=1, sclock=i)
-    rep = auditor.finish()  # live audit: dropped=0 by definition
-    assert rep.events_seen == 5
-    assert rep.clean
 
 
 def test_finish_really_unsubscribes_the_auditor():

@@ -180,33 +180,35 @@ def test_observe_audit_with_random_kill_on_class_s(capsys):
 ])
 def test_unclean_audit_exits_one(argv, monkeypatch, capsys):
     """The one exit rule: whatever attached the auditor, a verdict other
-    than clean is exit 1 (``kernel --audit`` and a truncated ``audit``
-    used to return 0)."""
+    than clean is exit 1 (``kernel --audit`` used to return 0)."""
     import repro.cli
     import repro.runtime.mpirun
+    from repro.obs.audit import Violation
 
-    def truncate(res):
+    def violate(res):
         if res.audit is not None:
-            res.audit.truncated = True
+            res.audit.violations.append(
+                Violation(0.0, "waitlogged", 0, "seeded", {0: 1})
+            )
         return res
 
     real_run = repro.runtime.mpirun.run_job
     real_plan = repro.cli.run_plan
 
     def run_job(*a, **kw):
-        return truncate(real_run(*a, **kw))
+        return violate(real_run(*a, **kw))
 
     def run_plan(*a, **kw):
         plane, handles = real_plan(*a, **kw)
         for h in handles:
-            truncate(h.result)
+            violate(h.result)
         return plane, handles
 
     monkeypatch.setattr(repro.cli, "run_job", run_job)
     monkeypatch.setattr(repro.runtime.mpirun, "run_job", run_job)
     monkeypatch.setattr(repro.cli, "run_plan", run_plan)
     assert main(argv) == 1
-    assert "truncated" in capsys.readouterr().out
+    assert "violations" in capsys.readouterr().out
 
 
 def test_run_service_faults_and_partitions(capsys):

@@ -383,9 +383,11 @@ def test_cli_mttr_smoke(capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 0
     assert "per-fault phase decomposition" in out
-    assert "detection latency by source" in out
+    # one table: the faulty run's, not a second copy from the mttr section
+    assert out.count("detection latency by source") == 1
     doc = json.loads(report_out.read_text())["mttr"]
     assert doc["completed"] >= 1
+    assert doc["detect_by_source"]
     assert doc["max_reconcile_err_s"] < 1e-9
     assert doc["timeseries"]["interval"] == 0.5
     assert doc["timeseries"]["series"]

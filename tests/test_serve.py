@@ -70,9 +70,9 @@ def test_launch_parity(device, through_plane):
     assert (res.nprocs, res.device, res.restarts) == (3, device, 0)
     # after k rounds rank r holds the token of rank r-k, incremented k times
     assert res.results == [3, 4, 5]
-    assert sorted(res.timers) == sorted(res.stats) == [0, 1, 2]
+    assert sorted(res.timers) == sorted(res.metrics.by_label("rank")) == [0, 1, 2]
     assert all(res.timers[r].comm_total() > 0 for r in range(3))
-    assert all(res.stats[r]["msgs_sent"] >= 3 for r in range(3))
+    assert all(res.stat("dev.msgs_sent", rank=r) >= 3 for r in range(3))
     assert res.elapsed > 0 and res.metrics.snapshot()
     assert res.audit is not None and res.audit.clean
     assert res.extras["global_restarts"] == 0
