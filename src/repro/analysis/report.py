@@ -97,12 +97,12 @@ def format_stats(
     return "\n\n".join(blocks) if blocks else "(no metrics recorded)"
 
 
-def format_mttr(attribution: Any, per_fault: bool = True) -> str:
+def format_mttr(attribution: Any) -> str:
     """Render a :class:`~repro.obs.timeline.RecoveryAttribution`.
 
     One headline block (MTTR distribution, span accounting, the
-    reconciliation error), a per-fault phase-decomposition table (when
-    ``per_fault``), the aggregate per-phase p50/p95 table, and the
+    reconciliation error), a per-fault phase-decomposition table, the
+    aggregate per-phase p50/p95 table, and the
     recovery traffic totals (the CLI prints detection latency by source).
     """
     if attribution is None:
@@ -131,40 +131,26 @@ def format_mttr(attribution: Any, per_fault: bool = True) -> str:
         )
         head += f"\nphase sums reconcile with recovery_s to {err:.2e}s"
     blocks = [head]
-    if per_fault:
-        rows = []
-        for s in att.spans:
-            b = att.breakdown(s)
-            status = "ok"
-            if s.aborted:
-                status = f"aborted:{s.aborted_by}"
-            elif not s.completed:
-                status = "incomplete"
-            rows.append(
-                [
-                    s.rank,
-                    opt(s.host),
-                    opt(s.incarnation),
-                    s.fault_t,
-                    opt(s.detect_source),
-                    opt(b["detect"]),
-                    opt(b["respawn"]),
-                    opt(b["fetch"]),
-                    opt(b["el_download"]),
-                    opt(b["resync"]),
-                    opt(b["replay"]),
-                    opt(s.recovery_s),
-                    status,
-                ]
-            )
-        blocks.append(
-            "per-fault phase decomposition (seconds):\n"
-            + format_table(
-                ["rank", "host", "inc", "fault t", "source", "detect", "respawn",
-                 "fetch", "el-dl", "resync", "replay", "recovery", "status"],
-                rows,
-            )
+    rows = []
+    cols = ("detect", "respawn", "fetch", "el_download", "resync", "replay")
+    for s in att.spans:
+        b = att.breakdown(s)
+        status = "ok"
+        if s.aborted:
+            status = f"aborted:{s.aborted_by}"
+        elif not s.completed:
+            status = "incomplete"
+        rows.append([s.rank, opt(s.host), opt(s.incarnation), s.fault_t,
+                     opt(s.detect_source), *(opt(b[c]) for c in cols),
+                     opt(s.recovery_s), status])
+    blocks.append(
+        "per-fault phase decomposition (seconds):\n"
+        + format_table(
+            ["rank", "host", "inc", "fault t", "source", "detect", "respawn",
+             "fetch", "el-dl", "resync", "replay", "recovery", "status"],
+            rows,
         )
+    )
     phases = att.phase_stats()
     prows = [
         [p, st["n"], opt(st["p50"]), opt(st["p95"]), opt(st["mean"]),

@@ -141,46 +141,29 @@ def _write_trace(path: Optional[str], res: Any) -> None:
     print(f"wrote trace to {path}")
 
 
+def _items(spec: str) -> list[str]:
+    """The non-empty comma-separated items of a fault spec."""
+    return [p.strip() for p in spec.split(",") if p.strip()]
+
+
 def _parse_kills(spec: str) -> list[tuple[float, int]]:
     """Parse ``AT:RANK[,...]`` into an ExplicitFaults schedule."""
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        at_s, rank_s = part.split(":")
-        out.append((float(at_s), int(rank_s)))
-    return out
+    return [(float(at), int(rank))
+            for at, rank in (p.split(":") for p in _items(spec))]
 
 
 def _parse_partitions(spec: str) -> list[tuple[float, tuple[int, ...], float]]:
     """Parse ``AT:DUR:R0+R1[,...]`` into a PartitionFaults schedule."""
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        at_s, dur_s, ranks_s = part.split(":")
-        ranks = tuple(int(r) for r in ranks_s.split("+"))
-        out.append((float(at_s), ranks, float(dur_s)))
-    return out
+    return [(float(at), tuple(int(r) for r in ranks.split("+")), float(dur))
+            for at, dur, ranks in (p.split(":") for p in _items(spec))]
 
 
 def _parse_service_faults(spec: str) -> list[tuple[float, str, float]]:
-    """Parse ``NAME@AT:DOWN[,...]`` into a ServiceFaults schedule.
-
-    Split on ``@`` first: service names themselves contain colons
-    ("el:0", "cs:0").
-    """
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, rest = part.split("@", 1)
-        at_s, down_s = rest.split(":")
-        out.append((float(at_s), name, float(down_s)))
-    return out
+    """Parse ``NAME@AT:DOWN[,...]`` into a ServiceFaults schedule (split
+    on ``@`` first: service names contain colons, "el:0", "cs:0")."""
+    return [(float(at), name, float(down))
+            for name, rest in (p.split("@", 1) for p in _items(spec))
+            for at, down in [rest.split(":")]]
 
 
 def _run_kernel(args: argparse.Namespace, **job_kw: Any) -> Any:
@@ -276,9 +259,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         outages = _parse_service_faults(args.service_faults or "")
     except ValueError as exc:
         return _usage(f"bad fault spec: {exc}")
+    n = args.nprocs
+    if n < 1:
+        return _usage("-n must be >= 1")
     if args.faults < 0:
         return _usage("--faults must be >= 0")
-    planned =bool(args.faults or kills or partitions or outages)
+    if args.fault_interval is not None and args.fault_interval <= 0:
+        return _usage("--fault-interval must be > 0")
+    for flag, ranks in (("--kill-at", [r for _, r in kills]),
+                        ("--partitions", [r for _, g, _ in partitions
+                                          for r in g])):
+        bad = [r for r in ranks if not 0 <= r < n]
+        if bad:
+            return _usage(f"{flag} rank {bad[0]} is outside [0, {n})")
+    planned = bool(args.faults or kills or partitions or outages)
     if planned and args.device == "p4":
         return _usage("a fault plan requires a fault-tolerant device "
                       "(--device v2 or v1), not 'p4'")

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
+from ..simnet.rng import RngStream
+
 __all__ = [
     "ExplicitFaults",
     "RandomFaults",
@@ -97,9 +99,7 @@ class RandomFaults:
 
     def driver(self, ctx: FaultContext):
         """Run the schedule (spawned by the dispatcher)."""
-        import numpy as np
-
-        rng = np.random.default_rng(self.seed)
+        rng = RngStream(self.seed)  # numpy's default_rng(seed), draw for draw
         yield ctx.sim.timeout(
             self.first_at if self.first_at is not None else self.interval
         )

@@ -322,6 +322,8 @@ def start(
     before the first event; ``device_kw`` goes to the device's ``launch``
     (checkpoint policy, ``cns_per_cm``, ...).
     """
+    if nprocs < 1:
+        raise ValueError("a job needs at least one rank")
     launch = _launcher(device)
     if faults is not None and device == "p4":
         raise ValueError("p4 has no fault tolerance: inject faults on v1/v2")

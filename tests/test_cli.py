@@ -63,6 +63,30 @@ def test_run_rejects_negative_faults(capsys):
     assert "--faults must be >= 0" in capsys.readouterr().err
 
 
+def test_run_rejects_zero_ranks(capsys):
+    # p4 so that a missing check fails fast (DeadlockError) instead of
+    # hanging on V2's heartbeats
+    rc = main(["run", "cg", "--class", "T", "-n", "0", "--device", "p4"])
+    assert rc == 2
+    assert "-n must be >= 1" in capsys.readouterr().err
+
+
+def test_run_rejects_non_positive_fault_interval(capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--faults", "1",
+               "--fault-interval", "0"])
+    assert rc == 2
+    assert "--fault-interval must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--kill-at", "0.001:5"), ("--partitions", "0.001:0.01:0+7"),
+])
+def test_run_rejects_fault_ranks_outside_the_job(flag, spec, capsys):
+    rc = main(["run", "cg", "--class", "T", "-n", "2", flag, spec])
+    assert rc == 2
+    assert f"{flag} rank" in capsys.readouterr().err
+
+
 def test_run_rejects_ckpt_interval_off_v2(capsys):
     rc = main(["run", "cg", "--class", "T", "--device", "p4",
                "--ckpt-interval", "1"])

@@ -154,6 +154,16 @@ def test_config_with_creates_modified_copy():
 # -- api odds and ends ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("device", ["p4", "v1", "v2"])
+def test_a_job_with_no_ranks_is_refused_before_launch(device):
+    # a V2 deployment's heartbeats keep the event heap non-empty, so an
+    # unchecked zero-rank job ran until its limit instead of raising
+    from repro.workloads.pingpong import pingpong
+
+    with pytest.raises(ValueError, match="at least one rank"):
+        run_job(pingpong, 0, device=device, limit=5.0)
+
+
 def test_compute_requires_exactly_one_argument():
     def prog(mpi):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import zlib
+
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +15,7 @@ from repro.mpi.requests import RecvRequest
 from repro.runtime.mpirun import run_job
 from repro.sched import scheme, simulate
 from repro.simnet import Host, Network, Simulator, Stream
+from repro.simnet.rng import RngRegistry, RngStream, seed_state
 
 slow = settings(
     max_examples=12,
@@ -296,3 +300,46 @@ def test_adaptive_never_worse_property(name, n, rate):
     rr = simulate(sc, "round_robin", horizon=200.0, footprint=4e6)
     ad = simulate(sc, "adaptive", horizon=200.0, footprint=4e6)
     assert ad.ckpt_bandwidth <= rr.ckpt_bandwidth * 1.001
+
+
+# -- named random streams: numpy's PCG64, draw for draw ---------------------------
+
+
+# spans above 2**31 make Lemire's rejection loop run about half the time
+_span_st = st.one_of(st.integers(1, 2**32 - 1), st.integers(2**31, 2**32 - 1))
+_draw_st = st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), st.integers(-(2**40), 2**40), _span_st),
+    st.tuples(st.just("choice"), _span_st),
+    st.just(("choice", 1)),  # a range of one draws nothing
+    st.tuples(st.just("pick"),
+              st.lists(st.integers(0, 99), min_size=1, max_size=12)),
+)
+
+
+def _draw(gen, op):
+    if op[0] == "random":
+        return gen.random()
+    if op[0] == "integers":
+        return int(gen.integers(op[1], op[1] + op[2]))
+    return int(gen.choice(op[1]))  # an int or a list
+
+
+@given(
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
+    st.text(max_size=16),
+    st.lists(_draw_st, max_size=60),
+)
+@settings(max_examples=60, deadline=None)
+def test_named_streams_draw_exactly_what_numpy_draws(seed, name, ops):
+    # a stream is SeedSequence([seed, crc32(name)]); RandomFaults seeds
+    # its own RngStream with the plain int, as default_rng(seed) does
+    key = zlib.crc32(name.encode("utf-8"))
+    seq = np.random.SeedSequence([seed, key])
+    assert seed_state([seed, key]) == seq.generate_state(4, np.uint64).tolist()
+    pairs = [
+        (RngRegistry(seed).stream(name), np.random.default_rng(seq)),
+        (RngStream(seed), np.random.default_rng(seed)),
+    ]
+    for ours, numpys in pairs:
+        assert [_draw(ours, op) for op in ops] == [_draw(numpys, op) for op in ops]
