@@ -51,21 +51,19 @@ RANK_STAT_COLUMNS = (
 
 def format_stats(
     metrics: Any,
-    columns: Optional[Sequence[str]] = None,
     prefix: Optional[str] = None,
     top: Optional[int] = None,
 ) -> str:
     """Render a metrics registry: per-rank mechanism table + totals.
 
-    ``metrics`` is a :class:`~repro.obs.registry.Metrics`; ``columns``
-    overrides the per-rank column set (default
-    :data:`RANK_STAT_COLUMNS`).  Metrics a run never touched show 0.
-    ``prefix`` keeps only metrics under one namespace (``"el."``,
-    ``"session."``, ...; the per-rank columns are filtered too), and
-    ``top`` keeps only the N largest totals instead of the full
-    alphabetical dump.
+    ``metrics`` is a :class:`~repro.obs.registry.Metrics`; the per-rank
+    columns are :data:`RANK_STAT_COLUMNS` (metrics a run never touched
+    show 0).  ``prefix`` keeps only metrics under one namespace
+    (``"el."``, ``"session."``, ...; the per-rank columns are filtered
+    too), and ``top`` keeps only the N largest totals instead of the
+    full alphabetical dump.
     """
-    columns = list(columns if columns is not None else RANK_STAT_COLUMNS)
+    columns = list(RANK_STAT_COLUMNS)
     if prefix is not None:
         columns = [c for c in columns if c.startswith(prefix)]
     by_rank = metrics.by_label("rank")
@@ -213,12 +211,11 @@ def format_profile(
     profile: Any,
     critical: Optional[dict] = None,
     elapsed: Optional[float] = None,
-    top: int = 10,
 ) -> str:
     """Render a :class:`~repro.obs.profile.KernelProfile` as display text.
 
     One headline block (events, events/sec, wall vs simulated time,
-    queue depth), the per-service CPU decomposition, the ``top`` hottest
+    queue depth), the per-service CPU decomposition, the ten hottest
     event kinds, and — when ``critical`` (a :func:`~repro.obs.profile.
     critical_path` result) is given — the per-category latency
     contributions plus the tail of the binding chain.
@@ -249,14 +246,15 @@ def format_profile(
                 ],
             )
         )
-    if profile.kinds:
+    kinds = profile.kinds[:10]
+    if kinds:
         blocks.append(
-            f"top {min(top, len(profile.kinds))} event kinds by wall time:\n"
+            f"top {len(kinds)} event kinds by wall time:\n"
             + format_table(
                 ["kind", "count", "wall s", "share %"],
                 [
                     [k["kind"], k["count"], k["wall_s"], 100.0 * k["share"]]
-                    for k in profile.kinds[:top]
+                    for k in kinds
                 ],
             )
         )

@@ -18,7 +18,7 @@ Composes with the daemon core through the same explicit interface as
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
@@ -46,11 +46,11 @@ class CheckpointClient:
         host: Host,
         cs_names: tuple[str, ...],
         *,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
-        rng: Optional[Any] = None,
-        on_retry: Optional[Callable[[int, float], None]] = None,
-        key: Optional[Any] = None,
+        tracer: Tracer,
+        metrics: Metrics,
+        rng: Any,
+        on_retry: Callable[[int, float], None],
+        key: Any,
     ) -> None:
         self.core = core
         self.sim = sim
@@ -59,7 +59,7 @@ class CheckpointClient:
         #: store.  Captured images stamp it into ``CheckpointImage.rank``
         #: — the mem/hdr chunk digests derive from it, so two jobs with
         #: identical footprints cannot collide on restore-critical chunks
-        self.key = core.rank if key is None else key
+        self.key = key
         self.requested = False
         self.seq = 0
         self.done = 0
@@ -76,21 +76,18 @@ class CheckpointClient:
         self._dirty_phase = -1
         self._dirty_nreg = 0
         self._dirty_idx = 0
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        m = metrics if metrics is not None else Metrics()
+        self.tracer = tracer
+        m = metrics
         rank = core.rank
         self._m_bytes = m.counter("ckpt.bytes", rank=rank)
         self._m_images = m.counter("ckpt.images", rank=rank)
         self._m_push = m.histogram("ckpt.push_s", rank=rank)
         self._m_aborted = m.counter("ckpt.aborted", rank=rank)
         # the replicated checkpoint store (quorum push, failover fetch)
-        self.store: Optional[StoreClient] = None
-        if cs_names:
-            self.store = StoreClient(
-                sim, cfg, fabric, host, cs_names, rank,
-                tracer=self.tracer, metrics=m, rng=rng, on_retry=on_retry,
-                key=self.key,
-            )
+        self.store = StoreClient(
+            sim, cfg, fabric, host, cs_names, rank, key,
+            tracer=tracer, metrics=m, rng=rng, on_retry=on_retry,
+        )
 
     # ------------------------------------------------------------------
     # ordering / dirty regions / capture

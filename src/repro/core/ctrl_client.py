@@ -39,13 +39,12 @@ class ControlPlaneClient:
         cfg: TestbedConfig,
         fabric: Fabric,
         host: Host,
-        dispatcher_name: Optional[str],
         sched_name: Optional[str],
         *,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
-        rng: Optional[Any] = None,
-        on_retry: Optional[Callable[[int, float], None]] = None,
+        tracer: Tracer,
+        metrics: Metrics,
+        rng: Any,
+        on_retry: Callable[[int, float], None],
     ) -> None:
         self.core = core
         self.sim = sim
@@ -55,11 +54,9 @@ class ControlPlaneClient:
             hello=hello, policy=policy, rng=rng, on_retry=on_retry,
             tracer=tracer, metrics=metrics, labels={"rank": core.rank},
         )
-        self.disp: Optional[Session] = None
-        if dispatcher_name is not None:
-            self.disp = Session(
-                sim, fabric, host, dispatcher_name, scope="disp", **common
-            )
+        self.disp = Session(
+            sim, fabric, host, "dispatcher", scope="disp", **common
+        )
         self.sched: Optional[Session] = None
         if sched_name is not None:
             self.sched = Session(
@@ -68,7 +65,7 @@ class ControlPlaneClient:
 
     @property
     def disp_end(self) -> Optional[StreamEnd]:
-        return self.disp.end if self.disp is not None else None
+        return self.disp.end
 
     @property
     def sched_end(self) -> Optional[StreamEnd]:
@@ -79,8 +76,7 @@ class ControlPlaneClient:
     # ------------------------------------------------------------------
     def connect_dispatcher(self) -> Generator[Future, Any, None]:
         """Dial the dispatcher with backoff (best-effort: may give up)."""
-        if self.disp is not None:
-            yield from self.disp.connect()
+        yield from self.disp.connect()
 
     def connect_scheduler(self) -> None:
         """Single scheduler dial; a refused scheduler is simply absent."""
@@ -100,13 +96,10 @@ class ControlPlaneClient:
         The dispatcher link carries no other inbound traffic toward the
         daemon, so a dedicated reader just absorbs PONGs (inside
         :meth:`Session.read_record`) and exits when the link breaks."""
-        if self.disp is None or self.disp.end is None or interval <= 0:
+        if self.disp.end is None:
             return
         self.core._spawn(self._disp_reader(), "disp.rx")
-        self.core._spawn(
-            self.disp.heartbeat(interval, timeout if timeout > 0 else None),
-            "disp.hb",
-        )
+        self.core._spawn(self.disp.heartbeat(interval, timeout), "disp.hb")
 
     def _disp_reader(self):
         sess = self.disp

@@ -40,7 +40,7 @@ protocol above.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Optional, Sequence, Union
+from typing import Any, Callable, Generator, Optional
 
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
@@ -91,28 +91,26 @@ class EventLogClient:
         fabric: Fabric,
         host: Host,
         rank: int,
-        el_names: Union[str, Sequence[str]],
+        el_names: tuple[str, ...],
         *,
         spawn: Callable[[Any, str], Any],
         proc_name: Callable[[str], str],
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
-        rng: Optional[Any] = None,
-        on_retry: Optional[Callable[[int, float], None]] = None,
-        key: Optional[Any] = None,
+        tracer: Tracer,
+        metrics: Metrics,
+        rng: Any,
+        on_retry: Callable[[int, float], None],
+        key: Any,
     ) -> None:
         self.sim = sim
         self.cfg = cfg
         self.rank = rank
         #: the identity this client stores events under on the (possibly
-        #: shared) EL servers.  Single-job runs use the bare rank; under
-        #: the control plane the job namespace supplies a job-qualified
-        #: key so N jobs share one shard without cross-talk.  Traces and
-        #: metrics keep the bare rank — they live in per-job registries.
-        self.key = rank if key is None else key
-        if isinstance(el_names, str):
-            el_names = [el_names]
-        self.el_names = list(el_names)
+        #: shared) EL servers: the deployment's ``job_key(rank)`` — the
+        #: bare rank for a single job, a job-qualified key under the
+        #: control plane, so N jobs share one shard without cross-talk.
+        #: Traces and metrics keep the bare rank (per-job registries).
+        self.key = key
+        self.el_names = el_names
         self.el_name = self.el_names[0]  # the shard's primary name
         self.nreps = len(self.el_names)
         #: replica acks required before a batch clears the gate
@@ -120,7 +118,7 @@ class EventLogClient:
         self._spawn = spawn
         self._proc_name = proc_name
         self.host = host
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self.tracer = tracer
         self._policy = RetryPolicy.from_config(cfg)
         self._rng = rng
         self._on_retry = on_retry
@@ -153,7 +151,7 @@ class EventLogClient:
         self._down_since: Optional[float] = None
         self.events_pushed = 0
 
-        m = metrics if metrics is not None else Metrics()
+        m = metrics
         self._m_roundtrips = m.counter("el.roundtrips", rank=rank)
         self._m_rtt = m.histogram("el.rtt_s", rank=rank)
         self._m_quorum_wait = m.histogram("el.quorum_wait_s", rank=rank)
@@ -196,8 +194,7 @@ class EventLogClient:
                     f"{self._policy.max_tries} attempts"
                 )
             d = self._policy.delay(attempt, self._rng)
-            if self._on_retry is not None:
-                self._on_retry(attempt, d)
+            self._on_retry(attempt, d)
             yield self.sim.pause(d)
             attempt += 1
             for rep in self.replicas:

@@ -83,14 +83,14 @@ class ChannelDevice:
         rank: int,
         size: int,
         host: Host,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.cfg = cfg
         self.rank = rank
         self.size = size
         self.host = host
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self.tracer = tracer
         self.inbox: Queue = Queue(sim, name=f"dev{rank}.inbox")
         self.stats = DeviceStats()
         self._send_seq = 0

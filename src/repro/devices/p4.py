@@ -35,8 +35,8 @@ __all__ = ["P4Device", "P4Ranks", "launch"]
 class P4Device(ChannelDevice):
     """Direct-stream device; the non-fault-tolerant baseline."""
 
-    def __init__(self, *args: Any, **kw: Any) -> None:
-        super().__init__(*args, **kw)
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
         self.ends: dict[int, StreamEnd] = {}
 
     def wire(self, ends: dict[int, StreamEnd]) -> None:
@@ -122,8 +122,7 @@ def launch(
         host.full_duplex = False
         st.begin(host, sim.now)
         devices.append(
-            P4Device(sim, dep.cluster.cfg, st.rank, nprocs, host,
-                     tracer=dep.tracer)
+            P4Device(sim, dep.cluster.cfg, st.rank, nprocs, host, dep.tracer)
         )
     ends: list[dict[int, StreamEnd]] = [dict() for _ in range(nprocs)]
     for i in range(nprocs):

@@ -61,8 +61,8 @@ class ChannelMemory(ServiceBase):
         fabric: Fabric,
         cfg: TestbedConfig,
         name: str,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
+        tracer: Tracer,
+        metrics: Metrics,
     ) -> None:
         super().__init__(sim, host, fabric, name, tracer=tracer, metrics=metrics)
         self.cfg = cfg
@@ -146,20 +146,25 @@ class V1Device(ChannelDevice):
 
     def __init__(
         self,
-        *args: Any,
-        cm_of=None,
-        incarnation: int = 0,
-        metrics: Optional[Metrics] = None,
-        **kw: Any,
+        sim: Simulator,
+        cfg: TestbedConfig,
+        rank: int,
+        size: int,
+        host: Host,
+        tracer: Tracer,
+        metrics: Metrics,
+        fabric: Fabric,
+        cm_of: dict[int, str],
+        incarnation: int,
     ) -> None:
-        super().__init__(*args, **kw)
-        self.cm_of = cm_of or {}  # rank -> CM service name
+        super().__init__(sim, cfg, rank, size, host, tracer)
+        self.cm_of = cm_of  # rank -> CM service name
         self.incarnation = incarnation
-        self._metrics = metrics if metrics is not None else Metrics()
+        self._metrics = metrics
+        self.fabric = fabric
         self._sessions: dict[str, Session] = {}  # CM name -> session
         self._own: Optional[Session] = None  # session to our own CM
         self._get_outstanding = False
-        self.fabric: Optional[Fabric] = None
         self.replay_cursor = 0  # messages consumed (checkpointing hook)
         # per CM: every packet stored there by this incarnation.  A CM
         # service crash drops in-flight segments without telling the
@@ -170,10 +175,6 @@ class V1Device(ChannelDevice):
         self._sent_history: dict[str, list[Packet]] = {}
         self._dialed: set[str] = set()  # CMs connected at least once
         self.cm_reconnects = 0
-
-    def wire(self, fabric: Fabric) -> None:
-        """Attach the connection fabric (done by the launcher)."""
-        self.fabric = fabric
 
     def _session_for_cm(self, cm: str) -> Session:
         """The session object for one Channel Memory (not yet dialled)."""
@@ -225,7 +226,7 @@ class V1Device(ChannelDevice):
         died in flight: rewind it to what we actually consumed, and
         forget the lost GET.  Then re-emit our store history (the CM
         dedups by msgid), covering any STORE dropped mid-transfer."""
-        if cm == self.cm_of.get(self.rank):
+        if cm == self.cm_of[self.rank]:
             yield from sess.write(16, ("RESET", self.rank, self.replay_cursor))
             self._get_outstanding = False
         for pkt in self._sent_history.get(cm, ()):
@@ -367,11 +368,10 @@ class V1Ranks(RankSet):
     def _spawn_rank(self, st: RankState, host: Host) -> None:
         inc = st.begin(host, self.sim.now)
         dev = V1Device(
-            self.sim, self.cfg, st.rank, self.nprocs, host,
-            tracer=self.tracer, cm_of=self.cm_of, incarnation=inc,
-            metrics=self.metrics,
+            self.sim, self.cfg, st.rank, self.nprocs, host, self.tracer,
+            self.metrics, fabric=self.dep.fabric, cm_of=self.cm_of,
+            incarnation=inc,
         )
-        dev.wire(self.dep.fabric)
         self.spawn_app(st, dev)
         host.on_crash.append(lambda h: self._on_host_crash(st, inc))
 

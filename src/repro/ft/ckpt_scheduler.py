@@ -17,7 +17,7 @@ immediately follows the one of another node", the Figure 11 setup).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
@@ -135,18 +135,18 @@ class CheckpointScheduler(ServiceBase):
         fabric: Fabric,
         cfg: TestbedConfig,
         nprocs: int,
+        *,
+        policy: str,
+        interval: float,
+        continuous: bool,
         rng: Any,
-        policy: str = "round_robin",
-        interval: float = 30.0,
-        continuous: bool = False,
-        name: str = "sched:0",
-        tracer: Optional[Tracer] = None,
-        cs_names: tuple[str, ...] = (),
-        metrics: Optional[Metrics] = None,
-        key_of: Optional[Any] = None,
+        tracer: Tracer,
+        cs_names: tuple[str, ...],
+        metrics: Metrics,
+        key_of: Callable[[int], Any],
     ) -> None:
         self.policy = make_policy(policy, nprocs, rng)
-        super().__init__(sim, host, fabric, name, tracer=tracer, metrics=metrics)
+        super().__init__(sim, host, fabric, "sched:0", tracer=tracer, metrics=metrics)
         self.cfg = cfg
         self.interval = interval
         self.continuous = continuous
@@ -169,12 +169,12 @@ class CheckpointScheduler(ServiceBase):
         # knows which checkpoint sequence of each rank is quorum-complete
         # (CKPT_DONE only arrives once the write quorum committed), so it
         # owns the GC epochs broadcast to the store replicas
-        self.cs_names = tuple(cs_names)
+        self.cs_names = cs_names
         #: rank -> store key translation for the GC broadcast.  Daemons
         #: report CKPT_DONE with their bare rank (the scheduler is per
         #: job), but on a *shared* store the floors must name the
         #: job-qualified keys the manifests were committed under.
-        self._key_of = key_of if key_of is not None else (lambda r: r)
+        self._key_of = key_of
         self.quorum_seq: dict[int, int] = {}
         self._gc_q: Queue = Queue(sim, name="sched.gcq")
         # persistent session per store replica (framed records, epochs,
@@ -196,8 +196,7 @@ class CheckpointScheduler(ServiceBase):
     def on_start(self) -> None:
         """Run the scheduling loop (and the store-GC broadcaster)."""
         self._spawn(self._drive(), "sched.drive")
-        if self.cs_names:
-            self._spawn(self._gc_drive(), "sched.gc")
+        self._spawn(self._gc_drive(), "sched.gc")
 
     def on_stop(self, cause: object) -> None:
         self.links.clear()

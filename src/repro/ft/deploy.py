@@ -3,75 +3,58 @@
 :func:`private_deployment` deploys these once per job on a private
 cluster (what ``run_job`` does for a v2 job); the control plane
 (``repro.serve``) deploys them once per *cluster* and shares them
-between every job it admits.  Both call the same helpers so there is
-exactly one encoding of the paper's service topology — shard names
-(``el:<s>`` / ``el:<s>.<r>``), replica placement on independent hosts,
-supervisor registration.
-
-``ns`` prefixes both the service names and the names of any hosts the
-helpers create, so two concurrent deployments on one shared cluster can
-coexist: without it they would collide on the network's host table (a
-hard error) and silently steal each other's fabric listeners.
+between every job it admits.  Both call :func:`deploy_services`, so
+there is exactly one encoding of the paper's service topology — shard
+names (``el:<s>`` / ``el:<s>.<r>``), replica placement on independent
+hosts, supervisor registration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ..core.event_logger import EventLoggerServer
 from ..runtime.cluster import Cluster
-from ..runtime.config import TestbedConfig
 from ..runtime.fabric import Fabric
 from ..runtime.mpirun import Deployment
 from ..runtime.progfile import DeploymentPlan
 from ..store.replica import StoreReplica
 from .services import ServiceSupervisor
 
-__all__ = ["deploy_el_groups", "deploy_store", "private_deployment"]
+__all__ = ["deploy_services", "private_deployment"]
 
 
-def deploy_el_groups(
-    cluster: Cluster,
-    fabric: Any,
-    cfg: TestbedConfig,
-    el_hosts: list,
-    *,
-    n_shards: int,
-    supervisor: Optional[Any] = None,
-    ns: str = "",
-    tracer: Optional[Any] = None,
-    metrics: Optional[Any] = None,
-) -> tuple[list[list[str]], list[EventLoggerServer]]:
-    """Deploy the EL replication group: ``n_shards`` × ``el_replicas``.
+def deploy_services(
+    cluster: Cluster, fabric: Fabric, el_hosts: list, cs_hosts: list
+) -> tuple[
+    ServiceSupervisor, list[list[str]], list[EventLoggerServer],
+    list[StoreReplica],
+]:
+    """Start the EL replication groups and the store replica set.
 
-    Ranks shard by ``rank % n_shards``; each shard keeps
-    ``cfg.el_replicas`` service instances.  Replica 0 keeps the classic
-    ``el:<shard>`` name on the caller-provided host (single-replica
-    deployments and their fault plans are unchanged); extra replicas
-    are ``el:<shard>.<r>`` and each get their own machine — colocated
-    replicas would share a NIC (and fate, under host faults), defeating
-    the independence the replication group exists to buy.  Each replica
-    registers with the supervisor individually, so service faults can
-    crash one replica of a shard.
+    One EL shard per host of ``el_hosts`` (ranks shard by ``rank %
+    len(el_hosts)``), each of ``cfg.el_replicas`` service instances.
+    Replica 0 keeps the classic ``el:<shard>`` name on the given host;
+    extra replicas are ``el:<shard>.<r>`` and each get their own machine
+    — colocated replicas would share a NIC (and fate, under host
+    faults), defeating the independence the replication group exists to
+    buy.  Then one store replica ``cs:<i>`` per host of ``cs_hosts``.
+    Every service registers with the returned supervisor individually,
+    so service faults can crash one replica.  Returns the supervisor,
+    the shard name groups, the loggers and the store replicas.
     """
-    sim = cluster.sim
-    tracer = tracer if tracer is not None else cluster.tracer
-    metrics = metrics if metrics is not None else cluster.metrics
+    sim, cfg = cluster.sim, cluster.cfg
+    tracer, metrics = cluster.tracer, cluster.metrics
+    supervisor = ServiceSupervisor(sim, cfg, tracer=tracer, metrics=metrics)
     n_rep = max(1, cfg.el_replicas)
     el_groups: list[list[str]] = []
     loggers: list[EventLoggerServer] = []
-    for s in range(n_shards):
-        names = [
-            f"{ns}el:{s}" if r == 0 else f"{ns}el:{s}.{r}"
-            for r in range(n_rep)
-        ]
+    for s, el_host in enumerate(el_hosts):
+        names = [f"el:{s}" if r == 0 else f"el:{s}.{r}" for r in range(n_rep)]
         for r, el_name in enumerate(names):
             host = (
-                el_hosts[s]
-                if r == 0
-                else cluster.add_aux(
-                    f"el-host{s}.{r}", site=el_hosts[s].site, namespace=ns
-                )
+                el_host if r == 0
+                else cluster.add_aux(f"el-host{s}.{r}", site=el_host.site)
             )
             el = EventLoggerServer(
                 sim, host, fabric, cfg, name=el_name,
@@ -81,38 +64,18 @@ def deploy_el_groups(
             )
             el.start()
             loggers.append(el)
-            if supervisor is not None:
-                supervisor.register(el.name, el)
+            supervisor.register(el.name, el)
         el_groups.append(names)
-    return el_groups, loggers
-
-
-def deploy_store(
-    cluster: Cluster,
-    fabric: Any,
-    cfg: TestbedConfig,
-    cs_hosts: list,
-    *,
-    supervisor: Optional[Any] = None,
-    ns: str = "",
-    tracer: Optional[Any] = None,
-    metrics: Optional[Any] = None,
-) -> tuple[list[str], list[StoreReplica]]:
-    """Deploy the checkpoint-store replica set, one replica per host."""
-    sim = cluster.sim
-    tracer = tracer if tracer is not None else cluster.tracer
-    metrics = metrics if metrics is not None else cluster.metrics
     servers: list[StoreReplica] = []
     for i, host in enumerate(cs_hosts):
         cs = StoreReplica(
-            sim, host, fabric, cfg, name=f"{ns}cs:{i}",
+            sim, host, fabric, cfg, name=f"cs:{i}",
             tracer=tracer, metrics=metrics,
         )
         cs.start()
         servers.append(cs)
-        if supervisor is not None:
-            supervisor.register(cs.name, cs)
-    return [s.name for s in servers], servers
+        supervisor.register(cs.name, cs)
+    return supervisor, el_groups, loggers, servers
 
 
 def private_deployment(
@@ -172,20 +135,13 @@ def private_deployment(
         service = machines[plan.dispatcher]
 
     fabric = Fabric(cluster)
-    supervisor = ServiceSupervisor(
-        cluster.sim, cfg, tracer=cluster.tracer, metrics=cluster.metrics
-    )
-    el_groups, loggers = deploy_el_groups(
-        cluster, fabric, cfg, el_hosts,
-        n_shards=len(el_hosts), supervisor=supervisor,
-    )
-    cs_names, servers = deploy_store(
-        cluster, fabric, cfg, cs_hosts, supervisor=supervisor,
+    supervisor, el_groups, loggers, servers = deploy_services(
+        cluster, fabric, el_hosts, cs_hosts
     )
     return Deployment(
         cluster, fabric, cn_hosts,
         service=service, sched_host=sched_host, spare_hosts=spare_hosts,
         el_groups=el_groups, loggers=loggers,
-        cs_names=cs_names, servers=servers, cs_hosts=cs_hosts,
-        supervisor=supervisor,
+        cs_names=[s.name for s in servers], servers=servers,
+        cs_hosts=cs_hosts, supervisor=supervisor,
     )

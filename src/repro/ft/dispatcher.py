@@ -86,7 +86,7 @@ class Dispatcher(RankSet):
         program: Callable,
         params: dict[str, Any],
         nprocs: int,
-        scheduler: Optional[CheckpointScheduler] = None,
+        scheduler: Optional[CheckpointScheduler],
     ) -> None:
         # per-job observability comes with the deployment: the control
         # plane hands each dispatcher its job's own tracer/metrics so
@@ -132,9 +132,8 @@ class Dispatcher(RankSet):
         self.listener.start()
         for r, host in enumerate(self.dep.cn_hosts):
             self._spawn_rank(r, host)
-        if self.cfg.hb_interval > 0 and self.cfg.hb_timeout > 0:
-            # one of the listener's processes: ``stop`` ends it with the job
-            self.listener._spawn(self._hb_monitor(), "disp.hb-monitor")
+        # one of the listener's processes: ``stop`` ends it with the job
+        self.listener._spawn(self._hb_monitor(), "disp.hb-monitor")
 
     # -- heartbeat monitoring ------------------------------------------------
     def note_heartbeat(self, rank: int) -> None:
@@ -186,22 +185,17 @@ class Dispatcher(RankSet):
     def wipe_logs(self) -> None:
         """Forget the job's logged events, images and GC floors: after a
         global restart they describe a dead history.  On shared services
-        only this job's keys go."""
+        only this job's keys go; a private store is wiped outright (an
+        evict would sweep its chunks as ``store.gc``)."""
         dep = self.dep
-        keys = (
-            [dep.job_key(r) for r in range(self.nprocs)]
-            if dep.job_key is not None else None
-        )
+        keys = [dep.job_key(r) for r in range(self.nprocs)]
         for el in dep.loggers:
-            if keys is None:
-                el.events.clear()
-            else:
-                el.evict(keys)
+            el.evict(keys)
         for srv in dep.servers:
-            if keys is None:
-                srv.wipe()
-            else:
+            if dep.shared:
                 srv.evict(keys)
+            else:
+                srv.wipe()
         if self.scheduler is not None:
             self.scheduler.reset_store_state()
 
@@ -253,23 +247,21 @@ class Dispatcher(RankSet):
             rank,
             self.nprocs,
             host,
-            incarnation=incarnation,
+            incarnation,
             # ranks shard over the EL groups; a rank's group is every
             # replica of its shard
-            el_names=dep.el_groups[rank % len(dep.el_groups)],
+            el_names=tuple(dep.el_groups[rank % len(dep.el_groups)]),
             cs_names=tuple(dep.cs_names),
             sched_name=(
                 self.scheduler.name if self.scheduler is not None else None
             ),
-            dispatcher_name="dispatcher",
             tracer=self.tracer,
             metrics=self.metrics,
             rng=self.cluster.rng.stream(f"{dep.ns}reconnect:d{rank}"),
-            job_key=dep.job_key(rank) if dep.job_key is not None else None,
+            job_key=dep.job_key(rank),
         )
         device = V2Device(
-            self.sim, self.cfg, rank, self.nprocs, host, daemon,
-            tracer=self.tracer,
+            self.sim, self.cfg, rank, self.nprocs, host, daemon, self.tracer,
         )
         daemon.delivery.on_caught_up = self._note_caught_up
         st.daemon = daemon

@@ -577,11 +577,9 @@ class ProtocolAuditor:
         )
 
 
-def audit_trace(
-    records: Union[Iterable[TraceRecord], Tracer], hb_graph: bool = False
-) -> AuditReport:
+def audit_trace(records: Union[Iterable[TraceRecord], Tracer]) -> AuditReport:
     """Post-hoc audit of recorded trace records with the same checkers."""
-    auditor = ProtocolAuditor(hb_graph=hb_graph)
+    auditor = ProtocolAuditor()
     for rec in records:
         auditor.observe(rec.time, rec.kind, rec.fields)
     return auditor.finish()

@@ -236,8 +236,9 @@ class Metrics:
             found = True
         return acc if found else default
 
-    def quantile(self, name: str, q: float, default: float = 0.0) -> float:
-        """Bucket-quantile of one histogram merged across its label sets.
+    def quantile(self, name: str, q: float) -> float:
+        """Bucket-quantile of one histogram merged across its label sets
+        (0 when it holds no sample).
 
         The per-label histograms share bucket bounds (they are bound with
         the same call site), so their buckets sum into one distribution.
@@ -251,9 +252,7 @@ class Metrics:
             merged.buckets = [a + b for a, b in zip(merged.buckets, m.buckets)]
             merged.count += m.count
             merged.max = max(merged.max, m.max)
-        if merged is None or not merged.count:
-            return default
-        return merged.quantile(q)
+        return merged.quantile(q) if merged is not None else 0.0
 
     def snapshot(self) -> dict[str, float]:
         """Merged view: metric name -> scalar summed across all labels."""

@@ -37,19 +37,16 @@ class Cluster:
         self.rng = RngRegistry(seed)
 
     # -- hosts -------------------------------------------------------------
-    def add_cn(self, name: str, site: str = "site0",
-               namespace: str = "") -> Host:
+    def add_cn(self, name: str, site: str = "site0") -> Host:
         """A computing node (volatile).
 
         ``site`` places the machine in a Grid deployment: traffic
-        between sites runs over the link's wide-area parameters.
-        ``namespace`` prefixes the host name, so two concurrent
-        deployments on one cluster cannot claim the same machine name
-        (the network rejects duplicates).
+        between sites runs over the link's wide-area parameters.  Host
+        names are unique per cluster (the network rejects duplicates).
         """
         host = Host(
             self.sim,
-            namespace + name,
+            name,
             cpu_flops=self.cfg.cn_flops,
             ram_bytes=self.cfg.cn_ram,
             swap_bytes=self.cfg.cn_swap,
@@ -60,18 +57,11 @@ class Cluster:
         )
         return self.net.add_host(host)
 
-    def add_aux(self, name: str, site: str = "site0",
-                namespace: str = "") -> Host:
-        """An auxiliary machine (event logger / checkpoint server / ...).
-
-        ``namespace`` prefixes the host name exactly as for
-        :meth:`add_cn`: per-deployment EL / store / scheduler hosts must
-        carry their deployment's namespace or a second deployment on the
-        same cluster would collide on the shared network's host table.
-        """
+    def add_aux(self, name: str, site: str = "site0") -> Host:
+        """An auxiliary machine (event logger / checkpoint server / ...)."""
         host = Host(
             self.sim,
-            namespace + name,
+            name,
             cpu_flops=self.cfg.aux_flops,
             ram_bytes=self.cfg.cn_ram,
             swap_bytes=self.cfg.cn_swap,

@@ -86,7 +86,7 @@ class TestbedConfig:
     # session heartbeat: daemons PING the dispatcher every hb_interval;
     # a quiet link older than hb_timeout flags the peer as suspect
     # (catches partitioned-but-alive nodes the socket detector cannot).
-    # hb_interval = 0 disables both sides.
+    # Both must be positive: the heartbeat always runs.
     hb_interval: float = 0.25
     hb_timeout: float = 1.0
 
@@ -106,8 +106,6 @@ class TestbedConfig:
     el_replicas: int = 1  # K: replicas per shard (1 = the classic single EL)
 
     # -- multi-job control plane (repro.serve) -------------------------------------
-    serve_capacity: int = 16  # computing-node slots in the shared pool
-    serve_svc_slots: int = 4  # service hosts (one per running v2 job)
     serve_starve_s: float = 30.0  # reserve capacity for a head job this starved
     serve_job_limit: float = 3600.0  # per-job simulated-seconds budget
 

@@ -63,6 +63,11 @@ def rank_main(mpi: MPI, program: Program, params: dict[str, Any]):
     return (mpi.sim.now, result)
 
 
+def _bare_rank(rank: int) -> int:
+    """A private deployment's identity for ``rank`` on its services."""
+    return rank
+
+
 @dataclass
 class Deployment:
     """Where one job runs: its machines, services and observability.
@@ -89,8 +94,8 @@ class Deployment:
     supervisor: Optional[Any] = None  # crashes/relaunches the job's services
     tracer: Optional[Any] = None
     metrics: Optional[Any] = None
-    #: rank -> identity on shared EL/store services (None: the bare rank)
-    job_key: Optional[Callable[[int], Any]] = None
+    #: rank -> identity on the EL/store services (job-qualified when shared)
+    job_key: Callable[[int], Any] = _bare_rank
     #: prefix of the job's named RNG streams and helper processes
     ns: str = ""
 

@@ -222,7 +222,7 @@ class Session:
 
     # -- heartbeat ---------------------------------------------------------
     def heartbeat(
-        self, interval: float, timeout: Optional[float] = None
+        self, interval: float, timeout: float
     ) -> Generator[Future, Any, None]:
         """Periodic framed PING loop (run it as a process).
 
@@ -259,11 +259,7 @@ class Session:
             except (Disconnected, HostDown):
                 self.drop(end)
                 continue
-            if (
-                timeout is not None
-                and self.sim.now - self.last_pong > timeout
-                and not self.hb_suspect
-            ):
+            if self.sim.now - self.last_pong > timeout and not self.hb_suspect:
                 self.hb_suspect = True
                 self._m_hb_timeouts.inc()
                 self.tracer.emit(

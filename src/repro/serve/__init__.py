@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..runtime.config import DEFAULT_TESTBED, TestbedConfig
 from .namespace import JobNamespace, TraceRouter
 from .plan import JobSpec, load_plan, resolve_fault, resolve_program
 from .plane import ControlPlane, JobHandle, Tenant
@@ -33,26 +34,21 @@ __all__ = [
 
 def run_plan(
     path: str,
-    cfg=None,
+    cfg: TestbedConfig = DEFAULT_TESTBED,
     seed: int = 0,
-    capacity: Optional[int] = None,
-    svc_slots: Optional[int] = None,
     limit: Optional[float] = None,
+    **plane_kw: int,
 ) -> tuple[ControlPlane, list[JobHandle]]:
     """Run a plan file to completion; returns the plane and its handles.
 
     Jobs enter the admission queue at their ``at`` times; the plane
     drains every one of them (``limit`` bounds total simulated seconds).
-    Call :meth:`ControlPlane.finish` on the returned plane for the
+    ``plane_kw`` sizes the plane (``capacity``, ``svc_slots``).  Call
+    :meth:`ControlPlane.finish` on the returned plane for the
     multi-tenant summary.
     """
-    from ..runtime.config import DEFAULT_TESTBED
-
     tenants, jobs = load_plan(path)
-    plane = ControlPlane(
-        cfg if cfg is not None else DEFAULT_TESTBED,
-        seed=seed, capacity=capacity, svc_slots=svc_slots, tenants=tenants,
-    )
+    plane = ControlPlane(cfg, seed=seed, tenants=tenants, **plane_kw)
     handles = [plane.submit(spec, at=spec.at) for spec in jobs]
     plane.drain(limit=limit)
     return plane, handles

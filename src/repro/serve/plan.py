@@ -59,8 +59,21 @@ class JobSpec:
             )
         if self.nranks < 1:
             raise ValueError("a job needs at least one rank")
-        if self.fault is not None and self.device != "v2":
+        if self.fault is None:
+            return
+        if self.device != "v2":
             raise ValueError("fault injection requires the v2 device")
+        # a fault the injector cannot carry out would crash it inside the
+        # shared plane and take every other tenant's job down with it
+        plan = resolve_fault(self)
+        if isinstance(plan, ExplicitFaults):
+            bad = sorted({r for _, r in plan.schedule if not 0 <= r < self.nranks})
+            if bad:
+                raise ValueError(
+                    f"fault rank(s) {bad} outside [0, {self.nranks})"
+                )
+        elif isinstance(plan, RandomFaults) and plan.interval <= 0:
+            raise ValueError("a random fault needs interval > 0")
 
 
 def resolve_program(spec: JobSpec) -> tuple[Callable, dict[str, Any]]:
@@ -131,7 +144,10 @@ def load_plan(path: str) -> tuple[dict[str, float], list[JobSpec]]:
         unknown = set(raw) - _SPEC_KEYS
         if unknown:
             raise ValueError(f"job {i}: unknown keys {sorted(unknown)}")
-        jobs.append(JobSpec(**raw))
+        try:
+            jobs.append(JobSpec(**raw))
+        except (TypeError, ValueError) as exc:  # a missing key, a bad value
+            raise ValueError(f"job {i}: {exc}") from None
     for spec in jobs:
         tenants.setdefault(spec.tenant, 1.0)
     return tenants, jobs

@@ -36,8 +36,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from ..ft.deploy import deploy_el_groups, deploy_store
-from ..ft.services import ServiceSupervisor
+from ..ft.deploy import deploy_services
 from ..obs.collect import fold_cluster
 from ..obs.registry import Metrics
 from ..obs.timeline import RecoveryAttribution
@@ -96,15 +95,15 @@ class ControlPlane:
         self,
         cfg: TestbedConfig = DEFAULT_TESTBED,
         seed: int = 0,
-        capacity: Optional[int] = None,
-        svc_slots: Optional[int] = None,
+        capacity: int = 16,
+        svc_slots: int = 4,
         tenants: Optional[dict[str, float]] = None,
     ) -> None:
         self.cfg = cfg
-        self.capacity = capacity if capacity is not None else cfg.serve_capacity
-        self.svc_slots = (
-            svc_slots if svc_slots is not None else cfg.serve_svc_slots
-        )
+        #: computing-node slots in the shared pool, and service hosts
+        #: (one per running v2 job)
+        self.capacity = capacity
+        self.svc_slots = svc_slots
         self.cluster = Cluster(cfg, seed=seed)
         self.sim = self.cluster.sim
         self.fabric = Fabric(self.cluster)
@@ -122,28 +121,20 @@ class ControlPlane:
             self.cluster.add_aux(f"svc{i}") for i in range(self.svc_slots)
         ]
 
-        # shared services, deployed once (same topology helpers as a
+        # shared services, deployed once (the same helper as a
         # dedicated deployment)
-        self.supervisor = ServiceSupervisor(
-            self.sim, cfg,
-            tracer=self.cluster.tracer, metrics=self.cluster.metrics,
-        )
-        n_shards = max(1, cfg.el_servers)
         el_hosts = [
-            self.cluster.add_aux(f"el-host{s}") for s in range(n_shards)
+            self.cluster.add_aux(f"el-host{s}")
+            for s in range(max(1, cfg.el_servers))
         ]
-        self.el_groups, self.loggers = deploy_el_groups(
-            self.cluster, self.fabric, cfg, el_hosts,
-            n_shards=n_shards, supervisor=self.supervisor,
-        )
         cs_hosts = [
             self.cluster.add_aux("cs-host" if i == 0 else f"cs-host{i}")
             for i in range(max(1, cfg.ckpt_servers))
         ]
-        self.cs_names, self.servers = deploy_store(
-            self.cluster, self.fabric, cfg, cs_hosts,
-            supervisor=self.supervisor,
+        self.supervisor, self.el_groups, self.loggers, self.servers = (
+            deploy_services(self.cluster, self.fabric, el_hosts, cs_hosts)
         )
+        self.cs_names = [s.name for s in self.servers]
         #: fabric names every job may address un-prefixed
         self.shared_names = (
             frozenset(n for g in self.el_groups for n in g)
@@ -374,11 +365,9 @@ class ControlPlane:
         self._pump()
 
     # -- blocking API --------------------------------------------------------
-    def wait(
-        self, handle: JobHandle, limit: Optional[float] = None
-    ) -> JobResult:
+    def wait(self, handle: JobHandle) -> JobResult:
         """Drive the simulation until ``handle``'s job completes."""
-        return self.sim.run_until(handle.done, limit=limit)
+        return self.sim.run_until(handle.done)
 
     def drain(self, limit: Optional[float] = None) -> list[JobResult]:
         """Drive the simulation until every submitted job completes."""

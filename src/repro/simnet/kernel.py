@@ -415,15 +415,12 @@ class Process:
                 return
             if yielded is _PAUSE:
                 # sleep fast path: the pause call just stashed its wake
-                # time/value on the simulator — push the wake event and
+                # time on the simulator — push the wake event and
                 # suspend, with no future and no callback registration
                 sim = self.sim
                 seq = sim._seq
                 sim._seq = seq + 1
-                heapq.heappush(
-                    sim._heap,
-                    (sim._pause_time, seq, 3, self, sim._pause_value),
-                )
+                heapq.heappush(sim._heap, (sim._pause_time, seq, 3, self, None))
                 return
             if yielded.__class__ is not Future and not isinstance(yielded, Future):
                 err2 = SimError(
@@ -472,7 +469,6 @@ class Simulator:
         # scratch for the pause() fast path: the token is consumed by the
         # very next yield, so one slot per simulator suffices
         self._pause_time = 0.0
-        self._pause_value: Any = None
 
     # -- instrumentation -------------------------------------------------
     def set_probe(self, probe: Optional[Any]) -> None:
@@ -522,8 +518,8 @@ class Simulator:
         self.sched(self.now + delay, EV_RESOLVE, fut, value)
         return fut
 
-    def pause(self, delay: float, value: Any = None) -> Any:
-        """Sleep token: ``value = yield sim.pause(delay)``.
+    def pause(self, delay: float) -> Any:
+        """Sleep token: ``yield sim.pause(delay)``.
 
         The allocation-free twin of :meth:`timeout` for the dominant
         event shape — advance simulated time, then resume the calling
@@ -536,7 +532,6 @@ class Simulator:
         if delay < 0:
             raise SimError(f"negative delay {delay}")
         self._pause_time = self.now + delay
-        self._pause_value = value
         return _PAUSE
 
     def cancel(self, fut: Future) -> None:

@@ -234,18 +234,15 @@ class StreamEnd:
         self.bytes_written += nbytes
 
     def write(
-        self, nbytes: int, payload: Any = None, bulk: bool = False
+        self, nbytes: int, payload: Any = None
     ) -> Generator[Future, Any, None]:
         """Send one segment; blocks while the peer's window is full.
 
         ``nbytes`` drives the timing model; ``payload`` is an opaque object
         delivered to the reader (protocol headers, message chunks, ...).
-        ``bulk`` marks a payload push made by a driver that starves its
-        receive side meanwhile (the P4 eager path) — on a half-duplex
-        endpoint such segments serialize against reception.
         Returns once the segment has been handed to the network.
         """
-        return self.write_frame(nbytes, payload, nbytes, bulk)  # one segment
+        return self.write_frame(nbytes, payload, nbytes)  # one segment
 
     def write_frame(
         self,

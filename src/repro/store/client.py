@@ -61,32 +61,32 @@ class StoreClient:
         host: Host,
         names: tuple[str, ...],
         rank: int,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
+        key: Any,
+        *,
+        tracer: Tracer,
+        metrics: Metrics,
         rng: Optional[Any] = None,
         on_retry: Optional[Callable[[int, float], None]] = None,
-        key: Optional[Any] = None,
     ) -> None:
         self.sim = sim
         self.cfg = cfg
         self.fabric = fabric
         self.host = host
-        self.names = tuple(names)
+        self.names = names
         self.rank = rank
         #: the identity images are stored under on the (possibly shared)
         #: replicas: the bare rank alone, a job-qualified key under the
         #: control plane.  Manifests carry the same key in their ``rank``
         #: field, so HEAD/FETCH and GC floors select this job's images.
-        self.key = rank if key is None else key
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self.key = key
+        self.tracer = tracer
         self._rng = rng
         self._on_retry = on_retry
         #: write quorum: how many complete COMMITs make a push durable
         self.quorum = max(1, min(cfg.ckpt_replicas, len(self.names)))
         #: why the last failed push failed ("refused" | "disconnected")
         self.last_push_why = "refused"
-        self._metrics = metrics if metrics is not None else Metrics()
-        m = self._metrics
+        self._metrics = m = metrics
         self._m_push_bytes = m.counter("store.push_bytes", rank=rank)
         self._m_dedup_bytes = m.counter("store.dedup_bytes", rank=rank)
         self._m_quorum_s = m.histogram("store.quorum_s", rank=rank)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -233,6 +235,38 @@ def test_unclean_audit_exits_one(argv, monkeypatch, capsys):
     monkeypatch.setattr(repro.cli, "run_plan", run_plan)
     assert main(argv) == 1
     assert "violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("job", [
+    pytest.param({"workload": "token_ring", "nranks": 2, "bogus": 1},
+                 id="unknown-key"),
+    pytest.param({"workload": "token_ring", "nranks": 2, "device": "v2",
+                  "fault": {"kind": "kill", "rank": 9, "at": 0.01}},
+                 id="fault-rank"),
+])
+def test_serve_rejects_a_bad_plan_as_a_usage_error(job, tmp_path, capsys):
+    """A plan the plane refuses is exit 2 with a ``repro:`` line, not a
+    traceback."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([job]))
+    assert main(["serve", "--jobs", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: ") and "job 0" in err
+
+
+def test_serve_json_out(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([
+        {"workload": "token_ring", "nranks": 2, "params": {"rounds": 3}},
+        {"workload": "token_ring", "nranks": 2, "tenant": "b", "at": 0.01},
+    ]))
+    out = tmp_path / "serve.json"
+    assert main(["serve", "--jobs", str(plan), "--json-out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["jobs"] == doc["summary"]["completed"] == 2
+    assert [j["job"] for j in doc["jobs"]] == [0, 1]
+    assert {j["tenant"] for j in doc["jobs"]} == {"default", "b"}
+    assert all(j["device"] == "p4" and j["nranks"] == 2 for j in doc["jobs"])
 
 
 def test_run_service_faults_and_partitions(capsys):

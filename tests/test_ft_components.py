@@ -284,6 +284,31 @@ def test_checkpoint_server_crash_degrades_to_restart_from_scratch():
     assert disp.states[1].daemon.restart_base_recv == 0
 
 
+def test_global_restart_under_the_observers():
+    """The §4.3 scenario above with the auditor and the trace attached:
+    the auditor drops the dead history at ``ft.global_restart`` (verdict
+    stays clean) and MTTR attribution closes the span the restart cut
+    short."""
+    from repro.obs import RecoveryAttribution
+    from repro.runtime.config import DEFAULT_TESTBED
+
+    cfg = DEFAULT_TESTBED.with_(reliable_aux=False)
+
+    def chaos(env):
+        env["sim"].after(0.35, env["cs_hosts"][0].crash)
+
+    res = run_job(
+        ring, 3, device="v2", params={"rounds": 10, "work": 0.1}, cfg=cfg,
+        checkpointing=True, ckpt_interval=0.1,
+        faults=ExplicitFaults([(0.5, 1)]), on_ready=chaos, limit=600.0,
+        audit=True, trace=True,
+    )
+    assert res.extras["global_restarts"] == 1
+    assert res.audit.verdict == "clean"
+    spans = RecoveryAttribution.from_trace(res.tracer).spans
+    assert [s.aborted_by for s in spans].count("global_restart") == 1
+
+
 def test_churn_faults_kill_and_recover():
     from repro.ft.failure import ChurnFaults
 

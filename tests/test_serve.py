@@ -9,6 +9,7 @@ sides), and per-job metrics-registry isolation.
 
 import pytest
 
+from repro.ft.failure import ExplicitFaults, RandomFaults
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.fabric import ConnectionRefused, Fabric, ScopedFabric
@@ -101,14 +102,6 @@ def test_scoped_fabric_prefixes_all_but_shared_names():
     assert fabric.connect(cn, "j0/svc:0") is not None
 
 
-def test_cluster_namespaces_keep_host_names_disjoint():
-    cluster = Cluster(DEFAULT_TESTBED, seed=0)
-    cluster.add_cn("cn0", namespace="a/")
-    cluster.add_aux("cn0", namespace="b/")  # same bare name, other namespace
-    with pytest.raises(ValueError):
-        cluster.add_cn("cn0", namespace="a/")
-
-
 # -- plans -------------------------------------------------------------------
 
 
@@ -120,6 +113,23 @@ def test_jobspec_validation():
     with pytest.raises(ValueError):  # faults need the FT device
         JobSpec(workload=token_ring, nranks=2, device="p4",
                 fault={"kind": "kill", "rank": 0, "at": 1.0})
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param({"kind": "kill", "rank": 9, "at": 0.01}, id="kill-rank"),
+    pytest.param({"kind": "explicit", "schedule": [[0.01, -1]]},
+                 id="explicit-rank"),
+    pytest.param(ExplicitFaults([(0.01, 2)]), id="ExplicitFaults-rank"),
+    pytest.param({"kind": "random", "interval": -1.0}, id="random-interval"),
+    pytest.param(RandomFaults(interval=0.0, count=1), id="RandomFaults-interval"),
+])
+def test_jobspec_rejects_a_fault_the_injector_cannot_run(fault):
+    """A kill rank outside the job, or a random plan that never advances
+    time, used to crash the job's fault injector inside the shared plane
+    (``SimError`` out of ``drain``, every tenant's job with it); the spec
+    is refused at construction instead."""
+    with pytest.raises(ValueError):
+        _v2(nranks=2, fault=fault)
 
 
 def test_load_plan_rejects_unknown_keys(tmp_path):

@@ -55,7 +55,7 @@ def _client(cluster, fabric, replicas, cn, rank=0, quorum=None):
         cfg = cfg.with_(ckpt_replicas=quorum)
     return StoreClient(
         cluster.sim, cfg, fabric, cn, tuple(r.name for r in replicas),
-        rank, metrics=cluster.metrics,
+        rank, rank, tracer=cluster.tracer, metrics=cluster.metrics,
     )
 
 
