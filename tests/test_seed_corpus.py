@@ -7,9 +7,10 @@ bit-deterministic for a given seed; a change that moves one on purpose
 updates it here and says why.
 """
 
-from repro.ft.failure import ChurnFaults
+from repro.ft.failure import ChurnFaults, RandomFaults
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas
+from tests.test_random_programs import NPROCS, PAD, make_program
 
 
 def _cg_a8_churn(run_seed: int, churn_seed: int):
@@ -47,3 +48,29 @@ def test_continuous_checkpointing_survives_a_kill_mid_push():
     at all (6.87 s, 0 images)."""
     res = _cg_a8_churn(run_seed=5, churn_seed=1)
     assert res.checkpoints > 0
+
+
+def test_fresh_send_cannot_overtake_a_handshake_resend():
+    """A shrunk case of ``test_v2_checkpointed_faults_transparent_on_random_programs``.
+    Rank 3 dies before its first checkpoint; rank 2 dies after its own,
+    while rank 3 is still replaying.  Restored, rank 2 sent its next
+    message to rank 3 (sclock 6) before the RESTART handshake re-sent
+    the checkpointed one rank 3 still lacked (sclock 5).  Rank 3 finished
+    its replay, forwarded 6, and then discarded 5 as a duplicate under
+    its watermark, so the job waited for 5 until the time limit.  Fresh
+    sends now queue behind the handshake's re-sends."""
+    schedule = [("allreduce", 0, 8), ("scan", 0, 8), ("pair", 1, 1009),
+                ("shift", 1, 16), ("shift", 1, 217), ("allreduce", 0, 8),
+                ("scan", 0, 8)]
+    prog = make_program([s for step in schedule for s in (step, PAD)])
+    ref = run_job(prog, NPROCS, device="v2", limit=3600.0)
+    faults = RandomFaults(interval=ref.elapsed / 3, count=2, seed=3985)
+    res = run_job(
+        prog, NPROCS, device="v2", checkpointing=True,
+        ckpt_interval=ref.elapsed / 10, faults=faults, limit=3600.0,
+        audit=True,
+    )
+    assert [r for _, r in faults.injected] == [3, 2]
+    assert res.results == ref.results
+    assert res.restarts == 2
+    assert res.audit.verdict == "clean", res.audit.violations
