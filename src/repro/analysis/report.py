@@ -178,7 +178,7 @@ def format_audit(report: Any) -> str:
 
     One header line with the verdict and the events seen, a per-rule
     check/violation table, and — when there are violations — one row per
-    violation with its rank, vector clock, and detail.
+    violation with its rank and detail.
     """
     if report is None:
         return "(no audit: run with audit=True)"
@@ -190,20 +190,10 @@ def format_audit(report: Any) -> str:
     blocks = [head, format_table(["rule", "checks", "violations"], rule_rows)]
     if report.violations:
         vrows = [
-            [
-                f"{v.time:.3f}",
-                v.rule,
-                v.rank,
-                "{" + ", ".join(
-                    f"{r}:{c}" for r, c in sorted(v.vc.items())
-                ) + "}",
-                v.detail,
-            ]
+            [f"{v.time:.3f}", v.rule, v.rank, v.detail]
             for v in report.violations
         ]
-        blocks.append(
-            format_table(["time s", "rule", "rank", "vclock", "detail"], vrows)
-        )
+        blocks.append(format_table(["time s", "rule", "rank", "detail"], vrows))
     return "\n\n".join(blocks)
 
 

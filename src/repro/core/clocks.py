@@ -26,64 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["EventRecord", "ClockState", "VectorClock"]
-
-
-class VectorClock:
-    """A classic Fidge/Mattern vector clock over integer rank ids.
-
-    The protocol itself needs only the paper's scalar clock (below); the
-    vector form is the observability instrument: the online auditor
-    stamps every audited protocol event with one, so a reported
-    violation carries its full causal context and the happens-before
-    relation between any two events is decidable after the fact.
-    """
-
-    __slots__ = ("clocks",)
-
-    def __init__(self, clocks: dict[int, int] | None = None) -> None:
-        self.clocks: dict[int, int] = dict(clocks) if clocks else {}
-
-    def tick(self, rank: int) -> "VectorClock":
-        """Advance ``rank``'s own component (a local event); returns self."""
-        self.clocks[rank] = self.clocks.get(rank, 0) + 1
-        return self
-
-    def merge(self, other: "VectorClock") -> "VectorClock":
-        """Component-wise max with ``other`` (a reception); returns self."""
-        for r, c in other.clocks.items():
-            if c > self.clocks.get(r, 0):
-                self.clocks[r] = c
-        return self
-
-    def copy(self) -> "VectorClock":
-        return VectorClock(self.clocks)
-
-    def happened_before(self, other: "VectorClock") -> bool:
-        """Strict causal precedence: self < other in every component."""
-        if not any(c > 0 for c in self.clocks.values()):
-            return any(c > 0 for c in other.clocks.values())
-        le = all(c <= other.clocks.get(r, 0) for r, c in self.clocks.items())
-        return le and self.clocks != other.clocks
-
-    def concurrent(self, other: "VectorClock") -> bool:
-        """Neither event causally precedes the other."""
-        return not self.happened_before(other) and not other.happened_before(self)
-
-    def as_dict(self) -> dict[int, int]:
-        """A plain-dict snapshot (sorted by rank, for stable reports)."""
-        return {r: self.clocks[r] for r in sorted(self.clocks)}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        mine = {r: c for r, c in self.clocks.items() if c}
-        theirs = {r: c for r, c in other.clocks.items() if c}
-        return mine == theirs
-
-    def __repr__(self) -> str:
-        inner = ",".join(f"{r}:{c}" for r, c in sorted(self.clocks.items()))
-        return f"VC({inner})"
+__all__ = ["EventRecord", "ClockState"]
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -16,13 +16,14 @@ and this package measures exactly those mechanisms:
   export);
 * :mod:`~repro.obs.collect` — end-of-job folding of hot-path accounting
   into the registry;
-* :mod:`~repro.obs.audit` — the online protocol auditor: vector-clock
-  stamping and live checking of the V2 safety invariants;
+* :mod:`~repro.obs.audit` — the online protocol auditor: live checking
+  of the six V2 safety rules and the happens-before graph;
 * :mod:`~repro.obs.profile` — the event-kernel profiler (per-kind
   dispatch counts, per-service CPU attribution, events/sec) and the
   critical-path extraction over the auditor's happens-before graph.
 """
 
+from .audit import RULES, AuditReport, ProtocolAuditor, Violation
 from .collect import fold_cluster, fold_device_stats
 from .profile import (
     KernelProfile,
@@ -66,20 +67,5 @@ __all__ = [
     "AuditReport",
     "ProtocolAuditor",
     "Violation",
-    "audit_trace",
+    "RULES",
 ]
-
-# the auditor stamps protocol events with core-level clocks, so importing
-# it eagerly would close a cycle back through repro.core; resolve the
-# audit names on first access instead (PEP 562)
-_AUDIT_NAMES = frozenset(
-    {"AuditReport", "ProtocolAuditor", "Violation", "audit_trace", "RULES"}
-)
-
-
-def __getattr__(name: str):
-    if name in _AUDIT_NAMES:
-        from . import audit
-
-        return getattr(audit, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""The online protocol auditor: live safety checking with causal context.
+"""The online protocol auditor: live safety checking of the V2 protocol.
 
 Definition 3 of the paper argues MPICH-V2 is a *pessimistic* logging
 protocol: no in-transit message may depend on an unlogged reception, and
@@ -33,28 +33,24 @@ Rules checked (names appear in reports and violation records):
   send gated on such an ack could outrun the replication the recovery
   path depends on.
 
-Every audited event is stamped with a Fidge–Mattern vector clock — the
-algebra of :class:`~repro.core.clocks.VectorClock`, kept as plain
-``{rank: count}`` dicts on the hot path — so each violation reports the
-offending rank's causal context; with ``hb_graph=True`` the auditor also
+Every rule is a per-rank condition, checked from per-rank state.
+Causality is recorded in one place: with ``hb_graph=True`` the auditor
 accumulates the happens-before graph — per-rank program order,
 send→deliver message edges, and log_event→ack "el" edges (the EL round
 trip the WAITLOGGED gate waits on) — for export alongside the Chrome
-trace and for :func:`repro.obs.profile.critical_path`.
-
-:func:`audit_trace` runs the same checkers post-hoc over a recorded
-tracer — the invariant *logic* lives here either way.
+trace and for :func:`repro.obs.profile.critical_path`; a violation's
+causal past is the set of graph nodes that reach it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Optional
 
-from ..simnet.trace import Tracer, TraceRecord
+from ..simnet.trace import Tracer
 
-__all__ = ["RULES", "Violation", "AuditReport", "ProtocolAuditor", "audit_trace"]
+__all__ = ["RULES", "Violation", "AuditReport", "ProtocolAuditor"]
 
 #: the safety rules the auditor evaluates, in reporting order
 RULES = (
@@ -65,13 +61,12 @@ RULES = (
 
 @dataclass(frozen=True)
 class Violation:
-    """One detected safety violation, with its causal context."""
+    """One detected safety violation."""
 
     time: float  # simulated seconds
     rule: str  # one of RULES
     rank: int  # the rank at which the violation was observed
     detail: str  # human-readable one-liner (ranks and clocks named)
-    vc: dict[int, int]  # the offending rank's vector clock at the event
     context: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
@@ -81,7 +76,6 @@ class Violation:
             "rule": self.rule,
             "rank": self.rank,
             "detail": self.detail,
-            "vc": {str(r): c for r, c in self.vc.items()},
             "context": dict(self.context),
         }
 
@@ -93,7 +87,6 @@ class AuditReport:
     violations: list[Violation]
     checks: dict[str, int]  # rule -> number of checks evaluated
     events_seen: int  # protocol events observed by the auditor
-    vclocks: dict[int, dict[int, int]]  # final vector clock per rank
     hb: Optional[dict[str, Any]] = None  # happens-before graph, if built
 
     @property
@@ -117,10 +110,6 @@ class AuditReport:
             "events_seen": self.events_seen,
             "checks": dict(self.checks),
             "violations": [v.as_dict() for v in self.violations],
-            "vclocks": {
-                str(r): {str(q): c for q, c in vc.items()}
-                for r, vc in self.vclocks.items()
-            },
         }
         if self.hb is not None:
             out["happens_before"] = self.hb
@@ -130,14 +119,13 @@ class AuditReport:
 class ProtocolAuditor:
     """Streaming checker of the V2 safety invariants.
 
-    Attach to a live run with :meth:`attach` (the normal path — wired by
-    ``run_job(..., audit=True)``), or feed recorded records through
-    :meth:`observe` for a post-hoc scan.  Call :meth:`finish` once the
-    run completes to obtain the :class:`AuditReport`.
+    Attach to a live run with :meth:`attach` (wired by
+    ``run_job(..., audit=True)``); call :meth:`finish` once the run
+    completes to obtain the :class:`AuditReport`.
 
-    The observe path is deliberately allocation-light — vector clocks
-    are plain ``{rank: count}`` dicts, per-rule counters are ints —
-    because every protocol event of the run passes through it; the ≤15%
+    The observe path is deliberately allocation-light — per-rule
+    counters are ints, and no clock is copied per event — because
+    every protocol event of the run passes through it; the 10 µs/event
     wall-clock budget of ``benchmarks/bench_observability_overhead.py``
     is the regression fence.
     """
@@ -171,13 +159,10 @@ class ProtocolAuditor:
         self._n_replay = 0
         self._n_orphan = 0
         self._n_gc = 0
-        # causal instrumentation: per-rank vector clocks and, per message
-        # id (src, sclock), the sender's clock at transmission
-        self._vc: dict[int, dict[int, int]] = {}
-        self._msg_vc: dict[tuple[int, int], dict[int, int]] = {}
         # waitlogged: per-rank emit times of still-unacknowledged events
         self._pending_el: dict[int, deque[float]] = {}
         # el-quorum: which EL replicas have stored each (rank, rclock)
+        # not yet acknowledged
         self._el_stores: dict[tuple[int, int], set[str]] = {}
         self._n_quorum = 0
         # logged order: EL contents and per-rank delivery history by rclock
@@ -219,8 +204,6 @@ class ProtocolAuditor:
     # -- the event stream --------------------------------------------------
     def observe(self, time: float, kind: str, f: dict) -> None:
         """Evaluate one protocol event (the subscriber callback)."""
-        if kind not in self.INTEREST:
-            return  # post-hoc feeds pass every record through
         self.events_seen += 1
         if kind == "v2.deliver":
             self._on_deliver(time, f)
@@ -233,9 +216,7 @@ class ProtocolAuditor:
                 pending = self._pending_el[rank] = deque()
             pending.append(time)
             if self.hb_graph:
-                node = self._hb_add(
-                    rank, "log_event", time, f, self._vc.get(rank, {})
-                )
+                node = self._hb_add(rank, "log_event", time, f)
                 # the reception event exists because a message arrived:
                 # give it the message edge from the sender's tx, so idle
                 # wait lands on "message" flight, not local program order
@@ -250,14 +231,15 @@ class ProtocolAuditor:
                 for _ in range(min(f["n"], len(pending))):
                     pending.popleft()
             # el-quorum: every event this ack releases from the gate must
-            # already sit on at least `quorum` distinct replicas
-            quorum = f.get("quorum", 0)
-            if quorum > 1 and "ids" in f:
-                for rclock in f["ids"]:
+            # already sit on at least `quorum` distinct replicas; the ack
+            # is the last reader of an event's replica set
+            quorum = f["quorum"]
+            stores = self._el_stores
+            for rclock in f["ids"]:
+                stored_on = stores.pop((rank, rclock), ())
+                if quorum > 1:
                     self._n_quorum += 1
-                    stored_on = self._el_stores.get((rank, rclock), ())
                     if len(stored_on) < quorum:
-                        vc = self._vc.setdefault(rank, {})
                         self._flag(
                             time,
                             "el-quorum",
@@ -265,15 +247,12 @@ class ProtocolAuditor:
                             f"rank {rank}'s WAITLOGGED gate cleared rclock "
                             f"{rclock} with {len(stored_on)} of the "
                             f"required {quorum} replica store(s)",
-                            vc,
                             rclock=rclock,
                             stored=len(stored_on),
                             quorum=quorum,
                         )
             if self.hb_graph:
-                node = self._hb_add(
-                    rank, "el_ack", time, f, self._vc.get(rank, {})
-                )
+                node = self._hb_add(rank, "el_ack", time, f)
                 hb_pending = self._hb_pending_el.get(rank)
                 if hb_pending:
                     # the ack covers a batch: one "el" edge per event it
@@ -328,7 +307,6 @@ class ProtocolAuditor:
             self._ckpt_hr.clear()
             self._pending_el.clear()
             self._seen_ids.clear()
-            self._msg_vc.clear()
             self._store_commits.clear()
             self._store_quorum.clear()
             self._hb_pending_el.clear()
@@ -336,17 +314,10 @@ class ProtocolAuditor:
     # -- rules -------------------------------------------------------------
     def _on_tx(self, time: float, f: dict) -> None:
         rank = f["rank"]
-        vc = self._vc.get(rank)
-        if vc is None:
-            vc = self._vc[rank] = {}
-        vc[rank] = vc.get(rank, 0) + 1
-        payload = f["pkt_kind"] not in ("cts", "control")
-        if payload:
-            # the message id (sender, sclock): deliveries merge this clock
-            self._msg_vc[(rank, f["sclock"])] = vc.copy()
         if self.hb_graph:
-            node = self._hb_add(rank, "tx", time, f, vc)
-            if payload:
+            node = self._hb_add(rank, "tx", time, f)
+            if f["pkt_kind"] not in ("cts", "control"):
+                # a payload's id (sender, sclock): its deliveries link here
                 self._tx_node[(rank, f["sclock"])] = node
         self._n_waitlogged += 1
         pending = self._pending_el.get(rank)
@@ -367,7 +338,6 @@ class ProtocolAuditor:
                     f"rank {rank} transmitted (sclock={f.get('sclock')}, "
                     f"dst={f.get('dst')}) with {stale} unacknowledged "
                     f"reception event(s)",
-                    vc,
                     dst=f.get("dst"),
                     sclock=f.get("sclock"),
                     unacked=stale,
@@ -377,18 +347,9 @@ class ProtocolAuditor:
         rank, src = f["rank"], f["src"]
         sclock, rclock = f["sclock"], f["rclock"]
         mode = f.get("mode", "fresh")
-        vc = self._vc.get(rank)
-        if vc is None:
-            vc = self._vc[rank] = {}
-        vc[rank] = vc.get(rank, 0) + 1
         mid = (src, sclock)
-        sent_vc = self._msg_vc.get(mid)
-        if sent_vc is not None:
-            for k, v in sent_vc.items():
-                if v > vc.get(k, 0):
-                    vc[k] = v
         if self.hb_graph:
-            node = self._hb_add(rank, "deliver", time, f, vc)
+            node = self._hb_add(rank, "deliver", time, f)
             tx = self._tx_node.get(mid)
             if tx is not None:
                 self._hb_edges.append((tx, node, "message"))
@@ -405,7 +366,6 @@ class ProtocolAuditor:
                 f"rank {rank} (incarnation "
                 f"{self._incarnation.get(rank, 0)}) delivered message "
                 f"({src},{sclock}) twice at rclock {rclock}",
-                vc,
                 src=src,
                 sclock=sclock,
                 rclock=rclock,
@@ -428,7 +388,6 @@ class ProtocolAuditor:
                     f"rank {rank} replayed rclock {rclock} as message "
                     f"({src},{sclock}) but the logged order expects "
                     f"({expected[0]},{expected[1]})",
-                    vc,
                     src=src,
                     sclock=sclock,
                     rclock=rclock,
@@ -444,7 +403,6 @@ class ProtocolAuditor:
                 f"rank {rank} delivered fresh message ({src},{sclock}) at "
                 f"rclock {rclock} although the event logger holds "
                 f"({expected_el[0]},{expected_el[1]}) for that clock",
-                vc,
                 src=src,
                 sclock=sclock,
                 rclock=rclock,
@@ -462,7 +420,6 @@ class ProtocolAuditor:
         hr = self._ckpt_hr.get(peer)
         covered = hr.get(rank, 0) if hr else 0
         if upto > covered:
-            vc = self._vc.setdefault(rank, {})
             self._flag(
                 time,
                 "gc-safety",
@@ -470,7 +427,6 @@ class ProtocolAuditor:
                 f"rank {rank} garbage-collected payloads for rank {peer} up "
                 f"to sclock {upto}, but rank {peer}'s last checkpoint only "
                 f"covers sclock {covered}",
-                vc,
                 peer=peer,
                 upto=upto,
                 covered=covered,
@@ -489,7 +445,6 @@ class ProtocolAuditor:
                 continue  # this replica never committed the quorum manifest
             lost = freed & protected
             if lost:
-                vc = self._vc.setdefault(rank, {})
                 self._flag(
                     time,
                     "store-gc",
@@ -497,7 +452,6 @@ class ProtocolAuditor:
                     f"store replica {server} reclaimed {len(lost)} chunk(s) "
                     f"still referenced by rank {rank}'s latest "
                     f"quorum-complete manifest (seq {qs})",
-                    vc,
                     server=server,
                     seq=qs,
                     chunks=len(lost),
@@ -505,28 +459,11 @@ class ProtocolAuditor:
 
     # -- helpers -----------------------------------------------------------
     def _flag(
-        self,
-        time: float,
-        rule: str,
-        rank: int,
-        detail: str,
-        vc: dict[int, int],
-        **context: Any,
+        self, time: float, rule: str, rank: int, detail: str, **context: Any
     ) -> None:
-        self.violations.append(
-            Violation(
-                time=time,
-                rule=rule,
-                rank=rank,
-                detail=detail,
-                vc=dict(vc),
-                context=context,
-            )
-        )
+        self.violations.append(Violation(time, rule, rank, detail, context))
 
-    def _hb_add(
-        self, rank: int, op: str, time: float, f: dict, vc: dict[int, int]
-    ) -> int:
+    def _hb_add(self, rank: int, op: str, time: float, f: dict) -> int:
         node = len(self._hb_nodes)
         self._hb_nodes.append(
             {
@@ -534,7 +471,6 @@ class ProtocolAuditor:
                 "rank": rank,
                 "op": op,
                 "time": time,
-                "vc": dict(vc),
                 **{
                     k: f[k]
                     for k in ("src", "dst", "sclock", "rclock")
@@ -572,14 +508,5 @@ class ProtocolAuditor:
                 "el-quorum": self._n_quorum,
             },
             events_seen=self.events_seen,
-            vclocks={r: dict(vc) for r, vc in sorted(self._vc.items())},
             hb=hb,
         )
-
-
-def audit_trace(records: Union[Iterable[TraceRecord], Tracer]) -> AuditReport:
-    """Post-hoc audit of recorded trace records with the same checkers."""
-    auditor = ProtocolAuditor()
-    for rec in records:
-        auditor.observe(rec.time, rec.kind, rec.fields)
-    return auditor.finish()

@@ -360,7 +360,8 @@ def start(
 
 
 def collect(job: Job, since: float = 0.0, timed_out: bool = False) -> JobResult:
-    """The result of a finished job (``timed_out``: of an abandoned one).
+    """The result of a finished job (``timed_out``: of one abandoned
+    before every rank returned, on a timeout or a program error).
 
     ``since`` is the simulated time the job was started at, so
     ``elapsed`` is the job's own duration on a long-lived cluster.
@@ -418,9 +419,9 @@ def run_job(
 
     ``limit`` bounds simulated seconds (raises if exceeded).  ``audit``
     attaches the online protocol auditor to the run's live trace stream
-    and reports the verdict in ``JobResult.audit`` (for p4/v1 only the
-    causal-clock stamping applies — the V2 invariant checks have nothing
-    to fire on); ``audit_hb=True`` additionally collects the
+    and reports the verdict in ``JobResult.audit`` (p4/v1 emit no V2
+    protocol events, so their audit is trivially clean);
+    ``audit_hb=True`` additionally collects the
     happens-before graph.  ``profile`` hooks the event-kernel profiler
     into the simulator and reports the
     :class:`~repro.obs.profile.KernelProfile` in ``JobResult.profile``.

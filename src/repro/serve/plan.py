@@ -59,12 +59,13 @@ class JobSpec:
             )
         if self.nranks < 1:
             raise ValueError("a job needs at least one rank")
+        # a workload or fault the plane cannot run is refused here, not
+        # inside the shared plane next to every other tenant's job
+        resolve_program(self)
         if self.fault is None:
             return
         if self.device != "v2":
             raise ValueError("fault injection requires the v2 device")
-        # a fault the injector cannot carry out would crash it inside the
-        # shared plane and take every other tenant's job down with it
         plan = resolve_fault(self)
         if isinstance(plan, ExplicitFaults):
             bad = sorted({r for _, r in plan.schedule if not 0 <= r < self.nranks})

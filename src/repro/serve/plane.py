@@ -290,7 +290,11 @@ class ControlPlane:
 
         limit = spec.limit if spec.limit is not None else self.cfg.serve_job_limit
         watchdog = sim.timeout(limit)
-        yield any_of(sim, [job.done, watchdog])
+        try:
+            yield any_of(sim, [job.done, watchdog])
+        except Exception:
+            pass  # the program raised: the error is this job's result
+        error = job.done.exception
         timed_out = not job.done.done
         sim.cancel(watchdog)
 
@@ -315,12 +319,16 @@ class ControlPlane:
                 srv.evict(keys)
         self.cluster.rng.drop(ns.prefix)
 
-        result = collect(job, since=handle.start_t or 0.0, timed_out=timed_out)
+        result = collect(
+            job, since=handle.start_t or 0.0,
+            timed_out=timed_out or error is not None,
+        )
         result.extras.update(
             job_id=handle.job_id,
             tenant=spec.tenant,
             namespace=ns.tag,
             timed_out=timed_out,
+            error=None if error is None else f"{type(error).__name__}: {error}",
             wait_s=handle.wait_s,
             mttr=(
                 RecoveryAttribution.from_trace(dep.tracer)
@@ -347,6 +355,8 @@ class ControlPlane:
         m.counter("serve.completed", tenant=tenant.name).inc()
         if result.extras.get("timed_out"):
             m.counter("serve.timeouts", tenant=tenant.name).inc()
+        if result.extras.get("error"):
+            m.counter("serve.failed", tenant=tenant.name).inc()
         if result.audit is not None and not result.audit.clean:
             m.counter("serve.audit_violations", tenant=tenant.name).inc(
                 len(result.audit.violations)
@@ -388,6 +398,7 @@ class ControlPlane:
             "jobs": self._next_id,
             "completed": sum(t.completed for t in self.tenants.values()),
             "timeouts": int(m.total("serve.timeouts", default=0.0)),
+            "failed": int(m.total("serve.failed", default=0.0)),
             "audit_violations": violations,
             "tenants": {
                 name: {

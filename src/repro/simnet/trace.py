@@ -1,9 +1,10 @@
 """Execution tracing.
 
 A :class:`Tracer` collects typed trace records during a simulation.  The
-protocol-invariant tests (e.g. the pessimistic-logging property of
-Definition 3 in the paper) are implemented as *post-hoc* checks over these
-traces, so the protocol code itself stays free of assertion scaffolding.
+protocol invariants (e.g. the pessimistic-logging property of
+Definition 3 in the paper) are checked by a live subscriber, the
+auditor of :mod:`repro.obs.audit`, so the protocol code itself stays
+free of assertion scaffolding.
 """
 
 from __future__ import annotations

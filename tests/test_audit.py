@@ -3,13 +3,12 @@
 Mutation-tests the auditor the only way a checker can be trusted: seed
 each protocol violation deliberately (one production method patched for
 the length of the test — the ``sabotage_*`` seams below, one per rule)
-and assert the auditor names the offending rank and its causal clock.
-Also covers the vector-clock algebra and the happens-before graph.
+and assert the auditor names the offending rank.  Also covers the
+happens-before graph and the auditor's per-message retention.
 """
 
 import pytest
 
-from repro.core.clocks import VectorClock
 from repro.core.el_client import EventLogClient
 from repro.core.peers import PeerManager
 from repro.core.replay import ReplayState
@@ -45,29 +44,6 @@ def traffic_prog(mpi, rounds=6):
     return round(out, 6)
 
 
-# -- vector clocks ----------------------------------------------------------
-
-def test_vector_clock_algebra():
-    a = VectorClock().tick(0)  # {0:1}
-    b = VectorClock().tick(1)  # {1:1}
-    assert a.concurrent(b) and b.concurrent(a)
-    assert not a.happened_before(b)
-    c = b.copy().merge(a).tick(1)  # {0:1, 1:2}
-    assert a.happened_before(c)
-    assert b.happened_before(c)
-    assert not c.happened_before(a)
-    assert not a.happened_before(a)  # irreflexive
-    assert VectorClock({0: 1, 1: 2}) == c
-    assert c.as_dict() == {0: 1, 1: 2}
-
-
-def test_vector_clock_merge_is_componentwise_max():
-    a = VectorClock({0: 5, 1: 1})
-    b = VectorClock({1: 3, 2: 2})
-    a.merge(b)
-    assert a.as_dict() == {0: 5, 1: 3, 2: 2}
-
-
 # -- clean runs -------------------------------------------------------------
 
 def test_clean_fault_and_recovery_run_audits_clean():
@@ -86,8 +62,6 @@ def test_clean_fault_and_recovery_run_audits_clean():
     assert rep.checks["orphan"] > 0
     assert rep.checks["replay-order"] > 0  # the restart actually replayed
     assert rep.events_seen > 100
-    # every rank advanced its causal clock
-    assert sorted(rep.vclocks) == [0, 1, 2, 3]
 
 
 def test_audit_available_on_non_v2_devices():
@@ -171,7 +145,6 @@ def test_mutation_bypass_waitlogged_is_flagged(monkeypatch):
     assert rep.count("waitlogged") > 0
     v = next(x for x in rep.violations if x.rule == "waitlogged")
     assert v.rank in range(4)
-    assert v.vc.get(v.rank, 0) > 0  # stamped with the offender's clock
     assert f"rank {v.rank} transmitted" in v.detail
     assert "unacknowledged" in v.detail
     assert v.context["unacked"] >= 1
@@ -191,7 +164,6 @@ def test_mutation_reorder_replay_is_flagged(monkeypatch):
     assert v.rank == 2  # the crashed (replaying) rank
     assert "logged order" in v.detail
     assert "expected_src" in v.context and "rclock" in v.context
-    assert v.vc  # causal context attached
 
 
 def test_mutation_premature_gc_is_flagged(monkeypatch):
@@ -299,6 +271,57 @@ def test_finish_really_unsubscribes_the_auditor():
     assert auditor.events_seen == rep.events_seen == 0
 
 
+def test_auditor_retains_little_per_message():
+    """What a long run costs the auditor: a synthetic 64-rank stream of
+    20 000 messages (tx, deliver, log_event, el.store, el_ack at quorum
+    1) may leave at most 400 bytes per message behind.  A send-time
+    vector clock per message (~1.3-3 kB at 64 ranks) or an EL replica
+    set kept past its ack (~300 B) breaks the bound."""
+    import gc
+    import tracemalloc
+
+    nranks, n = 64, 20_000
+    sclock, rclock = [0] * nranks, [0] * nranks
+    gc.collect()
+    tracemalloc.start()
+    try:
+        auditor = ProtocolAuditor()
+        base = tracemalloc.get_traced_memory()[0]
+        t = 0.0
+        for i in range(n):
+            src = i % nranks
+            dst = (src + 1 + (i // nranks) % (nranks - 1)) % nranks
+            sclock[src] += 1
+            rclock[dst] += 1
+            s, r = sclock[src], rclock[dst]
+            t += 1e-6
+            auditor.observe(t, "v2.tx", {
+                "rank": src, "dst": dst, "sclock": s, "pkt_kind": "eager",
+            })
+            auditor.observe(t, "v2.deliver", {
+                "rank": dst, "src": src, "sclock": s, "rclock": r,
+                "mode": "fresh",
+            })
+            auditor.observe(t, "v2.log_event", {
+                "rank": dst, "src": src, "sclock": s, "rclock": r,
+            })
+            auditor.observe(t, "el.store", {
+                "rank": dst, "n": 1, "server": "el0", "shard": 0,
+                "ids": ((r, src, s),),
+            })
+            auditor.observe(t, "v2.el_ack", {
+                "rank": dst, "n": 1, "outstanding": 0, "ids": (r,),
+                "quorum": 1,
+            })
+        gc.collect()
+        per_msg = (tracemalloc.get_traced_memory()[0] - base) / n
+    finally:
+        tracemalloc.stop()
+    rep = auditor.finish()
+    assert rep.clean and rep.checks["waitlogged"] == rep.checks["orphan"] == n
+    assert per_msg <= 400, f"{per_msg:.0f} B retained per message"
+
+
 # -- happens-before graph ---------------------------------------------------
 
 def test_happens_before_graph_links_sends_to_deliveries():
@@ -316,13 +339,10 @@ def test_happens_before_graph_links_sends_to_deliveries():
         # the receive (v2) or the delivery itself
         assert tx["op"] == "tx" and dv["op"] in ("deliver", "log_event")
         assert tx["rank"] == dv["src"]  # the edge follows the message
-        # causality: the send's clock precedes (or is merged into) the
-        # delivery's clock (log_event carries the pre-merge receiver
-        # clock — the Fidge-Mattern merge happens at delivery)
-        if dv["op"] == "deliver":
-            assert VectorClock(tx["vc"]).happened_before(
-                VectorClock(dv["vc"])
-            ) or tx["vc"] == dv["vc"]
+        # causality: the send precedes its reception in simulated time
+        # and in the order the auditor saw the events
+        assert tx["time"] <= dv["time"]
+        assert tx["id"] < dv["id"]
     assert any(nodes[e["to"]]["op"] == "deliver" for e in msg_edges)
     assert any(nodes[e["to"]]["op"] == "log_event" for e in msg_edges)
     # program-order edges stay within one rank
@@ -361,5 +381,8 @@ def test_format_audit_names_ranks_and_clocks(monkeypatch):
     assert "waitlogged" in text
     v = res.audit.violations[0]
     assert f"rank {v.rank} transmitted" in text
-    assert "vclock" in text
+    header = next(ln for ln in text.splitlines() if "detail" in ln)
+    assert header.split() == ["time", "s", "rule", "rank", "detail"]
+    row = next(ln for ln in text.splitlines() if v.detail in ln)
+    assert row.split()[1:3] == ["waitlogged", str(v.rank)]
     assert format_audit(None) == "(no audit: run with audit=True)"

@@ -214,7 +214,7 @@ def test_unclean_audit_exits_one(argv, monkeypatch, capsys):
     def violate(res):
         if res.audit is not None:
             res.audit.violations.append(
-                Violation(0.0, "waitlogged", 0, "seeded", {0: 1})
+                Violation(0.0, "waitlogged", 0, "seeded")
             )
         return res
 
@@ -243,6 +243,7 @@ def test_unclean_audit_exits_one(argv, monkeypatch, capsys):
     pytest.param({"workload": "token_ring", "nranks": 2, "device": "v2",
                   "fault": {"kind": "kill", "rank": 9, "at": 0.01}},
                  id="fault-rank"),
+    pytest.param({"workload": "bogus", "nranks": 2}, id="unknown-workload"),
 ])
 def test_serve_rejects_a_bad_plan_as_a_usage_error(job, tmp_path, capsys):
     """A plan the plane refuses is exit 2 with a ``repro:`` line, not a
@@ -267,6 +268,35 @@ def test_serve_json_out(tmp_path, capsys):
     assert [j["job"] for j in doc["jobs"]] == [0, 1]
     assert {j["tenant"] for j in doc["jobs"]} == {"default", "b"}
     assert all(j["device"] == "p4" and j["nranks"] == 2 for j in doc["jobs"])
+
+
+def test_serve_reports_a_failed_job_without_a_traceback(
+    tmp_path, capsys, monkeypatch
+):
+    """A job whose program raises is printed as failed and makes the
+    exit status 1; the plane and the other job finish."""
+    import repro.workloads
+
+    def broken_ring(mpi, **params):
+        yield from mpi.compute(seconds=0.01)
+        return 1 // 0
+
+    monkeypatch.setattr(repro.workloads, "token_ring", broken_ring)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([
+        {"workload": "token_ring", "nranks": 2, "device": "v2"},
+        {"workload": "pingpong", "nranks": 2, "tenant": "b",
+         "params": {"nbytes": 8, "reps": 2}},
+    ]))
+    out = tmp_path / "serve.json"
+    assert main(["serve", "--jobs", str(plan), "--json-out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "job 0 failed: ZeroDivisionError" in text
+    assert "2/2 jobs" in text
+    doc = json.loads(out.read_text())
+    assert doc["jobs"][0]["error"].startswith("ZeroDivisionError")
+    assert doc["jobs"][1]["error"] is None
+    assert doc["summary"]["failed"] == 1
 
 
 def test_run_service_faults_and_partitions(capsys):

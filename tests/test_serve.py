@@ -251,6 +251,59 @@ def test_rank_kill_recovers_without_touching_the_neighbour_job():
     assert plane.finish()["audit_violations"] == 0
 
 
+def _submit_or_refusal(plane, spec_kw):
+    """The handle of a submitted job, or the error its spec raised."""
+    try:
+        return plane.submit(JobSpec(**spec_kw))
+    except ValueError as exc:
+        return exc
+
+
+def test_unknown_workload_is_refused_before_it_reaches_the_plane():
+    """``JobSpec(workload="bogus")`` used to raise inside the job driver,
+    and ``drain`` died with the other tenant's job still running."""
+    plane = ControlPlane(capacity=4, svc_slots=1)
+    good = plane.submit(_v2(2, tenant="alpha"))
+    refused = _submit_or_refusal(
+        plane, dict(workload="bogus", nranks=2, tenant="beta"),
+    )
+    plane.drain()
+    assert isinstance(refused, ValueError)
+    assert "unknown workload 'bogus'" in str(refused)
+    assert len(good.result.results) == 2
+    assert good.result.extras["error"] is None
+
+
+def _divides_by_zero(mpi):
+    """Rank 1 raises after 10 ms; rank 0 waits for it forever."""
+    yield from mpi.compute(seconds=0.01)
+    if mpi.rank == 1:
+        return 1 // 0
+    msg = yield from mpi.recv(source=1)
+    return msg.data
+
+
+def test_a_program_error_fails_its_job_and_spares_the_plane():
+    """A program that raises used to escape ``drain`` as ``SimError``
+    (the job driver re-raised it); now it is that job's result, and its
+    slice goes back to the pool as on a timeout."""
+    plane = ControlPlane(capacity=4, svc_slots=1)
+    good = plane.submit(_p4(2, tenant="alpha", params={"rounds": 40}))
+    bad = plane.submit(JobSpec(
+        workload=_divides_by_zero, nranks=2, device="v2", tenant="beta",
+    ))
+    plane.drain()
+    res = bad.result
+    assert res.extras["error"].startswith("ZeroDivisionError")
+    assert res.results == [] and not res.extras["timed_out"]
+    assert res.audit.clean
+    assert len(good.result.results) == 2
+    assert good.result.extras["error"] is None
+    summary = plane.finish()
+    assert summary["completed"] == 2 and summary["failed"] == 1
+    assert len(plane._free_cn) == 4 and len(plane._free_svc) == 1
+
+
 def test_finished_jobs_are_evicted_from_shared_services():
     plane = ControlPlane(capacity=4, svc_slots=1)
     handle = plane.submit(_v2(
