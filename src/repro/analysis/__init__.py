@@ -1,12 +1,10 @@
 """Analysis helpers: derived metrics and report tables."""
 
-from .metrics import breakdown, mean_comm, mean_compute, mops
+from .metrics import breakdown, mops
 from .report import Report, format_table
 
 __all__ = [
     "breakdown",
-    "mean_comm",
-    "mean_compute",
     "mops",
     "Report",
     "format_table",

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-
 from ..runtime.results import JobResult
 
-__all__ = ["mops", "breakdown", "mean_comm", "mean_compute"]
+__all__ = ["mops", "breakdown"]
 
 
 def mops(total_flops: float, result: JobResult) -> float:
@@ -13,24 +12,12 @@ def mops(total_flops: float, result: JobResult) -> float:
     return total_flops / result.elapsed / 1e6
 
 
-def mean_compute(result: JobResult) -> float:
-    """Mean per-rank computation time (the paper's breakdown numerator)."""
-    return sum(
-        t.get("compute") for t in result.timers.values()
-    ) / len(result.timers)
-
-
-def mean_comm(result: JobResult) -> float:
-    """Mean per-rank communication time (everything except compute)."""
-    return sum(t.comm_total() for t in result.timers.values()) / len(
-        result.timers
-    )
-
-
 def breakdown(result: JobResult) -> dict[str, float]:
-    """Execution-time breakdown (Figure 8 of the paper)."""
+    """Execution-time breakdown (Figure 8 of the paper): the mean per-rank
+    computation time and communication time (everything else)."""
+    timers, n = result.timers.values(), len(result.timers)
     return {
         "elapsed": result.elapsed,
-        "compute": mean_compute(result),
-        "comm": mean_comm(result),
+        "compute": sum(t.get("compute") for t in timers) / n,
+        "comm": sum(t.comm_total() for t in timers) / n,
     }

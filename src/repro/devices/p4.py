@@ -133,6 +133,5 @@ def launch(
             ends[j][i] = s.end_for(hj)
     for st, dev in zip(ranks.states, devices):
         dev.wire(ends[st.rank])
-        # unsupervised: with no recovery, a rank's error is the job's
-        ranks.spawn_app(st, dev, supervised=False)
+        ranks.spawn_app(st, dev)
     return ranks

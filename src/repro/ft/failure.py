@@ -27,6 +27,7 @@ Any combination runs in one job via :class:`ComposedFaults`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
@@ -139,11 +140,7 @@ class ChurnFaults:
 
     def driver(self, ctx: FaultContext):
         """Run the churn process (spawned by the dispatcher)."""
-        import math
-
-        import numpy as np
-
-        rng = np.random.default_rng(self.seed)
+        rng = RngStream(self.seed)  # numpy's default_rng(seed), draw for draw
         # per-rank scheduled death time; re-drawn after each restart
         deaths: dict[int, float] = {}
         # Weibull mean = scale * Gamma(1 + 1/shape)
@@ -237,9 +234,7 @@ class LinkFlapFaults:
         """Run the schedule (spawned by the dispatcher)."""
         if ctx.flap_link is None:
             return
-        import numpy as np
-
-        rng = np.random.default_rng(self.seed)
+        rng = RngStream(self.seed)  # numpy's default_rng(seed), draw for draw
         done = 0
         while done < self.count and ctx.job_running():
             yield ctx.sim.timeout(self.interval)
@@ -248,7 +243,7 @@ class LinkFlapFaults:
             targets = ctx.alive_unfinished()
             if len(targets) < 2:
                 continue
-            a, b = (int(r) for r in rng.choice(targets, size=2, replace=False))
+            a, b = rng.sample(targets, 2)
             if ctx.flap_link(a, b):
                 self.injected.append((ctx.sim.now, a, b))
                 done += 1

@@ -29,7 +29,6 @@ real implementation retains the bytes).
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Generator, Optional, Sequence
 
 from ..devices.base import ChannelDevice
@@ -37,7 +36,7 @@ from ..simnet.kernel import Future, Simulator
 from ..simnet.trace import Tracer
 from . import collectives
 from .adi import Adi
-from .datatypes import ANY_SOURCE, ANY_TAG, CTX_PT2PT, Envelope, Message
+from .datatypes import ANY_SOURCE, ANY_TAG, CTX_PT2PT, Envelope, Message, payload_nbytes
 from .requests import RecvRequest, Request, SendRequest
 from .timing import CallTimer
 
@@ -45,23 +44,6 @@ __all__ = ["Comm", "MPI", "payload_nbytes"]
 
 _API_CALL_CPU = 1.5e-6  # library entry/exit cost per MPI call
 _FIRST_USER_CTX = 16  # first context id a split may use (0/1 are the world's)
-
-
-def payload_nbytes(data: Any) -> int:
-    """Estimate the wire size of a payload object."""
-    if data is None:
-        return 0
-    if isinstance(data, (bytes, bytearray)):
-        return len(data)
-    # an array needs numpy loaded; a run that never loaded it has none
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(data, np.ndarray):
-        return int(data.nbytes)
-    if isinstance(data, (int, float)):
-        return 8
-    if isinstance(data, (list, tuple)):
-        return 16 + sum(payload_nbytes(x) for x in data)
-    return 64
 
 
 class Comm:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..simnet.kernel import Future
-from .datatypes import CTX_COLL
+from .datatypes import CTX_COLL, payload_nbytes
 
 __all__ = [
     "barrier",
@@ -80,8 +80,6 @@ def bcast(
             break
         mask <<= 1
     if nbytes is None:
-        from .api import payload_nbytes
-
         nbytes = payload_nbytes(data)
     mask >>= 1
     while mask > 0:
@@ -104,8 +102,6 @@ def reduce(
     p, me = mpi.size, mpi.rank
     tag = mpi.coll_tag()
     if nbytes is None:
-        from .api import payload_nbytes
-
         nbytes = payload_nbytes(value)
     if p == 1:
         yield mpi.sim.timeout(0.0)
@@ -136,8 +132,6 @@ def allreduce(
     op = op or _default_op
     p, me = mpi.size, mpi.rank
     if nbytes is None:
-        from .api import payload_nbytes
-
         nbytes = payload_nbytes(value)
     if p == 1:
         yield mpi.sim.timeout(0.0)
@@ -170,8 +164,6 @@ def gather(
     p, me = mpi.size, mpi.rank
     tag = mpi.coll_tag()
     if nbytes is None:
-        from .api import payload_nbytes
-
         nbytes = payload_nbytes(value)
     if me != root:
         yield from _send(mpi, root, nbytes, tag, (me, value))
@@ -192,8 +184,6 @@ def allgather(
     p, me = mpi.size, mpi.rank
     tag = mpi.coll_tag()
     if nbytes is None:
-        from .api import payload_nbytes
-
         nbytes = payload_nbytes(value)
     out: list[Any] = [None] * p
     out[me] = value
@@ -224,8 +214,6 @@ def scatter(
         if values is None or len(values) != p:
             raise ValueError("root must supply one value per rank")
         if nbytes is None:
-            from .api import payload_nbytes
-
             nbytes = max(payload_nbytes(v) for v in values)
         for dst in range(p):
             if dst != root:
@@ -247,8 +235,6 @@ def alltoall(
         raise ValueError("values must have one entry per rank")
     tag = mpi.coll_tag()
     if nbytes_each is None:
-        from .api import payload_nbytes
-
         nbytes_each = max(payload_nbytes(v) for v in values)
     out: list[Any] = [None] * p
     out[me] = values[me]
@@ -279,8 +265,6 @@ def scan(
     op = op or _default_op
     p, me = mpi.size, mpi.rank
     if nbytes is None:
-        from .api import payload_nbytes
-
         nbytes = payload_nbytes(value)
     acc = value
     if p == 1:

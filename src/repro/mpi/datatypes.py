@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "CTX_PT2PT", "CTX_COLL", "Envelope", "Message"]
+__all__ = [
+    "ANY_SOURCE", "ANY_TAG", "CTX_PT2PT", "CTX_COLL", "Envelope", "Message",
+    "payload_nbytes",
+]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -16,6 +20,23 @@ ANY_TAG = -1
 # ``_context`` argument names which of the pair a message travels in
 CTX_PT2PT = 0
 CTX_COLL = 1
+
+
+def payload_nbytes(data: Any) -> int:
+    """Estimate the wire size of a payload object."""
+    if data is None:
+        return 0
+    if isinstance(data, (bytes, bytearray)):
+        return len(data)
+    # an array needs numpy loaded; a run that never loaded it has none
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(data, np.ndarray):
+        return int(data.nbytes)
+    if isinstance(data, (int, float)):
+        return 8
+    if isinstance(data, (list, tuple)):
+        return 16 + sum(payload_nbytes(x) for x in data)
+    return 64
 
 
 @dataclass

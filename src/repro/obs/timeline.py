@@ -54,8 +54,6 @@ def quantile(values: Sequence[float], q: float) -> Optional[float]:
     if not values:
         return None
     vs = sorted(values)
-    if len(vs) == 1:
-        return vs[0]
     pos = q * (len(vs) - 1)
     lo = int(pos)
     hi = min(lo + 1, len(vs) - 1)

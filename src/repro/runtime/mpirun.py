@@ -163,15 +163,13 @@ class RankSet:
         self.total_restarts = 0
         self.global_restarts = 0
 
-    def spawn_app(
-        self, st: RankState, device: Any, supervised: bool = True
-    ) -> Process:
-        """Run ``rank_main`` for ``st``'s current incarnation on its host."""
+    def spawn_app(self, st: RankState, device: Any) -> Process:
+        """Run ``rank_main`` for ``st``'s current incarnation on its host;
+        its error is the job's (see ``_app_finished``), not a crash."""
         st.mpi = MPI(self.sim, st.rank, self.nprocs, device, tracer=self.tracer)
         proc = self.sim.spawn(
             rank_main(st.mpi, self.program, self.params),
-            name=f"rank{st.rank}.i{st.incarnation}",
-            supervised=supervised,
+            name=f"rank{st.rank}.i{st.incarnation}", supervised=True,
         )
         st.host.register(proc)
         proc.done.add_done_callback(
@@ -189,8 +187,10 @@ class RankSet:
             if all(s.finished for s in self.states):
                 self.done.resolve_if_pending([s.result for s in self.states])
         elif not isinstance(exc, Killed):
-            # a genuine program/runtime error: abort the job loudly (a
-            # Killed rank's host crashed; the device drives its restart)
+            # a genuine program/runtime error fails the job, naming the
+            # rank in a PEP 678 note (``add_note`` is 3.11+); a Killed
+            # rank's host crashed, and the device restarts it
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"raised by rank{st.rank}"]
             self.done.fail_if_pending(exc)
 
     def stop(self, cause: Any) -> None:

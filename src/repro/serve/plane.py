@@ -328,7 +328,8 @@ class ControlPlane:
             tenant=spec.tenant,
             namespace=ns.tag,
             timed_out=timed_out,
-            error=None if error is None else f"{type(error).__name__}: {error}",
+            error=None if error is None else "; ".join(  # "...; raised by rankN"
+                [f"{type(error).__name__}: {error}", *getattr(error, "__notes__", ())]),
             wait_s=handle.wait_s,
             mttr=(
                 RecoveryAttribution.from_trace(dep.tracer)

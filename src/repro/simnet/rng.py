@@ -10,12 +10,17 @@ The generator is numpy's ``default_rng(SeedSequence(entropy))`` in pure
 Python, draw for draw: ``SeedSequence``'s hash seeds a PCG64 (XSL-RR
 128/64) as ``pcg64_set_seed`` does; ``random``, ``integers`` and
 ``choice`` are ``Generator``'s algorithms, down to PCG64's buffered
-upper half-word.  A call the port lacks (``size=``, a range of 2**32 or
-more) raises; it never falls back to numpy.
+upper half-word; ``weibull`` is its 256-strip exponential ziggurat, with
+tables computed at the first draw, and ``sample(a, k)`` its
+``choice(a, size=k, replace=False)``.  A call the port lacks (``size=``,
+a range of 2**32 or more, a population over 10 000) raises; it never
+falls back to numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 import zlib
 from typing import Any, Optional, Sequence, Union
@@ -24,6 +29,35 @@ __all__ = ["RngRegistry", "RngStream"]
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit default
+# the ziggurat's right edge R and strip area V = (R + 1) e^-R
+_ZIG_R, _ZIG_V = ("7.697117470131049714044628048015215499",
+                  "0.003949659822581557219977571956814861")
+# bit i set: numpy's ke[i] is one below the 30-digit recurrence's value
+_ZIG_KE_LOW = 0x544C77FC9E762E62FB0170BCF274295CAB39ADCD15655E6F492D2A9830A11FC5
+
+
+@functools.cache  # built at the first weibull draw, then kept for the process
+def ziggurat_tables() -> tuple[list[int], list[float], list[float]]:
+    """numpy's exponential ziggurat tables ``(ke, we, fe)``, from the
+    recurrence at 30 digits: ``x_255 = R``, ``x_i = -ln(V/x_{i+1} +
+    e^-x_{i+1})``, ``ke[i] = x_{i-1}/x_i * 2**53``, ``we[i] = x_i/2**53``
+    and ``fe[i] = e^-x_i``."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 30
+        r, v, m = Decimal(_ZIG_R), Decimal(_ZIG_V), Decimal(2) ** 53
+        xs = [r]
+        while len(xs) < 256:
+            xs.append(-(v / xs[-1] + (-xs[-1]).exp()).ln())
+        xs.reverse()  # x_0 (~0) .. x_255 = R
+        ke = [int(r * (-r).exp() / v * m), 0]  # ke[0]: base strip and tail
+        ke += [int(xs[i - 1] / xs[i] * m) for i in range(2, 256)]
+        return (
+            [k - (_ZIG_KE_LOW >> i & 1) for i, k in enumerate(ke)],
+            [float(v * r.exp() / m)] + [float(x / m) for x in xs[1:]],
+            [float((-x).exp()) for x in xs],
+        )
 
 
 def seed_state(entropy: Union[int, Sequence[int]]) -> list[int]:
@@ -124,6 +158,45 @@ class RngStream:
         except TypeError:  # a sequence (empty: integers raises)
             return a[self.integers(0, len(a))]
         return self.integers(0, n)
+
+    def sample(self, a: Sequence[Any], k: int) -> list:
+        """``choice(a, size=k, replace=False)``: Floyd's algorithm picks
+        the indices, a Fisher-Yates pass orders them."""
+        n = len(a)
+        if not 0 <= k <= n or n > 10_000:
+            raise ValueError("only k <= len(a) <= 10 000 is supported")
+        picked: list[int] = []
+        for j in range(n - k, n):
+            v = self.integers(0, j + 1)
+            picked.append(j if v in picked else v)
+        for i in range(k - 1, 0, -1):
+            j = self.integers(0, i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return [a[i] for i in picked]
+
+    def weibull(self, a: float) -> float:
+        """A standard exponential (ziggurat) draw to the power ``1/a``;
+        ``a == 0`` gives 0.0 and draws nothing."""
+        if math.copysign(1.0, a) < 0 and not math.isnan(a):
+            raise ValueError("a < 0")
+        if a == 0:
+            return 0.0
+        ke, we, fe = ziggurat_tables()
+        while True:
+            ri = self._next64() >> 3
+            idx, ri = ri & 0xFF, ri >> 8
+            x = ri * we[idx]
+            if ri < ke[idx]:
+                break
+            if idx == 0:  # the tail beyond R
+                x = float(_ZIG_R) - math.log1p(-self.random())
+                break
+            if (fe[idx - 1] - fe[idx]) * self.random() + fe[idx] < math.exp(-x):
+                break
+        try:
+            return x ** (1.0 / a)
+        except OverflowError:  # C's pow gives inf
+            return math.inf
 
 
 class RngRegistry:

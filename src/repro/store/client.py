@@ -344,8 +344,7 @@ class StoreClient:
             except (Disconnected, HostDown):
                 # mid-stream crash: keep what arrived, fail over
                 sess.drop()
-                if not failed_over:
-                    failed_over = True
+                failed_over = True
                 self._m_failover.inc()
                 n_failovers += 1
                 self.tracer.emit(

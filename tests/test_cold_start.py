@@ -1,5 +1,6 @@
 """Cold start: a run that builds no array never imports numpy, even
-when it draws random numbers (the named streams are numpy's PCG64
+when it draws random numbers or runs a fault plan (the named streams,
+the Weibull churn and the link-flap sample are numpy's PCG64 draws
 ported to pure Python).
 
 A relaunched process pays for every module it imports, and numpy is
@@ -90,24 +91,31 @@ def test_runs_that_draw_from_named_streams_never_import_numpy():
     assert out.stdout.strip() == "[False, False, False]"
 
 
-def test_stream_draws_stay_numpy_free_and_churn_loads_it():
-    """A stream draw never loads numpy; the Weibull churn plan, whose
-    draw is numpy's ziggurat, still does."""
+def test_churn_and_link_flap_runs_never_import_numpy():
+    """Every stream draw, the Weibull churn (numpy's ziggurat) and the
+    link-flap pair (``choice(..., replace=False)``) included, comes from
+    the pure-Python stream, so a fault-plan run loads numpy nowhere."""
     script = (
         "import sys\n"
         "from repro import run_job\n"
-        "from repro.ft.failure import ChurnFaults\n"
+        "from repro.ft.failure import ChurnFaults, LinkFlapFaults\n"
         "from repro.simnet.rng import RngRegistry\n"
-        "from repro.workloads.pingpong import pingpong\n"
+        "from repro.workloads import token_ring\n"
         "s = RngRegistry(3).stream('x')\n"
         "s.random(), s.integers(0, 10), s.choice([1, 2])\n"
-        "drawn = 'numpy' in sys.modules\n"
-        "run_job(pingpong, 2, device='v2', params={'reps': 5},\n"
-        "        faults=ChurnFaults(mean_lifetime=50.0, seed=1))\n"
-        "print(drawn, 'numpy' in sys.modules)\n"
+        "s.weibull(0.7), s.sample([1, 2, 3], 2)\n"
+        "ring = {'rounds': 200, 'nbytes': 16384}\n"
+        "churn = ChurnFaults(mean_lifetime=0.1, max_faults=1, seed=1,\n"
+        "                    check_interval=0.02)\n"
+        "res = run_job(token_ring, 4, device='v2', params=ring, faults=churn)\n"
+        "assert len(churn.injected) == 1 and res.restarts == 1\n"
+        "flaps = LinkFlapFaults(interval=0.05, count=1, seed=2)\n"
+        "run_job(token_ring, 4, device='v2', params=ring, faults=flaps)\n"
+        "assert len(flaps.injected) == 1\n"
+        "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=ENV,
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.strip() == "False"

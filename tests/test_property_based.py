@@ -3,6 +3,7 @@
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,9 @@ from repro.mpi.requests import RecvRequest
 from repro.runtime.mpirun import run_job
 from repro.sched import scheme, simulate
 from repro.simnet import Host, Network, Simulator, Stream
-from repro.simnet.rng import RngRegistry, RngStream, seed_state
+from repro.simnet.rng import (
+    _PCG_MULT, RngRegistry, RngStream, seed_state, ziggurat_tables,
+)
 
 slow = settings(
     max_examples=12,
@@ -320,6 +323,8 @@ _draw_st = st.one_of(
 def _draw(gen, op):
     if op[0] == "random":
         return gen.random()
+    if op[0] == "weibull":
+        return float(gen.weibull(op[1]))
     if op[0] == "integers":
         return int(gen.integers(op[1], op[1] + op[2]))
     return int(gen.choice(op[1]))  # an int or a list
@@ -343,3 +348,79 @@ def test_named_streams_draw_exactly_what_numpy_draws(seed, name, ops):
     ]
     for ours, numpys in pairs:
         assert [_draw(ours, op) for op in ops] == [_draw(numpys, op) for op in ops]
+
+
+_seed_st = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))
+# a shape of 0 draws nothing; tiny shapes overflow pow to inf (or 0)
+_shape_st = st.one_of(st.just(0.0), st.floats(0.0, 5.0, exclude_min=True),
+                      st.sampled_from([0.05, 0.7, 1.0, 2.0, 5.0]))
+
+
+@given(
+    _seed_st,
+    st.lists(st.one_of(
+        st.tuples(st.just("weibull"), _shape_st),
+        st.just(("random",)),
+        st.tuples(st.just("integers"), st.integers(-(2**40), 2**40), _span_st),
+    ), max_size=80),
+)
+@settings(max_examples=80, deadline=None)
+def test_weibull_draws_exactly_what_numpy_draws(seed, ops):
+    """ChurnFaults' lifetimes: numpy's ziggurat exponential to the power
+    1/a, interleaved with the other draws, from the same stream."""
+    ours, numpys = RngStream(seed), np.random.default_rng(seed)
+    assert [_draw(ours, op) for op in ops] == [_draw(numpys, op) for op in ops]
+    for a in (-1.0, -0.0):
+        with pytest.raises(ValueError, match="a < 0"):
+            numpys.weibull(a)
+        with pytest.raises(ValueError, match="a < 0"):
+            ours.weibull(a)
+
+
+def test_every_ziggurat_strip_threshold_matches_numpy():
+    """Put the 53-bit ``ri`` of the next word at ``ke[idx]-1``, ``ke[idx]``
+    and ``ke[idx]+1`` for each of the 256 strips: the accept, reject and
+    tail paths around every threshold draw what numpy draws."""
+    ke = ziggurat_tables()[0]
+    inc = 0x9E3779B97F4A7C15 << 1 | 1
+    inv = pow(_PCG_MULT, -1, 1 << 128)
+    bitgen = np.random.PCG64(0)
+    numpys = np.random.Generator(bitgen)
+    probes = 0
+    for idx in range(256):
+        for ri in range(max(ke[idx] - 1, 0), ke[idx] + 2):
+            # a state with a zero high word outputs its low word unrotated;
+            # step back one LCG step so that word is the next output
+            word = (ri << 8 | idx) << 3 | 5
+            prev = (word - inc) * inv % (1 << 128)
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                            "uinteger": 0, "state": {"state": prev, "inc": inc}}
+            ours = RngStream(0)
+            ours._state, ours._inc = prev, inc
+            assert (ours.weibull(1.0), ours.random()) == (
+                numpys.weibull(1.0), numpys.random()), (idx, ri - ke[idx])
+            probes += 1
+    assert probes == 767  # ke[1] is 0: no ri below it
+
+
+@given(
+    _seed_st,
+    st.lists(st.integers(0, 99), max_size=40).flatmap(
+        lambda pop: st.tuples(st.just(pop), st.integers(0, len(pop)))),
+)
+@settings(max_examples=80, deadline=None)
+def test_link_flap_sample_draws_exactly_what_numpy_draws(seed, pop_k):
+    """LinkFlapFaults' pair: ``choice(a, size=k, replace=False)``, and the
+    stream left where numpy leaves it."""
+    pop, k = pop_k
+    ours, numpys = RngStream(seed), np.random.default_rng(seed)
+    want = [int(v) for v in numpys.choice(pop, size=k, replace=False)]
+    assert ours.sample(pop, k) == want
+    assert ours.integers(0, 1000) == numpys.integers(0, 1000)
+
+
+def test_sample_refuses_what_it_does_not_draw_as_numpy():
+    with pytest.raises(ValueError):
+        RngStream(0).sample(range(10_001), 2)  # numpy shuffles a tail there
+    with pytest.raises(ValueError):
+        RngStream(0).sample([1, 2], 3)

@@ -304,6 +304,26 @@ def test_a_program_error_fails_its_job_and_spares_the_plane():
     assert len(plane._free_cn) == 4 and len(plane._free_svc) == 1
 
 
+def test_a_p4_program_error_fails_its_job_and_spares_the_plane():
+    """p4 ranks run supervised like every other device's: a p4 rank that
+    raises fails its own job, naming the rank, and the v2 tenant sharing
+    the plane completes (it used to escape ``drain`` as ``SimError:
+    process 'rank1.i0' crashed``)."""
+    plane = ControlPlane(capacity=4, svc_slots=1)
+    good = plane.submit(_v2(2, tenant="alpha", params={"rounds": 40}))
+    bad = plane.submit(JobSpec(
+        workload=_divides_by_zero, nranks=2, device="p4", tenant="beta",
+    ))
+    plane.drain()
+    error = bad.result.extras["error"]
+    assert error.startswith("ZeroDivisionError") and "rank1" in error
+    assert bad.result.results == [] and not bad.result.extras["timed_out"]
+    assert good.result.extras["error"] is None
+    assert len(good.result.results) == 2 and good.result.audit.clean
+    assert plane.finish()["failed"] == 1
+    assert len(plane._free_cn) == 4 and len(plane._free_svc) == 1
+
+
 def test_finished_jobs_are_evicted_from_shared_services():
     plane = ControlPlane(capacity=4, svc_slots=1)
     handle = plane.submit(_v2(
