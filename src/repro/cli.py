@@ -21,8 +21,8 @@ The ping-pong and burst figures (5, 6 and 9) are regenerated by
 ``pytest benchmarks/`` and ``python -m bench``, and the §4.6.2 policy
 table by ``pytest benchmarks/bench_sched_policies.py``, not by a verb.
 
-``run`` writes ``--trace-out`` (Chrome trace-event JSON, or JSON lines
-when the path ends in ``.jsonl``) and ``--report-out``: one JSON
+``run`` writes ``--trace-out`` (Chrome trace-event JSON) and
+``--report-out``: one JSON
 document, ``{"run": ...}`` plus one key per attached observer holding
 that observer's own export.
 
@@ -47,11 +47,7 @@ from .analysis.report import (
     format_stats,
     format_table,
 )
-from .obs import (
-    RecoveryAttribution,
-    write_chrome_trace,
-    write_trace_jsonl,
-)
+from .obs import RecoveryAttribution, write_chrome_trace
 from .runtime.config import DEFAULT_TESTBED
 from .runtime.mpirun import run_job
 from .serve import run_plan
@@ -128,18 +124,14 @@ def _store_cfg(args: argparse.Namespace, cfg):
 
 
 def _write_trace(path: Optional[str], res: Any) -> None:
-    """Honour ``--trace-out``: JSON lines for ``*.jsonl``, else Chrome
-    trace events (a sampled run's time-series as counter tracks)."""
+    """Honour ``--trace-out``: Chrome trace events (a sampled run's
+    time-series as counter tracks)."""
     if not path:
         return
-    if path.endswith(".jsonl"):
-        write_trace_jsonl(res.tracer, path)
-    else:
-        counters = (
-            res.timeseries.counter_tracks()
-            if res.timeseries is not None else None
-        )
-        write_chrome_trace(res.tracer, path, counters=counters)
+    counters = (
+        res.timeseries.counter_tracks() if res.timeseries is not None else None
+    )
+    write_chrome_trace(res.tracer, path, counters=counters)
     print(f"wrote trace to {path}")
 
 
@@ -422,7 +414,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"{summary['completed']}/{summary['jobs']} jobs in "
         f"{summary['elapsed']:.2f} simulated s; "
-        f"{summary['timeouts']} timeouts, {violations} audit violations"
+        f"{summary['failed']} failed, {summary['timeouts']} timeouts, "
+        f"{violations} audit violations"
     )
     if args.json_out:
         with open(args.json_out, "w") as fh:
@@ -501,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--top", type=int, default=None, metavar="N",
                     help="stats: only the N largest totals (default: all)")
     sp.add_argument("--trace-out", default=None, metavar="PATH",
-                    help="write the run's trace (Chrome trace-event JSON; "
-                         "*.jsonl writes JSON lines)")
+                    help="write the run's trace (Chrome trace-event JSON)")
     sp.add_argument("--report-out", default=None, metavar="PATH",
                     help="write one JSON report: the run plus each "
                          "attached observer's own document")

@@ -62,8 +62,6 @@ class CheckpointClient:
         self.key = key
         self.requested = False
         self.seq = 0
-        self.done = 0
-        self.aborts = 0
         # deterministic dirty-region model: one write-version counter per
         # ckpt_chunk_bytes region of the application footprint.  Each
         # API operation past the fast-forward boundary dirties the region
@@ -167,7 +165,6 @@ class CheckpointClient:
             yield from self._failed(image, self.store.last_push_why)
             return
         total = image.image_bytes
-        self.done += 1
         self._m_images.inc()
         self._m_bytes.inc(total)
         self._m_push.observe(self.sim.now - t0)
@@ -201,7 +198,6 @@ class CheckpointClient:
     def _failed(self, image: CheckpointImage, why: str):
         """Account an aborted push and ask the scheduler to retry it."""
         core = self.core
-        self.aborts += 1
         self._m_aborted.inc()
         self.tracer.emit(
             self.sim.now, "v2.ckpt_abort", rank=core.rank, seq=image.seq,

@@ -72,7 +72,6 @@ class DeliveryPipeline:
         # highest sclock passed up to the MPI process, per sender: the
         # duplicate-discard watermark of replay phase C
         self.forwarded_hw: dict[int, int] = {}
-        self.dups_dropped = 0
         # daemon -> MPI process forwarding (the UNIX socket, ordered):
         # packets waiting while one is in flight — or until the forward
         # starts, which ``_fwd_busy`` stands in for until then
@@ -96,7 +95,6 @@ class DeliveryPipeline:
             # duplicate discard (phase C): the RESTART handshake may re-send
             # messages we already passed up to the MPI process
             if env.sclock <= self.forwarded_hw.get(src, 0):
-                self.dups_dropped += 1
                 if pkt.kind is PacketKind.RTS:
                     # a discarded rendezvous request still needs an answer,
                     # or the (restarted) sender waits forever for a CTS:

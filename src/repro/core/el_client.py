@@ -111,7 +111,6 @@ class EventLogClient:
         #: Traces and metrics keep the bare rank (per-job registries).
         self.key = key
         self.el_names = el_names
-        self.el_name = self.el_names[0]  # the shard's primary name
         self.nreps = len(self.el_names)
         #: replica acks required before a batch clears the gate
         self.quorum = min(self.nreps, cfg.el_quorum)
@@ -149,7 +148,6 @@ class EventLogClient:
         # quorum-outage state: set while live replicas < quorum (for the
         # single-replica deployment this is exactly "the EL is down")
         self._down_since: Optional[float] = None
-        self.events_pushed = 0
 
         m = metrics
         self._m_roundtrips = m.counter("el.roundtrips", rank=rank)
@@ -322,7 +320,6 @@ class EventLogClient:
             "done": False,
         }
         self._order.append(bid)
-        self.events_pushed += 1
         self._fan_out(bid, [rec])
         if self.tracer.hot:
             self.tracer.emit(

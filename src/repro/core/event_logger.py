@@ -33,10 +33,9 @@ Replica roles:
   by the supervisor tests.
 * A **replicated** logger (peers configured) loses its in-memory copy
   when it crashes.  On supervised relaunch it re-fills by asking its
-  peers for their full store (``SYNC``/``SYNCSET``) and reconciling
-  high-water marks; client re-pushes arriving concurrently are merged
-  by the same ``(rank, rclock)`` dedup, so catch-up and live traffic
-  compose.
+  peers for their full store (``SYNC``/``SYNCSET``); client re-pushes
+  arriving concurrently are merged by the same ``(rank, rclock)``
+  dedup, so catch-up and live traffic compose.
 
 The service lifecycle (listen/accept/stop) comes from
 :class:`~repro.runtime.session.ServiceBase`.
@@ -61,7 +60,15 @@ __all__ = ["EventLoggerServer"]
 
 
 class EventLoggerServer(ServiceBase):
-    """One event-logger replica (a shard member of the replication group)."""
+    """One event-logger replica (a shard member of the replication group).
+
+    A service-level crash (:meth:`stop`) loses only in-flight requests
+    and unacknowledged pushes, which clients re-push, when the logger is
+    unreplicated: its durable event store survives.  Replicated, the
+    in-memory copy dies with the crash; the shard's surviving quorum
+    keeps every acknowledged event and the supervised relaunch resyncs
+    from it.
+    """
 
     metric_ns = "el"
 
@@ -71,17 +78,17 @@ class EventLoggerServer(ServiceBase):
         host: Host,
         fabric: Fabric,
         cfg: TestbedConfig,
-        name: str = "el:0",
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
-        shard: int = 0,
-        peer_names: tuple = (),
+        name: str,
+        tracer: Tracer,
+        metrics: Metrics,
+        shard: int,
+        peer_names: tuple,
     ) -> None:
-        super().__init__(sim, host, fabric, name, tracer=tracer, metrics=metrics)
+        super().__init__(sim, host, fabric, name, tracer, metrics)
         self.cfg = cfg
         self.shard = shard
         #: the other replicas of this shard (empty = unreplicated)
-        self.peer_names = tuple(peer_names)
+        self.peer_names = peer_names
         self.replicated = bool(self.peer_names)
         m = self.metrics
         self._m_stored = m.counter("el.events_stored", server=name, shard=shard)
@@ -97,36 +104,14 @@ class EventLoggerServer(ServiceBase):
         # Replicated: in-memory only — a crash loses it and the relaunch
         # re-fills from the shard's live peers (the quorum holds the data).
         self.events: dict[int, dict[int, EventRecord]] = {}
-        self.acks_sent = 0
-        self.events_stored = 0
-        self.records_received = 0
-        self.dup_events = 0
-        self.events_resynced = 0
-        self.resyncs = 0
-        # rank -> highest rclock ever stored fresh; with no restarts the
-        # invariant events_stored == sum(rclock_hw.values()) certifies that
-        # reconnect re-pushes never double-store an event
-        self.rclock_hw: dict[int, int] = {}
         self._cpu_free = 0.0  # host-CPU serialization across connections
         self._lost_store = False  # replicated crash: relaunch must resync
         self._resyncing = False  # defer DOWNLOADs until catch-up completes
-
-    def stop(self, cause: Any = "el-crash") -> None:
-        """Service-level crash: drop the listener and every connection.
-
-        Unreplicated, the durable event store survives — only in-flight
-        requests and unacknowledged pushes are lost, which clients must
-        re-push.  Replicated, the in-memory copy dies with the crash;
-        the shard's surviving quorum keeps every acknowledged event and
-        the supervised relaunch resyncs from it.
-        """
-        super().stop(cause)
 
     def on_stop(self, cause: Any) -> None:
         self._cpu_free = 0.0
         if self.replicated:
             self.events.clear()
-            self.rclock_hw.clear()
             self._lost_store = True
 
     def on_start(self) -> None:
@@ -144,7 +129,6 @@ class EventLoggerServer(ServiceBase):
         """
         for r in ranks:
             self.events.pop(r, None)
-            self.rclock_hw.pop(r, None)
 
     # -- replica catch-up ----------------------------------------------------
     def _resync(self):
@@ -168,7 +152,7 @@ class EventLoggerServer(ServiceBase):
             if end is None:
                 continue
             try:
-                yield from sess.write(16, ("SYNC", {}))
+                yield from sess.write(16, ("SYNC",))
                 reply = yield from sess.read_record(end)
             except (Disconnected, HostDown):
                 continue
@@ -180,7 +164,6 @@ class EventLoggerServer(ServiceBase):
             if end.broken is None:
                 end.stream.break_both("el-sync-done")
         self._resyncing = False
-        self.resyncs += 1
         self._m_resyncs.inc()
         self.tracer.emit(
             self.sim.now, "el.resync", server=self.name, shard=self.shard,
@@ -192,14 +175,10 @@ class EventLoggerServer(ServiceBase):
         fresh = 0
         for rank, records in by_rank.items():
             store = self.events.setdefault(rank, {})
-            hw = self.rclock_hw.get(rank, 0)
             for rec in records:
                 if rec.rclock not in store:
                     store[rec.rclock] = rec
                     fresh += 1
-                    hw = max(hw, rec.rclock)
-            self.rclock_hw[rank] = hw
-        self.events_resynced += fresh
         self._m_resynced.inc(fresh)
         return fresh
 
@@ -237,22 +216,14 @@ class EventLoggerServer(ServiceBase):
         if store is None:
             store = self.events[rank] = {}
         fresh = 0
-        hw = self.rclock_hw.get(rank, 0)
         for rec in records:
             rc = rec.rclock
             if rc not in store:
                 store[rc] = rec
                 fresh += 1
-                if rc > hw:
-                    hw = rc
-        self.rclock_hw[rank] = hw
-        n = len(records)
-        self.records_received += n
-        dups = n - fresh
+        dups = len(records) - fresh
         if dups:
-            self.dup_events += dups
             self._m_dups.inc(dups)
-        self.events_stored += fresh
         self._m_stored.inc(fresh)
         if self.tracer.hot:
             self.tracer.emit(
@@ -321,7 +292,6 @@ class EventLoggerServer(ServiceBase):
                 # client's v2.el_ack
                 for brank, _bbid, brecords in batches:
                     self._store_batch(brank, brecords)
-                self.acks_sent += 1
                 self._m_acks.inc()
                 self._m_cpu_s.inc(cost)
                 last_bid = batches[-1][1]
@@ -354,16 +324,11 @@ class EventLoggerServer(ServiceBase):
                 except Disconnected:
                     return  # the restarting daemon retries its download
             elif kind == "SYNC":
-                # a restarted peer replica catching up: everything above
-                # its per-rank high-water marks (empty dict = everything)
-                _, hw_by_rank = msg
+                # a restarted peer replica catching up: the whole store
                 out: dict[int, list[EventRecord]] = {}
                 n = 0
                 for rank, store in self.events.items():
-                    after = hw_by_rank.get(rank, 0)
-                    recs = sorted(
-                        rec for rc, rec in store.items() if rc > after
-                    )
+                    recs = sorted(store.values())
                     if recs:
                         out[rank] = recs
                         n += len(recs)
@@ -384,8 +349,3 @@ class EventLoggerServer(ServiceBase):
     def records_for(self, rank: int) -> list[EventRecord]:
         """All stored events for ``rank``, in receive order."""
         return sorted(self.events.get(rank, {}).values())
-
-    def high_water(self, rank: int) -> int:
-        """Highest stored receive-sequence for ``rank`` (0 if none)."""
-        store = self.events.get(rank, {})
-        return max(store) if store else 0

@@ -55,8 +55,6 @@ class SenderLog:
         self.gc_floor: dict[int, int] = {}
         self.bytes_total = 0
         self.bytes_on_disk = 0
-        self.appended_msgs = 0
-        self.gc_freed_bytes = 0
 
     # -- appends -------------------------------------------------------------
     def append(self, dst: int, sclock: int, env: Any) -> int:
@@ -75,7 +73,6 @@ class SenderLog:
             disk_bytes = min(charged, self.bytes_total + charged - self.ram_budget)
             self.bytes_on_disk += disk_bytes
         self.bytes_total += charged
-        self.appended_msgs += 1
         self._by_dst.setdefault(dst, []).append(
             SavedMessage(dst, sclock, env, charged)
         )
@@ -115,7 +112,6 @@ class SenderLog:
         # disk fills last, drains first (most recent spill is reclaimed)
         reclaim_disk = min(freed, self.bytes_on_disk)
         self.bytes_on_disk -= reclaim_disk
-        self.gc_freed_bytes += freed
         return freed
 
     # -- checkpoint support ----------------------------------------------------

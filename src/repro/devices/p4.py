@@ -42,7 +42,6 @@ class P4Device(ChannelDevice):
     def wire(self, ends: dict[int, StreamEnd]) -> None:
         """Attach the pre-established streams (rank -> local endpoint)."""
         self.ends = dict(ends)
-        self._by_end = {id(e): r for r, e in self.ends.items()}
 
     # -- sending -----------------------------------------------------------
     def pibsend(self, dst: int, pkt: Packet) -> Generator[Future, Any, bool]:

@@ -141,7 +141,6 @@ def private_deployment(
     return Deployment(
         cluster, fabric, cn_hosts,
         service=service, sched_host=sched_host, spare_hosts=spare_hosts,
-        el_groups=el_groups, loggers=loggers,
-        cs_names=[s.name for s in servers], servers=servers,
-        cs_hosts=cs_hosts, supervisor=supervisor,
+        el_groups=el_groups, loggers=loggers, servers=servers,
+        supervisor=supervisor,
     )

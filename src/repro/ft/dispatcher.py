@@ -251,7 +251,7 @@ class Dispatcher(RankSet):
             # ranks shard over the EL groups; a rank's group is every
             # replica of its shard
             el_names=tuple(dep.el_groups[rank % len(dep.el_groups)]),
-            cs_names=tuple(dep.cs_names),
+            cs_names=tuple(s.name for s in dep.servers),
             sched_name=(
                 self.scheduler.name if self.scheduler is not None else None
             ),
@@ -394,7 +394,7 @@ def launch(
             continuous=ckpt_continuous,
             rng=dep.cluster.rng.stream(f"{dep.ns}ckpt-sched"),
             tracer=dep.tracer,
-            cs_names=tuple(dep.cs_names),
+            cs_names=tuple(s.name for s in dep.servers),
             metrics=dep.metrics,
             key_of=dep.job_key,
         )

@@ -14,7 +14,7 @@ and the system degrades to restart-from-scratch.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
@@ -35,18 +35,15 @@ class ServiceSupervisor:
         self,
         sim: Simulator,
         cfg: TestbedConfig,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
+        tracer: Tracer,
+        metrics: Metrics,
     ) -> None:
         self.sim = sim
         self.cfg = cfg
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        m = metrics if metrics is not None else Metrics()
-        self._m_crashes = m.counter("svc.crashes")
-        self._m_restarts = m.counter("svc.restarts")
+        self.tracer = tracer
+        self._m_crashes = metrics.counter("svc.crashes")
+        self._m_restarts = metrics.counter("svc.restarts")
         self.services: dict[str, Any] = {}
-        self.crashes = 0
-        self.restarts = 0
 
     def register(self, name: str, service: Any) -> Any:
         """Place a (started) service under supervision."""
@@ -63,7 +60,6 @@ class ServiceSupervisor:
         if svc is None:
             raise KeyError(f"no supervised service {name!r}")
         svc.stop(f"{name} crashed")
-        self.crashes += 1
         self._m_crashes.inc()
         down = max(downtime, self.cfg.svc_restart_delay)
         self.tracer.emit(self.sim.now, "svc.crash", service=name, down=down)
@@ -75,6 +71,5 @@ class ServiceSupervisor:
         if self.services.get(name) is not svc:
             return  # replaced while down
         svc.start()
-        self.restarts += 1
         self._m_restarts.inc()
         self.tracer.emit(self.sim.now, "svc.restart", service=name)

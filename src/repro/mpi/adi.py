@@ -16,7 +16,7 @@ Sits between the user-level API and a channel device.  Responsibilities:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from ..devices.base import ChannelDevice
 from ..simnet.kernel import Future, Simulator
@@ -38,13 +38,13 @@ class Adi:
         device: ChannelDevice,
         rank: int,
         size: int,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.device = device
         self.rank = rank
         self.size = size
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self.tracer = tracer
         self.match = MatchEngine()
         # rendezvous state
         self._rndv_out: dict[tuple[int, int], tuple[Envelope, SendRequest]] = {}
@@ -55,9 +55,6 @@ class Adi:
         # rendezvous DATA transmissions awaiting a blocking context
         self._data_backlog: list[tuple[Envelope, SendRequest]] = []
         self.probes_since_delivery = 0
-        self.deliveries = 0
-        # optional external packet filter (returns False to swallow)
-        self.on_packet: Optional[Callable[[int, Packet], bool]] = None
 
     # -- sends ---------------------------------------------------------------
     def isend(self, env: Envelope) -> Generator[Future, Any, SendRequest]:
@@ -136,7 +133,6 @@ class Adi:
 
     def _deliver(self, req: RecvRequest, env: Envelope) -> None:
         req.fulfill(env)
-        self.deliveries += 1
         probes = self.probes_since_delivery
         self.probes_since_delivery = 0
         if env.src != self.rank:
@@ -252,8 +248,6 @@ class Adi:
     # -- packet handling ------------------------------------------------------
     def _handle(self, src: int, pkt: Packet) -> Generator[Future, Any, None]:
         """Handle one packet in a blocking context (CTS sends DATA inline)."""
-        if self.on_packet is not None and not self.on_packet(src, pkt):
-            return
         if pkt.kind is PacketKind.CTS:
             entry = self._rndv_out.pop(pkt.ctrl, None)
             if entry is None:
@@ -266,8 +260,6 @@ class Adi:
             self._handle_nonblocking(src, pkt)
 
     def _handle_nonblocking(self, src: int, pkt: Packet) -> None:
-        if self.on_packet is not None and not self.on_packet(src, pkt):
-            return
         kind = pkt.kind
         if kind in (PacketKind.SHORT, PacketKind.EAGER):
             self._arrived_payload(pkt.env)

@@ -359,9 +359,9 @@ class MPI(Comm):
         rank: int,
         size: int,
         device: ChannelDevice,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer,
     ) -> None:
-        adi = Adi(sim, device, rank, size, tracer=tracer)
+        adi = Adi(sim, device, rank, size, tracer)
         device.bind_adi(adi)
         super().__init__(adi, CallTimer(), None, CTX_PT2PT)
 

@@ -34,13 +34,7 @@ from .profile import (
 from .registry import DEFAULT_BOUNDS, Counter, Gauge, Histogram, Metrics
 from .timeline import RecoveryAttribution, RestartSpan, recovery_timeline
 from .timeseries import DEFAULT_SERIES, TimeseriesSampler
-from .trace_export import (
-    chrome_trace,
-    counter_events,
-    trace_records,
-    write_chrome_trace,
-    write_trace_jsonl,
-)
+from .trace_export import chrome_trace, counter_events, write_chrome_trace
 
 __all__ = [
     "Counter",
@@ -55,9 +49,7 @@ __all__ = [
     "recovery_timeline",
     "chrome_trace",
     "counter_events",
-    "trace_records",
     "write_chrome_trace",
-    "write_trace_jsonl",
     "fold_cluster",
     "fold_device_stats",
     "KernelProfile",

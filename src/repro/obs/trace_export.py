@@ -1,4 +1,4 @@
-"""Trace export: Chrome trace-event JSON (Perfetto-loadable) and JSONL.
+"""Trace export: Chrome trace-event JSON (Perfetto-loadable).
 
 A :class:`~repro.simnet.trace.Tracer` collects typed records during a
 run; this module turns them into the Chrome trace-event format (the
@@ -32,9 +32,7 @@ from ..simnet.trace import Tracer, TraceRecord
 __all__ = [
     "chrome_trace",
     "counter_events",
-    "trace_records",
     "write_chrome_trace",
-    "write_trace_jsonl",
 ]
 
 #: pid reserved for the telemetry (counter-track) pseudo-process; far
@@ -156,15 +154,6 @@ def chrome_trace(
     }
 
 
-def trace_records(tracer: Tracer) -> list[dict[str, Any]]:
-    """Flat dict records (the JSONL schema): ``{time, kind, **fields}``."""
-    return [
-        {"time": rec.time, "kind": rec.kind,
-         **{k: _json_safe(v) for k, v in rec.fields.items()}}
-        for rec in tracer
-    ]
-
-
 def write_chrome_trace(
     tracer: Tracer,
     path: str,
@@ -176,12 +165,4 @@ def write_chrome_trace(
     :func:`counter_events`)."""
     with open(path, "w") as fh:
         json.dump(chrome_trace(tracer, counters=counters), fh)
-    return len(tracer)
-
-
-def write_trace_jsonl(tracer: Tracer, path: str) -> int:
-    """Write one run as JSON-lines records; returns the record count."""
-    with open(path, "w") as fh:
-        for rec in trace_records(tracer):
-            fh.write(json.dumps(rec) + "\n")
     return len(tracer)

@@ -48,8 +48,6 @@ class Cluster:
             self.sim,
             name,
             cpu_flops=self.cfg.cn_flops,
-            ram_bytes=self.cfg.cn_ram,
-            swap_bytes=self.cfg.cn_swap,
             disk_bw=self.cfg.disk_bw,
             full_duplex=True,
             reliable=False,
@@ -63,8 +61,6 @@ class Cluster:
             self.sim,
             name,
             cpu_flops=self.cfg.aux_flops,
-            ram_bytes=self.cfg.cn_ram,
-            swap_bytes=self.cfg.cn_swap,
             disk_bw=self.cfg.disk_bw,
             full_duplex=True,
             reliable=self.cfg.reliable_aux,

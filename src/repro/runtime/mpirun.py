@@ -88,9 +88,7 @@ class Deployment:
     spare_hosts: list[Host] = field(default_factory=list)
     el_groups: list[list[str]] = field(default_factory=list)  # names per shard
     loggers: list = field(default_factory=list)  # the EL server objects
-    cs_names: list[str] = field(default_factory=list)
     servers: list = field(default_factory=list)  # the store replica objects
-    cs_hosts: list[Host] = field(default_factory=list)
     supervisor: Optional[Any] = None  # crashes/relaunches the job's services
     tracer: Optional[Any] = None
     metrics: Optional[Any] = None
@@ -352,7 +350,7 @@ def start(
                 "cluster": dep.cluster,
                 "network": dep.cluster.net,
                 "service_host": dep.service,
-                "cs_hosts": dep.cs_hosts,
+                "cs_hosts": [s.host for s in dep.servers],
                 **job.components(),
             }
         )

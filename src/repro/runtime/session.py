@@ -86,14 +86,14 @@ class Session:
         *,
         hello: Any = None,
         window: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
+        policy: RetryPolicy,
         rng: Optional[Any] = None,
         on_retry: Optional[Callable[[int, float], None]] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
-        scope: str = "session",
+        tracer: Tracer,
+        metrics: Metrics,
+        scope: str,
         payload_types: tuple = (),
-        labels: Optional[dict[str, Any]] = None,
+        labels: dict[str, Any],
     ) -> None:
         self.sim = sim
         self.fabric = fabric
@@ -101,24 +101,23 @@ class Session:
         self.target = target
         self.hello = hello
         self.window = window
-        self.policy = policy if policy is not None else RetryPolicy()
+        self.policy = policy
         self._rng = rng
         self._on_retry = on_retry
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self.tracer = tracer
         self.scope = scope
         self.payload_types = tuple(payload_types)
-        self._labels = dict(labels or {})
-        m = metrics if metrics is not None else Metrics()
-        self._metrics = m
-        self._m_proto = m.counter(f"{scope}.protocol_errors", **self._labels)
+        self._labels = dict(labels)
+        self._metrics = metrics
+        self._m_proto = metrics.counter(f"{scope}.protocol_errors", **self._labels)
         # backpressure visibility: stalled-write time and receive-queue
         # depth of the current stream, folded on every session I/O call
         # (the ``session.*`` family is shared across scopes; the target
         # label separates the links)
         _bp = dict(self._labels, target=target)
-        self._m_stall_s = m.counter("session.stalled_write_s", **_bp)
-        self._m_stalls = m.counter("session.stalled_writes", **_bp)
-        self._m_depth = m.gauge("session.queue_depth", **_bp)
+        self._m_stall_s = metrics.counter("session.stalled_write_s", **_bp)
+        self._m_stalls = metrics.counter("session.stalled_writes", **_bp)
+        self._m_depth = metrics.gauge("session.queue_depth", **_bp)
         self._bp_end: Optional[StreamEnd] = None
         self._bp_stall_s = 0.0
         self._bp_stalls = 0
@@ -130,7 +129,6 @@ class Session:
         self.hb_suspect = False
         self.end: Optional[StreamEnd] = None
         self.epoch = 0  # bumps on every (re)adoption
-        self.protocol_errors = 0
 
     # -- link state --------------------------------------------------------
     def up(self) -> bool:
@@ -337,7 +335,6 @@ class Session:
 
     def protocol_error(self, why: str) -> None:
         """Count and trace one protocol violation on this link."""
-        self.protocol_errors += 1
         self._m_proto.inc()
         self.tracer.emit(
             self.sim.now, f"{self.scope}.protocol_error",
@@ -497,15 +494,15 @@ class ServiceBase:
         host: Host,
         fabric: Fabric,
         name: str,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
+        tracer: Tracer,
+        metrics: Metrics,
     ) -> None:
         self.sim = sim
         self.host = host
         self.fabric = fabric
         self.name = name
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.tracer = tracer
+        self.metrics = metrics
         self._m_proto = self.metrics.counter(
             f"{self.metric_ns}.protocol_errors", server=name
         )

@@ -134,11 +134,10 @@ class ControlPlane:
         self.supervisor, self.el_groups, self.loggers, self.servers = (
             deploy_services(self.cluster, self.fabric, el_hosts, cs_hosts)
         )
-        self.cs_names = [s.name for s in self.servers]
         #: fabric names every job may address un-prefixed
         self.shared_names = (
             frozenset(n for g in self.el_groups for n in g)
-            | frozenset(self.cs_names)
+            | frozenset(s.name for s in self.servers)
         )
         self.router = TraceRouter(self.cluster.tracer)
 
@@ -270,8 +269,7 @@ class ControlPlane:
             ns.fabric_view(self.fabric, self.shared_names),
             cn_hosts,
             service=svc_host,
-            el_groups=self.el_groups, loggers=self.loggers,
-            cs_names=self.cs_names, servers=self.servers,
+            el_groups=self.el_groups, loggers=self.loggers, servers=self.servers,
             tracer=Tracer(enabled=spec.trace), metrics=Metrics(),
             job_key=ns.key, ns=ns.prefix,
         )
@@ -388,7 +386,11 @@ class ControlPlane:
         return self.sim.run_until(pending, limit=limit)
 
     def finish(self) -> dict[str, Any]:
-        """Stop the plane and report the multi-tenant summary."""
+        """Stop the plane and report the multi-tenant summary.
+
+        ``completed`` counts the jobs that finished, whatever their
+        outcome; ``failed`` and ``timeouts`` count the ones among them
+        whose program raised or that ran out of time."""
         if not self._finished:
             self._finished = True
             self.router.close()

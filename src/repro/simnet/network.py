@@ -83,12 +83,12 @@ class Network:
     def __init__(
         self,
         sim: Simulator,
-        link: Optional[LinkConfig] = None,
-        tracer: Optional[Tracer] = None,
+        link: LinkConfig,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
-        self.link = link or LinkConfig()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self.link = link
+        self.tracer = tracer
         self.hosts: dict[str, Host] = {}
         self.bytes_moved = 0.0
         self.segments_moved = 0

@@ -1,8 +1,9 @@
 """Simulated hosts.
 
 A :class:`Host` models one machine of the paper's testbed: a CPU with a
-sustained compute rate, RAM and swap budgets (used by the sender-based
-message log accounting), and a network interface.  The NIC is modelled by
+sustained compute rate, a disk and a network interface (the RAM and
+swap budgets of the sender-based message log are ``cfg.cn_ram`` /
+``cn_swap``).  The NIC is modelled by
 two scalar "free at" times — transmit and receive — which serialize
 transfers; :meth:`~repro.simnet.network.Network.transfer` reserves them.
 A *half-duplex endpoint* (used for the MPICH-P4 driver, whose process does
@@ -38,8 +39,6 @@ class Host:
         sim: Simulator,
         name: str,
         cpu_flops: float = 3.0e8,
-        ram_bytes: int = 1 << 30,
-        swap_bytes: int = 1 << 30,
         disk_bw: float = 10e6,
         full_duplex: bool = True,
         reliable: bool = False,
@@ -51,8 +50,6 @@ class Host:
         #: sites communicate over the wide-area parameters of the link
         self.site = site
         self.cpu_flops = cpu_flops
-        self.ram_bytes = ram_bytes
-        self.swap_bytes = swap_bytes
         self.disk_bw = disk_bw
         self.full_duplex = full_duplex
         self.reliable = reliable

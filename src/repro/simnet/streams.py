@@ -44,7 +44,6 @@ class Disconnected(Exception):
 
     def __init__(self, stream_name: str, cause: Any = None) -> None:
         super().__init__(f"stream {stream_name} disconnected ({cause})")
-        self.stream_name = stream_name
         self.cause = cause
 
 

@@ -54,7 +54,14 @@ __all__ = ["StoreReplica"]
 
 
 class StoreReplica(ServiceBase):
-    """One checkpoint-store replica (a generalized checkpoint server)."""
+    """One checkpoint-store replica (a generalized checkpoint server).
+
+    A service-level crash (:meth:`stop`) keeps the store: uncommitted
+    chunks of an in-flight push survive (they are content-addressed and
+    idempotent), but without their COMMIT they reference nothing and the
+    next GC epoch reclaims them; each rank's previous complete manifest
+    stays intact.
+    """
 
     metric_ns = "store"
 
@@ -64,11 +71,11 @@ class StoreReplica(ServiceBase):
         host: Host,
         fabric: Fabric,
         cfg: TestbedConfig,
-        name: str = "cs:0",
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[Metrics] = None,
+        name: str,
+        tracer: Tracer,
+        metrics: Metrics,
     ) -> None:
-        super().__init__(sim, host, fabric, name, tracer=tracer, metrics=metrics)
+        super().__init__(sim, host, fabric, name, tracer, metrics)
         self.cfg = cfg
         m = self.metrics
         self._m_stores = m.counter("cs.stores", server=name)
@@ -79,20 +86,8 @@ class StoreReplica(ServiceBase):
         self._m_gc_bytes = m.counter("store.gc_reclaimed_bytes", server=name)
         self.chunks: dict[int, Chunk] = {}
         self.manifests: dict[int, dict[int, Manifest]] = {}  # rank -> seq -> manifest
-        self.stores = 0  # committed manifests
-        self.fetches = 0
 
     # -- lifecycle ----------------------------------------------------------
-    def stop(self, cause: object = "cs-crash") -> None:
-        """Service-level crash: drop the listener and every connection.
-
-        Uncommitted chunks of an in-flight push survive (they are
-        content-addressed and idempotent), but without their COMMIT they
-        reference nothing and the next GC epoch reclaims them — the
-        previous complete manifest for each rank stays intact.
-        """
-        super().stop(cause)
-
     def wipe(self) -> None:
         """Forget everything (a global restart wiped the job's history)."""
         self.chunks.clear()
@@ -159,7 +154,6 @@ class StoreReplica(ServiceBase):
             return
         per = self.manifests.setdefault(manifest.rank, {})
         per[manifest.seq] = manifest
-        self.stores += 1
         self._m_stores.inc()
         self._m_bytes.inc(manifest.image_bytes)
         self.tracer.emit(
@@ -175,7 +169,6 @@ class StoreReplica(ServiceBase):
         yield from end.write(16, ("STORED", manifest.rank, manifest.seq))
 
     def _fetch(self, end: StreamEnd, rank: int, seq: int, have: frozenset):
-        self.fetches += 1
         self._m_fetches.inc()
         per = self.manifests.get(rank)
         if not per:

@@ -147,17 +147,6 @@ def test_observe_mttr_with_trace_out(tmp_path, capsys):
     assert any(e["ph"] == "C" for e in events)
 
 
-def test_run_trace_out_jsonl(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "t.jsonl"
-    rc = main(["run", "cg", "--class", "T", "-n", "2",
-               "--trace-out", str(path)])
-    assert rc == 0
-    lines = path.read_text().splitlines()
-    assert lines and all(json.loads(ln)["kind"] for ln in lines)
-
-
 def test_observe_audit_clean_run_exits_zero(capsys):
     rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "audit"])
     out = capsys.readouterr().out
@@ -297,6 +286,24 @@ def test_serve_reports_a_failed_job_without_a_traceback(
     assert doc["jobs"][0]["error"].startswith("ZeroDivisionError")
     assert doc["jobs"][1]["error"] is None
     assert doc["summary"]["failed"] == 1
+
+
+def test_serve_closing_line_counts_the_failed_job(tmp_path, capsys):
+    """A p4 BT job on a non-square rank count raises; the closing line
+    still counts it among the finished jobs, but also says it failed."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([
+        {"workload": "token_ring", "nranks": 2, "device": "v2"},
+        {"workload": "bt", "nranks": 2, "device": "p4", "klass": "T"},
+    ]))
+    rc = main(["serve", "--jobs", str(plan), "--capacity", "4",
+               "--svc-slots", "1"])
+    text = capsys.readouterr().out
+    assert rc == 1
+    assert "job 1 failed: ValueError: BT/SP need a square process count" in text
+    closing = text.strip().splitlines()[-1]
+    assert closing.startswith("2/2 jobs in ")
+    assert closing.endswith("; 1 failed, 0 timeouts, 0 audit violations")
 
 
 def test_run_service_faults_and_partitions(capsys):

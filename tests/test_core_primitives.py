@@ -168,7 +168,8 @@ def _el_setup():
     fabric = Fabric(cluster)
     aux = cluster.add_aux("el-host")
     cn = cluster.add_cn("cn0")
-    el = EventLoggerServer(cluster.sim, aux, fabric, cluster.cfg)
+    el = EventLoggerServer(cluster.sim, aux, fabric, cluster.cfg, "el:0",
+                           cluster.tracer, cluster.metrics, 0, ())
     el.start()
     return cluster, fabric, cn, el
 
@@ -229,7 +230,8 @@ def test_event_logger_dedups_and_prunes():
     p = cluster.sim.spawn(client(), "cli")
     records = cluster.sim.run_until(p.done)
     assert [r.rclock for r in records] == [2]
-    assert el.events_stored == 2  # duplicate not double-counted
+    # duplicate not double-counted
+    assert cluster.metrics.total("el.events_stored") == 2
 
 
 def test_event_logger_survives_client_disconnect():
@@ -244,4 +246,4 @@ def test_event_logger_survives_client_disconnect():
     cluster.sim.run_until(p.done)
     cn.crash()
     cluster.sim.run(until=cluster.sim.now + 1.0)
-    assert el.high_water(0) == 1  # events survive the daemon's death
+    assert max(el.events[0]) == 1  # events survive the daemon's death

@@ -161,7 +161,7 @@ def test_checkpoint_server_keeps_latest_image():
         checkpointing=True, ckpt_interval=0.15,
     )
     cs = res.extras["checkpoint_servers"][0]
-    assert cs.stores >= 2
+    assert res.metrics.counter("cs.stores", server=cs.name).value >= 2
     img = cs.latest(0) or cs.latest(1) or cs.latest(2)
     assert img is not None
     assert img.seq == max(cs.manifests[img.rank])

@@ -20,9 +20,7 @@ from repro.obs import (
     Metrics,
     chrome_trace,
     recovery_timeline,
-    trace_records,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 from repro.runtime.mpirun import run_job
 from repro.simnet.trace import Tracer
@@ -180,23 +178,6 @@ def test_chrome_trace_pid_tid_mapping(traced_run):
     assert any(t.startswith("rank") for t in tracks)
     assert any(t.startswith("host:") for t in tracks)
     assert "event-logger" in tracks
-
-
-def test_trace_jsonl_roundtrip(traced_run, tmp_path):
-    path = tmp_path / "t.jsonl"
-    n = write_trace_jsonl(traced_run.tracer, str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == n == len(traced_run.tracer)
-    first = json.loads(lines[0])
-    assert "time" in first and "kind" in first
-    kinds = {json.loads(ln)["kind"] for ln in lines}
-    assert any(k.startswith("v2.") for k in kinds)
-
-
-def test_trace_records_match_tracer(traced_run):
-    recs = trace_records(traced_run.tracer)
-    assert len(recs) == len(traced_run.tracer)
-    assert recs[0]["kind"] == traced_run.tracer.records[0].kind
 
 
 # -------------------------------------------------------- recovery timeline

@@ -15,7 +15,7 @@ from repro.mpi.matching import MatchEngine
 from repro.mpi.requests import RecvRequest
 from repro.runtime.mpirun import run_job
 from repro.sched import scheme, simulate
-from repro.simnet import Host, Network, Simulator, Stream
+from repro.simnet import Host, LinkConfig, Network, Simulator, Stream, Tracer
 from repro.simnet.rng import (
     _PCG_MULT, RngRegistry, RngStream, seed_state, ziggurat_tables,
 )
@@ -51,7 +51,7 @@ def test_events_fire_in_nondecreasing_time_order(delays):
 @settings(max_examples=30, deadline=None)
 def test_stream_fifo_for_any_segment_sizes(sizes):
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a"))
     b = net.add_host(Host(sim, "b"))
     stream = Stream(net, a, b)

@@ -13,12 +13,13 @@ the reader loop it replaces did, including how that loop died).
 
 import sys
 
+from repro.obs import Metrics
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.fabric import ConnectionRefused, Fabric
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.session import PushReader, ServiceBase, Session, framed
-from repro.simnet import Host, Network, Simulator, Stream
+from repro.simnet import Host, LinkConfig, Network, Simulator, Stream, Tracer
 from repro.simnet.streams import Disconnected
 
 
@@ -47,7 +48,7 @@ def _deploy(seed=0):
     fabric = Fabric(cluster)
     host = cluster.add_aux("svc-host")
     svc = EchoService(
-        cluster.sim, host, fabric, "echo:0", metrics=cluster.metrics
+        cluster.sim, host, fabric, "echo:0", cluster.tracer, cluster.metrics
     )
     cn = cluster.add_cn("cn0")
     return cluster, fabric, svc, cn
@@ -55,7 +56,8 @@ def _deploy(seed=0):
 
 def _session(cluster, fabric, cn, target="echo:0", **kw):
     return Session(
-        cluster.sim, fabric, cn, target, metrics=cluster.metrics,
+        cluster.sim, fabric, cn, target, policy=RetryPolicy(),
+        tracer=cluster.tracer, metrics=cluster.metrics, scope="session",
         labels={"rank": 0}, **kw,
     )
 
@@ -107,7 +109,7 @@ def test_client_rejects_unframed_replies_and_keeps_reading():
     cluster.sim.spawn(run())
     cluster.sim.run()
     assert got["reply"] == ("ECHO", ("PING", 2))
-    assert sess.protocol_errors == 1
+    assert cluster.metrics.counter("session.protocol_errors", rank=0).value == 1
     assert cluster.metrics.total("session.protocol_errors") == 1
 
 
@@ -189,7 +191,8 @@ def _retry_schedule(seed):
         policy=RetryPolicy.from_config(cluster.cfg, max_tries=6),
         rng=cluster.rng.stream("session-test"),
         on_retry=lambda a, d: seen.append((a, d)),
-        metrics=cluster.metrics,
+        tracer=cluster.tracer, metrics=cluster.metrics, scope="session",
+        labels={},
     )
     got = {}
 
@@ -370,11 +373,13 @@ def test_backpressure_metrics_surface_stalled_writes():
 def _link(window=64 * 1024):
     """A raw stream a -> b and a session on b that has adopted its end."""
     sim = Simulator()
-    net = Network(sim)
+    tracer = Tracer(enabled=False)
+    net = Network(sim, LinkConfig(), tracer)
     a = net.add_host(Host(sim, "a"))
     b = net.add_host(Host(sim, "b"))
     stream = Stream(net, a, b, window=window)
-    sess = Session(sim, None, b, "a")
+    sess = Session(sim, None, b, "a", policy=RetryPolicy(), tracer=tracer,
+                   metrics=Metrics(), scope="session", labels={})
     sess.adopt(stream.b)
     return sim, stream, sess
 

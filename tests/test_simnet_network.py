@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import Host, HostDown, LinkConfig, Network, Simulator
+from repro.simnet import Host, HostDown, LinkConfig, Network, Simulator, Tracer
 from repro.simnet.kernel import EV_CALL
 
 #: an arrival event that does nothing: ``transfer``'s flat ``slot, a, b``
@@ -11,7 +11,7 @@ NOOP = (EV_CALL, lambda: None, None)
 
 def make_net(**link_kw):
     sim = Simulator()
-    net = Network(sim, LinkConfig(**link_kw))
+    net = Network(sim, LinkConfig(**link_kw), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a"))
     b = net.add_host(Host(sim, "b"))
     return sim, net, a, b
@@ -19,7 +19,7 @@ def make_net(**link_kw):
 
 def test_duplicate_host_rejected():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     net.add_host(Host(sim, "x"))
     with pytest.raises(ValueError):
         net.add_host(Host(sim, "x"))
@@ -58,7 +58,7 @@ def test_back_to_back_transfers_serialize_on_sender_nic():
 
 def test_transfers_from_two_sources_serialize_on_receiver_nic():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a"))
     b = net.add_host(Host(sim, "b"))
     c = net.add_host(Host(sim, "c"))
@@ -70,7 +70,7 @@ def test_transfers_from_two_sources_serialize_on_receiver_nic():
 
 def test_full_duplex_host_overlaps_tx_and_rx():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a", full_duplex=True))
     b = net.add_host(Host(sim, "b", full_duplex=True))
     t_ab = net.transfer(a, b, 1_000_000, *NOOP)
@@ -81,7 +81,7 @@ def test_full_duplex_host_overlaps_tx_and_rx():
 
 def test_half_duplex_host_serializes_bulk_tx_and_rx():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a", full_duplex=False))
     b = net.add_host(Host(sim, "b", full_duplex=False))
     t_ab = net.transfer(a, b, 1_000_000, *NOOP, bulk=True)
@@ -93,7 +93,7 @@ def test_half_duplex_host_serializes_bulk_tx_and_rx():
 def test_half_duplex_host_overlaps_non_bulk():
     """Only bulk pushes couple the two directions (the P4 eager path)."""
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a", full_duplex=False))
     b = net.add_host(Host(sim, "b", full_duplex=False))
     t_ab = net.transfer(a, b, 1_000_000, *NOOP)
@@ -103,7 +103,7 @@ def test_half_duplex_host_overlaps_non_bulk():
 
 def test_half_duplex_small_bulk_frames_uncoupled():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a", full_duplex=False))
     b = net.add_host(Host(sim, "b", full_duplex=False))
     t_ab = net.transfer(a, b, 4096, *NOOP, bulk=True)

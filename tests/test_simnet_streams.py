@@ -7,9 +7,11 @@ from repro.simnet import (
     Host,
     HostDown,
     Killed,
+    LinkConfig,
     Network,
     Simulator,
     Stream,
+    Tracer,
 )
 from repro.simnet.kernel import run_slot
 from repro.simnet.streams import EV_ARRIVE
@@ -17,7 +19,7 @@ from repro.simnet.streams import EV_ARRIVE
 
 def make_pair(window=64 * 1024):
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a"))
     b = net.add_host(Host(sim, "b"))
     stream = Stream(net, a, b, window=window)

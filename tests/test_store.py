@@ -41,8 +41,8 @@ def _deploy(n, cfg=None, seed=0):
     replicas = []
     for i in range(n):
         host = cluster.add_aux(f"cs-host{i}")
-        r = StoreReplica(cluster.sim, host, fabric, cluster.cfg,
-                         name=f"cs:{i}", metrics=cluster.metrics)
+        r = StoreReplica(cluster.sim, host, fabric, cluster.cfg, f"cs:{i}",
+                         cluster.tracer, cluster.metrics)
         r.start()
         replicas.append(r)
     cn = cluster.add_cn("cn0")
@@ -345,12 +345,12 @@ def test_malformed_records_are_rejected_and_logged():
     assert not replicas[0].chunks  # nothing malformed was stored
 
 
-def test_store_replica_default_name_and_empty_images():
-    """A replica built with the paper-era constructor shape is ``cs:0``
-    with no images."""
+def test_store_replica_starts_with_no_images():
+    """A fresh replica serves under its name and holds no images."""
     cluster = Cluster(DEFAULT_TESTBED, seed=0)
     fabric = Fabric(cluster)
     host = cluster.add_aux("svc")
-    cs = StoreReplica(cluster.sim, host, fabric, cluster.cfg)
+    cs = StoreReplica(cluster.sim, host, fabric, cluster.cfg, "cs:0",
+                      cluster.tracer, cluster.metrics)
     assert cs.name == "cs:0"
     assert cs.manifests == {}

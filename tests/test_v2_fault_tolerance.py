@@ -216,13 +216,10 @@ def test_garbage_collection_after_checkpoint():
         ckpt_interval=0.1,
     )
     assert res.checkpoints > 0
-    el = res.extras["event_loggers"][0]
-    disp = res.extras["dispatcher"]
-    # some sender logs were garbage-collected
-    freed = sum(
-        disp.states[r].daemon.saved.gc_freed_bytes for r in range(4)
-    )
-    assert freed > 0
+    # some sender logs were garbage-collected (the registry counts every
+    # incarnation's frees; this fault-free job has one per rank)
+    assert res.restarts == 0
+    assert res.metrics.total("senderlog.gc_bytes") > 0
 
 
 def test_event_logger_not_replayed_on_restart():

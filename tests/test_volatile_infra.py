@@ -28,7 +28,7 @@ from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.fabric import ConnectionRefused, Fabric
 from repro.runtime.mpirun import run_job
 from repro.runtime.retry import RetryPolicy
-from repro.simnet import Host, Network, Simulator
+from repro.simnet import Host, LinkConfig, Network, Simulator, Tracer
 from repro.simnet.kernel import EV_CALL
 from repro.simnet.rng import RngRegistry
 from repro.simnet.streams import Disconnected
@@ -55,7 +55,7 @@ def ring(mpi, rounds=6, work=0.05):
 
 def make_net():
     sim = Simulator()
-    net = Network(sim)
+    net = Network(sim, LinkConfig(), Tracer(enabled=False))
     a = net.add_host(Host(sim, "a"))
     b = net.add_host(Host(sim, "b"))
     return sim, net, a, b
@@ -163,13 +163,21 @@ def test_retry_policy_from_config_tracks_knobs():
 # -- event-logger outage ------------------------------------------------------
 
 
+def _logger(cluster, fabric, host, name="el:0", peer_names=()):
+    """A shard-0 event-logger replica on the cluster's tracer and registry."""
+    return EventLoggerServer(
+        cluster.sim, host, fabric, cluster.cfg, name, cluster.tracer,
+        cluster.metrics, 0, peer_names,
+    )
+
+
 def test_event_logger_stop_start_keeps_durable_events():
     cluster = Cluster(DEFAULT_TESTBED, seed=0)
     sim = cluster.sim
     fabric = Fabric(cluster)
     svc = cluster.add_aux("svc")
     cn = cluster.add_cn("cn0")
-    el = EventLoggerServer(sim, svc, fabric, cluster.cfg)
+    el = _logger(cluster, fabric, svc)
     el.start()
     got = {}
 
@@ -201,7 +209,7 @@ def test_event_logger_repush_is_idempotent():
     fabric = Fabric(cluster)
     svc = cluster.add_aux("svc")
     cn = cluster.add_cn("cn0")
-    el = EventLoggerServer(sim, svc, fabric, cluster.cfg)
+    el = _logger(cluster, fabric, svc)
     el.start()
 
     def client():
@@ -213,10 +221,12 @@ def test_event_logger_repush_is_idempotent():
 
     sim.spawn(client())
     sim.run()
-    assert el.events_stored == 2
-    assert el.dup_events == 4
-    assert el.records_received == 6
-    assert el.rclock_hw == {0: 2}
+    stored = cluster.metrics.total("el.events_stored")
+    dups = cluster.metrics.total("el.dup_events")
+    assert stored == 2
+    assert dups == 4
+    assert stored + dups == 6  # every record received, stored or not
+    assert {r: max(evs) for r, evs in el.events.items()} == {0: 2}
     assert sum(len(v) for v in el.events.values()) == 2
 
 
@@ -234,12 +244,15 @@ def test_el_outage_gate_holds_and_no_double_store():
     assert res.audit.clean
     assert res.restarts == 0
     el = res.extras["event_loggers"][0]
-    sup = res.extras["supervisor"]
-    assert sup.crashes == 1 and sup.restarts == 1
+    assert res.metrics.total("svc.crashes") == 1
+    assert res.metrics.total("svc.restarts") == 1
     # no rank restarts and no pruning: every stored event is fresh exactly
     # once, so the store matches the per-rank high-water marks
-    assert el.events_stored == sum(len(v) for v in el.events.values())
-    assert el.events_stored == sum(el.rclock_hw.values())
+    stored = res.metrics.counter(
+        "el.events_stored", server=el.name, shard=el.shard
+    ).value
+    assert stored == sum(len(v) for v in el.events.values())
+    assert stored == sum(max(v) for v in el.events.values() if v)
     assert res.metrics.total("outage.retries") > 0
     assert res.metrics.total("outage.reconnects") >= 3  # every daemon
     assert res.metrics.total("outage.el_down_s") > 0
@@ -272,7 +285,9 @@ def test_ckpt_server_mid_push_crash_keeps_previous_image():
     fabric = Fabric(cluster)
     svc = cluster.add_aux("svc")
     cn = cluster.add_cn("cn0")
-    cs = StoreReplica(sim, svc, fabric, cluster.cfg)
+    cs = StoreReplica(
+        sim, svc, fabric, cluster.cfg, "cs:0", cluster.tracer, cluster.metrics
+    )
     cs.start()
     cfg = cluster.cfg
     got = {}
@@ -464,7 +479,7 @@ def test_combined_plan_acceptance_cg():
     assert res.results == base.results
     assert res.audit.clean
     assert res.restarts == 2
-    assert res.extras["supervisor"].restarts == 1
+    assert res.metrics.total("svc.restarts") == 1
     assert res.metrics.total("net.partitions") == 1
     assert res.metrics.total("outage.retries") > 0
     assert res.metrics.total("outage.backoff_s") > 0
@@ -501,8 +516,8 @@ def test_el_replica_kill_quorum_rides_through():
     assert res.audit.clean
     assert res.audit.checks["el-quorum"] > 0
     assert res.restarts == 0  # no rank ever restarted for an EL fault
-    sup = res.extras["supervisor"]
-    assert sup.crashes == 1 and sup.restarts == 1
+    assert res.metrics.total("svc.crashes") == 1
+    assert res.metrics.total("svc.restarts") == 1
     assert res.metrics.total("el.failovers") >= 1
     assert res.metrics.total("el.resyncs") == 1
     assert res.metrics.total("el.events_resynced") > 0
@@ -523,16 +538,17 @@ def test_el_back_to_back_crashes_no_double_delivery():
     assert res.results == expect
     assert res.audit.clean  # el-quorum: no early WAITLOGGED clears
     assert res.restarts == 0
-    sup = res.extras["supervisor"]
-    assert sup.crashes == 2 and sup.restarts == 2
+    assert res.metrics.total("svc.crashes") == 2
+    assert res.metrics.total("svc.restarts") == 2
     # the second relaunch may still be resyncing when the job completes
     assert res.metrics.total("el.resyncs") >= 1
     # per-replica store exactness: every rank's events form the contiguous
     # prefix 1..hw — a double-delivered re-push would inflate dup counts,
-    # a lost one would leave a hole below the high-water mark
+    # a lost one would leave a hole below the high-water mark (with
+    # nothing pruned, the highest rclock stored)
     for el in res.extras["event_loggers"]:
         for rank, evs in el.events.items():
-            hw = el.rclock_hw.get(rank, 0)
+            hw = max(evs, default=0)
             assert sorted(evs) == list(range(1, hw + 1))
 
 
@@ -545,10 +561,8 @@ def test_el_replica_resync_pulls_missing_events():
     host_a = cluster.add_aux("ela")
     host_b = cluster.add_aux("elb")
     cn = cluster.add_cn("cn0")
-    el_a = EventLoggerServer(sim, host_a, fabric, cluster.cfg, name="el:0",
-                             shard=0, peer_names=("el:0.1",))
-    el_b = EventLoggerServer(sim, host_b, fabric, cluster.cfg, name="el:0.1",
-                             shard=0, peer_names=("el:0",))
+    el_a = _logger(cluster, fabric, host_a, "el:0", ("el:0.1",))
+    el_b = _logger(cluster, fabric, host_b, "el:0.1", ("el:0",))
     el_a.start()
     el_b.start()
     got = {}
@@ -577,7 +591,7 @@ def test_el_replica_resync_pulls_missing_events():
     sim.spawn(client())
     sim.run()
     assert [e.rclock for e in got["events"]] == [1, 2, 3, 4, 5, 6]
-    assert el_b.rclock_hw == {0: 6}
+    assert sorted(el_b.events[0]) == [1, 2, 3, 4, 5, 6]
 
 
 # -- V1 channel-memory supervision ---------------------------------------------
@@ -611,15 +625,17 @@ def test_supervisor_ignores_replaced_or_dead_services():
     cluster = Cluster(DEFAULT_TESTBED, seed=0)
     fabric = Fabric(cluster)
     svc_host = cluster.add_aux("svc")
-    el = EventLoggerServer(cluster.sim, svc_host, fabric, cluster.cfg)
+    el = _logger(cluster, fabric, svc_host)
     el.start()
-    sup = ServiceSupervisor(cluster.sim, cluster.cfg)
+    sup = ServiceSupervisor(
+        cluster.sim, cluster.cfg, cluster.tracer, cluster.metrics
+    )
     sup.register(el.name, el)
     sup.crash(el.name, downtime=0.2)
     # replace the registration while the crashed instance is down
-    el2 = EventLoggerServer(cluster.sim, svc_host, fabric, cluster.cfg,
-                            name="el:0")
+    el2 = _logger(cluster, fabric, svc_host)
     sup.register(el.name, el2)
     cluster.sim.run()
-    assert sup.crashes == 1
-    assert sup.restarts == 0  # the stale relaunch was discarded
+    assert cluster.metrics.total("svc.crashes") == 1
+    # the stale relaunch was discarded
+    assert cluster.metrics.total("svc.restarts") == 0
