@@ -10,23 +10,18 @@ fan-out it authorizes — GC orders to peers (thresholds from the
 CKPT_DONE / CKPT_FAIL accounting.
 
 Composes with the daemon core through the same explicit interface as
-:class:`~repro.core.peers.PeerManager`: ``core`` provides ``rank``,
+:class:`~repro.core.peers.PeerManager`: ``core`` provides the handles
+every part of a :class:`~repro.core.v2_device.V2Daemon` reads plus
 ``clock``, ``saved``, ``delivery_log``, ``op_index``,
-``app_footprint``, ``peers`` (GC fan-out), ``el`` (prune),
-``ctrl.sched_end`` (completion reports), and ``_spawn``.
+``app_footprint``, ``peers`` (GC fan-out), ``el`` (prune) and
+``ctrl.sched_end`` (completion reports).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-from ..obs.registry import Metrics
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import Fabric
-from ..simnet.kernel import Simulator
-from ..simnet.node import Host
 from ..simnet.streams import Disconnected
-from ..simnet.trace import Tracer
 from ..store.chunks import chunk_image, stable_digest
 from ..store.client import StoreClient
 from .replay import CheckpointImage
@@ -37,24 +32,10 @@ __all__ = ["CheckpointClient"]
 class CheckpointClient:
     """One rank's checkpoint machinery (capture, push, completion)."""
 
-    def __init__(
-        self,
-        core,
-        sim: Simulator,
-        cfg: TestbedConfig,
-        fabric: Fabric,
-        host: Host,
-        cs_names: tuple[str, ...],
-        *,
-        tracer: Tracer,
-        metrics: Metrics,
-        rng: Any,
-        on_retry: Callable[[int, float], None],
-        key: Any,
-    ) -> None:
+    def __init__(self, core: Any, cs_names: tuple[str, ...], key: Any) -> None:
         self.core = core
-        self.sim = sim
-        self.cfg = cfg
+        self.sim = core.sim
+        self.cfg = core.cfg
         #: the identity this rank's images carry on the (possibly shared)
         #: store.  Captured images stamp it into ``CheckpointImage.rank``
         #: — the mem/hdr chunk digests derive from it, so two jobs with
@@ -74,8 +55,8 @@ class CheckpointClient:
         self._dirty_phase = -1
         self._dirty_nreg = 0
         self._dirty_idx = 0
-        self.tracer = tracer
-        m = metrics
+        self.tracer = core.tracer
+        m = core.metrics
         rank = core.rank
         self._m_bytes = m.counter("ckpt.bytes", rank=rank)
         self._m_images = m.counter("ckpt.images", rank=rank)
@@ -83,8 +64,9 @@ class CheckpointClient:
         self._m_aborted = m.counter("ckpt.aborted", rank=rank)
         # the replicated checkpoint store (quorum push, failover fetch)
         self.store = StoreClient(
-            sim, cfg, fabric, host, cs_names, rank, key,
-            tracer=tracer, metrics=m, rng=rng, on_retry=on_retry,
+            core.sim, core.cfg, core.fabric, core.host, cs_names, rank, key,
+            tracer=core.tracer, metrics=m, rng=core.rng,
+            on_retry=core._note_outage_retry,
         )
 
     # ------------------------------------------------------------------

@@ -8,23 +8,20 @@ until the link heals.  Each is a
 :class:`~repro.runtime.session.Session` under the shared retry policy.
 
 Composes with the daemon core through the usual explicit interface:
-``core`` provides ``rank``, ``device``, ``finalized``,
-``ckpt.order()`` (checkpoint orders), and ``_spawn``.
+``core`` provides the handles every part of a
+:class:`~repro.core.v2_device.V2Daemon` reads (both links come from its
+:meth:`~repro.core.v2_device.V2Daemon.session`) plus ``device``,
+``finalized`` and ``ckpt.order()`` (checkpoint orders).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
-from ..obs.registry import Metrics
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import ConnectionRefused, Fabric
-from ..runtime.retry import RetryPolicy
+from ..runtime.fabric import ConnectionRefused
 from ..runtime.session import Session
-from ..simnet.kernel import Future, Simulator
-from ..simnet.node import Host
+from ..simnet.kernel import Future
 from ..simnet.streams import Disconnected, StreamEnd
-from ..simnet.trace import Tracer
 
 __all__ = ["ControlPlaneClient"]
 
@@ -32,36 +29,15 @@ __all__ = ["ControlPlaneClient"]
 class ControlPlaneClient:
     """One rank's links to the dispatcher and the checkpoint scheduler."""
 
-    def __init__(
-        self,
-        core,
-        sim: Simulator,
-        cfg: TestbedConfig,
-        fabric: Fabric,
-        host: Host,
-        sched_name: Optional[str],
-        *,
-        tracer: Tracer,
-        metrics: Metrics,
-        rng: Any,
-        on_retry: Callable[[int, float], None],
-    ) -> None:
+    def __init__(self, core: Any, sched_name: Optional[str]) -> None:
         self.core = core
-        self.sim = sim
-        policy = RetryPolicy.from_config(cfg, max_tries=cfg.peer_retry_tries)
+        self.sim = core.sim
+        tries = core.cfg.peer_retry_tries
         hello = ("HELLO", core.rank, core.incarnation)
-        common = dict(
-            hello=hello, policy=policy, rng=rng, on_retry=on_retry,
-            tracer=tracer, metrics=metrics, labels={"rank": core.rank},
-        )
-        self.disp = Session(
-            sim, fabric, host, "dispatcher", scope="disp", **common
-        )
+        self.disp = core.session("dispatcher", "disp", tries, hello=hello)
         self.sched: Optional[Session] = None
         if sched_name is not None:
-            self.sched = Session(
-                sim, fabric, host, sched_name, scope="sched", **common
-            )
+            self.sched = core.session(sched_name, "sched", tries, hello=hello)
 
     @property
     def disp_end(self) -> Optional[StreamEnd]:

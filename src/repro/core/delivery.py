@@ -5,8 +5,8 @@ side of the node: phase-C duplicate discard against the per-sender
 ``forwarded_hw`` watermark, the forced-order holdback during replay,
 and the UNIX-socket forward that models the daemon-to-process handoff.
 It also accounts the incarnation's catch-up point (the ``v2.caught_up``
-trace, the ``ft.replay_s`` histogram and the ``on_caught_up`` call
-through which the dispatcher keeps its recovery gauge).
+trace, the ``ft.replay_s`` histogram and the ``disp.note_caught_up``
+call through which the dispatcher keeps its recovery gauge).
 
 The forward is a FIFO server without a process: one ``daemon.fwd``
 kernel event per packet, at the instant its socket transfer completes,
@@ -14,22 +14,21 @@ whose handler hands the packet to the MPI process and schedules the
 next queued one.
 
 Composes with the daemon core through the usual explicit interface:
-``core`` provides ``rank``, ``incarnation``, ``host``, ``cfg``,
-``replay``, ``op_index``, ``device`` (or None), ``peers`` (the RTSDUP
-answer), ``cpu_tax_owed`` and ``proc_name(label)``.
+``core`` provides the handles every part of a
+:class:`~repro.core.v2_device.V2Daemon` reads (listed there) plus
+``disp``, ``replay``, ``op_index``, ``device`` (or None), ``peers``
+(the RTSDUP answer) and ``cpu_tax_owed``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Any, Optional
 
 from ..mpi.datatypes import Envelope
 from ..mpi.protocol import FIRST_KINDS, Packet, PacketKind, inline_packet
-from ..obs.registry import Metrics
-from ..simnet.kernel import Simulator, register_slot
-from ..simnet.trace import Tracer
+from ..simnet.kernel import register_slot
 
 __all__ = ["DeliveryPipeline"]
 
@@ -56,19 +55,12 @@ EV_FWD = register_slot(_forwarded, "daemon.fwd")
 class DeliveryPipeline:
     """One rank's receive path: discard, holdback, forward, catch up."""
 
-    def __init__(
-        self,
-        core,
-        sim: Simulator,
-        *,
-        tracer: Tracer,
-        metrics: Metrics,
-    ) -> None:
+    def __init__(self, core: Any) -> None:
         self.core = core
-        self.sim = sim
+        self.sim = core.sim
         self.host = core.host
         self._life = core.host.incarnation
-        self.tracer = tracer
+        self.tracer = core.tracer
         # highest sclock passed up to the MPI process, per sender: the
         # duplicate-discard watermark of replay phase C
         self.forwarded_hw: dict[int, int] = {}
@@ -80,9 +72,7 @@ class DeliveryPipeline:
         self._fwd_name = core.proc_name("fwd")
         self.start_t = 0.0
         self._caught_up = False
-        #: ``callback(rank)`` at the catch-up instant (set by the dispatcher)
-        self.on_caught_up: Optional[Callable[[int], None]] = None
-        self._m_replay_s = metrics.histogram("ft.replay_s", rank=core.rank)
+        self._m_replay_s = core.metrics.histogram("ft.replay_s", rank=core.rank)
 
     def enqueue_replay(self, dst: int, env: Envelope) -> None:
         """Old saved messages are re-sent with the payload inline, never held."""
@@ -174,8 +164,7 @@ class DeliveryPipeline:
         self._caught_up = True
         replay_s = self.sim.now - self.start_t
         self._m_replay_s.observe(replay_s)
-        if self.on_caught_up is not None:
-            self.on_caught_up(core.rank)
+        core.disp.note_caught_up(core.rank)
         self.tracer.emit(
             self.sim.now,
             "v2.caught_up",

@@ -32,25 +32,22 @@ pessimistic protocol needs from the event logger side of the node:
   its reception event is in doubt — the pessimistic property holds by
   construction.
 
-Each replica link is a :class:`~repro.runtime.session.Session`
-(framing, epochs, integrated backoff); this module adds only the
-protocol above.
+Each replica link is a :class:`~repro.runtime.session.Session` the
+daemon (``core``) builds (framing, epochs, integrated backoff); this
+module adds only the protocol above.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
-from ..obs.registry import Metrics
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import ConnectionRefused, Fabric
+from ..runtime.fabric import ConnectionRefused
 from ..runtime.retry import RetryPolicy
 from ..runtime.session import PushReader, Session
 from ..simnet.kernel import Future, Gate, Queue, Simulator
-from ..simnet.node import Host, HostDown
+from ..simnet.node import HostDown
 from ..simnet.streams import Disconnected, StreamEnd
-from ..simnet.trace import Tracer
 from .clocks import EventRecord
 
 __all__ = ["EventLogClient"]
@@ -84,26 +81,11 @@ class EventLogClient:
     """One rank's fan-out to its event-logger shard (phase-A downloads,
     quorum-acked event pushes, acknowledgement-gated sending)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: TestbedConfig,
-        fabric: Fabric,
-        host: Host,
-        rank: int,
-        el_names: tuple[str, ...],
-        *,
-        spawn: Callable[[Any, str], Any],
-        proc_name: Callable[[str], str],
-        tracer: Tracer,
-        metrics: Metrics,
-        rng: Any,
-        on_retry: Callable[[int, float], None],
-        key: Any,
-    ) -> None:
-        self.sim = sim
-        self.cfg = cfg
-        self.rank = rank
+    def __init__(self, core: Any, el_names: tuple[str, ...], key: Any) -> None:
+        self.core = core
+        self.sim = sim = core.sim
+        self.cfg = core.cfg
+        self.rank = rank = core.rank
         #: the identity this client stores events under on the (possibly
         #: shared) EL servers: the deployment's ``job_key(rank)`` — the
         #: bare rank for a single job, a job-qualified key under the
@@ -113,25 +95,13 @@ class EventLogClient:
         self.el_names = el_names
         self.nreps = len(self.el_names)
         #: replica acks required before a batch clears the gate
-        self.quorum = min(self.nreps, cfg.el_quorum)
-        self._spawn = spawn
-        self._proc_name = proc_name
-        self.host = host
-        self.tracer = tracer
-        self._policy = RetryPolicy.from_config(cfg)
-        self._rng = rng
-        self._on_retry = on_retry
+        self.quorum = min(self.nreps, core.cfg.el_quorum)
+        self._spawn = core._spawn
+        self.host = core.host
+        self.tracer = core.tracer
+        self._policy = RetryPolicy.from_config(core.cfg)
         self.replicas = [
-            _ReplicaLink(
-                sim, i, name,
-                Session(
-                    sim, fabric, host, name,
-                    policy=self._policy, rng=rng, on_retry=on_retry,
-                    tracer=self.tracer, metrics=metrics, scope="el",
-                    labels={"rank": rank},
-                ),
-                rank,
-            )
+            _ReplicaLink(sim, i, name, core.session(name, "el"), rank)
             for i, name in enumerate(self.el_names)
         ]
 
@@ -149,7 +119,7 @@ class EventLogClient:
         # single-replica deployment this is exactly "the EL is down")
         self._down_since: Optional[float] = None
 
-        m = metrics
+        m = core.metrics
         self._m_roundtrips = m.counter("el.roundtrips", rank=rank)
         self._m_rtt = m.histogram("el.rtt_s", rank=rank)
         self._m_quorum_wait = m.histogram("el.quorum_wait_s", rank=rank)
@@ -191,8 +161,8 @@ class EventLogClient:
                     f"({self._live()}/{need} live) after "
                     f"{self._policy.max_tries} attempts"
                 )
-            d = self._policy.delay(attempt, self._rng)
-            self._on_retry(attempt, d)
+            d = self._policy.delay(attempt, self.core.rng)
+            self.core._note_outage_retry(attempt, d)
             yield self.sim.pause(d)
             attempt += 1
             for rep in self.replicas:
@@ -415,7 +385,7 @@ class EventLogClient:
 
         PushReader(
             rep.session, on_record, lambda: self._rep_down(rep, end),
-            host=self.host, name=self._proc_name(f"el.rx{rep.idx}"), end=end,
+            host=self.host, name=self.core.proc_name(f"el.rx{rep.idx}"), end=end,
         )
 
     def _ack_through(self, rep: _ReplicaLink, bid: int) -> None:

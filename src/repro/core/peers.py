@@ -35,47 +35,33 @@ from __future__ import annotations
 from typing import Any
 
 from ..mpi.protocol import FIRST_KINDS, Packet
-from ..obs.registry import Metrics
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import ConnectionRefused, Fabric
+from ..runtime.fabric import ConnectionRefused
 from ..runtime.retry import RetryPolicy
 from ..runtime.session import PushReader, ServiceBase, Session
-from ..simnet.kernel import Queue, Simulator
-from ..simnet.node import Host, HostDown
+from ..simnet.kernel import Queue
+from ..simnet.node import HostDown
 from ..simnet.streams import Disconnected, StreamEnd
-from ..simnet.trace import Tracer
 
 __all__ = ["PeerLink", "PeerManager"]
 
 
 class PeerLink(Session):
-    """State of the connection to one peer daemon."""
+    """State of the connection from daemon ``core`` to peer ``rank``."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        host: Host,
-        me: int,
-        rank: int,
-        *,
-        hello: Any,
-        cfg: TestbedConfig,
-        rng: Any,
-        on_retry: Any,
-        tracer: Tracer,
-        metrics: Metrics,
-    ) -> None:
+    def __init__(self, core: Any, rank: int) -> None:
+        cfg = core.cfg
         super().__init__(
-            sim, fabric, host, f"daemon:{rank}",
-            hello=hello, window=cfg.stream_window,
+            core.sim, core.fabric, core.host, f"daemon:{rank}",
+            hello=("PEER", core.rank, core.incarnation),
+            window=cfg.stream_window,
             policy=RetryPolicy.from_config(cfg, max_tries=cfg.peer_retry_tries),
-            rng=rng, on_retry=on_retry, tracer=tracer, metrics=metrics,
+            rng=core.rng, on_retry=core._note_outage_retry,
+            tracer=core.tracer, metrics=core.metrics,
             scope="peer", payload_types=(Packet,),
-            labels={"rank": me, "peer": rank},
+            labels={"rank": core.rank, "peer": rank},
         )
         self.rank = rank
-        self.tx: Queue = Queue(sim, name=f"d{me}->d{rank}.tx")
+        self.tx: Queue = Queue(core.sim, name=f"d{core.rank}->d{rank}.tx")
         self.initiator = -1  # rank that initiated the current stream
         self.resends_due = False  # SAVED had messages to it at adoption
         self.held: list[Packet] = []  # fresh packets waiting for RESTART2
@@ -85,45 +71,29 @@ class PeerManager:
     """The daemon's mesh of peer links, their transmit loops and readers.
 
     Composes with the daemon core through an explicit interface: ``core``
-    must provide ``rank``, ``incarnation``, ``host``, ``cfg``, ``clock``
-    (for the RESTART1 watermark), ``saved``, ``cpu_tax_owed``, ``device`` (or None),
-    ``el.wait_sendable()`` (the WAITLOGGED gate),
-    ``_handle_ctrl(q, msg)`` / ``delivery.handle_app_packet(q, pkt)``
-    (protocol dispatch), ``_spawn(gen, label)`` (incarnation-named
-    processes) and ``proc_name(label)`` (the name such a process gets).
+    provides the handles every part of a
+    :class:`~repro.core.v2_device.V2Daemon` reads (listed there) plus
+    ``clock`` (for the RESTART1 watermark), ``saved``, ``cpu_tax_owed``,
+    ``device`` (or None), ``el.wait_sendable()`` (the WAITLOGGED gate)
+    and ``_handle_ctrl(q, msg)`` / ``delivery.handle_app_packet(q, pkt)``
+    (protocol dispatch).
     """
 
-    def __init__(
-        self,
-        core,
-        sim: Simulator,
-        fabric: Fabric,
-        host: Host,
-        *,
-        tracer: Tracer,
-        metrics: Metrics,
-        rng: Any,
-        on_retry: Any,
-    ) -> None:
+    def __init__(self, core: Any) -> None:
         self.core = core
-        self.sim = sim
-        rank, size = core.rank, core.size
-        hello = ("PEER", rank, core.incarnation)
+        self.sim = core.sim
+        rank = core.rank
         self.links: dict[int, PeerLink] = {
-            q: PeerLink(
-                sim, fabric, host, rank, q,
-                hello=hello, cfg=core.cfg, rng=rng, on_retry=on_retry,
-                tracer=tracer, metrics=metrics,
-            )
-            for q in range(size)
-            if q != rank
+            q: PeerLink(core, q) for q in range(core.size) if q != rank
         }
         self.needs_restart1: set[int] = set()
-        self.tracer = tracer
-        self._m_outage_reconnects = metrics.counter("outage.reconnects", rank=rank)
+        self.tracer = core.tracer
+        self._m_outage_reconnects = core.metrics.counter(
+            "outage.reconnects", rank=rank
+        )
         self.listener = _DaemonListener(
-            self, sim, host, fabric, f"daemon:{rank}",
-            tracer=tracer, metrics=metrics,
+            self, core.sim, core.host, core.fabric, f"daemon:{rank}",
+            tracer=core.tracer, metrics=core.metrics,
         )
 
     # ------------------------------------------------------------------

@@ -31,12 +31,10 @@ from typing import Any, Generator, Optional
 from ..devices.base import ChannelDevice
 from ..mpi.datatypes import Envelope
 from ..mpi.protocol import FIRST_KINDS, Packet, PacketKind, inline_packet
-from ..obs.registry import Metrics
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import Fabric
-from ..simnet.kernel import Future, Gate, Simulator
+from ..runtime.retry import RetryPolicy
+from ..runtime.session import Session
+from ..simnet.kernel import Future, Gate
 from ..simnet.node import Host
-from ..simnet.trace import Tracer
 from .ckpt_client import CheckpointClient
 from .clocks import ClockState, EventRecord
 from .ctrl_client import ControlPlaneClient
@@ -52,39 +50,35 @@ __all__ = ["V2Daemon", "V2Device"]
 class V2Daemon:
     """One incarnation of the communication daemon for one rank.
 
-    The dispatcher builds every daemon the same way: wired to every
-    replica of its EL shard (``el_names``), the store replicas
-    (``cs_names``), the scheduler (``sched_name``, ``None`` without
-    checkpointing) and the dispatcher.  ``job_key`` is the rank's
-    identity on those (possibly shared) services and ``rng`` its
-    reconnect-jitter stream.
+    Built by its dispatcher ``disp`` (a
+    :class:`~repro.ft.dispatcher.Dispatcher`), from which it takes the
+    simulator, testbed, fabric, tracer and registry, and through
+    ``disp.dep`` its wiring: every replica of its EL shard, the store
+    replicas, the scheduler (``disp.scheduler``, ``None`` without
+    checkpointing) and ``dep.job_key(rank)``, the rank's identity on
+    those (possibly shared) services.  ``rng`` is its reconnect-jitter
+    stream.
+
+    Its parts take the daemon as ``core`` and read the rest from it:
+    ``sim``, ``cfg``, ``fabric``, ``host``, ``rank``, ``size``,
+    ``incarnation``, ``tracer``, ``metrics``, ``rng``,
+    ``_note_outage_retry``, :meth:`session` (a link to a service),
+    ``_spawn(gen, label)`` (an incarnation-named process) and
+    :meth:`proc_name`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: TestbedConfig,
-        fabric: Fabric,
-        rank: int,
-        size: int,
-        host: Host,
-        incarnation: int,
-        el_names: tuple[str, ...],
-        cs_names: tuple[str, ...],
-        sched_name: Optional[str],
-        tracer: Tracer,
-        metrics: Metrics,
-        rng: Any,
-        job_key: Any,
-    ) -> None:
-        self.sim = sim
-        self.cfg = cfg
-        self.fabric = fabric
+    def __init__(self, disp: Any, rank: int, host: Host, incarnation: int) -> None:
+        dep = disp.dep
+        self.disp = disp
+        self.sim = sim = disp.sim
+        self.cfg = cfg = disp.cfg
+        self.fabric = disp.fabric
         self.rank = rank
-        self.size = size
+        self.size = disp.nprocs
         self.host = host
         self.incarnation = incarnation
-        self.tracer = tracer
+        self.tracer = disp.tracer
+        self.rng = disp.cluster.rng.stream(f"{dep.ns}reconnect:d{rank}")
 
         # protocol state (restored from a checkpoint image at restart)
         self.clock = ClockState()
@@ -110,7 +104,7 @@ class V2Daemon:
 
         # metric handles, bound once (get-or-create by (name, rank): a
         # restarted daemon's counters continue across incarnations)
-        m = self.metrics = metrics
+        m = self.metrics = disp.metrics
         self._m_log_bytes = m.counter("senderlog.bytes", rank=rank)
         self._m_log_spill = m.counter("senderlog.spill_bytes", rank=rank)
         self._m_log_gc = m.counter("senderlog.gc_bytes", rank=rank)
@@ -123,31 +117,31 @@ class V2Daemon:
         self._m_outage_retries = m.counter("outage.retries", rank=rank)
         self._m_outage_backoff = m.counter("outage.backoff_s", rank=rank)
 
-        # the daemon's I/O components, over the shared session layer
+        # the daemon's I/O components, over the shared session layer;
+        # ranks shard over the EL groups, a rank's group is every
+        # replica of its shard
+        key = dep.job_key(rank)
         self.el = EventLogClient(
-            sim, cfg, fabric, host, rank, el_names,
-            spawn=self._spawn, proc_name=self.proc_name,
-            tracer=self.tracer, metrics=m,
-            rng=rng, on_retry=self._note_outage_retry,
-            key=job_key,
+            self, tuple(dep.el_groups[rank % len(dep.el_groups)]), key
         )
-        self.peers = PeerManager(
-            self, sim, fabric, host,
-            tracer=self.tracer, metrics=m,
-            rng=rng, on_retry=self._note_outage_retry,
+        self.peers = PeerManager(self)
+        self.ckpt = CheckpointClient(self, tuple(s.name for s in dep.servers), key)
+        sched = disp.scheduler
+        self.ctrl = ControlPlaneClient(self, sched.name if sched is not None else None)
+        self.delivery = DeliveryPipeline(self)
+
+    def session(
+        self, target: str, scope: str, max_tries: Optional[int] = None, **kw: Any
+    ) -> Session:
+        """A link to service ``target`` under this incarnation's retry
+        policy, jitter stream, outage accounting, tracer and registry."""
+        return Session(
+            self.sim, self.fabric, self.host, target,
+            policy=RetryPolicy.from_config(self.cfg, max_tries=max_tries),
+            rng=self.rng, on_retry=self._note_outage_retry,
+            tracer=self.tracer, metrics=self.metrics, scope=scope,
+            labels={"rank": self.rank}, **kw,
         )
-        self.ckpt = CheckpointClient(
-            self, sim, cfg, fabric, host, cs_names,
-            tracer=self.tracer, metrics=m,
-            rng=rng, on_retry=self._note_outage_retry,
-            key=job_key,
-        )
-        self.ctrl = ControlPlaneClient(
-            self, sim, cfg, fabric, host, sched_name,
-            tracer=self.tracer, metrics=m,
-            rng=rng, on_retry=self._note_outage_retry,
-        )
-        self.delivery = DeliveryPipeline(self, sim, tracer=self.tracer, metrics=m)
 
     # ------------------------------------------------------------------
     # startup / recovery (phases A and B)
@@ -351,17 +345,9 @@ class V2Daemon:
 class V2Device(ChannelDevice):
     """The channel device the MPI process drives (the six PI primitives)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: TestbedConfig,
-        rank: int,
-        size: int,
-        host: Host,
-        daemon: V2Daemon,
-        tracer: Tracer,
-    ) -> None:
-        super().__init__(sim, cfg, rank, size, host, tracer)
+    def __init__(self, daemon: V2Daemon) -> None:
+        d = daemon
+        super().__init__(d.sim, d.cfg, d.rank, d.size, d.host, d.tracer)
         self.daemon = daemon
         daemon.device = self
         self._peer_restart_pending: set[int] = set()

@@ -387,7 +387,6 @@ class V1Ranks(RankSet):
             return
         if st.host.failed:
             st.host.restart()
-        st.restarts += 1
         self.total_restarts += 1
         self._spawn_rank(st, st.host)
 

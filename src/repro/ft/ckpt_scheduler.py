@@ -17,17 +17,14 @@ immediately follows the one of another node", the Figure 11 setup).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from ..obs.registry import Metrics
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import ConnectionRefused, Fabric
+from ..runtime.fabric import ConnectionRefused
 from ..runtime.retry import RetryPolicy
 from ..runtime.session import ServiceBase, Session
-from ..simnet.kernel import Future, Queue, Simulator, any_of
-from ..simnet.node import Host, HostDown
+from ..simnet.kernel import Future, Queue, any_of
+from ..simnet.node import HostDown
 from ..simnet.streams import Disconnected, StreamEnd
-from ..simnet.trace import Tracer
 
 __all__ = [
     "Adaptive", "CheckpointScheduler", "POLICIES", "Random", "RoundRobin",
@@ -130,24 +127,25 @@ class CheckpointScheduler(ServiceBase):
 
     def __init__(
         self,
-        sim: Simulator,
-        host: Host,
-        fabric: Fabric,
-        cfg: TestbedConfig,
+        dep: Any,
         nprocs: int,
         *,
         policy: str,
         interval: float,
         continuous: bool,
-        rng: Any,
-        tracer: Tracer,
-        cs_names: tuple[str, ...],
-        metrics: Metrics,
-        key_of: Callable[[int], Any],
     ) -> None:
-        self.policy = make_policy(policy, nprocs, rng)
-        super().__init__(sim, host, fabric, "sched:0", tracer=tracer, metrics=metrics)
-        self.cfg = cfg
+        if interval <= 0:
+            raise ValueError(f"checkpoint interval must be > 0, not {interval}")
+        cluster = dep.cluster
+        self.policy = make_policy(
+            policy, nprocs, cluster.rng.stream(f"{dep.ns}ckpt-sched")
+        )
+        host = dep.sched_host or dep.service
+        super().__init__(
+            cluster.sim, host, dep.fabric, "sched:0",
+            tracer=dep.tracer, metrics=dep.metrics,
+        )
+        self.cfg = cfg = cluster.cfg
         self.interval = interval
         self.continuous = continuous
         self.links: dict[int, StreamEnd] = {}
@@ -160,32 +158,30 @@ class CheckpointScheduler(ServiceBase):
         #: continuous mode: the ordered rank and the future its
         #: CKPT_DONE, its CKPT_FAIL or its link breaking resolves
         self._awaiting: Optional[tuple[int, Future]] = None
-        self.orders_issued = 0
         # ranks whose checkpoint push failed (checkpoint-server outage);
         # they are re-ordered ahead of the policy's regular pick
         self._retry_q: deque[int] = deque()
-        self.ckpt_retries = 0
         # manifest-aware GC: the scheduler is the only component that
         # knows which checkpoint sequence of each rank is quorum-complete
         # (CKPT_DONE only arrives once the write quorum committed), so it
         # owns the GC epochs broadcast to the store replicas
-        self.cs_names = cs_names
         #: rank -> store key translation for the GC broadcast.  Daemons
         #: report CKPT_DONE with their bare rank (the scheduler is per
         #: job), but on a *shared* store the floors must name the
         #: job-qualified keys the manifests were committed under.
-        self._key_of = key_of
+        self._key_of = dep.job_key
         self.quorum_seq: dict[int, int] = {}
-        self._gc_q: Queue = Queue(sim, name="sched.gcq")
+        self._gc_q: Queue = Queue(self.sim, name="sched.gcq")
         # persistent session per store replica (framed records, epochs,
         # backpressure metrics) instead of ad-hoc fabric.connect streams
         policy = RetryPolicy.from_config(cfg, max_tries=cfg.peer_retry_tries)
         self._gc_sessions: dict[str, Session] = {
-            cs: Session(
-                sim, fabric, host, cs, scope="sched.gc", policy=policy,
-                tracer=tracer, metrics=self.metrics, labels={"server": cs},
+            srv.name: Session(
+                self.sim, dep.fabric, host, srv.name, scope="sched.gc",
+                policy=policy, tracer=dep.tracer, metrics=dep.metrics,
+                labels={"server": srv.name},
             )
-            for cs in self.cs_names
+            for srv in dep.servers
         }
 
     def on_accept(self, end: StreamEnd, hello: object) -> None:
@@ -229,7 +225,6 @@ class CheckpointScheduler(ServiceBase):
                 # the push aborted (checkpoint-server outage); queue a retry
                 # and unblock the continuous-mode wait
                 failed = msg[1]
-                self.ckpt_retries += 1
                 self._retry_q.append(failed)
                 self.tracer.emit(self.sim.now, "sched.ckpt_retry", rank=failed)
                 self._settle(failed)
@@ -313,7 +308,6 @@ class CheckpointScheduler(ServiceBase):
                 yield from end.write(16, ("CKPT_ORDER",))
             except Disconnected:
                 continue
-            self.orders_issued += 1
             self.tracer.emit(self.sim.now, "sched.order", rank=target)
             if self.continuous:
                 # the next order follows this checkpoint's end

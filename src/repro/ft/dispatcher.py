@@ -169,7 +169,7 @@ class Dispatcher(RankSet):
                         now, "ft.suspect", rank=r, quiet_s=now - seen
                     )
 
-    def _note_caught_up(self, rank: int) -> None:
+    def note_caught_up(self, rank: int) -> None:
         """A restarted rank's replay drained (its daemon calls this)."""
         if rank in self.recovering:
             self.recovering.discard(rank)
@@ -239,31 +239,8 @@ class Dispatcher(RankSet):
     def _spawn_rank(self, rank: int, host: Host) -> None:
         st = self.states[rank]
         incarnation = st.begin(host, self.sim.now)
-        dep = self.dep
-        daemon = V2Daemon(
-            self.sim,
-            self.cfg,
-            self.fabric,
-            rank,
-            self.nprocs,
-            host,
-            incarnation,
-            # ranks shard over the EL groups; a rank's group is every
-            # replica of its shard
-            el_names=tuple(dep.el_groups[rank % len(dep.el_groups)]),
-            cs_names=tuple(s.name for s in dep.servers),
-            sched_name=(
-                self.scheduler.name if self.scheduler is not None else None
-            ),
-            tracer=self.tracer,
-            metrics=self.metrics,
-            rng=self.cluster.rng.stream(f"{dep.ns}reconnect:d{rank}"),
-            job_key=dep.job_key(rank),
-        )
-        device = V2Device(
-            self.sim, self.cfg, rank, self.nprocs, host, daemon, self.tracer,
-        )
-        daemon.delivery.on_caught_up = self._note_caught_up
+        daemon = V2Daemon(self, rank, host, incarnation)
+        device = V2Device(daemon)
         st.daemon = daemon
         dproc = self.sim.spawn(
             daemon.start(), name=f"daemon{rank}.i{incarnation}"
@@ -317,7 +294,6 @@ class Dispatcher(RankSet):
         if host.failed:
             host.restart()
         st.finished = False  # a finished rank can be re-executed to serve peers
-        st.restarts += 1
         self.total_restarts += 1
         self._m_restarts.inc()
         self._m_downtime.observe(self.sim.now - t_crash)
@@ -384,19 +360,8 @@ def launch(
     scheduler = None
     if checkpointing:
         scheduler = CheckpointScheduler(
-            dep.cluster.sim,
-            dep.sched_host or dep.service,
-            dep.fabric,
-            dep.cluster.cfg,
-            nprocs,
-            policy=ckpt_policy,
-            interval=ckpt_interval,
+            dep, nprocs, policy=ckpt_policy, interval=ckpt_interval,
             continuous=ckpt_continuous,
-            rng=dep.cluster.rng.stream(f"{dep.ns}ckpt-sched"),
-            tracer=dep.tracer,
-            cs_names=tuple(s.name for s in dep.servers),
-            metrics=dep.metrics,
-            key_of=dep.job_key,
         )
         scheduler.start()
     dispatcher = Dispatcher(dep, program, params, nprocs, scheduler)

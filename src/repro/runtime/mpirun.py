@@ -122,7 +122,6 @@ class RankState:
         self.result: Any = None
         self.finish_time = 0.0
         self.spawn_time = 0.0  # when this incarnation was launched
-        self.restarts = 0
 
     def begin(self, host: Host, now: float) -> int:
         """A new incarnation starts on ``host``; returns its number."""

@@ -59,6 +59,8 @@ class JobSpec:
             )
         if self.nranks < 1:
             raise ValueError("a job needs at least one rank")
+        if self.ckpt_interval <= 0:
+            raise ValueError("ckpt_interval must be > 0")
         # a workload or fault the plane cannot run is refused here, not
         # inside the shared plane next to every other tenant's job
         resolve_program(self)

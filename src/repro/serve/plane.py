@@ -65,17 +65,18 @@ class Tenant:
         #: rank-weighted service admitted so far (the fair-share deficit
         #: denominator: next goes the tenant minimizing served/weight)
         self.served = 0.0
-        self.completed = 0
 
 
 class JobHandle:
-    """The submitter's view of one job: identity, state, completion."""
+    """The submitter's view of one job: identity, progress, completion.
+
+    A job is queued once ``submit_t`` is set, running once ``start_t``
+    is, and finished once ``done`` resolves (with :attr:`result`)."""
 
     def __init__(self, job_id: int, spec: JobSpec, done: Future) -> None:
         self.job_id = job_id
         self.spec = spec
         self.done = done  # resolves with the JobResult
-        self.state = "created"  # created -> queued -> running -> done
         self.submit_t: Optional[float] = None
         self.start_t: Optional[float] = None
         self.result: Optional[JobResult] = None
@@ -184,7 +185,6 @@ class ControlPlane:
         spec = handle.spec
         tenant = self.add_tenant(spec.tenant)
         handle.submit_t = self.sim.now
-        handle.state = "queued"
         tenant.queue.append(handle)
         self.metrics.counter("serve.submitted", tenant=tenant.name).inc()
         self.cluster.tracer.emit(
@@ -237,7 +237,6 @@ class ControlPlane:
         svc_host = self._free_svc.pop() if spec.device == "v2" else None
         tenant.served += spec.nranks
         handle.start_t = self.sim.now
-        handle.state = "running"
         self._running.add(handle.job_id)
         m = self.metrics
         m.counter("serve.admitted", tenant=tenant.name).inc()
@@ -349,7 +348,6 @@ class ControlPlane:
             self._free_svc.append(svc_host)
         self._running.discard(handle.job_id)
         tenant = self.tenants[handle.spec.tenant]
-        tenant.completed += 1
         m = self.metrics
         m.counter("serve.completed", tenant=tenant.name).inc()
         if result.extras.get("timed_out"):
@@ -369,7 +367,6 @@ class ControlPlane:
             timed_out=bool(result.extras.get("timed_out")),
         )
         handle.result = result
-        handle.state = "done"
         handle.done.resolve(result)
         self._pump()
 
@@ -397,9 +394,10 @@ class ControlPlane:
             fold_cluster(self.cluster)
         m = self.metrics
         violations = int(m.total("serve.audit_violations", default=0.0))
+        by_tenant = m.by_label("tenant")
         return {
             "jobs": self._next_id,
-            "completed": sum(t.completed for t in self.tenants.values()),
+            "completed": int(m.total("serve.completed", default=0.0)),
             "timeouts": int(m.total("serve.timeouts", default=0.0)),
             "failed": int(m.total("serve.failed", default=0.0)),
             "audit_violations": violations,
@@ -407,7 +405,9 @@ class ControlPlane:
                 name: {
                     "weight": t.weight,
                     "served_ranks": t.served,
-                    "completed": t.completed,
+                    "completed": int(
+                        by_tenant.get(name, {}).get("serve.completed", 0.0)
+                    ),
                     "queued": len(t.queue),
                 }
                 for name, t in sorted(self.tenants.items())

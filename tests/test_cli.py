@@ -96,6 +96,26 @@ def test_run_rejects_ckpt_interval_off_v2(capsys):
     assert "--ckpt-interval requires --device v2" in capsys.readouterr().err
 
 
+def test_run_rejects_non_positive_ckpt_interval(capsys):
+    """A negative interval crashed the scheduler (``SimError``) and 0
+    made it order checkpoints in a zero-time loop."""
+    rc = main(["run", "cg", "--class", "T", "-n", "2",
+               "--ckpt-interval", "-1"])
+    assert rc == 2
+    assert "repro: --ckpt-interval must be > 0" in capsys.readouterr().err
+
+
+def test_run_rejects_ckpt_interval_under_a_fault_plan(capsys):
+    """A fault plan makes v2 checkpoint continuously, which never reads
+    the interval: the flag would do nothing."""
+    rc = main(["run", "cg", "--class", "T", "-n", "2", "--faults", "1",
+               "--ckpt-interval", "5"])
+    assert rc == 2
+    assert "--ckpt-interval has no effect under a fault plan" in (
+        capsys.readouterr().err
+    )
+
+
 def test_observe_stats(capsys):
     rc = main(["run", "cg", "--class", "T", "-n", "2", "--observe", "stats"])
     out = capsys.readouterr().out
@@ -233,6 +253,9 @@ def test_unclean_audit_exits_one(argv, monkeypatch, capsys):
                   "fault": {"kind": "kill", "rank": 9, "at": 0.01}},
                  id="fault-rank"),
     pytest.param({"workload": "bogus", "nranks": 2}, id="unknown-workload"),
+    pytest.param({"workload": "token_ring", "nranks": 2, "device": "v2",
+                  "checkpointing": True, "ckpt_interval": -1.0},
+                 id="ckpt-interval"),
 ])
 def test_serve_rejects_a_bad_plan_as_a_usage_error(job, tmp_path, capsys):
     """A plan the plane refuses is exit 2 with a ``repro:`` line, not a

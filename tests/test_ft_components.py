@@ -167,13 +167,21 @@ def test_checkpoint_server_keeps_latest_image():
     assert img.seq == max(cs.manifests[img.rank])
 
 
+def test_scheduler_refuses_a_non_positive_interval():
+    """-1 crashed the scheduler's loop (``SimError``) and 0 spun it in
+    zero simulated time: the job is refused before it starts."""
+    with pytest.raises(ValueError, match="interval must be > 0"):
+        run_job(ring, 2, device="v2", checkpointing=True, ckpt_interval=-1.0)
+
+
 def test_adaptive_scheduler_polls_status():
     res = run_job(
         ring, 3, device="v2", params={"rounds": 15, "work": 0.1},
         checkpointing=True, ckpt_policy="adaptive", ckpt_interval=0.2,
+        trace=True,
     )
     sched = res.extras["scheduler"]
-    assert sched.orders_issued >= 1
+    assert sum(r.kind == "sched.order" for r in res.tracer.records) >= 1
     assert sched.status  # STATUS replies arrived
 
 

@@ -377,7 +377,7 @@ def test_cli_mttr_smoke(capsys, tmp_path):
     report_out = tmp_path / "r.json"
     rc = main([
         "run", "cg", "--class", "S", "-n", "4",
-        "--kill-at", "1.0:2", "--seed", "1", "--ckpt-interval", "5",
+        "--kill-at", "1.0:2", "--seed", "1",
         "--observe", "mttr", "--report-out", str(report_out),
     ])
     out = capsys.readouterr().out

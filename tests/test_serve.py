@@ -113,6 +113,12 @@ def test_jobspec_validation():
     with pytest.raises(ValueError):  # faults need the FT device
         JobSpec(workload=token_ring, nranks=2, device="p4",
                 fault={"kind": "kill", "rank": 0, "at": 1.0})
+    # submitted, 0 froze the whole plane (the scheduler ordered in a
+    # zero-time loop) and -1 crashed it with every tenant's job
+    for interval in (0.0, -1.0):
+        with pytest.raises(ValueError, match="ckpt_interval"):
+            JobSpec(workload="cg", klass="S", nranks=2, device="v2",
+                    checkpointing=True, ckpt_interval=interval)
 
 
 @pytest.mark.parametrize("fault", [
@@ -161,7 +167,7 @@ def test_fifo_within_tenant_and_capacity_gating():
     assert starts == sorted(starts)  # admitted in submit order
     assert handles[0].start_t == 0.0
     assert handles[1].start_t > 0.0  # had to wait for job 0's gang
-    assert all(h.state == "done" for h in handles)
+    assert all(h.done.done for h in handles)
     assert plane.finish()["completed"] == 3
 
 
@@ -208,7 +214,7 @@ def test_fair_share_tracks_tenant_weights():
 def test_submit_at_future_time_defers_enqueue():
     plane = ControlPlane(capacity=4, svc_slots=0)
     handle = plane.submit(_p4(2), at=1.5)
-    assert handle.state == "created"
+    assert handle.submit_t is None  # not queued before its submit time
     plane.wait(handle)
     assert handle.submit_t == 1.5
     assert handle.start_t >= 1.5
