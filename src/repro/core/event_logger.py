@@ -13,11 +13,12 @@ reconstruct every dependency a sender was allowed to act on.
 Each computing-node daemon holds one stream to every replica of its
 shard and
 
-* pushes reception events asynchronously (~20 bytes each on the wire)
-  to all of them;
+* pushes reception events asynchronously to all of them, one
+  ``EVENT`` record (~20 bytes on the wire) per event, numbered by a
+  per-daemon batch id;
 * receives acknowledgements — the daemon may not emit application
   messages while events lack a quorum of acks (the pessimistic gate).
-  Acks are *cumulative* by batch id: a burst of queued batches is
+  Acks are *cumulative* by batch id: a burst of queued records is
   stored under one CPU charge and answered with a single frame, and a
   DOWNLOAD queued behind the burst carries the ack on its own reply;
 * on restart, downloads every event with receiver-clock greater than
@@ -187,9 +188,9 @@ class EventLoggerServer(ServiceBase):
         """Non-blockingly drain records already queued on ``end``.
 
         A daemon under load (or re-pushing after a reconnect) often has
-        several EVENT batches sitting in the receive queue by the time
+        several EVENT records sitting in the receive queue by the time
         the logger finishes the previous one.  Acknowledging each with a
-        dedicated frame puts one server→daemon round trip per batch on
+        dedicated frame puts one server→daemon round trip per event on
         the WAITLOGGED critical path; draining them here lets the serve
         loop store the burst under one CPU charge and answer it with one
         *cumulative* ack.  Queued heartbeat PINGs are answered in place
@@ -205,39 +206,32 @@ class EventLoggerServer(ServiceBase):
             if msg is None:
                 continue
             if msg[0] == "EVENT":
-                batches.append((msg[1], msg[2], msg[3]))
+                batches.append(msg)
                 continue
             return msg
         return None
 
-    def _store_batch(self, rank: Any, records: list) -> None:
-        """Dedup-store one pushed batch and emit its ``el.store`` trace."""
+    def _store(self, rank: Any, rec: EventRecord) -> None:
+        """Dedup-store one pushed event and emit its ``el.store`` trace."""
         store = self.events.get(rank)
         if store is None:
             store = self.events[rank] = {}
-        fresh = 0
-        for rec in records:
-            rc = rec.rclock
-            if rc not in store:
-                store[rc] = rec
-                fresh += 1
-        dups = len(records) - fresh
-        if dups:
-            self._m_dups.inc(dups)
-        self._m_stored.inc(fresh)
+        if rec.rclock in store:
+            self._m_dups.inc(1)
+        else:
+            store[rec.rclock] = rec
+            self._m_stored.inc(1)
         if self.tracer.hot:
             self.tracer.emit(
-                self.sim.now, "el.store", rank=rank, n=len(records),
+                self.sim.now, "el.store", rank=rank, n=1,
                 server=self.name, shard=self.shard,
-                ids=tuple(
-                    (rec.rclock, rec.src, rec.sclock) for rec in records
-                ),
+                ids=((rec.rclock, rec.src, rec.sclock),),
             )
 
     def _download(self, end: StreamEnd, rank: Any, after_clock: int,
                   piggy_bid: Optional[int]):
         """Serve one DOWNLOAD; the reply's third field piggybacks the
-        cumulative ack for batches stored just before the request."""
+        cumulative ack for events stored just before the request."""
         # a freshly-restarted replica must not answer downloads
         # from a store it has not finished re-filling: that would
         # break the read-quorum intersection argument
@@ -266,10 +260,9 @@ class EventLoggerServer(ServiceBase):
                     return  # daemon died; its replacement will reconnect
             kind = msg[0]
             if kind == "EVENT":
-                _, rank, bid, records = msg
-                batches = [(rank, bid, records)]
+                batches = [msg]
                 if end.readable:
-                    # coalesce the burst already queued behind this batch
+                    # coalesce the burst already queued behind this record
                     try:
                         pending = yield from self._drain_queued(end, batches)
                     except Disconnected:
@@ -278,23 +271,19 @@ class EventLoggerServer(ServiceBase):
                 # acknowledging events costs real CPU there, serialized
                 # across every daemon it serves (the contention point that
                 # sharding across el_servers groups dilutes)
-                if len(batches) == 1:
-                    total = len(records)
-                else:
-                    total = sum(len(b[2]) for b in batches)
-                cost = self.cfg.el_cpu_per_event * total
+                cost = self.cfg.el_cpu_per_event * len(batches)
                 now = self.sim.now
                 begin = now if now > self._cpu_free else self._cpu_free
                 self._cpu_free = begin + cost
                 yield self.sim.pause(self._cpu_free - self.sim.now)
-                # store (and trace) every batch *before* any ack leaves:
+                # store (and trace) every event *before* any ack leaves:
                 # the auditor's quorum rule orders el.store against the
                 # client's v2.el_ack
-                for brank, _bbid, brecords in batches:
-                    self._store_batch(brank, brecords)
+                for _, rank, _bid, rec in batches:
+                    self._store(rank, rec)
                 self._m_acks.inc()
                 self._m_cpu_s.inc(cost)
-                last_bid = batches[-1][1]
+                last_bid = batches[-1][2]
                 if (
                     pending is not None
                     and pending[0] == "DOWNLOAD"
@@ -313,11 +302,10 @@ class EventLoggerServer(ServiceBase):
                     continue
                 try:
                     yield from end.write(
-                        self.cfg.event_ack_bytes,
-                        ("ACK", last_bid, total),
+                        self.cfg.event_ack_bytes, ("ACK", last_bid)
                     )
                 except Disconnected:
-                    return  # the daemon re-pushes the batch after reconnect
+                    return  # the daemon re-pushes the burst after reconnect
             elif kind == "DOWNLOAD":
                 try:
                     yield from self._download(end, msg[1], msg[2], None)
