@@ -86,7 +86,7 @@ def _restart_run(replicas: int, quorum: int, crash_cs: bool) -> dict:
         nas.cg.program, NPROCS, device="v2", cfg=cfg,
         params={"klass": KLASS}, limit=1e8, trace=True,
         checkpointing=True, ckpt_policy="round_robin",
-        ckpt_continuous=True, ckpt_interval=CKPT_INTERVAL,
+        ckpt_continuous=True,
         faults=faults,
     )
     spans = [s for s in recovery_timeline(res.tracer) if s.rank == 2]

@@ -53,7 +53,6 @@ def _run_rate(mean_lifetime: float, nprocs: int, klass: str) -> dict:
         nas.cg.program, nprocs, device="v2", params={"klass": klass},
         limit=1e8, seed=SEED, trace=True,
         checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
-        ckpt_interval=5.0,
         faults=ChurnFaults(
             mean_lifetime=mean_lifetime, shape=0.7,
             max_faults=MAX_FAULTS, seed=SEED,

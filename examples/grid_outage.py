@@ -84,7 +84,7 @@ def main() -> None:
         nas.cg.program, 8, device="v2", cfg=cfg,
         plan=parse_progfile(MACHINES), params=params,
         checkpointing=True, ckpt_policy="round_robin",
-        ckpt_continuous=True, ckpt_interval=0.02,
+        ckpt_continuous=True,
         faults=faults, limit=3600.0,
     )
     disp = res.extras["dispatcher"]

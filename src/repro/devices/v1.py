@@ -75,8 +75,8 @@ class ChannelMemory(ServiceBase):
         self.cursor: dict[int, int] = {}
         # pending GET requests per rank (stream to answer on)
         self._waiting: dict[int, StreamEnd] = {}
-        self.stores = 0
-        self.serves = 0
+        self._m_stores = self.metrics.counter("v1.cm_stores", cm=name)
+        self._m_serves = self.metrics.counter("v1.cm_serves", cm=name)
 
     def on_stop(self, cause: Any) -> None:
         # pending GETs died with their streams (the receivers re-issue
@@ -100,7 +100,7 @@ class ChannelMemory(ServiceBase):
                     continue  # duplicate from a re-executing sender
                 ids.add(msg.env.msgid)
                 self.log.setdefault(dst, []).append(msg)
-                self.stores += 1
+                self._m_stores.inc()
                 yield from self._maybe_serve(dst)
             elif msg[0] == "GET":
                 # replies go back on the same stream the request came in on
@@ -123,7 +123,7 @@ class ChannelMemory(ServiceBase):
         pkt = msgs[cur]
         self.cursor[rank] = cur + 1
         del self._waiting[rank]
-        self.serves += 1
+        self._m_serves.inc()
         total = pkt.payload_bytes + self.cfg.packet_header_bytes
         sizes = segment_sizes(total, self.cfg.chunk_bytes)
         try:
@@ -174,7 +174,7 @@ class V1Device(ChannelDevice):
         # of it as duplicates.
         self._sent_history: dict[str, list[Packet]] = {}
         self._dialed: set[str] = set()  # CMs connected at least once
-        self.cm_reconnects = 0
+        self._m_cm_reconnects = metrics.counter("v1.cm_reconnects")
 
     def _session_for_cm(self, cm: str) -> Session:
         """The session object for one Channel Memory (not yet dialled)."""
@@ -213,7 +213,7 @@ class V1Device(ChannelDevice):
                 )
         self._dialed.add(cm)
         if redial:
-            self.cm_reconnects += 1
+            self._m_cm_reconnects.inc()
             yield from self._after_reconnect(cm, sess)
         return sess
 
@@ -389,19 +389,6 @@ class V1Ranks(RankSet):
             st.host.restart()
         self.total_restarts += 1
         self._spawn_rank(st, st.host)
-
-    def fold_stats(self, metrics: Metrics) -> None:
-        for cm in self.cms:
-            if cm.stores:
-                metrics.counter("v1.cm_stores", cm=cm.name).inc(cm.stores)
-            if cm.serves:
-                metrics.counter("v1.cm_serves", cm=cm.name).inc(cm.serves)
-        reconnects = sum(
-            st.mpi.device.cm_reconnects for st in self.states
-            if st.mpi is not None
-        )
-        if reconnects:
-            metrics.counter("v1.cm_reconnects").inc(reconnects)
 
     def components(self) -> dict[str, Any]:
         return {"channel_memories": self.cms}

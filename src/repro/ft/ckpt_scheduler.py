@@ -10,8 +10,9 @@ The three ordering policies, :class:`RoundRobin`, :class:`Adaptive` and
 :class:`Random`, exist once, here: the live :class:`CheckpointScheduler`
 and the §4.6.2 traffic model (:func:`repro.sched.simulate`) both drive
 them.  The scheduler runs in two modes: *periodic* (order one checkpoint
-every ``interval``) and *continuous* ("the checkpoint of a node
-immediately follows the one of another node", the Figure 11 setup).
+every ``interval``) and *continuous*, with ``interval=None`` ("the
+checkpoint of a node immediately follows the one of another node", the
+Figure 11 setup).
 """
 
 from __future__ import annotations
@@ -131,10 +132,9 @@ class CheckpointScheduler(ServiceBase):
         nprocs: int,
         *,
         policy: str,
-        interval: float,
-        continuous: bool,
+        interval: Optional[float],
     ) -> None:
-        if interval <= 0:
+        if interval is not None and interval <= 0:
             raise ValueError(f"checkpoint interval must be > 0, not {interval}")
         cluster = dep.cluster
         self.policy = make_policy(
@@ -146,8 +146,9 @@ class CheckpointScheduler(ServiceBase):
             tracer=dep.tracer, metrics=dep.metrics,
         )
         self.cfg = cfg = cluster.cfg
+        #: seconds between orders; ``None``: continuous (the next order
+        #: follows the last checkpoint's end)
         self.interval = interval
-        self.continuous = continuous
         self.links: dict[int, StreamEnd] = {}
         #: rank -> its reply to the latest STATUS poll (adaptive only)
         self.status: dict[int, dict[str, Any]] = {}
@@ -295,11 +296,13 @@ class CheckpointScheduler(ServiceBase):
         # give daemons a moment to connect
         yield self.sim.pause(0.05)
         while True:
-            if not self.continuous:
+            if self.interval is not None:
                 yield self.sim.pause(self.interval)
             target = yield from self._pick()
             if target is None:
-                yield self.sim.pause(self.interval if not self.continuous else 1.0)
+                yield self.sim.pause(
+                    1.0 if self.interval is None else self.interval
+                )
                 continue
             end = self.links.get(target)
             if end is None:
@@ -309,7 +312,7 @@ class CheckpointScheduler(ServiceBase):
             except Disconnected:
                 continue
             self.tracer.emit(self.sim.now, "sched.order", rank=target)
-            if self.continuous:
+            if self.interval is None:
                 # the next order follows this checkpoint's end
                 done = Future(self.sim, name="sched.done")
                 self._awaiting = (target, done)

@@ -352,16 +352,26 @@ def launch(
     *,
     checkpointing: bool = False,
     ckpt_policy: str = "round_robin",
-    ckpt_interval: float = 30.0,
+    ckpt_interval: Optional[float] = None,
     ckpt_continuous: bool = False,
 ) -> Dispatcher:
     """Start an MPICH-V2 job on ``dep``: scheduler (if checkpointing),
-    then the dispatcher and through it every rank."""
+    then the dispatcher and through it every rank.
+
+    A periodic scheduler orders a checkpoint every ``ckpt_interval``
+    seconds (30 when ``None``); a continuous one orders the next as the
+    last ends and reads no interval, so passing one is refused.
+    """
     scheduler = None
     if checkpointing:
+        if ckpt_continuous and ckpt_interval is not None:
+            raise ValueError(
+                "a continuous checkpoint scheduler reads no ckpt_interval"
+            )
+        if not ckpt_continuous and ckpt_interval is None:
+            ckpt_interval = 30.0
         scheduler = CheckpointScheduler(
-            dep, nprocs, policy=ckpt_policy, interval=ckpt_interval,
-            continuous=ckpt_continuous,
+            dep, nprocs, policy=ckpt_policy, interval=ckpt_interval
         )
         scheduler.start()
     dispatcher = Dispatcher(dep, program, params, nprocs, scheduler)

@@ -193,9 +193,6 @@ class RankSet:
     def stop(self, cause: Any) -> None:
         """Withdraw the launcher's own services (shared-cluster teardown)."""
 
-    def fold_stats(self, metrics: Any) -> None:
-        """Fold device-side plain counters into ``metrics`` at job end."""
-
     def components(self) -> dict[str, Any]:
         """The device's live objects, for tests and diagnostics."""
         return {}
@@ -366,7 +363,6 @@ def collect(job: Job, since: float = 0.0, timed_out: bool = False) -> JobResult:
     dep, ranks = job.dep, job.ranks
     now = dep.cluster.sim.now
     observed = job.observers.finish(now)
-    ranks.fold_stats(dep.metrics)
     if not dep.shared:
         # shared network/NIC/stream accounting folds once per cluster:
         # here for a private one, at plane shutdown for a shared one

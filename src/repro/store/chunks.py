@@ -37,8 +37,8 @@ Dedup boundaries are chosen for stability under mutation:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from ..devices.base import segment_sizes
 
@@ -48,10 +48,8 @@ if TYPE_CHECKING:  # imported lazily below: core.v2_device imports this module
 __all__ = [
     "SAVED_WINDOW",
     "HEADER_BYTES",
-    "BufferSlice",
     "Chunk",
     "ChunkRef",
-    "ImageBuffer",
     "Manifest",
     "assemble_image",
     "chunk_image",
@@ -84,50 +82,13 @@ class ChunkRef(NamedTuple):
     nbytes: int
 
 
-class ImageBuffer:
-    """The single backing allocation of one serialized checkpoint image.
-
-    The simulation carries no real checkpoint bytes, so the buffer is
-    *virtual*: it models the one contiguous serialization a daemon would
-    produce, and every chunk of the image carries a :class:`BufferSlice`
-    into it — the ``memoryview`` analogue.  The store path is zero-copy:
-    after push → replica → fetch every stored chunk still holds a slice
-    of the *original* buffer.
-    """
-
-    __slots__ = ("rank", "seq", "nbytes")
-
-    def __init__(self, rank: Any, seq: int, nbytes: int) -> None:
-        self.rank = rank
-        self.seq = seq
-        self.nbytes = nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ImageBuffer r{self.rank}/seq{self.seq} {self.nbytes}B>"
-
-
-class BufferSlice(NamedTuple):
-    """A borrowed window into an :class:`ImageBuffer` (no bytes owned)."""
-
-    buf: ImageBuffer
-    offset: int
-    nbytes: int
-
-
 @dataclass(frozen=True)
 class Chunk:
-    """One content-addressed piece of a checkpoint image.
-
-    ``view`` — the chunk's :class:`BufferSlice` into the image's backing
-    buffer — is transport bookkeeping: excluded from equality and repr so
-    content addressing stays purely digest-driven (two images producing
-    an identical region chunk still dedup although their views differ).
-    """
+    """One content-addressed piece of a checkpoint image."""
 
     digest: int
     nbytes: int
     payload: Any  # ("mem", idx, version) | ("sav", entries) | ("hdr", ...) | ("pad",)
-    view: Optional[BufferSlice] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -258,25 +219,13 @@ def chunk_image(
     for part, nbytes in enumerate(sizes[1:], start=1):
         out.append(Chunk(stable_digest("hdr", *hdr_ident, part), nbytes, ("pad",)))
 
-    # 4. one backing buffer for the whole serialized image: each chunk
-    # carries a slice of it (image order → running offsets), so the
-    # push/fetch paths hand references around instead of copies
-    buf = ImageBuffer(image.rank, image.seq, image.image_bytes)
-    offset = 0
-    viewed: list[Chunk] = []
-    for c in out:
-        viewed.append(
-            Chunk(c.digest, c.nbytes, c.payload, BufferSlice(buf, offset, c.nbytes))
-        )
-        offset += c.nbytes
-
     manifest = Manifest(
         rank=image.rank,
         seq=image.seq,
         image_bytes=image.image_bytes,
-        chunks=tuple(ChunkRef(c.digest, c.nbytes) for c in viewed),
+        chunks=tuple(ChunkRef(c.digest, c.nbytes) for c in out),
     )
-    return manifest, {c.digest: c for c in viewed}
+    return manifest, {c.digest: c for c in out}
 
 
 def assemble_image(

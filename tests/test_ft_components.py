@@ -174,6 +174,14 @@ def test_scheduler_refuses_a_non_positive_interval():
         run_job(ring, 2, device="v2", checkpointing=True, ckpt_interval=-1.0)
 
 
+def test_continuous_scheduler_refuses_an_interval():
+    """The continuous scheduler orders the next checkpoint as the last
+    ends and never reads an interval: passing one is refused."""
+    with pytest.raises(ValueError, match="continuous.*ckpt_interval"):
+        run_job(ring, 2, device="v2", checkpointing=True,
+                ckpt_continuous=True, ckpt_interval=5.0)
+
+
 def test_adaptive_scheduler_polls_status():
     res = run_job(
         ring, 3, device="v2", params={"rounds": 15, "work": 0.1},

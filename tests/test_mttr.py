@@ -67,7 +67,6 @@ def ckpt_faulty_run():
         ring_prog, 4, device="v2", trace=True, seed=1, limit=600,
         params={"rounds": 60},
         checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
-        ckpt_interval=0.3,
         faults=ExplicitFaults([(1.0, 2)]),
         on_ready=install_sampler,
     )
@@ -215,8 +214,8 @@ def test_composed_faults_timeline_and_audit():
     res = run_job(
         ring_prog, 4, device="v2", cfg=cfg, trace=True, seed=5, limit=600,
         params={"rounds": 60},
-        checkpointing=True, ckpt_policy="random", ckpt_interval=0.3,
-        ckpt_continuous=True, audit=True,
+        checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
+        audit=True,
         faults=[
             ExplicitFaults([(1.0, 2)]),
             ServiceFaults([(0.9, "cs:0", 3.0)]),

@@ -71,10 +71,9 @@ def test_v1_restart_is_uncoordinated():
     )
     # re-run bookkeeping is visible through message re-service at the CM
     assert res.restarts == 1
-    cms = res.extras["channel_memories"]
     # the restarted rank's stream was replayed: serves > stores for it
-    total_serves = sum(cm.serves for cm in cms)
-    total_stores = sum(cm.stores for cm in cms)
+    total_serves = res.metrics.total("v1.cm_serves")
+    total_stores = res.metrics.total("v1.cm_stores")
     assert total_serves > total_stores  # replayed deliveries re-served
 
 

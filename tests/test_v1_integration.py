@@ -30,8 +30,7 @@ def test_v1_all_messages_stored_on_cm():
         return None
 
     res = run_job(prog, 2, device="v1")
-    cms = res.extras["channel_memories"]
-    stored = sum(cm.stores for cm in cms)
+    stored = res.metrics.total("v1.cm_stores")
     assert stored >= 5  # every payload transits and stays on a CM
 
 

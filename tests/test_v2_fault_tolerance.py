@@ -275,8 +275,7 @@ def test_crash_mid_rendezvous_with_checkpoints():
     expect = run_job(prog, 2, device="v2").results
     res = run_job(
         prog, 2, device="v2",
-        checkpointing=True, ckpt_interval=0.1, ckpt_continuous=True,
-        ckpt_policy="random",
+        checkpointing=True, ckpt_continuous=True, ckpt_policy="random",
         faults=ExplicitFaults([(0.13, 1), (1.6, 0)]), limit=600.0,
     )
     assert res.restarts == 2
