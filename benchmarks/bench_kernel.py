@@ -22,8 +22,7 @@ recorded in ``BENCH_kernel.json``:
 - **scale**: CG class B at 64 ranks — the run the rewrite exists to
   unlock — completes under a wall-clock budget with a clean protocol
   audit, and the CG-A-8 el-ack critical-path share stays below 0.30
-  with piggybacked acks enabled (it was 0.405 with dedicated ack
-  frames).
+  at 4 EL shards (~0.43 with one shard).
 
 Timing methodology: ``gate.interleaved_min`` — one warmup run per
 configuration, then ``reps`` rounds that time the unprofiled and
@@ -61,7 +60,7 @@ from bench_el_scale import el_ack_share
 #: at the fastest recorded unprofiled run (2.575 s, 203 500 events).
 BUDGET_PROFILED_US_PER_EVENT = 1.9
 #: machine-independent protocol gate: el-ack share of the CG-A-8
-#: critical path with piggybacked acks (0.405 with dedicated frames)
+#: critical path at 4 EL shards
 BUDGET_EL_ACK_SHARE = 0.30
 #: coarse CI sanity floor for the throughput meter — absolute events/sec
 #: varies ~2x across runner generations, so this only catches
@@ -126,15 +125,15 @@ def _el_ack_share_once(nprocs: int, klass: str, el_servers: int) -> dict:
 
 
 def measure_el_ack_share(nprocs: int = 8, klass: str = "A") -> dict:
-    """El-ack share of the CG critical path, piggybacked acks on.
+    """El-ack share of the CG critical path.
 
     The gated figure uses **4 EL shards** — the same configuration the
     class-B-64 scale proof runs with — because at that scale the share
     is dominated by the physical ack round-trip (wire latency + EL CPU
-    per event), which piggybacking and sharding together bring under
-    the 0.30 budget.  The full shard sweep is recorded alongside for
-    transparency: with a single shard the share stays ~0.42 even with
-    piggybacked acks, because single-EL CPU contention adds ~100µs
+    per event), which sharding brings under the 0.30 budget.  The full
+    shard sweep is recorded alongside for transparency: with a single
+    shard the share stays ~0.42 even with one cumulative ack per
+    coalesced burst, because single-EL CPU contention adds ~100µs
     tails to every ack edge.
     """
     sweep = {ns: _el_ack_share_once(nprocs, klass, ns) for ns in (1, 2, 4)}
@@ -198,7 +197,7 @@ def check(out: dict, base: dict) -> list:
                      BUDGET_PROFILED_US_PER_EVENT),
         gate.at_least("events/s (sanity floor)", out["events_per_s"],
                       FLOOR_EVENTS_PER_S),
-        gate.at_most("el-ack critical-path share with piggybacked acks",
+        gate.at_most("el-ack critical-path share at 4 EL shards",
                      out["el_ack_share"], BUDGET_EL_ACK_SHARE),
         gate.holds(out["audit_verdict"] == "clean",
                    f"CG-A-8 audit verdict {out['audit_verdict']!r}"),

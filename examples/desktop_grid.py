@@ -15,6 +15,7 @@ Run:  python examples/desktop_grid.py
 
 from repro.ft.failure import RandomFaults
 from repro.runtime.mpirun import run_job
+from repro.runtime.progfile import parse_progfile
 
 CHUNKS = 24
 CHUNK_WORK = 0.35  # simulated seconds of computation per chunk
@@ -53,8 +54,24 @@ def master_worker(mpi):
         done += 1
 
 
+#: the §4.7 program file: five volunteer machines compute, two more
+#: stand by to replace lost ones, one reliable machine runs the services
+GRID = """
+vol0    CN
+vol1    CN
+vol2    CN
+vol3    CN
+vol4    CN
+vol5    SPARE
+vol6    SPARE
+service EL
+storage CS
+"""
+
+
 def main() -> None:
-    nprocs = 5
+    plan = parse_progfile(GRID)
+    nprocs = plan.nprocs
 
     print("== calm desktop grid (no faults)")
     calm = run_job(master_worker, nprocs, device="v2")
@@ -68,7 +85,7 @@ def main() -> None:
         checkpointing=True,
         ckpt_interval=0.4,
         faults=RandomFaults(interval=1.5, count=5, seed=42),
-        spares=2,  # volunteers joining the grid replace lost machines
+        plan=plan,  # volunteers joining the grid replace lost machines
         limit=3600.0,
     )
     print(

@@ -8,15 +8,15 @@ pessimistic protocol needs from the event logger side of the node:
   replica acknowledgements; :meth:`EventLogClient.wait_sendable` is
   where the transmit loops park (and where the stall is measured —
   V2's small-message latency);
-* the **fan-out** — each logged event gets the next batch id and is
-  pushed as one ``EVENT`` record to every replica of the rank's EL
-  shard at once: written in place when that replica's writer is idle
+* the **fan-out** — each logged event is pushed as one ``EVENT``
+  record, named by its own ``rclock``, to every replica of the rank's
+  EL shard at once: written in place when that replica's writer is idle
   with its link up and credit free, else queued for the writer process,
   which waits for the link or the credit.  (Batching happens on the
   logger's side: it stores what queued behind a record under one CPU
   charge and one cumulative ack.)  Per-replica readers — push consumers
   (:class:`~repro.runtime.session.PushReader`), not processes — advance
-  that replica's ack watermark (the highest batch id it acked), and the
+  that replica's ack watermark (the highest rclock it acked), and the
   ledger is one queue of events still short of a quorum: the head
   clears (``v2.el_ack``) once ``cfg.el_quorum`` watermarks reach it.
   Each replica acks in order, so the q-th highest watermark covers
@@ -65,18 +65,18 @@ class _ReplicaLink:
         self.session = session
         # closed while this replica's link is down; its writer parks here
         self.up = Gate(sim, opened=False, name=f"d{rank}.el{idx}.up")
-        # (batch id, event) handed to this replica's writer, in order
+        # events handed to this replica's writer, in order
         self.sendq: Queue = Queue(sim, name=f"d{rank}.el{idx}.q")
         # the writer is parked on an empty ``sendq``: an event may be
         # written in its place, at the point it would have run
         self.writer_idle = False
-        # (batch id, event) written on this link but not yet acked *by
-        # this replica* — re-pushed after its reconnect
-        self.unacked: deque[tuple[int, EventRecord]] = deque()
+        # events written on this link but not yet acked *by this
+        # replica* — re-pushed after its reconnect
+        self.unacked: deque[EventRecord] = deque()
         # write times of events awaiting this replica's ack (RTT)
         self.inflight: deque[float] = deque()
-        # the highest batch id this replica acknowledged
-        self.acked = -1
+        # the highest rclock this replica acknowledged (rclocks start at 1)
+        self.acked = 0
         self.reconnecting = False
 
 
@@ -111,10 +111,9 @@ class EventLogClient:
         # the pessimistic gate: closed while any reception event lacks a
         # quorum of acks; no application message leaves the node then
         self.gate = Gate(sim, opened=True, name=f"d{rank}.elgate")
-        # the quorum ledger: (batch id, log time, rclock) of every event
-        # still short of a quorum of acks, in batch order
-        self._pending: deque[tuple[int, float, int]] = deque()
-        self._next_bid = 0
+        # the quorum ledger: (rclock, log time) of every event still
+        # short of a quorum of acks, in log order
+        self._pending: deque[tuple[int, float]] = deque()
         # quorum-outage state: set while live replicas < quorum (for the
         # single-replica deployment this is exactly "the EL is down")
         self._down_since: Optional[float] = None
@@ -248,11 +247,11 @@ class EventLogClient:
         repush = list(rep.unacked)
         rep.inflight.clear()
         self._read(rep, end)
-        for bid, rec in repush:
+        for rec in repush:
             t0 = self.sim.now
             try:
                 yield from end.write(
-                    self.cfg.event_bytes, ("EVENT", self.key, bid, rec)
+                    self.cfg.event_bytes, ("EVENT", self.key, rec)
                 )
             except (Disconnected, HostDown):
                 rep.reconnecting = False
@@ -277,10 +276,8 @@ class EventLogClient:
     def log_event(self, rec: EventRecord) -> None:
         """Push a reception event to the event logger; closes the gate."""
         self.gate.close()
-        bid = self._next_bid
-        self._next_bid += 1
-        self._pending.append((bid, self.sim.now, rec.rclock))
-        self._fan_out(bid, rec)
+        self._pending.append((rec.rclock, self.sim.now))
+        self._fan_out(rec)
         if self.tracer.hot:
             self.tracer.emit(
                 self.sim.now,
@@ -307,7 +304,7 @@ class EventLogClient:
                 # held because a quorum of acks could not arrive at all
                 self._m_outage_stalled.inc(self.sim.now - t0)
 
-    def _fan_out(self, bid: int, rec: EventRecord) -> None:
+    def _fan_out(self, rec: EventRecord) -> None:
         """Push a registered event to every replica.
 
         Where the replica's writer is parked on an empty queue with the
@@ -317,7 +314,7 @@ class EventLogClient:
         the link or the credit itself.
         """
         nbytes = self.cfg.event_bytes
-        record = ("EVENT", self.key, bid, rec)
+        record = ("EVENT", self.key, rec)
         for rep in self.replicas:
             end = rep.session.end
             if (
@@ -326,19 +323,18 @@ class EventLogClient:
                 and end is not None
                 and end.write_nowait(nbytes, record)
             ):
-                rep.unacked.append((bid, rec))
+                rep.unacked.append(rec)
                 rep.inflight.append(self.sim.now)
             else:
-                rep.sendq.put((bid, rec))
+                rep.sendq.put(rec)
 
     def _rep_writer(self, rep: _ReplicaLink):
         while True:
-            ok, item = rep.sendq.try_get()
+            ok, rec = rep.sendq.try_get()
             if not ok:
                 rep.writer_idle = True
-                item = yield rep.sendq.get()
+                rec = yield rep.sendq.get()
                 rep.writer_idle = False
-            bid, rec = item
             # exactly-once hand-off per stream generation: an event joins
             # the replica's ``unacked`` only once written, so the
             # reconnector (which re-pushes ``unacked``) and this writer
@@ -352,12 +348,12 @@ class EventLogClient:
                 t0 = self.sim.now
                 try:
                     yield from end.write(
-                        self.cfg.event_bytes, ("EVENT", self.key, bid, rec)
+                        self.cfg.event_bytes, ("EVENT", self.key, rec)
                     )
                 except (Disconnected, HostDown):
                     self._rep_down(rep, end)
                     continue  # event not in ``unacked``: resend it here
-                rep.unacked.append((bid, rec))
+                rep.unacked.append(rec)
                 rep.inflight.append(t0)
                 break
 
@@ -366,10 +362,9 @@ class EventLogClient:
 
         def on_record(msg: tuple) -> None:
             if msg[0] == "ACK":
-                # ("ACK", bid): cumulative — the server coalesces acks
-                # for a burst of queued records into one frame, and may
-                # piggyback them on DOWNLOAD replies, so one ack can
-                # cover several unacked entries
+                # ("ACK", rclock): cumulative — the server answers a
+                # burst of queued records with one frame naming the
+                # last, so one ack can cover several unacked entries
                 self._ack_through(rep, msg[1])
 
         PushReader(
@@ -377,23 +372,23 @@ class EventLogClient:
             host=self.host, name=self.core.proc_name(f"el.rx{rep.idx}"), end=end,
         )
 
-    def _ack_through(self, rep: _ReplicaLink, bid: int) -> None:
+    def _ack_through(self, rep: _ReplicaLink, rclock: int) -> None:
         """Retire every unacked event of ``rep`` up to and including
-        ``bid`` (cumulative acks: ``unacked`` is in batch order) and
+        ``rclock`` (cumulative acks: ``unacked`` is in log order) and
         advance its watermark."""
         unacked = rep.unacked
-        while unacked and unacked[0][0] <= bid:
+        while unacked and unacked[0].rclock <= rclock:
             unacked.popleft()
             if rep.inflight:
                 t0 = rep.inflight.popleft()
                 self._m_roundtrips.inc()
                 self._m_rtt.observe(self.sim.now - t0)
-        if bid > rep.acked:
-            rep.acked = bid
+        if rclock > rep.acked:
+            rep.acked = rclock
             self._release()
 
     def _release(self) -> None:
-        """Clear, in batch order, every pending event a quorum of
+        """Clear, in log order, every pending event a quorum of
         replicas acked — those at or below the q-th highest watermark —
         and open the gate once none is left (the gate closes only while
         an event is pending, so opening it again is a no-op)."""
@@ -401,7 +396,7 @@ class EventLogClient:
         through = marks[self.nreps - self.quorum]
         pending = self._pending
         while pending and pending[0][0] <= through:
-            _bid, t0, rclock = pending.popleft()
+            rclock, t0 = pending.popleft()
             self._m_quorum_wait.observe(self.sim.now - t0)
             if self.tracer.hot:
                 self.tracer.emit(
@@ -448,14 +443,7 @@ class EventLogClient:
                     rep.session.drop(end)
                     failovers += 1
                     continue
-                records = reply[1]
-                if len(reply) >= 3 and reply[2] is not None:
-                    # quorum acks piggybacked on the serve traffic: the
-                    # DOWNLOAD reply carries the highest batch id this
-                    # replica has stored but not yet acked on a frame of
-                    # its own — fold it in before processing the records
-                    self._ack_through(rep, reply[2])
-                for rec in records:
+                for rec in reply[1]:
                     merged.setdefault(rec.rclock, rec)
                 got += 1
             if got >= need:

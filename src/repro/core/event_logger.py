@@ -14,13 +14,14 @@ Each computing-node daemon holds one stream to every replica of its
 shard and
 
 * pushes reception events asynchronously to all of them, one
-  ``EVENT`` record (~20 bytes on the wire) per event, numbered by a
-  per-daemon batch id;
+  ``EVENT`` record (~20 bytes on the wire) per event, named by the
+  event's receiver clock ``rclock`` (unique and increasing within a
+  rank, and the store's dedup key);
 * receives acknowledgements — the daemon may not emit application
   messages while events lack a quorum of acks (the pessimistic gate).
-  Acks are *cumulative* by batch id: a burst of queued records is
-  stored under one CPU charge and answered with a single frame, and a
-  DOWNLOAD queued behind the burst carries the ack on its own reply;
+  Acks are *cumulative* by rclock: a burst of queued records is stored
+  under one CPU charge and answered with a single ``ACK`` frame naming
+  the burst's last rclock;
 * on restart, downloads every event with receiver-clock greater than
   its checkpoint clock (``DownloadEL`` of Appendix A) from the live
   replicas, unioned so any quorum member can serve it;
@@ -44,7 +45,7 @@ The service lifecycle (listen/accept/stop) comes from
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
@@ -184,7 +185,7 @@ class EventLoggerServer(ServiceBase):
         return fresh
 
     # -- the serve loop ------------------------------------------------------
-    def _drain_queued(self, end: StreamEnd, batches: list):
+    def _drain_queued(self, end: StreamEnd, burst: list):
         """Non-blockingly drain records already queued on ``end``.
 
         A daemon under load (or re-pushing after a reconnect) often has
@@ -206,7 +207,7 @@ class EventLoggerServer(ServiceBase):
             if msg is None:
                 continue
             if msg[0] == "EVENT":
-                batches.append(msg)
+                burst.append(msg)
                 continue
             return msg
         return None
@@ -228,10 +229,8 @@ class EventLoggerServer(ServiceBase):
                 ids=((rec.rclock, rec.src, rec.sclock),),
             )
 
-    def _download(self, end: StreamEnd, rank: Any, after_clock: int,
-                  piggy_bid: Optional[int]):
-        """Serve one DOWNLOAD; the reply's third field piggybacks the
-        cumulative ack for events stored just before the request."""
+    def _download(self, end: StreamEnd, rank: Any, after_clock: int):
+        """Serve one DOWNLOAD: every stored event after ``after_clock``."""
         # a freshly-restarted replica must not answer downloads
         # from a store it has not finished re-filling: that would
         # break the read-quorum intersection argument
@@ -246,7 +245,7 @@ class EventLoggerServer(ServiceBase):
             self.sim.now, "el.download", rank=rank, n=len(records),
             server=self.name,
         )
-        yield from end.write(nbytes, ("EVENTS", records, piggy_bid))
+        yield from end.write(nbytes, ("EVENTS", records))
 
     def _serve(self, end: StreamEnd, hello: Any):
         pending: Any = None
@@ -260,18 +259,18 @@ class EventLoggerServer(ServiceBase):
                     return  # daemon died; its replacement will reconnect
             kind = msg[0]
             if kind == "EVENT":
-                batches = [msg]
+                burst = [msg]
                 if end.readable:
                     # coalesce the burst already queued behind this record
                     try:
-                        pending = yield from self._drain_queued(end, batches)
+                        pending = yield from self._drain_queued(end, burst)
                     except Disconnected:
                         return
                 # the event logger runs on an auxiliary PIII: storing and
                 # acknowledging events costs real CPU there, serialized
                 # across every daemon it serves (the contention point that
                 # sharding across el_servers groups dilutes)
-                cost = self.cfg.el_cpu_per_event * len(batches)
+                cost = self.cfg.el_cpu_per_event * len(burst)
                 now = self.sim.now
                 begin = now if now > self._cpu_free else self._cpu_free
                 self._cpu_free = begin + cost
@@ -279,36 +278,19 @@ class EventLoggerServer(ServiceBase):
                 # store (and trace) every event *before* any ack leaves:
                 # the auditor's quorum rule orders el.store against the
                 # client's v2.el_ack
-                for _, rank, _bid, rec in batches:
+                for _, rank, rec in burst:
                     self._store(rank, rec)
                 self._m_acks.inc()
                 self._m_cpu_s.inc(cost)
-                last_bid = batches[-1][2]
-                if (
-                    pending is not None
-                    and pending[0] == "DOWNLOAD"
-                    and not self._resyncing
-                ):
-                    # a recovery download queued right behind the burst:
-                    # ride the cumulative ack on its reply instead of
-                    # spending a dedicated ack frame
-                    msg, pending = pending, None
-                    try:
-                        yield from self._download(
-                            end, msg[1], msg[2], last_bid
-                        )
-                    except Disconnected:
-                        return  # the restarting daemon retries its download
-                    continue
                 try:
                     yield from end.write(
-                        self.cfg.event_ack_bytes, ("ACK", last_bid)
+                        self.cfg.event_ack_bytes, ("ACK", burst[-1][2].rclock)
                     )
                 except Disconnected:
                     return  # the daemon re-pushes the burst after reconnect
             elif kind == "DOWNLOAD":
                 try:
-                    yield from self._download(end, msg[1], msg[2], None)
+                    yield from self._download(end, msg[1], msg[2])
                 except Disconnected:
                     return  # the restarting daemon retries its download
             elif kind == "SYNC":

@@ -14,8 +14,8 @@ This module is the *protocol core*: logical clocks, the sender log
 :class:`V2Device` channel facade.  The daemon's I/O machinery lives in
 focused modules composed here — :class:`~repro.core.peers.PeerManager`
 (the peer mesh), :class:`~repro.core.el_client.EventLogClient` (the
-WAITLOGGED gate, cleared by cumulative quorum acks the logger
-piggybacks on its serve traffic), :class:`~repro.core.ckpt_client.CheckpointClient`
+WAITLOGGED gate, cleared by cumulative quorum acks keyed by each
+event's receiver clock), :class:`~repro.core.ckpt_client.CheckpointClient`
 (capture and quorum push),
 :class:`~repro.core.ctrl_client.ControlPlaneClient` (dispatcher and
 scheduler links), and :class:`~repro.core.delivery.DeliveryPipeline`
@@ -480,7 +480,6 @@ class V2Device(ChannelDevice):
         if self.fast_forward():
             # fed from the recorded delivery log: already on the EL
             d._m_del_replayed.inc()
-            self.stats.deliveries_replayed += 1
             if self.tracer.hot:
                 self.tracer.emit(
                     self.sim.now, "v2.deliver", rank=self.rank, src=env.src,
@@ -502,14 +501,11 @@ class V2Device(ChannelDevice):
         if rclock > resume:
             d.el.log_event(EventRecord(rclock, env.src, env.sclock, probes))
             d._m_del_fresh.inc()
-            self.stats.deliveries_fresh += 1
             mode = "fresh"
         else:
             # an event the EL already holds: a forced-order re-delivery
             d._m_del_replayed.inc()
-            self.stats.deliveries_replayed += 1
             mode = "replay"
-        self.stats.events_logged += 1
         if self.tracer.hot:
             self.tracer.emit(
                 self.sim.now, "v2.deliver", rank=self.rank, src=env.src,

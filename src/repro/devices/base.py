@@ -51,11 +51,6 @@ class DeviceStats:
         self.bytes_received = 0
         self.msgs_sent = 0
         self.msgs_received = 0
-        self.events_logged = 0
-        # replay classification (V2 only; zero elsewhere): deliveries fed
-        # from logged history vs. first-time deliveries
-        self.deliveries_replayed = 0
-        self.deliveries_fresh = 0
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of the counters."""

@@ -82,18 +82,18 @@ def private_deployment(
     cluster: Cluster,
     nprocs: int,
     plan: Optional[DeploymentPlan] = None,
-    spares: int = 0,
 ) -> Deployment:
     """One MPICH-V2 job's own machines and services on ``cluster``.
 
     Without a ``plan``, the paper's typical setup: one reliable machine
     hosting the dispatcher, the event logger(s) and the checkpoint
     scheduler, one reliable machine per checkpoint-store replica, plus
-    the volatile computing nodes (and ``spares`` replacements).  A
+    the volatile computing nodes, and no spares.  A
     :class:`~repro.runtime.progfile.DeploymentPlan` (e.g. parsed from a
     §4.7 program file) overrides machine placement; its computing-node
-    count must match ``nprocs`` and its EL lines set the shard count
-    (otherwise ``cfg.el_servers``).
+    count must match ``nprocs``, its SPARE lines are the replacement
+    machines and its EL lines set the shard count (otherwise
+    ``cfg.el_servers``).
     """
     cfg = cluster.cfg
     if plan is not None and plan.nprocs != nprocs:
@@ -109,7 +109,7 @@ def private_deployment(
             for i in range(n_cs)
         ]
         cn_hosts = [cluster.add_cn(f"cn{r}") for r in range(nprocs)]
-        spare_hosts = [cluster.add_cn(f"spare{i}") for i in range(spares)]
+        spare_hosts = []
         el_hosts = [service] * max(1, cfg.el_servers)
         sched_host = service
     else:

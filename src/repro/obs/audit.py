@@ -225,52 +225,44 @@ class ProtocolAuditor:
                     self._hb_edges.append((tx, node, "message"))
                 self._hb_pending_el.setdefault(rank, deque()).append(node)
         elif kind == "v2.el_ack":
+            # one event cleared the gate: the oldest pending one (events
+            # clear in log order), named by ``ids == (rclock,)``
             rank = f["rank"]
             pending = self._pending_el.get(rank)
             if pending:
-                for _ in range(min(f["n"], len(pending))):
-                    pending.popleft()
-            # el-quorum: every event this ack releases from the gate must
-            # already sit on at least `quorum` distinct replicas; the ack
-            # is the last reader of an event's replica set
+                pending.popleft()
+            # el-quorum: the event must already sit on at least `quorum`
+            # distinct replicas; the ack is the last reader of its
+            # replica set
             quorum = f["quorum"]
-            stores = self._el_stores
-            for rclock in f["ids"]:
-                stored_on = stores.pop((rank, rclock), ())
-                if quorum > 1:
-                    self._n_quorum += 1
-                    if len(stored_on) < quorum:
-                        self._flag(
-                            time,
-                            "el-quorum",
-                            rank,
-                            f"rank {rank}'s WAITLOGGED gate cleared rclock "
-                            f"{rclock} with {len(stored_on)} of the "
-                            f"required {quorum} replica store(s)",
-                            rclock=rclock,
-                            stored=len(stored_on),
-                            quorum=quorum,
-                        )
+            (rclock,) = f["ids"]
+            stored_on = self._el_stores.pop((rank, rclock), ())
+            if quorum > 1:
+                self._n_quorum += 1
+                if len(stored_on) < quorum:
+                    self._flag(
+                        time,
+                        "el-quorum",
+                        rank,
+                        f"rank {rank}'s WAITLOGGED gate cleared rclock "
+                        f"{rclock} with {len(stored_on)} of the "
+                        f"required {quorum} replica store(s)",
+                        rclock=rclock,
+                        stored=len(stored_on),
+                        quorum=quorum,
+                    )
             if self.hb_graph:
                 node = self._hb_add(rank, "el_ack", time, f)
                 hb_pending = self._hb_pending_el.get(rank)
                 if hb_pending:
-                    # the ack covers a batch: one "el" edge per event it
-                    # acknowledges (the latest is the binding dependency)
-                    for _ in range(min(f["n"], len(hb_pending))):
-                        self._hb_edges.append(
-                            (hb_pending.popleft(), node, "el")
-                        )
+                    self._hb_edges.append((hb_pending.popleft(), node, "el"))
         elif kind == "el.store":
-            store = self._el_log.setdefault(f["rank"], {})
-            server = f.get("server")
+            # one event stored on one replica: ``ids == ((rclock, src,
+            # sclock),)``
             rank = f["rank"]
-            for rclock, src, sclock in f.get("ids", ()):
-                store.setdefault(rclock, (src, sclock))
-                if server is not None:
-                    self._el_stores.setdefault(
-                        (rank, rclock), set()
-                    ).add(server)
+            ((rclock, src, sclock),) = f["ids"]
+            self._el_log.setdefault(rank, {}).setdefault(rclock, (src, sclock))
+            self._el_stores.setdefault((rank, rclock), set()).add(f["server"])
         elif kind == "v2.gc":
             self._on_gc(time, f)
         elif kind == "v2.ckpt":

@@ -424,7 +424,8 @@ def run_job(
 
     Extra keyword arguments: ``faults`` and ``on_ready`` (see
     :func:`start`); for v2 the placement (``plan``, a
-    :class:`~repro.runtime.progfile.DeploymentPlan`, or ``spares``) and
+    :class:`~repro.runtime.progfile.DeploymentPlan`, whose ``SPARE``
+    lines are the job's replacement machines) and
     everything :func:`repro.ft.dispatcher.launch` takes
     (``checkpointing``, ``ckpt_policy``, ``ckpt_interval``,
     ``ckpt_continuous``); for v1 ``cns_per_cm``.  The
@@ -436,9 +437,7 @@ def run_job(
         from ..ft.deploy import private_deployment
 
         dep = private_deployment(
-            cluster, nprocs,
-            plan=device_kw.pop("plan", None),
-            spares=device_kw.pop("spares", 0),
+            cluster, nprocs, plan=device_kw.pop("plan", None)
         )
     else:  # computing nodes only; v1 adds its Channel Memories itself
         dep = Deployment(

@@ -13,15 +13,11 @@ retry at exactly the same simulated times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Optional
 
-from ..simnet.kernel import Future, Simulator
-from ..simnet.node import Host
-from ..simnet.streams import StreamEnd
 from .config import TestbedConfig
-from .fabric import ConnectionRefused, Fabric
 
-__all__ = ["RetryPolicy", "connect_with_retry"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -54,36 +50,3 @@ class RetryPolicy:
             d *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return d
 
-
-def connect_with_retry(
-    sim: Simulator,
-    fabric: Fabric,
-    host: Host,
-    name: str,
-    *,
-    hello: Any = None,
-    window: Optional[int] = None,
-    policy: RetryPolicy,
-    rng: Optional[Any] = None,
-    on_retry: Optional[Callable[[int, float], None]] = None,
-    giveup: Optional[Callable[[], bool]] = None,
-) -> Generator[Future, Any, Optional[StreamEnd]]:
-    """Connect to a named service, retrying refused attempts with backoff.
-
-    Returns the stream end, or ``None`` once ``policy.max_tries`` refused
-    attempts are exhausted (or ``giveup()`` turns true between attempts —
-    e.g. another process already re-established the link).  ``on_retry``
-    is called as ``(attempt, delay)`` before each backoff sleep, which is
-    where callers account the ``outage.*`` metrics.
-    """
-    for attempt in range(policy.max_tries):
-        if giveup is not None and giveup():
-            return None
-        try:
-            return fabric.connect(host, name, hello=hello, window=window)
-        except ConnectionRefused:
-            d = policy.delay(attempt, rng)
-            if on_retry is not None:
-                on_retry(attempt, d)
-            yield sim.pause(d)
-    return None

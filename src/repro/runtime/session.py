@@ -50,8 +50,8 @@ from ..simnet.kernel import Future, Simulator, register_slot
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
-from .fabric import Acceptor, Fabric
-from .retry import RetryPolicy, connect_with_retry
+from .fabric import Acceptor, ConnectionRefused, Fabric
+from .retry import RetryPolicy
 
 __all__ = ["Session", "PushReader", "ServiceBase", "framed"]
 
@@ -177,20 +177,23 @@ class Session:
     ) -> Generator[Future, Any, Optional[StreamEnd]]:
         """Connect under the session's retry policy; adopts on success.
 
-        Returns the new stream end, or ``None`` once the retry budget is
-        exhausted (or ``giveup()`` turned true between attempts).
-        ``adopt=False`` as in :meth:`connect_now`."""
-        end = yield from connect_with_retry(
-            self.sim, self.fabric, self.host, self.target,
-            hello=self.hello, window=self.window,
-            policy=self.policy, rng=self._rng,
-            on_retry=self._on_retry, giveup=giveup,
-        )
-        if end is None:
-            return None
-        if adopt:
-            self.adopt(end)
-        return end
+        Returns the new stream end, or ``None`` once ``policy.max_tries``
+        refused attempts are exhausted (or ``giveup()`` turned true
+        between attempts — e.g. another process already re-established
+        the link).  ``on_retry`` is called as ``(attempt, delay)`` before
+        each backoff sleep.  ``adopt=False`` as in :meth:`connect_now`."""
+        policy = self.policy
+        for attempt in range(policy.max_tries):
+            if giveup is not None and giveup():
+                return None
+            try:
+                return self.connect_now(adopt)
+            except ConnectionRefused:
+                d = policy.delay(attempt, self._rng)
+                if self._on_retry is not None:
+                    self._on_retry(attempt, d)
+                yield self.sim.pause(d)
+        return None
 
     # -- backpressure accounting -------------------------------------------
     def _note_io(self, end: StreamEnd) -> None:

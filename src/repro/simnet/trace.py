@@ -10,7 +10,7 @@ free of assertion scaffolding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator
 
 __all__ = ["TraceRecord", "Tracer"]
 
@@ -43,16 +43,16 @@ class Tracer:
     *retention* is off — this is what lets the online protocol auditor
     watch a run live without the memory cost of a full trace.  A
     subscriber is called as ``callback(time, kind, fields)`` (no
-    :class:`TraceRecord` is built unless retention needs one) and may
-    declare the exact ``kinds`` it wants; emits outside the union of all
+    :class:`TraceRecord` is built unless retention needs one) for the
+    exact ``kinds`` it declares; emits outside the union of all
     subscriptions stay on the one-branch fast path.
     """
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._subs: list[tuple[Callable[[float, str, dict], None],
-                               Optional[frozenset]]] = []
-        self._interest: Optional[frozenset] = frozenset()  # union; None=all
+                               frozenset]] = []
+        self._interest: frozenset = frozenset()  # union of the subs' kinds
         #: False only when *no* emit can have an effect (retention off,
         #: no subscribers) — which is every unobserved job's whole life:
         #: only observers subscribe, never protocol or bookkeeping code.
@@ -66,10 +66,10 @@ class Tracer:
     def subscribe(
         self,
         callback: Callable[[float, str, dict], None],
-        kinds: Optional[frozenset] = None,
+        kinds: frozenset,
     ) -> None:
-        """Stream every emitted event (of ``kinds``, or all) to ``callback``."""
-        self._subs.append((callback, frozenset(kinds) if kinds else None))
+        """Stream every emitted event of ``kinds`` to ``callback``."""
+        self._subs.append((callback, frozenset(kinds)))
         self._recompute_interest()
 
     def unsubscribe(self, callback: Callable[[float, str, dict], None]) -> None:
@@ -79,21 +79,14 @@ class Tracer:
         self._recompute_interest()
 
     def _recompute_interest(self) -> None:
-        if any(k is None for _, k in self._subs):
-            self._interest = None  # at least one wants everything
-        else:
-            acc: set = set()
-            for _, k in self._subs:
-                acc |= k
-            self._interest = frozenset(acc)
+        self._interest = frozenset().union(*(k for _, k in self._subs))
         self.hot = self.enabled or bool(self._subs)
 
     def emit(self, time: float, kind: str, **fields: Any) -> None:
         """Record one event (no-op when disabled and nobody subscribed)."""
-        interest = self._interest
-        if interest is None or kind in interest:
+        if kind in self._interest:
             for cb, kinds in self._subs:
-                if kinds is None or kind in kinds:
+                if kind in kinds:
                     cb(time, kind, fields)
         if self.enabled:
             self.records.append(TraceRecord(time, kind, fields))

@@ -124,11 +124,11 @@ def sabotage_quorum(monkeypatch):
     stored it."""
     fan_out = EventLogClient._fan_out
 
-    def ack_at_queue_time(self, bid, rec):
+    def ack_at_queue_time(self, rec):
         for rep in self.replicas:
-            rep.acked = bid
+            rep.acked = rec.rclock
         self._release()
-        fan_out(self, bid, rec)
+        fan_out(self, rec)
 
     monkeypatch.setattr(EventLogClient, "_fan_out", ack_at_queue_time)
 

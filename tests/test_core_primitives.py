@@ -178,15 +178,15 @@ def _el_setup():
     return cluster, fabric, cn, el
 
 
-def _push(end, recs, bid):
-    """Push ``recs`` for rank 0 as one EVENT record each, batch ids
-    ``bid``, ``bid + 1``, ...; return the cumulative ack covering the
-    last one (the logger may ack a burst with one frame)."""
-    for i, rec in enumerate(recs):
-        yield from end.write(20, ("EVENT", 0, bid + i, rec))
+def _push(end, recs):
+    """Push ``recs`` for rank 0 as one EVENT record each; return the
+    cumulative ack covering the last one's rclock (the logger may ack a
+    burst with one frame)."""
+    for rec in recs:
+        yield from end.write(20, ("EVENT", 0, rec))
     while True:
         _, ack = yield end.read()
-        if ack[1] >= bid + len(recs) - 1:
+        if ack[1] >= recs[-1].rclock:
             return ack
 
 
@@ -196,14 +196,14 @@ def test_event_logger_store_ack_download():
     def client():
         end = fabric.connect(cn, "el:0", hello=0)
         recs = [EventRecord(1, src=2, sclock=5, probes=0)]
-        ack = yield from _push(end, recs, 0)
-        assert ack == ("ACK", 0)
+        ack = yield from _push(end, recs)
+        assert ack == ("ACK", 1)
         yield from end.write(12, ("DOWNLOAD", 0, 0))
         _, reply = yield end.read()
         return reply
 
     p = cluster.sim.spawn(client(), "cli")
-    kind, records, _piggy = cluster.sim.run_until(p.done)
+    kind, records = cluster.sim.run_until(p.done)
     assert kind == "EVENTS"
     assert records == [EventRecord(1, 2, 5, 0)]
 
@@ -214,7 +214,7 @@ def test_event_logger_download_after_clock_filters():
     def client():
         end = fabric.connect(cn, "el:0", hello=0)
         recs = [EventRecord(rc, src=1, sclock=rc, probes=0) for rc in (1, 2, 3)]
-        yield from _push(end, recs, 0)
+        yield from _push(end, recs)
         yield from end.write(12, ("DOWNLOAD", 0, 2))
         _, reply = yield end.read()
         return reply[1]
@@ -230,9 +230,9 @@ def test_event_logger_dedups_and_prunes():
     def client():
         end = fabric.connect(cn, "el:0", hello=0)
         rec = EventRecord(1, src=1, sclock=1, probes=0)
-        yield from _push(end, [rec], 0)
-        yield from _push(end, [rec], 1)  # duplicate (replay)
-        yield from _push(end, [EventRecord(2, 1, 2, 1)], 2)
+        yield from _push(end, [rec])
+        yield from _push(end, [rec])  # duplicate (replay)
+        yield from _push(end, [EventRecord(2, 1, 2, 1)])
         yield from end.write(12, ("PRUNE", 0, 1))
         yield from end.write(12, ("DOWNLOAD", 0, 0))
         _, reply = yield end.read()
@@ -245,12 +245,37 @@ def test_event_logger_dedups_and_prunes():
     assert cluster.metrics.total("el.events_stored") == 2
 
 
+def test_event_logger_acks_a_burst_before_a_download_queued_behind_it():
+    """A DOWNLOAD written right behind an EVENT burst on one stream: the
+    burst gets its cumulative ACK on a frame of its own, then the
+    EVENTS reply holds the burst (the reply carries no ack)."""
+    cluster, fabric, cn, el = _el_setup()
+    recs = [EventRecord(rc, src=1, sclock=rc, probes=0) for rc in (1, 2, 3)]
+
+    def client():
+        end = fabric.connect(cn, "el:0", hello=0)
+        for rec in recs:
+            yield from end.write(20, ("EVENT", 0, rec))
+        yield from end.write(12, ("DOWNLOAD", 0, 0))
+        frames = []
+        while not frames or frames[-1][0] != "EVENTS":
+            _, msg = yield end.read()
+            frames.append(msg)
+        return frames
+
+    p = cluster.sim.spawn(client(), "cli")
+    frames = cluster.sim.run_until(p.done)
+    # rclock 1 is stored alone; 2 and 3 queue behind it with the
+    # DOWNLOAD and are stored as one burst
+    assert frames == [("ACK", 1), ("ACK", 3), ("EVENTS", recs)]
+    assert cluster.metrics.total("el.acks") == 2
+
 def test_event_logger_survives_client_disconnect():
     cluster, fabric, cn, el = _el_setup()
 
     def client():
         end = fabric.connect(cn, "el:0", hello=0)
-        yield from _push(end, [EventRecord(1, 1, 1, 0)], 0)
+        yield from _push(end, [EventRecord(1, 1, 1, 0)])
 
     p = cluster.sim.spawn(client(), "cli")
     cluster.sim.run_until(p.done)
@@ -261,7 +286,7 @@ def test_event_logger_survives_client_disconnect():
 
 def test_gate_clears_each_event_on_a_quorum_of_replica_acks():
     """Replicas ack at their own pace: an event leaves the ledger, in log
-    order, once a quorum of ack watermarks reaches its batch id."""
+    order, once a quorum of ack watermarks reaches its rclock."""
     cluster = Cluster(DEFAULT_TESTBED.with_(el_replicas=3))
     core = SimpleNamespace(
         sim=cluster.sim, cfg=cluster.cfg, rank=0, _spawn=None, host=None,
@@ -270,12 +295,12 @@ def test_gate_clears_each_event_on_a_quorum_of_replica_acks():
     )
     client = EventLogClient(core, ("el:0", "el:0.1", "el:0.2"), 0)
     assert client.quorum == 2
-    for rc in (1, 2, 3):  # batch ids 0, 1, 2
+    for rc in (1, 2, 3):
         client.log_event(EventRecord(rc, src=1, sclock=rc, probes=0))
     a, b, c = client.replicas
-    client._ack_through(a, 2)  # one replica has all three: none clears
+    client._ack_through(a, 3)  # one replica has all three: none clears
     assert not client.gate.is_open and len(client._pending) == 3
-    client._ack_through(b, 0)  # a second one through batch 0
-    assert [rc for _bid, _t0, rc in client._pending] == [2, 3]
-    client._ack_through(c, 2)
+    client._ack_through(b, 1)  # a second one through rclock 1
+    assert [rc for rc, _t0 in client._pending] == [2, 3]
+    client._ack_through(c, 3)
     assert client.gate.is_open and not client._pending

@@ -9,6 +9,7 @@ from repro.ft.failure import ExplicitFaults, RandomFaults
 from repro.mpi.datatypes import Envelope
 from repro.mpi.protocol import Packet, PacketKind
 from repro.runtime.mpirun import run_job
+from repro.runtime.progfile import parse_progfile
 
 
 def ring(mpi, rounds=6, work=0.05):
@@ -120,8 +121,11 @@ def test_faults_after_completion_are_not_injected():
 
 def test_spares_exhausted_falls_back_to_reboot():
     expect = run_job(ring, 3, device="v2").results
+    plan = parse_progfile(
+        "service EL\ncs-host CS\ncn0 CN\ncn1 CN\ncn2 CN\nspare0 SPARE\n"
+    )
     res = run_job(
-        ring, 3, device="v2", spares=1,
+        ring, 3, device="v2", plan=plan,
         faults=ExplicitFaults([(0.05, 0), (2.0, 1)]),
     )
     assert res.results == expect

@@ -162,4 +162,4 @@ def test_untraced_bulk_kill_mid_frame_matches_golden_digest():
         repr((res.elapsed, res.results, res.restarts, registry)).encode(),
         digest_size=16,
     ).hexdigest()
-    assert digest == "8a68150e8b65b4acd8756eef44d61257"
+    assert digest == "cc1c4f50f44a6e11df9753af9ec263c6"

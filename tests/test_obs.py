@@ -97,6 +97,34 @@ def test_histogram_buckets_and_stats():
     assert exp["buckets"]["overflow"] == 1
 
 
+def test_histogram_quantile_is_the_bucket_bound_clamped_to_the_max():
+    h = Histogram("lat", {}, bounds=(0.1, 1.0, 10.0))
+    assert h.quantile(0.5) == 0.0  # no sample yet
+    for v in (0.05, 0.5, 0.7, 5.0):
+        h.observe(v)
+    assert h.quantile(0.25) == 0.1  # upper bound of the q-th's bucket
+    assert h.quantile(0.5) == h.quantile(0.75) == 1.0
+    assert h.quantile(1.0) == 5.0  # bound 10.0 clamped to the max
+    h.observe(50.0)  # past the last bound: the max answers
+    assert h.quantile(1.0) == 50.0
+
+
+def test_registry_quantile_merges_label_sets():
+    m = Metrics()
+    bounds = (0.1, 1.0, 10.0)
+    assert m.quantile("lat", 0.5) == 0.0  # no such histogram
+    m.histogram("lat", bounds=bounds, rank=3)  # bound, never observed
+    assert m.quantile("lat", 0.5) == 0.0
+    m.histogram("lat", bounds=bounds, rank=0).observe(0.05)
+    assert m.quantile("lat", 1.0) == 0.05  # one label set: its own max
+    m.histogram("lat", bounds=bounds, rank=1).observe(0.5)
+    m.histogram("lat", bounds=bounds, rank=1).observe(0.6)
+    m.histogram("lat", bounds=bounds, rank=2).observe(3.0)
+    m.histogram("other", bounds=bounds, rank=0).observe(9.0)  # not merged
+    assert m.quantile("lat", 0.25) == 0.1
+    assert m.quantile("lat", 0.5) == m.quantile("lat", 0.75) == 1.0
+    assert m.quantile("lat", 1.0) == 3.0  # the max over every label set
+
 def test_registry_total_and_by_label():
     m = Metrics()
     m.counter("bytes", rank=0).inc(10)

@@ -8,6 +8,7 @@ one program over sub-communicators, with checkpointing and Weibull churn
 
 from repro.ft.failure import ChurnFaults
 from repro.runtime.mpirun import run_job
+from repro.runtime.progfile import parse_progfile
 from repro.workloads import nas
 
 
@@ -28,10 +29,14 @@ def test_soak_campaign_under_churn():
     calm = run_job(campaign, 4, device="v2", limit=3600.0)
     churn = ChurnFaults(mean_lifetime=0.35, seed=17, max_faults=5,
                         check_interval=0.03)
+    plan = parse_progfile(
+        "service EL\ncs-host CS\ncn0 CN\ncn1 CN\ncn2 CN\ncn3 CN\n"
+        "spare0 SPARE\nspare1 SPARE\n"
+    )
     stormy = run_job(
         campaign, 4, device="v2",
         checkpointing=True, ckpt_interval=0.1,
-        faults=churn, spares=2, limit=3600.0,
+        faults=churn, plan=plan, limit=3600.0,
     )
     assert stormy.restarts == len(churn.injected) >= 2
     assert stormy.results == calm.results

@@ -8,6 +8,7 @@ test here asserts *numerically identical results* to the fault-free run.
 
 from repro.ft.failure import ExplicitFaults, RandomFaults
 from repro.runtime.mpirun import run_job
+from repro.runtime.progfile import parse_progfile
 
 
 def ring_prog(mpi, rounds=8, nbytes=2000, work=0.02):
@@ -139,11 +140,15 @@ def test_random_faults_many():
 
 def test_restart_on_spare_node():
     expect = baseline(ring_prog, 4)
+    plan = parse_progfile(
+        "service EL\ncs-host CS\ncn0 CN\ncn1 CN\ncn2 CN\ncn3 CN\n"
+        "spare0 SPARE\nspare1 SPARE\n"
+    )
     res = run_job(
         ring_prog,
         4,
         device="v2",
-        spares=2,
+        plan=plan,
         faults=ExplicitFaults([(0.1, 1)]),
     )
     assert res.results == expect

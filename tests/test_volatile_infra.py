@@ -185,20 +185,20 @@ def test_event_logger_stop_start_keeps_durable_events():
     def client():
         end = fabric.connect(cn, "el:0", hello=("DAEMON", 0, 0))
         recs = [EventRecord(i, src=1, sclock=i, probes=0) for i in (1, 2, 3)]
-        got["ack"] = yield from _push(end, recs, 0)
+        got["ack"] = yield from _push(end, recs)
         # crash the service; this connection dies with it
         el.stop()
         with pytest.raises(Disconnected):
-            yield from end.write(20, ("EVENT", 0, 3, recs[0]))
+            yield from end.write(20, ("EVENT", 0, recs[0]))
         el.start()
         end = fabric.connect(cn, "el:0", hello=("DAEMON", 0, 1))
         yield from end.write(16, ("DOWNLOAD", 0, 0))
-        _, (tag, events, _piggy) = yield end.read()
+        _, (tag, events) = yield end.read()
         got["events"] = events
 
     sim.spawn(client())
     sim.run()
-    assert got["ack"] == ("ACK", 2)
+    assert got["ack"] == ("ACK", 3)
     assert [e.rclock for e in got["events"]] == [1, 2, 3]
 
 
@@ -215,7 +215,7 @@ def test_event_logger_repush_is_idempotent():
         end = fabric.connect(cn, "el:0", hello=("DAEMON", 0, 0))
         recs = [EventRecord(i, src=1, sclock=i, probes=0) for i in (1, 2)]
         for i in range(3):  # the same events, re-pushed after "reconnects"
-            yield from _push(end, recs, 2 * i)
+            yield from _push(end, recs)
 
     sim.spawn(client())
     sim.run()
@@ -573,14 +573,14 @@ def test_el_replica_resync_pulls_missing_events():
         for name in ("el:0", "el:0.1"):
             ends[name] = fabric.connect(cn, name, hello=("DAEMON", 0, 0))
         for name in ("el:0", "el:0.1"):
-            yield from _push(ends[name], recs(1, 3), 0)
+            yield from _push(ends[name], recs(1, 3))
         # replica b crashes (store lost) while 4..6 land on a only
         el_b.stop()
-        yield from _push(ends["el:0"], recs(4, 6), 3)
+        yield from _push(ends["el:0"], recs(4, 6))
         el_b.start()  # relaunch resyncs from el:0
         end = fabric.connect(cn, "el:0.1", hello=("DAEMON", 0, 1))
         yield from end.write(16, ("DOWNLOAD", 0, 0))
-        _, (tag, events, _piggy) = yield end.read()
+        _, (tag, events) = yield end.read()
         got["events"] = events
 
     sim.spawn(client())
