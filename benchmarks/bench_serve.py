@@ -55,8 +55,8 @@ WEIGHTS = {"alpha": 3.0, "beta": 1.0}
 SEED = 1
 FAIRNESS_BUDGET = 0.20  # tenant share vs weight, saturation window
 REGRESSION_BUDGET = 0.20  # makespan vs the checked-in baseline
-# tighten-only (ROADMAP): measured 45.8 objects/job and 10 entries
-RETAINED_OBJECTS_BUDGET = 80.0  # GC-tracked objects per finished job
+# tighten-only (ROADMAP): measured 43.7 objects/job and 10 entries
+RETAINED_OBJECTS_BUDGET = 48.0  # GC-tracked objects per finished job
 HEAP_ENTRIES_BUDGET = 32  # event-heap entries once the storm has drained
 
 

@@ -8,7 +8,7 @@ from .el_client import EventLogClient
 from .event_logger import EventLoggerServer
 from .peers import PeerLink, PeerManager
 from .replay import CheckpointImage, DeliveryRecord, ReplayState
-from .sender_log import LogOverflow, SavedMessage, SenderLog
+from .sender_log import LogOverflow, SenderLog
 from .v2_device import V2Daemon, V2Device
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "DeliveryRecord",
     "ReplayState",
     "LogOverflow",
-    "SavedMessage",
     "SenderLog",
     "PeerLink",
     "PeerManager",

@@ -141,7 +141,7 @@ class PeerManager:
         # is in SAVED, and the RESTART handshake re-sends what is needed
         link.tx = Queue(self.sim, name=f"d{core.rank}->d{q}.tx.e{link.epoch}")
         link.held.clear()
-        link.resends_due = bool(core.saved.messages_for(q))
+        link.resends_due = core.saved.holds_any(q)
         epoch = link.epoch
         core._spawn(self._tx_loop(q, link, epoch), f"tx{q}e{epoch}")
         PushReader(

@@ -19,27 +19,19 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-__all__ = ["SavedMessage", "SenderLog", "LogOverflow"]
+__all__ = ["SenderLog", "LogOverflow"]
 
 
 class LogOverflow(Exception):
     """RAM + swap exhausted by the payload log (the FT-class-B failure)."""
 
 
-class SavedMessage:
-    """One retained payload copy: (m, H_p, q) of the SAVED set."""
-
-    __slots__ = ("dst", "sclock", "env", "charged")
-
-    def __init__(self, dst: int, sclock: int, env: Any, charged: int) -> None:
-        self.dst = dst
-        self.sclock = sclock
-        self.env = env  # the full envelope (payload reference included)
-        self.charged = charged  # slab-rounded storage footprint
-
-
 class SenderLog:
-    """SAVED set with RAM/disk accounting for one computing node."""
+    """SAVED set with RAM/disk accounting for one computing node.
+
+    An entry (m, H_p, q) is the message's own envelope: ``env.dst`` is q,
+    ``env.sclock`` is H_p and ``env.data`` the payload reference.
+    """
 
     def __init__(self, ram_budget: int, disk_budget: int, slab: int = 1) -> None:
         self.ram_budget = max(0, ram_budget)
@@ -49,7 +41,8 @@ class SenderLog:
         #: the log many times over, which is how a 40 MB payload stream
         #: pushes a 1 GB node into swap
         self.slab = max(1, slab)
-        self._by_dst: dict[int, list[SavedMessage]] = {}
+        self._by_dst: dict[int, list[Any]] = {}
+        self._count = 0
         #: highest sclock garbage-collected per destination: re-sends below
         #: this are impossible (the copies are gone)
         self.gc_floor: dict[int, int] = {}
@@ -57,7 +50,7 @@ class SenderLog:
         self.bytes_on_disk = 0
 
     # -- appends -------------------------------------------------------------
-    def append(self, dst: int, sclock: int, env: Any) -> int:
+    def append(self, env: Any) -> int:
         """Log one message copy; returns bytes that went to *disk* (0 if RAM).
 
         Raises :class:`LogOverflow` when RAM+disk budgets are exceeded.
@@ -73,24 +66,27 @@ class SenderLog:
             disk_bytes = min(charged, self.bytes_total + charged - self.ram_budget)
             self.bytes_on_disk += disk_bytes
         self.bytes_total += charged
-        self._by_dst.setdefault(dst, []).append(
-            SavedMessage(dst, sclock, env, charged)
-        )
+        self._by_dst.setdefault(env.dst, []).append(env)
+        self._count += 1
         return disk_bytes
 
     # -- lookups -------------------------------------------------------------
-    def messages_for(self, dst: int, after_sclock: int = 0) -> list[SavedMessage]:
-        """Saved messages to ``dst`` with sclock > ``after_sclock``, in order."""
+    def messages_for(self, dst: int, after_sclock: int = 0) -> list[Any]:
+        """Saved envelopes to ``dst`` with sclock > ``after_sclock``, in order."""
         return [m for m in self._by_dst.get(dst, ()) if m.sclock > after_sclock]
+
+    def holds_any(self, dst: int) -> bool:
+        """Is any copy to ``dst`` still logged?"""
+        return bool(self._by_dst.get(dst))
 
     def has(self, dst: int, sclock: int) -> bool:
         """Is the copy of (dst, sclock) still retrievable?"""
         return any(m.sclock == sclock for m in self._by_dst.get(dst, ()))
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_dst.values())
+        return self._count
 
-    def __iter__(self) -> Iterator[SavedMessage]:
+    def __iter__(self) -> Iterator[Any]:
         for msgs in self._by_dst.values():
             yield from msgs
 
@@ -104,10 +100,11 @@ class SenderLog:
         keep, freed = [], 0
         for m in msgs:
             if m.sclock <= upto_sclock:
-                freed += m.charged
+                freed += max(m.nbytes, self.slab)
             else:
                 keep.append(m)
         self._by_dst[dst] = keep
+        self._count -= len(msgs) - len(keep)
         self.bytes_total -= freed
         # disk fills last, drains first (most recent spill is reclaimed)
         reclaim_disk = min(freed, self.bytes_on_disk)
@@ -117,17 +114,12 @@ class SenderLog:
     # -- checkpoint support ----------------------------------------------------
     def snapshot(self) -> list[tuple[int, int, Any]]:
         """Serializable copy (dst, sclock, env) — part of the daemon image."""
-        return [(m.dst, m.sclock, m.env) for m in self]
+        return [(m.dst, m.sclock, m) for m in self]
 
     @classmethod
-    def restore(
-        cls,
-        ram_budget: int,
-        disk_budget: int,
-        entries: list[tuple[int, int, Any]],
-        slab: int = 1,
-    ) -> "SenderLog":
+    def restore(cls, ram_budget: int, disk_budget: int,
+                entries: list[tuple[int, int, Any]], slab: int = 1) -> "SenderLog":
         log = cls(ram_budget, disk_budget, slab=slab)
-        for dst, sclock, env in entries:
-            log.append(dst, sclock, env)
+        for _dst, _sclock, env in entries:
+            log.append(env)
         return log

@@ -88,7 +88,8 @@ class V2Daemon:
             disk_budget=cfg.cn_swap,
             slab=cfg.log_slab_bytes,
         )
-        self.delivery_log: list[DeliveryRecord] = []
+        # only image capture reads the delivery log: kept with a scheduler
+        self.delivery_log: Optional[list[DeliveryRecord]] = [] if disp.scheduler else None
         self.replay: Optional[ReplayState] = None
         self.op_index = 0
         # sequence values at the restored checkpoint (0,0 without an image)
@@ -237,12 +238,8 @@ class V2Daemon:
         # HR/HS vectors carry over for the RESTART handshake
         self.clock = ClockState(hr=dict(image.clock.hr), hs=dict(image.clock.hs))
         self.app_footprint = image.app_footprint
-        self.saved = SenderLog.restore(
-            self._log_ram_budget(),
-            self.cfg.cn_swap,
-            image.saved,
-            slab=self.cfg.log_slab_bytes,
-        )
+        self.saved = SenderLog.restore(self._log_ram_budget(), self.cfg.cn_swap,
+                                       image.saved, slab=self.cfg.log_slab_bytes)
         self.delivery_log = list(image.delivery_log)
         self.delivery.forwarded_hw = dict(image.clock.hr)
         self.op_index = 0
@@ -267,8 +264,8 @@ class V2Daemon:
                 return
             self.clock.hs[q] = hp
             self.peers.enqueue_ctrl(q, ("RESTART2", self.clock.hr.get(q, 0)))
-            for m in self.saved.messages_for(q, after_sclock=hp):
-                self.delivery.enqueue_replay(q, m.env)
+            for env in self.saved.messages_for(q, after_sclock=hp):
+                self.delivery.enqueue_replay(q, env)
             if self.device is not None:
                 self.device.notify_peer_restarted(q)
             self.tracer.emit(
@@ -284,9 +281,9 @@ class V2Daemon:
                 remaining=len(self.peers.needs_restart1),
             )
             self.clock.hs[q] = max(self.clock.hs.get(q, 0), hq)
-            for m in self.saved.messages_for(q, after_sclock=hq):
-                if m.sclock <= self.restart_base_send:
-                    self.delivery.enqueue_replay(q, m.env)
+            for env in self.saved.messages_for(q, after_sclock=hq):
+                if env.sclock <= self.restart_base_send:
+                    self.delivery.enqueue_replay(q, env)
             self.peers.release_held(q)
         elif kind == "RTSDUP":
             # the receiver already delivered our rendezvous message: the
@@ -414,7 +411,7 @@ class V2Device(ChannelDevice):
             env.sclock = d.clock.tick_send()
             if not ff:
                 # the sender-based copy (and its RAM/disk cost)
-                disk_bytes = d.saved.append(dst, env.sclock, env)
+                disk_bytes = d.saved.append(env)
                 d._m_log_bytes.inc(env.nbytes)
                 if disk_bytes:
                     d._m_log_spill.inc(disk_bytes)
@@ -486,17 +483,12 @@ class V2Device(ChannelDevice):
                     sclock=env.sclock, rclock=rclock, mode="ff",
                 )
             return
-        rec = DeliveryRecord(
-            src=env.src,
-            sclock=env.sclock,
-            rclock=rclock,
-            probes=probes,
-            nbytes=env.nbytes,
-            tag=env.tag,
-            context=env.context,
-            data=env.data,
-        )
-        d.delivery_log.append(rec)
+        if d.delivery_log is not None:
+            d.delivery_log.append(DeliveryRecord(
+                src=env.src, sclock=env.sclock, rclock=rclock, probes=probes,
+                nbytes=env.nbytes, tag=env.tag, context=env.context,
+                data=env.data,
+            ))
         resume = d.replay.log_resume_clock if d.replay is not None else 0
         if rclock > resume:
             d.el.log_event(EventRecord(rclock, env.src, env.sclock, probes))

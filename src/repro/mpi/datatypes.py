@@ -39,7 +39,7 @@ def payload_nbytes(data: Any) -> int:
     return 64
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """Everything that identifies one application-level message.
 

@@ -20,7 +20,8 @@ Design constraints:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import sys
+from bisect import bisect_left
 from typing import Any, Iterator, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "Metrics", "DEFAULT_BOUNDS"]
@@ -127,7 +128,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        self.buckets[bisect_right(self.bounds, value)] += 1
+        self.buckets[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
         if value < self.min:
@@ -179,18 +180,32 @@ Metric = Any  # Counter | Gauge | Histogram
 
 
 class Metrics:
-    """Get-or-create registry of metrics keyed by ``(name, labels)``."""
+    """Get-or-create registry of metrics keyed by ``(name, labels)``.
+
+    Equal label sets share one labels mapping (the first binding's) and
+    one flat items tuple ``(k1, v1, k2, v2, ...)``, sorted by label, and
+    names are interned.  Flat items hold atoms only, so the GC untracks
+    them and the keys holding them at its first pass (nested pairs can
+    keep them tracked); ``_label_sets`` maps items to their first key.
+    """
 
     def __init__(self) -> None:
         self._metrics: dict[tuple, Metric] = {}
+        self._label_sets: dict[tuple, tuple] = {}
 
     # -- binding -----------------------------------------------------------
     def _get(self, cls: type, name: str, labels: dict[str, Any], **kw) -> Metric:
-        key = (name, tuple(sorted(labels.items())))
+        items = tuple(x for kv in sorted(labels.items()) for x in kv)
+        first = self._label_sets.get(items)
+        if first is not None:
+            items = first[1]
+            labels = self._metrics[first].labels
+        key = (sys.intern(name), items)
         m = self._metrics.get(key)
         if m is None:
-            m = cls(name, labels, **kw)
-            self._metrics[key] = m
+            m = self._metrics[key] = cls(key[0], labels, **kw)
+            if first is None:
+                self._label_sets[items] = key
         elif not isinstance(m, cls):
             raise TypeError(
                 f"metric {name!r}{labels!r} already registered as {m.kind}"

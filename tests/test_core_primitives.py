@@ -66,9 +66,9 @@ def test_event_record_ordering():
 
 def test_sender_log_append_and_lookup():
     log = SenderLog(ram_budget=10_000, disk_budget=0)
-    log.append(1, 1, env(nbytes=100, sclock=1))
-    log.append(1, 3, env(nbytes=100, sclock=3))
-    log.append(2, 2, env(nbytes=100, sclock=2))
+    log.append(env(nbytes=100, sclock=1))
+    log.append(env(nbytes=100, sclock=3))
+    log.append(env(nbytes=100, dst=2, sclock=2))
     assert len(log) == 3
     assert [m.sclock for m in log.messages_for(1)] == [1, 3]
     assert [m.sclock for m in log.messages_for(1, after_sclock=1)] == [3]
@@ -78,23 +78,23 @@ def test_sender_log_append_and_lookup():
 
 def test_sender_log_ram_then_disk_spill():
     log = SenderLog(ram_budget=150, disk_budget=1000)
-    assert log.append(1, 1, env(nbytes=100)) == 0  # fits in RAM
-    spilled = log.append(1, 2, env(nbytes=100))  # 50 bytes over RAM
+    assert log.append(env(nbytes=100)) == 0  # fits in RAM
+    spilled = log.append(env(nbytes=100))  # 50 bytes over RAM
     assert spilled == 50
     assert log.bytes_on_disk == 50
 
 
 def test_sender_log_overflow_raises():
     log = SenderLog(ram_budget=100, disk_budget=100)
-    log.append(1, 1, env(nbytes=150))
+    log.append(env(nbytes=150))
     with pytest.raises(LogOverflow):
-        log.append(1, 2, env(nbytes=100))
+        log.append(env(nbytes=100))
 
 
 def test_sender_log_gc_frees_prefix_only():
     log = SenderLog(ram_budget=10_000, disk_budget=0)
     for sc in (1, 2, 3, 4):
-        log.append(1, sc, env(nbytes=100, sclock=sc))
+        log.append(env(nbytes=100, sclock=sc))
     freed = log.collect(1, upto_sclock=2)
     assert freed == 200
     assert [m.sclock for m in log.messages_for(1)] == [3, 4]
@@ -103,8 +103,8 @@ def test_sender_log_gc_frees_prefix_only():
 
 def test_sender_log_snapshot_restore_round_trip():
     log = SenderLog(ram_budget=10_000, disk_budget=0)
-    log.append(1, 1, env(nbytes=10, sclock=1))
-    log.append(2, 2, env(nbytes=20, sclock=2))
+    log.append(env(nbytes=10, sclock=1))
+    log.append(env(nbytes=20, dst=2, sclock=2))
     entries = log.snapshot()
     back = SenderLog.restore(10_000, 0, entries)
     assert len(back) == 2

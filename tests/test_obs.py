@@ -97,6 +97,17 @@ def test_histogram_buckets_and_stats():
     assert exp["buckets"]["overflow"] == 1
 
 
+def test_histogram_sample_on_a_bound_is_filed_under_that_bound():
+    h = Histogram("lat", {}, bounds=(0.1, 1.0, 10.0))
+    h.observe(1.0)
+    h.observe(20.0)
+    assert h.export()["buckets"] == {"le_1": 1, "overflow": 1}
+    assert h.quantile(0.5) == 1.0  # its own bound, not the next one up
+    h.observe(0.1)
+    assert h.export()["buckets"]["le_0.1"] == 1
+    assert h.quantile(1 / 3) == 0.1
+
+
 def test_histogram_quantile_is_the_bucket_bound_clamped_to_the_max():
     h = Histogram("lat", {}, bounds=(0.1, 1.0, 10.0))
     assert h.quantile(0.5) == 0.0  # no sample yet
@@ -124,6 +135,42 @@ def test_registry_quantile_merges_label_sets():
     assert m.quantile("lat", 0.25) == 0.1
     assert m.quantile("lat", 0.5) == m.quantile("lat", 0.75) == 1.0
     assert m.quantile("lat", 1.0) == 3.0  # the max over every label set
+
+
+def test_registry_shares_one_label_set_per_distinct_labels():
+    m = Metrics()
+    caller = {"rank": 0, "peer": 1}
+    a = m.counter("peer.bytes", **caller)
+    b = m.gauge("peer.depth", peer=1, rank=0)  # same set, other order
+    c = m.counter("peer.bytes", rank=1, peer=1)
+    name = "".join(["dev.", "msgs"])  # a fresh string, as an f-string makes
+    d = m.counter(name, rank=0, peer=1)
+    assert a.labels is b.labels is d.labels
+    assert c.labels is not a.labels and c.labels == {"rank": 1, "peer": 1}
+    assert d.name is m.counter("dev.msgs", peer=1, rank=0).name
+    caller["rank"] = 7  # the caller's dict is not the registry's
+    assert a.labels == {"rank": 0, "peer": 1}
+    assert m.counter("peer.bytes", rank=0, peer=1) is a
+    a.inc(3)
+    c.inc(4)
+    d.inc(1)
+    assert m.export() == [
+        {"name": "peer.bytes", "kind": "counter",
+         "labels": {"rank": 0, "peer": 1}, "value": 3.0},
+        {"name": "peer.depth", "kind": "gauge",
+         "labels": {"rank": 0, "peer": 1}, "value": 0.0, "peak": 0.0},
+        {"name": "peer.bytes", "kind": "counter",
+         "labels": {"rank": 1, "peer": 1}, "value": 4.0},
+        {"name": "dev.msgs", "kind": "counter",
+         "labels": {"rank": 0, "peer": 1}, "value": 1.0},
+    ]
+    assert m.by_label("rank") == {
+        0: {"peer.bytes": 3.0, "peer.depth": 0.0, "dev.msgs": 1.0},
+        1: {"peer.bytes": 4.0},
+    }
+    assert m.snapshot() == {"peer.bytes": 7.0, "peer.depth": 0.0,
+                            "dev.msgs": 1.0}
+
 
 def test_registry_total_and_by_label():
     m = Metrics()

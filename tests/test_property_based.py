@@ -157,12 +157,12 @@ def test_sender_log_accounting_invariants(messages, collect_at):
     sclock = 0
     for dst, nbytes in messages:
         sclock += 1
-        log.append(dst, sclock, Envelope(0, dst, 0, 0, nbytes, sclock))
+        log.append(Envelope(0, dst, 0, 0, nbytes, sclock))
     total = sum(n for _, n in messages)
     assert log.bytes_total == total
     # collect a prefix for destination 0
     freed = log.collect(0, upto_sclock=collect_at)
-    remaining = sum(m.env.nbytes for m in log)
+    remaining = sum(m.nbytes for m in log)
     assert freed + remaining == total
     assert log.bytes_total == remaining
     # collected messages are no longer served

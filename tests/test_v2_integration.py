@@ -140,6 +140,38 @@ def test_v2_sender_log_retains_payloads():
     assert len(saved.messages_for(1)) >= 4
 
 
+def test_v2_run_retains_little_per_logged_message():
+    """What a finished, unchecked V2 ping-pong keeps per message: the
+    SAVED envelope and the EL event are the protocol's, anything else is
+    the simulator's.  The slope between a 400- and a 2400-message run
+    (fixed costs cancel) stays at most 300 bytes.  A dict-backed
+    envelope, a wrapper per SAVED entry or a delivery log kept with no
+    checkpoint scheduler to read it (~460 B in all) breaks the bound."""
+    import gc
+    import tracemalloc
+
+    from repro.workloads.pingpong import pingpong
+
+    def retained(reps):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = run_job(pingpong, 2, device="v2",
+                          params={"nbytes": 0, "reps": reps, "warmup": 0})
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - base, res
+        finally:
+            tracemalloc.stop()
+
+    retained(10)  # one-time imports and interned names
+    small, res_small = retained(200)
+    large, res_large = retained(1200)
+    assert len(res_large.extras["dispatcher"].states[0].daemon.saved) >= 1200
+    per_msg = (large - small) / (2 * (1200 - 200))
+    assert per_msg <= 300, f"{per_msg:.0f} B retained per logged message"
+
+
 def test_v2_deterministic():
     def prog(mpi):
         out = yield from mpi.allreduce(value=mpi.rank, nbytes=8)
